@@ -70,7 +70,6 @@ struct Arrival {
 std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> population,
                                        const swift::ModelRegistry& registry,
                                        const FleetSimConfig& config) {
-  obs::ProfScope prof(config.prof, "fleet.workload_gen");
   std::vector<Arrival> workload;
   core::Rng rng(config.seed);
   const auto weights = dataset::hourly_test_weights();
@@ -132,6 +131,26 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
 std::vector<std::string> arrival_dimensions(const Arrival& a) {
   return {dataset::dimension_key(a.tech), dataset::dimension_key(a.isp),
           "server:" + std::to_string(a.first_server)};
+}
+
+/// The simulated period and its whole utilization windows (none when
+/// windowing is off).
+struct Period {
+  std::int64_t seconds = 0;
+  std::int64_t windows = 0;
+};
+
+Period sim_period(const FleetSimConfig& config) {
+  Period period;
+  period.seconds = static_cast<std::int64_t>(config.days) * 24 * 3600;
+  period.windows =
+      config.window_seconds > 0 ? period.seconds / config.window_seconds : 0;
+  return period;
+}
+
+/// The calling thread's host-time timeline, or null when unprofiled.
+obs::hostprof::Timeline* main_timeline(const FleetSimConfig& config) {
+  return config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
 }
 
 void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
@@ -247,6 +266,160 @@ std::unique_ptr<obs::Hub> make_chunk_hub(const obs::Hub& like,
 }
 
 // ---------------------------------------------------------------------------
+// The chunk pipeline both backends run through
+// ---------------------------------------------------------------------------
+
+/// How the drawn workload splits into chunks of consecutive draws.
+struct ChunkPlan {
+  std::span<const Arrival> workload;
+  std::size_t chunk_size = kDefaultChunkSize;
+  std::size_t jobs = 1;
+  const obs::SampleSchedule* schedule = nullptr;  // null: no sampling
+
+  [[nodiscard]] std::size_t count() const {
+    return (workload.size() + chunk_size - 1) / chunk_size;
+  }
+  /// Chunk c holds the draws [lo(c), hi(c)).
+  [[nodiscard]] std::size_t lo(std::size_t c) const { return c * chunk_size; }
+  [[nodiscard]] std::size_t hi(std::size_t c) const {
+    return std::min(workload.size(), lo(c) + chunk_size);
+  }
+  [[nodiscard]] std::span<const Arrival> arrivals(std::size_t c) const {
+    return workload.subspan(lo(c), hi(c) - lo(c));
+  }
+};
+
+/// What every chunk produces, whatever the backend: its test count, health
+/// samples, sampled observability and self-telemetry.
+struct ChunkBase {
+  std::uint64_t tests = 0;
+  obs::health::SampleLog health;
+  bool want_health = false;
+  /// Chunk-local observability accumulator; null when the run exports none.
+  std::unique_ptr<obs::Hub> hub;
+  ChunkSpill spill;
+  // Metrics snapshots in draw order (one per packet test, one per analytic
+  // chunk). Metrics must merge as a flat left fold over these — not over
+  // chunk hubs — because gauge adds and histogram `sum` accumulation are
+  // floating-point: folding per-chunk partials of per-test data would make
+  // the result depend on where the chunk boundaries fall.
+  std::vector<obs::MetricsSnapshot> metric_snaps;
+  obs::ShardTelemetry telemetry;
+};
+
+/// Builds one output per chunk, each with the hub `make_hub` returns (null
+/// for none) and its spill sinks, then runs `run_chunk` over every chunk on
+/// the work-stealing pool, stamping each chunk's self-telemetry as it ends.
+template <typename Chunk>
+std::vector<Chunk> run_chunks(
+    const ChunkPlan& plan, const FleetSimConfig& config,
+    const std::function<std::unique_ptr<obs::Hub>()>& make_hub,
+    const std::function<void(std::span<const Arrival>, Chunk&)>& run_chunk) {
+  std::vector<Chunk> chunks(plan.count());
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    Chunk& out = chunks[c];
+    out.want_health = config.health != nullptr;
+    out.hub = make_hub();
+    if (out.hub != nullptr) out.spill.attach(*out.hub, config.obs_spill_dir, c);
+  }
+  run_tasks(
+      chunks.size(), plan.jobs,
+      [&](std::size_t c) {
+        const auto t0 = std::chrono::steady_clock::now();
+        Chunk& out = chunks[c];
+        run_chunk(plan.arrivals(c), out);
+        obs::ShardTelemetry& t = out.telemetry;
+        t.shard = c;
+        t.wall_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        t.tests = out.tests;
+        t.health_dropped = out.health.dropped();
+        t.sample_degradations =
+            plan.schedule != nullptr
+                ? plan.schedule->degradations_in(plan.lo(c), plan.hi(c))
+                : 0;
+        if (out.hub != nullptr) {
+          t.trace_dropped = out.hub->tracer.dropped();
+          t.trace_spilled = out.hub->tracer.spilled();
+          t.span_dropped = out.hub->spans.dropped();
+          t.span_spilled = out.hub->spans.spilled();
+        }
+        if (config.resource != nullptr) {
+          config.resource->record_shard(t);
+          config.resource->note_shard_done();
+          config.resource->sample_usage();
+        }
+      },
+      config.hostprof);
+  return chunks;
+}
+
+/// Folds every chunk's observability into config.obs: component-wise in
+/// chunk order (one host-time phase per component), then `fleet_series`
+/// emits whatever series only the merged result can produce, then the stores
+/// canonicalize — chunk concatenation order (and chunk-local span ids)
+/// depend on the partition, the content order does not, so after this the
+/// artifacts render byte-identically for every chunk size (DESIGN.md §12,
+/// §15) — and the spill segments concatenate.
+template <typename Chunk>
+void merge_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
+               const std::function<void()>& fleet_series, FleetSimResult& result) {
+  obs::hostprof::Timeline* host_tl = main_timeline(config);
+  // The merge target can itself rotate: its segments take the index one
+  // past the last chunk, so concat order stays (chunk, segment).
+  ChunkSpill merge_spill;
+  merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
+    for (const Chunk& chunk : chunks) {
+      if (chunk.hub != nullptr) config.obs->tracer.merge_from(chunk.hub->tracer);
+    }
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
+    for (const Chunk& chunk : chunks) {
+      for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
+        config.obs->metrics.merge_from(snap);
+      }
+    }
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.spans");
+    for (const Chunk& chunk : chunks) {
+      if (chunk.hub != nullptr) config.obs->spans.merge_from(chunk.hub->spans);
+    }
+  }
+  if (fleet_series) fleet_series();
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
+    config.obs->tracer.sort_canonical();
+    config.obs->spans.sort_canonical();
+  }
+  const obs::hostprof::HostScope scope(host_tl, "spill.io");
+  std::vector<ChunkSpill> spills;
+  for (Chunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
+  spills.push_back(std::move(merge_spill));
+  concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
+  concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
+  accumulate_spill(spills, result);
+}
+
+/// Replays every chunk's health samples into config.health. Chunks hold
+/// consecutive draws, so replay in chunk order IS the global draw order —
+/// bit-identical health to a single serial pass.
+template <typename Chunk>
+void replay_health(const std::vector<Chunk>& chunks, const FleetSimConfig& config) {
+  if (config.health == nullptr) return;
+  const obs::hostprof::HostScope scope(main_timeline(config), "samplelog.replay");
+  std::vector<const obs::health::SampleLog*> logs;
+  logs.reserve(chunks.size());
+  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health);
+  obs::health::SampleLog::merge_arrivals(logs, *config.health);
+  for (const Chunk& chunk : chunks) chunk.health.replay_samples(*config.health);
+}
+
+// ---------------------------------------------------------------------------
 // Analytic backend
 // ---------------------------------------------------------------------------
 
@@ -254,20 +427,9 @@ std::unique_ptr<obs::Hub> make_chunk_hub(const obs::Hub& like,
 /// its consecutive slice of draws. The numeric load accounting is NOT here —
 /// floating-point sums are not associative, so per-chunk partials would tie
 /// the result bits to the partition; compute_analytic_load runs once, over
-/// the whole workload, at merge.
-struct AnalyticChunk {
-  std::uint64_t tests = 0;
-  obs::health::SampleLog health;
-  bool want_health = false;
-  /// Sampled observability emission (fleet.test events + spans); null unless
-  /// sampling or a budget is active — legacy analytic runs emit nothing.
-  std::unique_ptr<obs::Hub> hub;
-  ChunkSpill spill;
-  obs::ShardTelemetry telemetry;
-  /// Private self-profile registry: workers record here without locks and
-  /// the caller folds them into config.prof after the join.
-  obs::ProfRegistry prof;
-};
+/// the whole workload, at merge. The hub is null unless sampling or a budget
+/// is active — legacy analytic runs emit nothing.
+using AnalyticChunk = ChunkBase;
 
 void run_analytic_chunk(std::span<const Arrival> arrivals,
                         const FleetSimConfig& config,
@@ -311,6 +473,7 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
       out.health.record_test(sample);
     }
   }
+  if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
 }
 
 /// The closed-form load accounting, over the full workload in draw order.
@@ -326,18 +489,15 @@ struct AnalyticLoad {
 AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
                                    const FleetSimConfig& config) {
   AnalyticLoad out;
-  const std::int64_t total_seconds =
-      static_cast<std::int64_t>(config.days) * 24 * 3600;
-  const std::int64_t windows_total =
-      config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
+  const Period period = sim_period(config);
   out.window_load.assign(
-      static_cast<std::size_t>(windows_total) * config.server_count, 0.0);
-  out.second_load.assign(static_cast<std::size_t>(total_seconds), 0.0);
+      static_cast<std::size_t>(period.windows) * config.server_count, 0.0);
+  out.second_load.assign(static_cast<std::size_t>(period.seconds), 0.0);
 
   std::vector<std::vector<std::pair<int, double>>> active(config.server_count);
   std::size_t active_entries = 0;
   std::size_t next_arrival = 0;
-  for (std::int64_t second = 0; second < total_seconds; ++second) {
+  for (std::int64_t second = 0; second < period.seconds; ++second) {
     if (active_entries == 0) {
       // Idle: nothing contributes load until the next arrival, and zero
       // seconds are already materialized, so jump straight there.
@@ -345,7 +505,7 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
       if (arrivals[next_arrival].second > second) {
         second = arrivals[next_arrival].second;
       }
-      if (second >= total_seconds) break;
+      if (second >= period.seconds) break;
     }
     while (next_arrival < arrivals.size() &&
            arrivals[next_arrival].second == second) {
@@ -357,7 +517,7 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
       }
     }
     const std::int64_t w =
-        config.window_seconds > 0 ? second / config.window_seconds : windows_total;
+        config.window_seconds > 0 ? second / config.window_seconds : period.windows;
     double second_total = 0.0;
     for (std::size_t s = 0; s < config.server_count; ++s) {
       double load = 0.0;
@@ -368,7 +528,7 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
       const std::size_t before = active[s].size();
       std::erase_if(active[s], [](const auto& e) { return e.first <= 0; });
       active_entries -= before - active[s].size();
-      if (load > 0.0 && w < windows_total) {
+      if (load > 0.0 && w < period.windows) {
         out.window_load[static_cast<std::size_t>(w) * config.server_count + s] +=
             load;
       }
@@ -382,13 +542,8 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
 FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
                               const AnalyticLoad& load,
                               const FleetSimConfig& config) {
-  obs::hostprof::Timeline* host_tl =
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
   FleetSimResult result;
-  const std::int64_t total_seconds =
-      static_cast<std::int64_t>(config.days) * 24 * 3600;
-  const std::int64_t windows_total =
-      config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
+  const Period period = sim_period(config);
   const double fleet_capacity =
       config.server_uplink_mbps * static_cast<double>(config.server_count);
 
@@ -400,64 +555,12 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   }
 
   if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
-    // The merge target can itself rotate: its segments take the index one
-    // past the last chunk, so concat order stays (chunk, segment).
-    ChunkSpill merge_spill;
-    if (!config.obs_spill_dir.empty()) {
-      merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
-    }
-    // Component-wise merge in chunk order — identical bytes to the fused
-    // Hub::merge_from loop, but each component gets its own host-time phase.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->tracer.merge_from(chunk.hub->tracer);
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->metrics.merge_from(chunk.hub->metrics.snapshot());
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->spans.merge_from(chunk.hub->spans);
-      }
-    }
-    // Chunk concatenation order depends on the partition; the canonical
-    // content order does not. After this, the sampled artifact renders
-    // byte-identically for every chunk size (DESIGN.md §12, §15).
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
-      config.obs->tracer.sort_canonical();
-      config.obs->spans.sort_canonical();
-    }
-    const obs::hostprof::HostScope scope(host_tl, "spill.io");
-    std::vector<ChunkSpill> spills;
-    for (AnalyticChunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
-    spills.push_back(std::move(merge_spill));
-    concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
-    concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
-    accumulate_spill(spills, result);
+    merge_obs(chunks, config, {}, result);
   }
-
-  if (config.health != nullptr) {
-    const obs::hostprof::HostScope scope(host_tl, "samplelog.replay");
-    std::vector<const obs::health::SampleLog*> logs;
-    logs.reserve(chunks.size());
-    for (const AnalyticChunk& chunk : chunks) logs.push_back(&chunk.health);
-    obs::health::SampleLog::merge_arrivals(logs, *config.health);
-    // Chunks hold consecutive draws, so replay in chunk order IS the global
-    // draw order — bit-identical health to a single serial pass.
-    for (const AnalyticChunk& chunk : chunks) {
-      chunk.health.replay_samples(*config.health);
-    }
-  }
+  replay_health(chunks, config);
 
   // Busy windows in the historical emission order: window-major, then server.
-  for (std::int64_t w = 0; w < windows_total; ++w) {
+  for (std::int64_t w = 0; w < period.windows; ++w) {
     for (std::size_t s = 0; s < config.server_count; ++s) {
       const double window_sum =
           load.window_load[static_cast<std::size_t>(w) * config.server_count + s];
@@ -475,7 +578,7 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   }
 
   finish_result(result, overload_seconds,
-                static_cast<std::uint64_t>(total_seconds));
+                static_cast<std::uint64_t>(period.seconds));
   return result;
 }
 
@@ -489,30 +592,16 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
 /// bytes and per-server protocol counters are *integers* that sum exactly —
 /// in any order — at merge. That is what makes the packet artifacts
 /// partition-free, at the documented cost of not modeling cross-test egress
-/// contention.
-struct PacketChunk {
+/// contention. The hub mirrors config.obs (null when disabled).
+struct PacketChunk : ChunkBase {
   struct WindowDelta {
     std::uint32_t window = 0;
     std::uint32_t server = 0;
     std::int64_t bytes = 0;
   };
   std::vector<WindowDelta> deltas;
-  std::uint64_t tests_simulated = 0;
   std::vector<std::uint64_t> server_accepted;    // [server_count]
   std::vector<std::int64_t> server_probe_bytes;  // [server_count]
-  std::unique_ptr<obs::Hub> hub;  // mirror of config.obs; null when disabled
-  // One metrics snapshot per test, in draw order. Metrics must merge as a
-  // flat left fold over *tests* — not over chunks — because gauge adds and
-  // histogram `sum` accumulation are floating-point: folding per-chunk
-  // partials would make the result depend on where the chunk boundaries
-  // fall. Per-test snapshots folded in global draw order associate
-  // identically for every chunk size and job count.
-  std::vector<obs::MetricsSnapshot> metric_snaps;
-  obs::health::SampleLog health;
-  bool want_health = false;
-  ChunkSpill spill;
-  obs::ShardTelemetry telemetry;
-  obs::ProfRegistry prof;  // private; merged into config.prof after the join
 };
 
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
@@ -531,7 +620,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   // Each test observes through its own hub: trace events and spans fold into
   // the chunk hub right after the test (so chunk-level spill still engages),
   // while the metrics snapshot is kept per test for the draw-order fold at
-  // merge (see PacketChunk::metric_snaps).
+  // merge (see ChunkBase::metric_snaps).
   std::unique_ptr<obs::Hub> test_hub;
   if (out.hub != nullptr) {
     test_hub = obs::Hub::mirror_of(*out.hub);
@@ -646,7 +735,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
     if (W > 0 && window_index < windows_total) {
       sched.schedule_at((window_index + 1) * W * core::seconds(1), tick);
     }
-    ++out.tests_simulated;
+    ++out.tests;
   });
 
   // Bound covers the protocol's hard stop (start + max_duration), delivery
@@ -690,8 +779,8 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
 void run_packet_chunk(std::span<const Arrival> arrivals,
                       const swift::ModelRegistry& registry,
                       const FleetSimConfig& config,
-                      const obs::SampleSchedule* schedule,
-                      std::int64_t windows_total, PacketChunk& out) {
+                      const obs::SampleSchedule* schedule, PacketChunk& out) {
+  const std::int64_t windows_total = sim_period(config).windows;
   out.server_accepted.assign(config.server_count, 0);
   out.server_probe_bytes.assign(config.server_count, 0);
   out.metric_snaps.reserve(arrivals.size());
@@ -706,24 +795,19 @@ void run_packet_chunk(std::span<const Arrival> arrivals,
 
 FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
                             const FleetSimConfig& config) {
-  obs::hostprof::Timeline* host_tl =
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
   FleetSimResult result;
-  const std::int64_t total_seconds =
-      static_cast<std::int64_t>(config.days) * 24 * 3600;
-  const std::int64_t windows_total =
-      config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
+  const Period period = sim_period(config);
   const double window_capacity_mbit =
       config.server_uplink_mbps * static_cast<double>(config.window_seconds);
 
   // Integer sums, commutative and associative: the merged matrices are
   // exactly partition-independent, no canonical summation order needed.
   std::vector<std::int64_t> delivered(
-      static_cast<std::size_t>(windows_total) * config.server_count, 0);
+      static_cast<std::size_t>(period.windows) * config.server_count, 0);
   std::vector<std::uint64_t> accepted(config.server_count, 0);
   std::vector<std::int64_t> probe_bytes(config.server_count, 0);
   for (const PacketChunk& chunk : chunks) {
-    result.tests_simulated += chunk.tests_simulated;
+    result.tests_simulated += chunk.tests;
     for (const PacketChunk::WindowDelta& d : chunk.deltas) {
       delivered[static_cast<std::size_t>(d.window) * config.server_count +
                 d.server] += d.bytes;
@@ -741,44 +825,14 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
   };
 
   if (config.obs != nullptr) {
-    ChunkSpill merge_spill;
-    if (!config.obs_spill_dir.empty()) {
-      merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
-    }
-    // Component-wise merge in chunk order (same bytes as the fused hub
-    // merge), one host-time phase per component.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-      for (const PacketChunk& chunk : chunks) {
-        if (chunk.hub != nullptr) config.obs->tracer.merge_from(chunk.hub->tracer);
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-      // A flat left fold over per-test snapshots in global draw order: the
-      // FP additions (gauge adds, histogram sums) associate identically for
-      // every chunk size and job count, so the merged registry is a pure
-      // function of (config, seed).
-      for (const PacketChunk& chunk : chunks) {
-        for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
-          config.obs->metrics.merge_from(snap);
-        }
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-      for (const PacketChunk& chunk : chunks) {
-        if (chunk.hub != nullptr) config.obs->spans.merge_from(chunk.hub->spans);
-      }
-    }
     // Fleet-level series are a function of the merged byte matrix, so they
     // are emitted here — once, partition-free — rather than inside any
     // chunk: one egress_util sample per (window, server) on the global
     // grid, and the busy-window histogram.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.windows");
+    merge_obs(chunks, config, [&] {
+      const obs::hostprof::HostScope scope(main_timeline(config), "merge.windows");
       const bool wants_fleet = config.obs->tracer.wants(obs::Category::kFleet);
-      for (std::int64_t w = 0; w < windows_total; ++w) {
+      for (std::int64_t w = 0; w < period.windows; ++w) {
         const core::SimTime ts = (w + 1) * config.window_seconds * core::seconds(1);
         for (std::size_t s = 0; s < config.server_count; ++s) {
           const double util = util_of(w, s);
@@ -795,38 +849,14 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
           }
         }
       }
-    }
-    // Always canonicalize: chunk concatenation order (and chunk-local span
-    // ids) depend on the partition; the content order does not.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
-      config.obs->tracer.sort_canonical();
-      config.obs->spans.sort_canonical();
-    }
-    const obs::hostprof::HostScope scope(host_tl, "spill.io");
-    std::vector<ChunkSpill> spills;
-    for (PacketChunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
-    spills.push_back(std::move(merge_spill));
-    concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
-    concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
-    accumulate_spill(spills, result);
+    }, result);
   }
-
-  if (config.health != nullptr) {
-    const obs::hostprof::HostScope scope(host_tl, "samplelog.replay");
-    std::vector<const obs::health::SampleLog*> logs;
-    logs.reserve(chunks.size());
-    for (const PacketChunk& chunk : chunks) logs.push_back(&chunk.health);
-    obs::health::SampleLog::merge_arrivals(logs, *config.health);
-    for (const PacketChunk& chunk : chunks) {
-      chunk.health.replay_samples(*config.health);
-    }
-  }
+  replay_health(chunks, config);
 
   // Busy windows, overload, and per-server egress health from the merged
   // matrix, window-major — the historical emission order.
   std::uint64_t overloaded_windows = 0;
-  for (std::int64_t w = 0; w < windows_total; ++w) {
+  for (std::int64_t w = 0; w < period.windows; ++w) {
     double window_total = 0.0;
     for (std::size_t s = 0; s < config.server_count; ++s) {
       const double util = util_of(w, s);
@@ -859,7 +889,7 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
   finish_result(
       result,
       overloaded_windows * static_cast<std::uint64_t>(config.window_seconds),
-      static_cast<std::uint64_t>(total_seconds));
+      static_cast<std::uint64_t>(period.seconds));
   return result;
 }
 
@@ -870,19 +900,9 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
                               const FleetSimConfig& config) {
   FleetSimResult result;
   if (population.empty() || config.server_count == 0) return result;
-  const std::size_t jobs = resolve_jobs(config.jobs);
-  const std::size_t chunk_size =
-      config.chunk == 0 ? kDefaultChunkSize : config.chunk;
-  obs::hostprof::Timeline* host_tl =
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
+  obs::hostprof::Timeline* host_tl = main_timeline(config);
 
   const auto run_start = std::chrono::steady_clock::now();
-  const auto finish_resource = [&] {
-    if (config.resource == nullptr) return;
-    config.resource->finish_run(std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - run_start)
-                                    .count());
-  };
 
   // The sampling base: salted with the run seed; the budget is GLOBAL (the
   // degradation schedule is planned over the whole draw order, so no
@@ -901,161 +921,70 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     workload = generate_workload(population, registry, config);
   }
 
-  const std::size_t chunk_count =
-      workload.empty() ? 0 : (workload.size() + chunk_size - 1) / chunk_size;
-  if (config.hostprof != nullptr) config.hostprof->set_run_shape(chunk_count, jobs);
-  if (config.resource != nullptr) config.resource->begin_run(chunk_count);
+  ChunkPlan plan;
+  plan.workload = workload;
+  plan.chunk_size = config.chunk == 0 ? kDefaultChunkSize : config.chunk;
+  plan.jobs = resolve_jobs(config.jobs);
+  if (config.hostprof != nullptr) config.hostprof->set_run_shape(plan.count(), plan.jobs);
+  if (config.resource != nullptr) config.resource->begin_run(plan.count());
 
   std::optional<obs::SampleSchedule> schedule;
   if (sampling_active) {
     schedule = obs::SampleSchedule::plan(workload.size(), base_policy,
                                          sample_cost_model(config));
+    plan.schedule = &*schedule;
   }
-  const obs::SampleSchedule* sched_ptr =
-      schedule.has_value() ? &*schedule : nullptr;
-
-  const auto chunk_arrivals = [&](std::size_t c) {
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(workload.size(), lo + chunk_size);
-    return std::span<const Arrival>(workload.data() + lo, hi - lo);
-  };
-  const auto chunk_degradations = [&](std::size_t c) -> std::uint64_t {
-    if (sched_ptr == nullptr) return 0;
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(workload.size(), lo + chunk_size);
-    return sched_ptr->degradations_in(lo, hi);
-  };
 
   if (config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0) {
-    const std::int64_t total_seconds =
-        static_cast<std::int64_t>(config.days) * 24 * 3600;
-    const std::int64_t windows_total =
-        config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
-    std::vector<PacketChunk> outputs(chunk_count);
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      PacketChunk& out = outputs[c];
-      out.want_health = config.health != nullptr;
-      if (config.obs != nullptr) {
-        // The chunk hub is an accumulator: tests record into their own
-        // per-test hubs (run_packet_test) and fold in after each test, so
-        // the chunk's spill sink sees overflow while metrics stay banked
-        // per test. No live recording happens here, so no sink or sampled
-        // mode setup is needed — merge_from never re-emits through sinks.
-        out.hub = obs::Hub::mirror_of(*config.obs);
-        out.spill.attach(*out.hub, config.obs_spill_dir, c);
-      }
-    }
-    {
-      obs::ProfScope prof(config.prof, "fleet.replay_packet");
-      run_tasks(
-          chunk_count, jobs,
-          [&](std::size_t c) {
-            const auto t0 = std::chrono::steady_clock::now();
-            {
-              // Per-chunk registry: lock-free on the worker, merged after join.
-              obs::ProfScope chunk_prof(
-                  config.prof != nullptr ? &outputs[c].prof : nullptr,
-                  "fleet.chunk_replay");
-              run_packet_chunk(chunk_arrivals(c), registry, config, sched_ptr,
-                               windows_total, outputs[c]);
-            }
-            PacketChunk& out = outputs[c];
-            obs::ShardTelemetry& t = out.telemetry;
-            t.shard = c;
-            t.wall_seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-            t.tests = out.tests_simulated;
-            t.health_dropped = out.health.dropped();
-            t.sample_degradations = chunk_degradations(c);
-            if (out.hub != nullptr) {
-              t.trace_dropped = out.hub->tracer.dropped();
-              t.trace_spilled = out.hub->tracer.spilled();
-              t.span_dropped = out.hub->spans.dropped();
-              t.span_spilled = out.hub->spans.spilled();
-            }
-            if (config.resource != nullptr) {
-              config.resource->record_shard(t);
-              config.resource->note_shard_done();
-              config.resource->sample_usage();
-            }
-          },
-          config.hostprof);
-      if (config.prof != nullptr) {
-        for (const PacketChunk& out : outputs) config.prof->merge_from(out.prof);
-      }
-    }
-    obs::ProfScope prof(config.prof, "fleet.merge");
+    // The chunk hub is an accumulator: tests record into their own per-test
+    // hubs (run_packet_test) and fold in after each test, so the chunk's
+    // spill sink sees overflow while metrics stay banked per test. No live
+    // recording happens here, so no sink or sampled mode setup is needed —
+    // merge_from never re-emits through sinks.
+    auto chunks = run_chunks<PacketChunk>(
+        plan, config,
+        [&] {
+          return config.obs != nullptr ? obs::Hub::mirror_of(*config.obs) : nullptr;
+        },
+        [&](std::span<const Arrival> arrivals, PacketChunk& out) {
+          run_packet_chunk(arrivals, registry, config, plan.schedule, out);
+        });
     const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_packet(outputs, config);
-    finish_resource();
-    return result;
-  }
-
-  std::vector<AnalyticChunk> outputs(chunk_count);
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    AnalyticChunk& out = outputs[c];
-    out.want_health = config.health != nullptr;
+    result = merge_packet(chunks, config);
+  } else {
     // The analytic backend emits observability only under sampling (or a
     // budget): its legacy contract is "no obs emission", and the sampled
     // fleet.test events/spans are the artifact the byte-identity gate pins.
-    if (config.obs != nullptr && sampling_active) {
-      out.hub = make_chunk_hub(*config.obs, 4 * chunk_size + 1024);
-      out.spill.attach(*out.hub, config.obs_spill_dir, c);
-      // Analytic fleet.test spans root their trace trees explicitly, so
-      // sampled mode stays off; only the id-leaking tracer mirror goes.
-      out.hub->spans.set_sinks(nullptr, &out.hub->metrics);
-    }
-  }
-  AnalyticLoad load;
-  {
-    obs::ProfScope prof(config.prof, "fleet.replay_analytic");
-    run_tasks(
-        chunk_count, jobs,
-        [&](std::size_t c) {
-          const auto t0 = std::chrono::steady_clock::now();
-          {
-            obs::ProfScope chunk_prof(
-                config.prof != nullptr ? &outputs[c].prof : nullptr,
-                "fleet.chunk_replay");
-            run_analytic_chunk(chunk_arrivals(c), config, sched_ptr, outputs[c]);
-          }
-          AnalyticChunk& out = outputs[c];
-          obs::ShardTelemetry& t = out.telemetry;
-          t.shard = c;
-          t.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-          t.tests = out.tests;
-          t.health_dropped = out.health.dropped();
-          t.sample_degradations = chunk_degradations(c);
-          if (out.hub != nullptr) {
-            t.trace_dropped = out.hub->tracer.dropped();
-            t.trace_spilled = out.hub->tracer.spilled();
-            t.span_dropped = out.hub->spans.dropped();
-            t.span_spilled = out.hub->spans.spilled();
-          }
-          if (config.resource != nullptr) {
-            config.resource->record_shard(t);
-            config.resource->note_shard_done();
-            config.resource->sample_usage();
-          }
+    auto chunks = run_chunks<AnalyticChunk>(
+        plan, config,
+        [&]() -> std::unique_ptr<obs::Hub> {
+          if (config.obs == nullptr || !sampling_active) return nullptr;
+          auto hub = make_chunk_hub(*config.obs, 4 * plan.chunk_size + 1024);
+          // Analytic fleet.test spans root their trace trees explicitly, so
+          // sampled mode stays off; only the id-leaking tracer mirror goes.
+          hub->spans.set_sinks(nullptr, &hub->metrics);
+          return hub;
         },
-        config.hostprof);
-    if (config.prof != nullptr) {
-      for (const AnalyticChunk& out : outputs) config.prof->merge_from(out.prof);
-    }
+        [&](std::span<const Arrival> arrivals, AnalyticChunk& out) {
+          run_analytic_chunk(arrivals, config, plan.schedule, out);
+        });
     // The closed-form load accounting runs once, serially, over the whole
     // workload: floating-point sums are order-sensitive, so this is the one
     // place the numbers are allowed to accumulate — the historical order,
     // bit-identical for every (chunk, jobs).
-    const obs::hostprof::HostScope scope(host_tl, "replay.numeric");
-    load = compute_analytic_load(workload, config);
+    AnalyticLoad load;
+    {
+      const obs::hostprof::HostScope scope(host_tl, "replay.numeric");
+      load = compute_analytic_load(workload, config);
+    }
+    const obs::hostprof::HostScope merge_scope(host_tl, "merge");
+    result = merge_analytic(chunks, load, config);
   }
-  obs::ProfScope prof(config.prof, "fleet.merge");
-  const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-  result = merge_analytic(outputs, load, config);
-  finish_resource();
+  if (config.resource != nullptr) {
+    config.resource->finish_run(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - run_start)
+                                    .count());
+  }
   return result;
 }
 

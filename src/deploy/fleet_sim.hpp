@@ -17,7 +17,6 @@
 #include "obs/health/monitor.hpp"
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hub.hpp"
-#include "obs/prof.hpp"
 #include "obs/resource.hpp"
 #include "obs/sampling.hpp"
 #include "stats/descriptive.hpp"
@@ -74,17 +73,12 @@ struct FleetSimConfig {
   /// |min(rate, truth) - truth| / truth (0 whenever the settled probing
   /// rate covers the client). Null disables health aggregation.
   obs::health::HealthMonitor* health = nullptr;
-  /// Optional wall-clock self-profiler: workload generation and replay are
-  /// timed under fleet.* categories. Host-time only — never part of the
-  /// deterministic result or health report. Each shard records into a
-  /// private registry merged (ProfRegistry::merge_from) after the join, so
-  /// the aggregate is thread-safe at any `jobs`.
-  obs::ProfRegistry* prof = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
   /// run records per-thread phase timelines — workload.gen on the calling
   /// thread, exec.run + per-worker chunk.run via run_tasks, then
   /// replay.numeric (analytic) and merge.tracer / merge.metrics /
-  /// merge.spans / merge.canonicalize / spill.io / samplelog.replay — plus
+  /// merge.spans / merge.windows (packet) / merge.canonicalize / spill.io /
+  /// samplelog.replay, all nested under one merge phase — plus
   /// per-worker busy/idle/steal accounting. Host time only: a non-null
   /// profiler never changes a single byte of the deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
@@ -127,10 +121,6 @@ struct FleetSimResult {
   /// Fraction of seconds where requested load exceeded fleet capacity.
   double overload_seconds_share = 0.0;
   std::uint64_t tests_simulated = 0;
-  /// Always 0 since the partition-free runtime: every arrival runs in its
-  /// own isolated testbed, so there is no client-slot pool to exhaust. Kept
-  /// for artifact compatibility.
-  std::uint64_t tests_dropped = 0;
   /// Spill accounting summed over every chunk's writers plus the merge
   /// target (all zero when --obs-spill-dir is off). Deterministic — segment
   /// rotation depends on store capacity and event volume, never on --jobs —

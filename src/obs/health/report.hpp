@@ -6,7 +6,7 @@
 // markdown report renders the paper's §5 headline table (duration, data
 // usage, deviation, egress utilization — p50/p95/p99 per dimension) for
 // humans. Wall-clock self-profiling never appears here: it is host-time and
-// would break byte-stability (see obs/prof.hpp).
+// would break byte-stability (see obs/hostprof/hostprof.hpp).
 #pragma once
 
 #include <iosfwd>

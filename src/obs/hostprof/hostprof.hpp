@@ -1,10 +1,8 @@
-// Thread-aware host-time profiler for the parallel runtime.
+// Thread-aware host-time profiler: the simulator's one wall-clock profiler.
 //
-// obs::ProfScope answers "how much wall-clock did category X cost, in
-// total"; it cannot say *which thread* spent it, *when*, or how much of the
-// run was serial. This subsystem retains that structure: every thread of the
-// chunked fleet runtime records nested phase *intervals* into its own
-// ProfTimeline — the calling thread's workload.gen / merge.* / export
+// It answers how much host time each phase cost, *which thread* spent it,
+// *when*, and how much of the run was serial. Every thread of the chunked
+// fleet runtime records nested phase *intervals* into its own Timeline — the calling thread's workload.gen / merge.* / export
 // phases, each pool worker's per-chunk replay — plus per-worker busy/idle
 // wait accounting around deploy::run_tasks' work-stealing pool. After the
 // pool joins, HostProfiler::snapshot() folds the timelines into one ProfData
@@ -25,7 +23,7 @@
 // (count/total/max) stay exact regardless of drops. All timestamps are
 // steady_clock nanoseconds relative to the profiler's construction — host
 // time, never simulated time, and therefore NEVER part of deterministic
-// artifacts (the ProfScope rule, DESIGN.md §8).
+// artifacts (DESIGN.md §7, §13).
 #pragma once
 
 #include <chrono>
@@ -128,7 +126,7 @@ class Timeline {
 };
 
 /// RAII nested host-time scope. A null timeline makes it a no-op with no
-/// clock read — the null-registry contract of ProfScope.
+/// clock read, so an unprofiled run pays nothing.
 class HostScope {
  public:
   explicit HostScope(Timeline* timeline, const char* phase,

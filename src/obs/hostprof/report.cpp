@@ -176,22 +176,11 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
     }
     const std::string type = value->get_string("type", "");
     if (type == "meta") {
-      if (!require(*value, {"jobs", "timelines", "wall_ns"}, lineno, error)) {
+      if (!require(*value, {"chunks", "jobs", "timelines", "wall_ns"}, lineno,
+                   error)) {
         return std::nullopt;
       }
-      // Version 2 writes "chunks"; version-1 files recorded "shards". Either
-      // way it is the task count of the parallel region.
-      if (const auto* chunks = value->get("chunks"); chunks != nullptr) {
-        data.chunks = static_cast<std::size_t>(chunks->as_u64());
-      } else if (const auto* shards = value->get("shards"); shards != nullptr) {
-        data.chunks = static_cast<std::size_t>(shards->as_u64());
-      } else {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(lineno) +
-                   ": missing field \"chunks\" (or legacy \"shards\")";
-        }
-        return std::nullopt;
-      }
+      data.chunks = static_cast<std::size_t>(value->get("chunks")->as_u64());
       data.jobs = static_cast<std::size_t>(value->get("jobs")->as_u64());
       data.wall_ns = value->get("wall_ns")->as_u64();
       saw_meta = true;
@@ -200,7 +189,8 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
       timeline_for(data, static_cast<std::uint32_t>(value->get("tid")->as_u64()))
           .dropped = value->get("dropped")->as_u64();
     } else if (type == "worker") {
-      if (!require(*value, {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls"},
+      if (!require(*value,
+                   {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "steals", "chunks"},
                    lineno, error)) {
         return std::nullopt;
       }
@@ -211,23 +201,8 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
       tl.worker.idle_ns = value->get("idle_ns")->as_u64();
       tl.worker.wall_ns = value->get("wall_ns")->as_u64();
       tl.worker.pulls = value->get("pulls")->as_u64();
-      // Version 2 writes "steals"/"chunks"; version-1 files have "shards"
-      // (the executed-task count under the old static partition) and no
-      // steal accounting.
-      if (const auto* steals = value->get("steals"); steals != nullptr) {
-        tl.worker.steals = steals->as_u64();
-      }
-      if (const auto* chunks = value->get("chunks"); chunks != nullptr) {
-        tl.worker.chunks = chunks->as_u64();
-      } else if (const auto* shards = value->get("shards"); shards != nullptr) {
-        tl.worker.chunks = shards->as_u64();
-      } else {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(lineno) +
-                   ": missing field \"chunks\" (or legacy \"shards\")";
-        }
-        return std::nullopt;
-      }
+      tl.worker.steals = value->get("steals")->as_u64();
+      tl.worker.chunks = value->get("chunks")->as_u64();
     } else if (type == "phase") {
       if (!require(*value, {"tid", "name", "count", "total_ns", "max_ns"}, lineno,
                    error)) {
@@ -294,8 +269,7 @@ ProfReport analyze_prof(const ProfData& data) {
       row.count += agg.count;
       row.total_ns += agg.total_ns;
       row.max_ns = std::max(row.max_ns, agg.max_ns);
-      if (tl.tid == 0 &&
-          (agg.name == kPhasePool || agg.name == kLegacyPhasePool)) {
+      if (tl.tid == 0 && agg.name == kPhasePool) {
         report.pool_wall_ns += agg.total_ns;
       }
     }
@@ -307,7 +281,7 @@ ProfReport analyze_prof(const ProfData& data) {
     }
     for (const TimelineData::IntervalData& iv : tl.intervals) {
       if (tl.tid == 0 && iv.depth == 0) report.main_coverage += seconds(iv.dur_ns);
-      if (iv.phase == kPhaseChunk || iv.phase == kLegacyPhaseChunk) {
+      if (iv.phase == kPhaseChunk) {
         report.slowest_chunks.push_back({iv.arg, iv.dur_ns, tl.tid});
       }
     }

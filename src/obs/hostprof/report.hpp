@@ -47,7 +47,7 @@ void write_prof_chrome_trace(const ProfData& data, std::ostream& out);
                                                      std::string* error = nullptr);
 
 /// One row of the ranked phase table (aggregated across every timeline, so
-/// parallel phases — e.g. shard.run summed over workers — can exceed 100% of
+/// parallel phases — e.g. chunk.run summed over workers — can exceed 100% of
 /// wall; that excess is exactly the parallelism).
 struct PhaseRow {
   std::string name;
@@ -70,7 +70,7 @@ struct ChunkRow {
 
 /// The Amdahl attribution of one run. Definitions (DESIGN.md §13, §15):
 ///   pool_wall_ns     wall time of the calling thread's "exec.run" phase —
-///                    the parallel region ("shard.replay" in legacy files).
+///                    the parallel region.
 ///   serial_ns        wall_ns - pool_wall_ns: everything only the calling
 ///                    thread does (workload gen, merge, canonicalize,
 ///                    sample-log replay, export).
@@ -128,9 +128,5 @@ void write_prof_report_markdown(const ProfReport& report, std::ostream& out);
 inline constexpr const char* kPhasePool = "exec.run";
 inline constexpr const char* kPhaseChunk = "chunk.run";
 inline constexpr const char* kPhaseJoin = "pool.join";
-/// Legacy phase names (pre chunk-plane profiles); the analyzer still folds
-/// them into the same report so old PROF files keep rendering.
-inline constexpr const char* kLegacyPhasePool = "shard.replay";
-inline constexpr const char* kLegacyPhaseChunk = "shard.run";
 
 }  // namespace swiftest::obs::hostprof

@@ -10,9 +10,9 @@
 //    degradations. These are a pure function of (workload, shards) and may
 //    land in the metrics registry and health report.
 //  * Host measurements — RSS / peak RSS (/proc/self/statm + VmHWM), per-shard
-//    and total wall time. Like ProfScope, these NEVER enter deterministic
-//    artifacts; they surface only in the health report's meta block (opt-in)
-//    and the live `--progress` stderr line.
+//    and total wall time. Like the host-time profiler (obs/hostprof/), these
+//    NEVER enter deterministic artifacts; they surface only in the health
+//    report's meta block (opt-in) and the live `--progress` stderr line.
 //
 // The progress side (tests done, shards done, RSS sample) is thread-safe so
 // a CLI progress thread can poll it while shard workers run; the telemetry

@@ -8,15 +8,15 @@
 // global workload draw index, or a wire nonce), never on wall clock, shard
 // index, or thread id — so the sampled set is a pure function of (seed,
 // workload) and a `--obs-sample 1/N` fleet-day emits byte-identical sampled
-// artifacts regardless of `--shards` / `--jobs`.
+// artifacts regardless of `--chunk` / `--jobs`.
 //
 // The policy also owns the memory-budget degradation rule: given a byte
 // budget, note_footprint() doubles the sampling denominator (and counts the
 // degradation) whenever the observed observability footprint exceeds the
 // budget — the run keeps going with a sparser sample instead of OOMing.
 // Degradations are keyed on the deterministic in-memory footprint of the
-// observability stores, not on process RSS, so a given (workload, shards,
-// budget) degrades at the same points on every host.
+// observability stores, not on process RSS, so a given (workload, budget)
+// degrades at the same points on every host.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,9 @@
 
 namespace swiftest::obs {
 
-/// splitmix64 finalizer: the same avalanche permutation deploy::stable_hash64
-/// uses for shard assignment. Shared here so sampling decisions are
-/// documented as a pure function of the key.
+/// splitmix64 finalizer: a fixed, platform-independent avalanche
+/// permutation, so sampling decisions are documented as a pure function of
+/// the key.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;

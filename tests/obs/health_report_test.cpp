@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/health/json.hpp"
-#include "obs/prof.hpp"
 
 namespace swiftest::obs::health {
 namespace {
@@ -118,49 +117,6 @@ TEST(HealthReport, MarkdownHasHeaderTablesAndVerdict) {
   EXPECT_NE(md.find("## SLO gate"), std::string::npos);
   EXPECT_NE(md.find("violated"), std::string::npos);
   EXPECT_NE(md.find("1 violation(s)"), std::string::npos);
-}
-
-// ------------------------------------------------------------ self-profile
-
-TEST(Prof, NullRegistryScopeIsNoop) {
-  ProfScope scope(nullptr, "never.recorded");  // must not crash or allocate
-}
-
-TEST(Prof, AggregatesPerCategory) {
-  ProfRegistry prof;
-  prof.add("replay", 1'000);
-  prof.add("replay", 3'000);
-  prof.add("export", 500);
-  const auto& entries = prof.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at("replay").count, 2u);
-  EXPECT_EQ(entries.at("replay").total_ns, 4'000u);
-  EXPECT_EQ(entries.at("replay").max_ns, 3'000u);
-  EXPECT_EQ(entries.at("export").count, 1u);
-}
-
-TEST(Prof, ScopeRecordsElapsedTime) {
-  ProfRegistry prof;
-  {
-    ProfScope scope(&prof, "work");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 10'000; ++i) sink = sink + static_cast<double>(i);
-  }
-  ASSERT_EQ(prof.entries().count("work"), 1u);
-  EXPECT_EQ(prof.entries().at("work").count, 1u);
-  // steady_clock elapsed must be recorded (strictly positive total is not
-  // guaranteed on coarse clocks, but the max is bounded by the total).
-  EXPECT_GE(prof.entries().at("work").total_ns,
-            prof.entries().at("work").max_ns);
-}
-
-TEST(Prof, WriteProfileListsCategories) {
-  ProfRegistry prof;
-  prof.add("fleet.replay", 2'000'000);
-  std::ostringstream out;
-  write_profile(prof, out);
-  EXPECT_NE(out.str().find("self-profile (wall clock)"), std::string::npos);
-  EXPECT_NE(out.str().find("fleet.replay"), std::string::npos);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hostprof/report.hpp"
-#include "obs/prof.hpp"
 
 namespace swiftest::obs::hostprof {
 namespace {
@@ -247,37 +246,16 @@ TEST(ProfReportMarkdown, RendersHeadlineNumbersAndTables) {
   EXPECT_NE(md.find("## Slowest chunks"), std::string::npos);
 }
 
-TEST(ProfRegistryMerge, MergeFromAddsCountsAndTakesMax) {
-  ProfRegistry a;
-  ProfRegistry b;
-  a.add("x", 100);
-  a.add("x", 200);
-  b.add("x", 1000);
-  b.add("y", 5);
-  a.merge_from(b);
-  const auto& entries = a.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at("x").count, 3u);
-  EXPECT_EQ(entries.at("x").total_ns, 1300u);
-  EXPECT_EQ(entries.at("x").max_ns, 1000u);
-  EXPECT_EQ(entries.at("y").count, 1u);
-}
-
-TEST(WriteProfile, SortsByTotalDescendingWithWallColumn) {
-  ProfRegistry prof;
-  prof.add("small", 1'000'000);
-  prof.add("big", 9'000'000);
-  std::ostringstream out;
-  write_profile(prof, out, /*wall_ns=*/10'000'000);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("% wall"), std::string::npos);
-  EXPECT_LT(text.find("big"), text.find("small"));  // total-desc order
-  EXPECT_NE(text.find("90.0%"), std::string::npos);
-  // Without wall_ns the column disappears but the ordering stays.
-  std::ostringstream plain;
-  write_profile(prof, plain);
-  EXPECT_EQ(plain.str().find("% wall"), std::string::npos);
-  EXPECT_LT(plain.str().find("big"), plain.str().find("small"));
+TEST(ProfJsonl, ReaderRejectsVersionOneShardFields) {
+  // Version-1 files named the task count "shards"; the reader now requires
+  // the chunk-plane field and names it in the error.
+  std::istringstream in(
+      "{\"type\":\"meta\",\"tool\":\"swiftest\",\"version\":1,\"shards\":4,"
+      "\"jobs\":2,\"timelines\":1,\"wall_ns\":100}\n");
+  std::string error;
+  EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+  EXPECT_NE(error.find("line 1: missing field \"chunks\""), std::string::npos)
+      << error;
 }
 
 }  // namespace

@@ -280,5 +280,61 @@ TEST(SpanIntegration, SpanJsonRoundTripsThroughParser) {
   EXPECT_EQ(live_json.str(), file_json.str());
 }
 
+// Graceful degradation of the tracer ring while spans are open: overflow
+// must never damage the span tree.
+TEST(TracerOverflow, OpenSpansSurviveRingWrap) {
+  // A tiny ring that is guaranteed to wrap while spans are still open: the
+  // span store (which mirrors begin/end into the tracer) must stay intact.
+  Hub hub(/*trace_capacity=*/4);
+  auto& spans = hub.spans;
+  const auto root = spans.begin(0, Category::kProtocol, "test");
+  const auto child = spans.begin(10, Category::kProtocol, "round", root);
+
+  for (int i = 0; i < 100; ++i) {
+    hub.tracer.record(core::SimTime(i), Category::kProtocol, EventKind::kInstant,
+                      "noise", 0, 0.0);
+  }
+  EXPECT_GT(hub.tracer.dropped(), 0u);
+  EXPECT_EQ(hub.tracer.size(), hub.tracer.capacity());
+
+  // The span layer is unaffected by the ring wrapping...
+  EXPECT_EQ(spans.open_count(), 2u);
+  EXPECT_EQ(spans.dropped(), 0u);
+  spans.attr_f64(child, "rate_mbps", 25.0);
+  spans.end(child, 500);
+  spans.end(root, 1000);
+  EXPECT_EQ(spans.open_count(), 0u);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_TRUE(spans.spans()[0].closed);
+  EXPECT_TRUE(spans.spans()[1].closed);
+  EXPECT_EQ(spans.spans()[1].parent, root);
+  EXPECT_EQ(spans.spans()[0].duration(), 1000);
+
+  // ...and closing spans after the wrap still feeds the stage histograms.
+  const auto snap = hub.metrics.snapshot();
+  EXPECT_EQ(snap.histograms.at("span.stage_seconds/test").count, 1u);
+  EXPECT_EQ(snap.histograms.at("span.stage_seconds/round").count, 1u);
+}
+
+TEST(TracerOverflow, FullSpanStoreStillMirrorsNothingButStaysConsistent) {
+  // Both bounded structures at their limits at once: ring wrapped, span
+  // store full. Everything degrades to counters, nothing corrupts.
+  Hub hub(/*trace_capacity=*/4, /*span_capacity=*/2);
+  const auto a = hub.spans.begin(0, Category::kProtocol, "a");
+  const auto b = hub.spans.begin(1, Category::kProtocol, "b", a);
+  const auto c = hub.spans.begin(2, Category::kProtocol, "c", b);
+  EXPECT_EQ(c, span::kNoSpan);
+  for (int i = 0; i < 50; ++i) {
+    hub.tracer.record(core::SimTime(i), Category::kProtocol, EventKind::kInstant,
+                      "noise", 0, 0.0);
+  }
+  hub.spans.end(b, 10);
+  hub.spans.end(a, 20);
+  EXPECT_EQ(hub.spans.dropped(), 1u);
+  EXPECT_GT(hub.tracer.dropped(), 0u);
+  EXPECT_EQ(hub.spans.open_count(), 0u);
+  EXPECT_EQ(hub.spans.size(), 2u);
+}
+
 }  // namespace
 }  // namespace swiftest::obs::span

@@ -268,16 +268,19 @@ TEST(Cli, TestCommandWritesSingleTestHealth) {
 }
 
 TEST(Cli, ProfilePrintsWallClockTable) {
+  // --profile prints the host-time report `profile report` renders, built
+  // from the same profiler --prof-out writes.
   std::string output;
   ASSERT_EQ(run({"test", "--rate", "80", "--tech", "4g", "--profile"}, output),
             0);
-  EXPECT_NE(output.find("self-profile (wall clock)"), std::string::npos);
-  EXPECT_NE(output.find("cli.test_run"), std::string::npos);
+  EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
+  EXPECT_NE(output.find("| cli.test_run |"), std::string::npos);
 
-  // Fleet profiles its stages too.
+  // Fleet profiles its phases on the calling thread and the pool.
   ASSERT_EQ(run({"fleet", "--days", "1", "--profile"}, output), 0);
-  EXPECT_NE(output.find("fleet.workload_gen"), std::string::npos);
-  EXPECT_NE(output.find("fleet.replay_analytic"), std::string::npos);
+  EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
+  EXPECT_NE(output.find("| workload.gen |"), std::string::npos);
+  EXPECT_NE(output.find("| exec.run |"), std::string::npos);
 }
 
 TEST(Cli, TestWritesSpansAndAttributionAndAnalyzeRoundTrips) {
@@ -379,30 +382,21 @@ TEST(Cli, FleetValidatesExecutionFlags) {
   EXPECT_EQ(run({"fleet", "--days", "1", "--jobs", "-2"}, output), 2);
   EXPECT_EQ(run({"fleet", "--days", "1", "--chunk", "0"}, output), 2);
   EXPECT_NE(output.find("--chunk must be an integer >= 1"), std::string::npos);
-  // The deprecated --shards alias is ignored, but nonsense is still an error.
-  EXPECT_EQ(run({"fleet", "--days", "1", "--shards", "0"}, output), 2);
-  EXPECT_NE(output.find("--shards"), std::string::npos);
+  // The fleet's size flags go through the same strict parse: a negative
+  // server count used to hang, a negative day count to throw from a vector
+  // allocation, and garbage to throw from std::stol.
+  EXPECT_EQ(run({"fleet", "--servers", "-3", "--days", "1", "--tests-per-day", "10"},
+                output),
+            2);
+  EXPECT_NE(output.find("--servers must be an integer >= 1"), std::string::npos);
+  EXPECT_EQ(run({"fleet", "--days", "-2"}, output), 2);
+  EXPECT_NE(output.find("--days must be an integer >= 1"), std::string::npos);
+  EXPECT_EQ(run({"fleet", "--servers", "abc"}, output), 2);
+  EXPECT_NE(output.find("--servers must be an integer >= 1"), std::string::npos);
   // --jobs 0 is valid: it means the hardware concurrency.
   EXPECT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "50", "--jobs", "0"},
                 output),
             0);
-}
-
-TEST(Cli, FleetShardsFlagIsIgnoredAndNeverAnnotated) {
-  // The whole-shard runtime is gone: --shards no longer shapes anything, so
-  // neither stdout nor any artifact may mention a partition.
-  const std::string health_path = testing::TempDir() + "/cli_fleet_sharded_health.json";
-  std::string output;
-  ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "500", "--shards", "4",
-                 "--jobs", "2", "--health-out", health_path},
-                output),
-            0);
-  EXPECT_EQ(output.find("shards"), std::string::npos);
-  const std::string health = slurp(health_path);
-  EXPECT_EQ(health.find("shards"), std::string::npos);
-  // --jobs and --chunk are wall-clock-only and must never appear either.
-  EXPECT_EQ(health.find("jobs"), std::string::npos);
-  EXPECT_EQ(health.find("chunk"), std::string::npos);
 }
 
 // The committed goldens under tests/golden pin the partition-free runtime's
@@ -448,8 +442,9 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
 }
 
 // Host-time profiling must be pure observation: switching --prof-out /
-// --prof-trace on cannot move a single byte of the deterministic artifacts.
-// (ci.sh gates the same property on a full fleet-day.)
+// --prof-trace or --profile on cannot move a single byte of the
+// deterministic artifacts. (ci.sh gates the same property on a full
+// fleet-day.)
 TEST(Cli, ProfOutDoesNotPerturbDeterministicArtifacts) {
   const std::string dir = testing::TempDir();
   std::string output;
@@ -476,11 +471,22 @@ TEST(Cli, ProfOutDoesNotPerturbDeterministicArtifacts) {
   EXPECT_NE(output.find("profile: " + dir + "/prof_on.jsonl"), std::string::npos);
   EXPECT_NE(output.find("profile trace: "), std::string::npos);
 
+  auto with_profile = fleet_args("profile");
+  with_profile.push_back("--profile");
+  ASSERT_EQ(run(with_profile, output), 0);
+  EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
+
   for (const char* artifact : {"health", "metrics", "spans", "trace"}) {
     const std::string off = slurp(dir + "/prof_off_" + artifact + ".json");
     ASSERT_GT(off.size(), 0u) << artifact;
     EXPECT_EQ(off, slurp(dir + "/prof_on_" + artifact + ".json")) << artifact;
+    EXPECT_EQ(off, slurp(dir + "/prof_profile_" + artifact + ".json")) << artifact;
   }
+  // --jobs and --chunk are wall-clock-only: the health report never names
+  // either.
+  const std::string health = slurp(dir + "/prof_off_health.json");
+  EXPECT_EQ(health.find("jobs"), std::string::npos);
+  EXPECT_EQ(health.find("chunk"), std::string::npos);
 }
 
 TEST(Cli, ProfileReportFromFleetRun) {

@@ -3,6 +3,7 @@
 # once plain, once under AddressSanitizer + UBSan (SWIFTEST_SANITIZE=address) —
 # plus a ThreadSanitizer job that drives the work-stealing fleet runtime
 # (SWIFTEST_SANITIZE=thread), the only place the codebase runs real threads.
+# The plain suite also runs the benchmark's smoke test (perfbench/).
 #
 # Usage: tools/ci.sh [--plain-only|--asan-only|--tsan-only|--scaling-only]
 set -euo pipefail
@@ -445,6 +446,15 @@ else:  # hw == 1: the pool must be near-free when it cannot help
 PYEOF
 }
 
+# Benchmark smoke test: perfbench compiles src/ in its own build tree
+# (.bench_build/) against the public deploy/obs APIs, so a src/ change that
+# breaks the benchmark build or its output checks fails CI here, not later
+# in the benchmark pipeline. Runs every workload at the tiny size, once.
+run_perfbench_smoke() {
+  echo "=== perfbench smoke test ==="
+  (cd "${REPO_ROOT}" && python3 perfbench/smoke_test.py)
+}
+
 # ThreadSanitizer job: build the CLI under -fsanitize=thread and run a
 # chunked packet fleet-day on the real work-stealing pool (--chunk 64
 # --jobs 4). Chunk workers share nothing but the partitioned workload, the
@@ -476,12 +486,16 @@ run_tsan_fleet() {
 
 mode="${1:-all}"
 case "${mode}" in
-  --plain-only) run_suite build ;;
+  --plain-only)
+    run_suite build
+    run_perfbench_smoke
+    ;;
   --asan-only) run_suite build-asan -DSWIFTEST_SANITIZE=address ;;
   --tsan-only) run_tsan_fleet ;;
   --scaling-only) run_scaling_gate ;;
   all)
     run_suite build
+    run_perfbench_smoke
     run_suite build-asan -DSWIFTEST_SANITIZE=address
     run_tsan_fleet
     run_scaling_gate

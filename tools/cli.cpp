@@ -22,7 +22,6 @@
 #include "obs/hostprof/report.hpp"
 #include "obs/hub.hpp"
 #include "obs/log.hpp"
-#include "obs/prof.hpp"
 #include "obs/resource.hpp"
 #include "obs/sampling.hpp"
 #include "obs/span/critical_path.hpp"
@@ -66,7 +65,6 @@ const std::string kUsage = std::string(
     "           --jobs replays chunks on up to N work-stealing worker\n"
     "           threads (0 = hardware concurrency). Every artifact is a pure\n"
     "           function of (config, seed): neither flag changes any output.\n"
-    "           --shards N is a deprecated no-op alias kept for old scripts\n"
     "  trace    analyze FILE [--json OUT] [--md OUT]\n"
     "           critical-path latency attribution of a span JSON file\n"
     "  profile  report FILE [--md OUT]\n"
@@ -134,7 +132,8 @@ const std::string kUsage = std::string(
     "  --report-md FILE        render the health report as markdown\n"
     "  --slo FILE              evaluate an SLO spec (JSON); any violation makes\n"
     "                          the process exit 3\n"
-    "  --profile               print a wall-clock self-profile after the run\n";
+    "  --profile               print the host-time profile report (as\n"
+    "                          `profile report` renders it) after the run\n";
 
 /// Minimal --key value parser; flags without values map to "true".
 class Options {
@@ -552,7 +551,10 @@ int cmd_test(const Options& options, std::ostream& out) {
         {"wire", options.has("wire") ? "true" : "false"},
     };
   }
-  obs::ProfRegistry prof;
+  std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
+  if (options.has("profile")) {
+    hostprof = std::make_unique<obs::hostprof::HostProfiler>();
+  }
   netsim::ScenarioConfig net;
   net.access_rate = core::Bandwidth::mbps(rate);
   netsim::Scenario scenario(net,
@@ -566,7 +568,8 @@ int cmd_test(const Options& options, std::ostream& out) {
   cfg.tech = *tech;
   bts::BtsResult result;
   {
-    obs::ProfScope scope(options.has("profile") ? &prof : nullptr, "cli.test_run");
+    const obs::hostprof::HostScope scope(
+        hostprof != nullptr ? &hostprof->main() : nullptr, "cli.test_run");
     if (options.has("wire")) {
       swift::WireClient client(cfg, registry);
       result = client.run(scenario);
@@ -610,12 +613,10 @@ int cmd_test(const Options& options, std::ostream& out) {
     };
     health_rc = flush_health(options, out, &health, meta, mf);
   }
-  if (options.has("profile")) {
-    obs::write_profile(prof, out,
-                       static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count()));
+  if (hostprof != nullptr) {
+    hostprof->finish();
+    obs::hostprof::write_prof_report_markdown(
+        obs::hostprof::analyze_prof(hostprof->snapshot()), out);
   }
   if (mf != nullptr) {
     manifest.host = {
@@ -712,7 +713,8 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   // The host-time profiler spans the whole command — population draw through
   // artifact export — so the attribution covers (nearly) all of wall-clock.
   std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
-  if (options.has("prof-out") || options.has("prof-trace")) {
+  if (options.has("prof-out") || options.has("prof-trace") ||
+      options.has("profile")) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
   }
   obs::hostprof::Timeline* host_tl =
@@ -735,18 +737,15 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (wants_health(options)) {
     health = std::make_unique<obs::health::HealthMonitor>();
   }
-  obs::ProfRegistry prof;
   deploy::FleetSimConfig cfg;
   cfg.obs = hub.get();
   cfg.health = health.get();
-  cfg.prof = options.has("profile") ? &prof : nullptr;
   cfg.hostprof = hostprof.get();
-  cfg.server_count = static_cast<std::size_t>(options.get_int("servers", 20));
-  cfg.days = static_cast<int>(options.get_int("days", 3));
   cfg.tests_per_day = options.get_double("tests-per-day", 10'000.0);
   cfg.seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
   // Strict manual parses: std::stol would throw (or silently truncate) on
-  // garbage, and these flags gate a thread pool — fail loudly instead.
+  // garbage, and these flags size the run or gate a thread pool — fail
+  // loudly instead.
   const auto parse_count = [&](const char* flag, long fallback,
                                long minimum) -> std::optional<long> {
     if (!options.has(flag)) return fallback;
@@ -769,20 +768,17 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     return value;
   };
+  const auto servers = parse_count("servers", 20, 1);
+  if (!servers) return 2;
+  const auto days = parse_count("days", 3, 1);
+  if (!days) return 2;
   // --jobs 0 = hardware concurrency (resolved inside simulate_fleet).
   const auto jobs = parse_count("jobs", 1, 0);
   if (!jobs) return 2;
   const auto chunk = parse_count("chunk", 0, 1);
   if (!chunk) return 2;
-  if (options.has("shards")) {
-    // Deprecated alias from the whole-shard runtime. It no longer shapes
-    // anything — the chunk plane erased the partition from every artifact —
-    // but a nonsense value is still a usage error.
-    if (!parse_count("shards", 1, 1)) return 2;
-    obs::logf(obs::LogLevel::kWarn,
-              "--shards is deprecated and ignored; artifacts no longer depend "
-              "on any partition (use --chunk/--jobs to tune execution)");
-  }
+  cfg.server_count = static_cast<std::size_t>(*servers);
+  cfg.days = static_cast<int>(*days);
   cfg.jobs = static_cast<std::size_t>(*jobs);
   cfg.chunk = static_cast<std::size_t>(*chunk);
   const std::string backend = options.get("backend", "analytic");
@@ -868,7 +864,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (mf != nullptr) {
     manifest.bench = {
         {"tests_simulated", static_cast<double>(result.tests_simulated)},
-        {"tests_dropped", static_cast<double>(result.tests_dropped)},
         {"util_median_pct", result.summary.median},
         {"util_mean_pct", result.summary.mean},
         {"util_p99_pct", result.p99},
@@ -910,14 +905,10 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     out << "fleet " << cfg.server_count << " x 100 Mbps over " << cfg.days
         << " day(s), " << result.tests_simulated << " tests (" << backend
-        << " backend"
         // Neither the chunk size nor the job count shapes the result, so
         // neither appears here: stdout stays byte-identical across the whole
-        // {chunk, jobs} matrix (and byte-compatible with unsharded runs).
-        << (result.tests_dropped > 0
-                ? ", " + std::to_string(result.tests_dropped) + " dropped"
-                : "")
-        << ")\n"
+        // {chunk, jobs} matrix.
+        << " backend)\n"
         << "utilization: median " << result.summary.median << "%, mean "
         << result.summary.mean << "%, p99 " << result.p99 << "%, max "
         << result.summary.max << "%\n"
@@ -997,6 +988,10 @@ int cmd_fleet(const Options& options, std::ostream& out) {
       manifest_add_artifact(mf, "prof_trace", options.get("prof-trace", ""));
       out << "profile trace: " << options.get("prof-trace", "") << "\n";
     }
+    if (options.has("profile")) {
+      obs::hostprof::write_prof_report_markdown(obs::hostprof::analyze_prof(data),
+                                                out);
+    }
     if (mf != nullptr) {
       manifest.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
     }
@@ -1006,7 +1001,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
             std::chrono::steady_clock::now() - wall_start)
             .count());
   }
-  if (options.has("profile")) obs::write_profile(prof, out, wall_ns);
   // The manifest renders last so it can hash every artifact the run wrote.
   // An SLO violation (rc 3) still gets a manifest — the diff side wants the
   // violating run's record most of all.
