@@ -2,9 +2,9 @@
 // packet fleet-day (DESIGN.md §12). Three back-to-back runs of the same
 // workload — no hub, full retention, and 1/8 deterministic sampling —
 // report wall-clock side by side with the deterministic record counts, so
-// the baseline gate pins the *volume* sampling removes (retained events,
-// spans, suppressed server sessions) while the host-dependent timings are
-// compared only between comparable hosts.
+// the baseline gate pins the *volume* sampling removes (retained and dropped
+// trace events, spans, suppressed server sessions) while the host-dependent
+// timings are compared only between comparable hosts.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -116,6 +116,8 @@ int main(int argc, char** argv) {
   benchutil::report_value("full_spans", static_cast<double>(full.spans));
   benchutil::report_value("sampled_trace_retained",
                           static_cast<double>(sampled.trace_retained));
+  benchutil::report_value("sampled_trace_dropped",
+                          static_cast<double>(sampled.trace_dropped));
   benchutil::report_value("sampled_spans", static_cast<double>(sampled.spans));
   benchutil::report_value("sampled_span_suppressed",
                           static_cast<double>(sampled.span_suppressed));

@@ -617,10 +617,13 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   netsim::Testbed testbed(
       tb_cfg, core::stream_seed(config.seed ^ kTestbedSeedSalt, a.test_id));
   netsim::Scheduler& sched = testbed.scheduler();
-  // Each test observes through its own hub: trace events and spans fold into
-  // the chunk hub right after the test (so chunk-level spill still engages),
-  // while the metrics snapshot is kept per test for the draw-order fold at
-  // merge (see ChunkBase::metric_snaps).
+  // Each test keeps its own hub for metrics and spans: spans fold into the
+  // chunk hub right after the test, while the metrics snapshot is kept per
+  // test for the draw-order fold at merge (see ChunkBase::metric_snaps).
+  // Trace events skip the per-test hub: a sampled test records straight into
+  // the chunk ring (tests in a chunk run one after another, so the ring sees
+  // the same events in the same order a per-test fold would give it, and its
+  // spill sink sees every overflow), and an unsampled test traces nothing.
   std::unique_ptr<obs::Hub> test_hub;
   if (out.hub != nullptr) {
     test_hub = obs::Hub::mirror_of(*out.hub);
@@ -631,6 +634,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
     test_hub->spans.set_sinks(nullptr, &test_hub->metrics);
   }
   sched.set_obs(test_hub.get());
+  if (out.hub != nullptr) sched.set_tracer(sampled_test ? &out.hub->tracer : nullptr);
 
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -752,10 +756,8 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   }
 
   if (test_hub != nullptr) {
-    // Fold this test's trace/spans into the chunk accumulator now (replayed
-    // through record(), so the chunk's spill sink still sees overflow) and
-    // bank the metrics snapshot for the merge-time draw-order fold.
-    out.hub->tracer.merge_from(test_hub->tracer);
+    // Fold this test's spans into the chunk accumulator now and bank the
+    // metrics snapshot for the merge-time draw-order fold.
     out.hub->spans.merge_from(test_hub->spans);
     out.metric_snaps.push_back(test_hub->metrics.snapshot());
   }
@@ -936,11 +938,11 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
   }
 
   if (config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0) {
-    // The chunk hub is an accumulator: tests record into their own per-test
-    // hubs (run_packet_test) and fold in after each test, so the chunk's
-    // spill sink sees overflow while metrics stay banked per test. No live
-    // recording happens here, so no sink or sampled mode setup is needed —
-    // merge_from never re-emits through sinks.
+    // The chunk hub is an accumulator: sampled tests trace straight into its
+    // ring, and spans fold in from per-test hubs after each test while
+    // metrics stay banked per test (run_packet_test). Its span store never
+    // records live, so no sink or sampled mode setup is needed — merge_from
+    // never re-emits through sinks.
     auto chunks = run_chunks<PacketChunk>(
         plan, config,
         [&] {

@@ -86,11 +86,10 @@ void Scheduler::run_until(core::SimTime deadline) {
         obs_handles_.fired->inc();
         obs_handles_.queue_depth->set(static_cast<double>(size_));
         obs_handles_.depth_hist->observe(static_cast<double>(size_));
-        if (obs_->tracer.wants(obs::Category::kScheduler)) {
-          obs_->tracer.record(now_, obs::Category::kScheduler,
-                              obs::EventKind::kInstant, "sched.fire", key.seq,
-                              static_cast<double>(size_));
-        }
+      }
+      if (obs::Tracer* tr = tracer(obs::Category::kScheduler)) {
+        tr->record(now_, obs::Category::kScheduler, obs::EventKind::kInstant,
+                   "sched.fire", key.seq, static_cast<double>(size_));
       }
       fn();
     } else if (obs_ != nullptr) {

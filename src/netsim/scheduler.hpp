@@ -196,14 +196,26 @@ class Scheduler {
   /// Attaches (or detaches, with nullptr) an observability Hub. Every
   /// component driven by this scheduler reads the Hub through here; with no
   /// Hub attached each instrumentation site is one branch on a null pointer.
-  /// The Hub must outlive the simulation.
-  void set_obs(obs::Hub* hub) noexcept { obs_ = hub; }
+  /// Also points the trace sink at the Hub's tracer (see set_tracer). The
+  /// Hub must outlive the simulation.
+  void set_obs(obs::Hub* hub) noexcept {
+    obs_ = hub;
+    tracer_ = hub != nullptr ? &hub->tracer : nullptr;
+  }
   [[nodiscard]] obs::Hub* obs() const noexcept { return obs_; }
 
-  /// The attached tracer iff it retains `category` events; instrumentation
+  /// Overrides the trace sink set_obs chose, independently of the Hub's
+  /// metrics and spans: nullptr silences every trace site driven by this
+  /// scheduler, another tracer receives their events directly. Span
+  /// begin/end markers are not trace sites — they follow the span store's
+  /// own sinks (SpanStore::set_sinks). Call after set_obs. The tracer must
+  /// outlive the simulation.
+  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+
+  /// The trace sink iff it retains `category` events; instrumentation
   /// sites gate payload computation on this returning non-null.
   [[nodiscard]] obs::Tracer* tracer(obs::Category category) const noexcept {
-    return obs_ != nullptr && obs_->tracer.wants(category) ? &obs_->tracer : nullptr;
+    return tracer_ != nullptr && tracer_->wants(category) ? tracer_ : nullptr;
   }
 
  private:
@@ -264,6 +276,7 @@ class Scheduler {
   PayloadArena payloads_;
   TransitPool transits_;
   obs::Hub* obs_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   ObsHandles obs_handles_;
 };
 

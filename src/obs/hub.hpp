@@ -6,7 +6,9 @@
 // attached (the default), every instrumentation site reduces to a branch on
 // a null pointer — no allocation, no stores, no formatting.
 //
-// Attach the Hub before running the simulation. Handle-based metric
+// A Scheduler may route trace events to a tracer other than its Hub's
+// (Scheduler::set_tracer), or to none, while metrics and spans stay on the
+// Hub. Attach the Hub before running the simulation. Handle-based metric
 // bindings are established lazily at each component's first instrumented
 // action, so components constructed before set_obs() still report. The span
 // store mirrors begin/end markers into the tracer and per-stage duration
@@ -30,23 +32,13 @@ struct Hub {
   }
 
   /// A fresh Hub shaped like `like` — same ring/store capacities and tracer
-  /// category mask, empty contents. Sharded runs give every shard one of
-  /// these so a later merge_from() into `like` is capacity-faithful.
+  /// category mask, empty contents. The packet fleet builds one per chunk,
+  /// folded into `like` at merge, and one per test for its metrics and spans
+  /// (its trace events go to the chunk's tracer, see Scheduler::set_tracer).
   [[nodiscard]] static std::unique_ptr<Hub> mirror_of(const Hub& like) {
     auto hub = std::make_unique<Hub>(like.tracer.capacity(), like.spans.capacity());
     hub->tracer.set_category_mask(like.tracer.category_mask());
     return hub;
-  }
-
-  /// Folds another Hub's contents into this one: trace events append (drop
-  /// counts carry over), metric values add, spans append with rebased ids.
-  /// Merging shard Hubs in shard order yields one artifact set that is
-  /// independent of how the shards were scheduled onto threads; merging one
-  /// full Hub into an empty same-shape Hub reproduces it exactly.
-  void merge_from(const Hub& other) {
-    tracer.merge_from(other.tracer);
-    metrics.merge_from(other.metrics.snapshot());
-    spans.merge_from(other.spans);
   }
 
   Tracer tracer;

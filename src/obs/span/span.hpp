@@ -145,7 +145,7 @@ class SpanStore {
   /// links remapped; a parent that `src` spilled or evicted remaps to
   /// kNoSpan); anchors remap the same way (first registration still wins)
   /// and drop/spill counts add. No sink mirroring — the source store already
-  /// mirrored into its own shard's tracer/metrics, which merge separately.
+  /// mirrored into its own sinks, which merge separately.
   /// Merging a full source into an empty store reproduces it record for
   /// record; an explicit merge may grow the store past its begin() capacity.
   void merge_from(const SpanStore& src);

@@ -132,17 +132,18 @@ class Tracer {
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
   /// Appends every retained event of `src` (oldest first) and carries its
-  /// drop and spill counts over. Used to fold per-shard tracers into one
-  /// artifact in shard order: merging one full source into an empty
-  /// same-capacity ring reproduces it byte for byte, retention and drop
-  /// count included.
+  /// drop and spill counts over. Used once per fleet chunk, folding chunk
+  /// tracers into the run's tracer in chunk order (tests trace straight into
+  /// their chunk's tracer, so there is no per-test fold): merging one full
+  /// source into an empty same-capacity ring reproduces it byte for byte,
+  /// retention and drop count included.
   void merge_from(const Tracer& src);
 
   /// Reorders the retained events into their content order — (ts, name, id,
   /// kind, category, value), names by string value — discarding the record
-  /// order. A sharded merge concatenates shards in shard order, which
+  /// order. A chunked merge concatenates chunks in chunk order, which
   /// depends on the partition; after this sort the retained set renders
-  /// identically for every shard count that retains the same events (the
+  /// identically for every chunk size that retains the same events (the
   /// sampled-artifact determinism contract, DESIGN.md §12).
   void sort_canonical();
 
@@ -168,8 +169,9 @@ class Tracer {
   void flush_spill();
 
   // The ring (capacity_ × 40 bytes, ~10 MB at the default) is allocated on
-  // the first record(), not at construction: a fleet shard's Hub mirror that
-  // never traces (mask off, or a category nothing touches) costs no memory.
+  // the first record(), not at construction: a Hub whose tracer never
+  // records (mask off, or a per-test fleet hub whose scheduler traces into
+  // its chunk's tracer or nowhere) costs no memory.
   std::vector<TraceEvent> ring_;
   std::size_t capacity_ = kDefaultCapacity;
   std::size_t head_ = 0;  // next write position

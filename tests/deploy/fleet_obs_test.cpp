@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/generator.hpp"
@@ -204,6 +207,97 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   EXPECT_EQ(serial.spans, threaded.spans);
   EXPECT_EQ(serial.metrics, threaded.metrics);
   EXPECT_EQ(serial.health, threaded.health);
+}
+
+TEST(FleetSampling, PacketTraceHoldsOnlySampledTests) {
+  const swift::ModelRegistry registry;
+  FleetSimConfig cfg;
+  cfg.server_count = 5;
+  cfg.days = 1;
+  cfg.tests_per_day = 150.0;
+  cfg.seed = 11;
+  cfg.backend = FleetBackend::kPacket;
+  cfg.chunk = 32;
+  cfg.sample.set_denominator(4);
+  obs::Hub hub;
+  hub.tracer.set_category_mask(static_cast<std::uint32_t>(obs::Category::kFleet) |
+                               static_cast<std::uint32_t>(obs::Category::kProtocol));
+  cfg.obs = &hub;
+
+  (void)simulate_fleet(population(), registry, cfg);
+  ASSERT_EQ(hub.tracer.dropped(), 0u);
+
+  // Every sampled test leaves exactly one fleet.test_start: its interval.
+  const std::vector<obs::TraceEvent> events = hub.tracer.events();
+  std::vector<core::SimTime> starts;
+  for (const obs::TraceEvent& e : events) {
+    if (std::string_view(e.name) == "fleet.test_start") starts.push_back(e.ts);
+  }
+  const auto& counters = hub.metrics.snapshot().counters;
+  const auto sampled = counters.find("fleet.tests_sampled");
+  ASSERT_NE(sampled, counters.end());
+  ASSERT_GT(sampled->second, 0u);
+  EXPECT_EQ(starts.size(), sampled->second);
+
+  // An unsampled test traces nothing: every protocol event falls inside some
+  // sampled test's [start, start + hard stop + one window] run bound.
+  const core::SimDuration bound =
+      core::seconds(30) + cfg.window_seconds * core::seconds(1);
+  std::size_t protocol_events = 0;
+  std::size_t outside = 0;
+  std::string first_outside;
+  for (const obs::TraceEvent& e : events) {
+    if (e.category == obs::Category::kFleet) continue;
+    ++protocol_events;
+    const bool inside = std::any_of(starts.begin(), starts.end(), [&](core::SimTime s) {
+      return e.ts >= s && e.ts <= s + bound;
+    });
+    if (!inside && outside++ == 0) {
+      first_outside = std::string(e.name) + " at ts " + std::to_string(e.ts);
+    }
+  }
+  EXPECT_GT(protocol_events, 0u);
+  EXPECT_EQ(outside, 0u) << "first: " << first_outside;
+}
+
+TEST(FleetSpill, SingleTestOverflowingTheChunkRingSpillsInsteadOfDropping) {
+  const auto run = [](const std::string& spill_dir, obs::Hub& hub) {
+    const swift::ModelRegistry registry;
+    FleetSimConfig cfg;
+    cfg.server_count = 5;
+    cfg.days = 1;
+    cfg.tests_per_day = 20.0;
+    cfg.seed = 11;
+    cfg.backend = FleetBackend::kPacket;
+    cfg.obs_spill_dir = spill_dir;
+    hub.tracer.set_category_mask(static_cast<std::uint32_t>(obs::Category::kProtocol));
+    cfg.obs = &hub;
+    return simulate_fleet(population(), registry, cfg).tests_simulated;
+  };
+  // The chunk ring is shaped like the run's: smaller than what a test
+  // records on average, so single tests overflow it on their own.
+  constexpr std::size_t kRing = 16;
+  obs::Hub reference(kRing);
+  const std::uint64_t tests = run("", reference);
+  const std::uint64_t recorded = reference.tracer.size() + reference.tracer.dropped();
+  ASSERT_GT(tests, 0u);
+  ASSERT_GT(recorded / tests, kRing);
+
+  const std::string dir = testing::TempDir() + "/fleet_spill_single_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::Hub spilled(kRing);
+  EXPECT_EQ(run(dir, spilled), tests);
+  // Tests record straight into the spilling chunk ring, so nothing is lost
+  // in a private ring before the chunk sees it.
+  EXPECT_EQ(spilled.tracer.dropped(), 0u);
+  EXPECT_EQ(spilled.tracer.size() + spilled.tracer.spilled(), recorded);
+  std::ifstream spill_file(dir + "/trace.spill.jsonl");
+  ASSERT_TRUE(spill_file);
+  std::stringstream spill_text;
+  spill_text << spill_file.rdbuf();
+  EXPECT_EQ(count_lines(spill_text.str()), spilled.tracer.spilled());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

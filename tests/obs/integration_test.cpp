@@ -3,6 +3,7 @@
 // event sequence and for bit-reproducible traces across identical runs.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,11 +16,15 @@
 namespace swiftest {
 namespace {
 
-bts::BtsResult run_traced(obs::Hub& hub, std::uint64_t seed) {
+/// Runs one wire test with `hub` attached; a non-empty `sink` then
+/// overrides the scheduler's trace sink (Scheduler::set_tracer).
+bts::BtsResult run_traced(obs::Hub& hub, std::uint64_t seed,
+                          std::optional<obs::Tracer*> sink = std::nullopt) {
   netsim::ScenarioConfig net;
   net.access_rate = core::Bandwidth::mbps(50);
   netsim::Scenario scenario(net, seed);
   scenario.scheduler().set_obs(&hub);
+  if (sink) scenario.scheduler().set_tracer(*sink);
   swift::SwiftestConfig cfg;
   swift::ModelRegistry registry;
   swift::WireClient client(cfg, registry);
@@ -118,6 +123,43 @@ TEST(ObsIntegration, SameSeedRunsProduceByteIdenticalExports) {
   obs::write_metrics_json(first.metrics.snapshot(), metrics_a);
   obs::write_metrics_json(second.metrics.snapshot(), metrics_b);
   EXPECT_EQ(metrics_a.str(), metrics_b.str());
+}
+
+TEST(ObsIntegration, SetTracerRoutesTraceEventsAndLeavesMetricsOnTheHub) {
+  // Span begin/end markers mirror into their Hub's own tracer, not the
+  // scheduler's sink, so every hub here turns that mirror off (as the packet
+  // fleet's per-test hubs do).
+  obs::Hub reference;
+  obs::Hub routed;
+  obs::Hub silenced;
+  for (obs::Hub* hub : {&reference, &routed, &silenced}) {
+    hub->spans.set_sinks(nullptr, &hub->metrics);
+  }
+  run_traced(reference, 99);
+  std::ostringstream reference_trace;
+  obs::write_trace_jsonl(reference.tracer, reference_trace);
+  std::ostringstream reference_metrics;
+  obs::write_metrics_json(reference.metrics.snapshot(), reference_metrics);
+
+  // Another tracer receives every event, sched.fire included; the Hub's own
+  // ring stays empty and its metrics are unchanged.
+  obs::Tracer sink;
+  run_traced(routed, 99, &sink);
+  std::ostringstream routed_trace;
+  obs::write_trace_jsonl(sink, routed_trace);
+  EXPECT_EQ(routed_trace.str(), reference_trace.str());
+  EXPECT_EQ(routed.tracer.size(), 0u);
+  std::ostringstream routed_metrics;
+  obs::write_metrics_json(routed.metrics.snapshot(), routed_metrics);
+  EXPECT_EQ(routed_metrics.str(), reference_metrics.str());
+
+  // A null sink records nothing and never allocates a ring.
+  run_traced(silenced, 99, nullptr);
+  EXPECT_EQ(silenced.tracer.size(), 0u);
+  EXPECT_EQ(silenced.tracer.approx_bytes(), 0u);
+  std::ostringstream silenced_metrics;
+  obs::write_metrics_json(silenced.metrics.snapshot(), silenced_metrics);
+  EXPECT_EQ(silenced_metrics.str(), reference_metrics.str());
 }
 
 TEST(ObsIntegration, DetachedHubLeavesRunUnchanged) {

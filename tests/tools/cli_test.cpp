@@ -164,6 +164,24 @@ TEST(Cli, TraceCategoriesValidatedEvenWithoutTraceOutput) {
             0);
 }
 
+TEST(Cli, MetricsOnlyFleetRunRecordsNoTraceEvents) {
+  // Without --trace-out / --trace-jsonl the tracer stays off: a packet
+  // fleet-day with only metrics and spans exports records no trace events,
+  // so it has none to drop (it used to fill and wrap the ring).
+  const std::string metrics_path = testing::TempDir() + "/cli_metrics_only.json";
+  const std::string spans_path = testing::TempDir() + "/cli_metrics_only_spans.json";
+  std::string output;
+  testing::internal::CaptureStderr();
+  const int rc = run({"fleet", "--backend", "packet", "--servers", "5", "--days", "1",
+                      "--tests-per-day", "50", "--metrics-out", metrics_path,
+                      "--spans-out", spans_path},
+                     output);
+  const std::string errors = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0) << output;
+  EXPECT_EQ(errors.find("trace ring dropped"), std::string::npos) << errors;
+  EXPECT_NE(output.find("metrics: " + metrics_path), std::string::npos);
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream file(path);
   std::stringstream buffer;

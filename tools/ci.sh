@@ -391,6 +391,20 @@ run_bench_gate() {
   python3 "${REPO_ROOT}/tools/bench_compare.py" \
     "${REPO_ROOT}/tools/bench_baseline/BENCH_obs_overhead.json" \
     "${out_dir}/BENCH_obs_overhead.json"
+  # Sampled trace volume: at 1/8 sampling only sampled tests may record
+  # trace events, so the sampled run records (retains + drops) at most a
+  # quarter of what the full run does.
+  python3 - "${out_dir}/BENCH_obs_overhead.json" <<'PYEOF'
+import json, sys
+values = json.load(open(sys.argv[1]))["values"]
+full = values["full_trace_retained"] + values["full_trace_dropped"]
+sampled = values["sampled_trace_retained"] + values["sampled_trace_dropped"]
+if sampled > full / 4:
+    sys.exit(f"1/8-sampled run recorded {sampled:.0f} trace events, more than a "
+             f"quarter of the full run's {full:.0f}")
+print(f"sampled trace volume ok: {sampled:.0f} recorded vs {full:.0f} full "
+      f"({sampled / full:.3f})")
+PYEOF
 }
 
 # Release-build jobs-scaling gate: the work-stealing pool exists to make

@@ -199,9 +199,12 @@ bool apply_log_level(const Options& options, std::ostream& out) {
 }
 
 /// Builds an obs::Hub when any trace/metrics/span output flag is present;
-/// null hub (and success) otherwise. Returns false on a bad
-/// --trace-categories list — validated unconditionally, so a typo'd
-/// category fails the run loudly even when no trace output is requested.
+/// null hub (and success) otherwise. The tracer records only when a trace
+/// output (--trace-out / --trace-jsonl) is requested — a metrics- or
+/// spans-only run pays nothing for trace events — and --trace-categories
+/// narrows it further. Returns false on a bad --trace-categories list —
+/// validated unconditionally, so a typo'd category fails the run loudly
+/// even when no trace output is requested.
 bool setup_obs(const Options& options, std::ostream& out,
                std::unique_ptr<obs::Hub>& hub) {
   std::optional<std::uint32_t> mask;
@@ -215,13 +218,13 @@ bool setup_obs(const Options& options, std::ostream& out,
       return false;
     }
   }
-  if (!options.has("trace-out") && !options.has("trace-jsonl") &&
-      !options.has("metrics-out") && !options.has("spans-out") &&
+  const bool wants_trace = options.has("trace-out") || options.has("trace-jsonl");
+  if (!wants_trace && !options.has("metrics-out") && !options.has("spans-out") &&
       !options.has("attribution-md")) {
     return true;
   }
   hub = std::make_unique<obs::Hub>();
-  if (mask) hub->tracer.set_category_mask(*mask);
+  hub->tracer.set_category_mask(wants_trace ? mask.value_or(obs::kAllCategories) : 0);
   return true;
 }
 
