@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -127,11 +128,39 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
   return workload;
 }
 
-/// Dimension keys a test's health samples land under, beyond "all".
-std::vector<std::string> arrival_dimensions(const Arrival& a) {
-  return {dataset::dimension_key(a.tech), dataset::dimension_key(a.isp),
-          "server:" + std::to_string(a.first_server)};
-}
+/// A chunk's health log. The dimension keys a test lands under beyond "all"
+/// — its tech, ISP and first server — are interned into the log by name;
+/// tech and ISP ids are cached here and the server key is formatted on the
+/// stack, so recording a test builds no strings.
+struct ChunkHealth {
+  using SampleLog = obs::health::SampleLog;
+
+  SampleLog log;
+
+  void record_test(const Arrival& a, double duration_s, double data_mb,
+                   double deviation) {
+    SampleLog::TestEntry e;
+    e.duration_s = duration_s;
+    e.data_mb = data_mb;
+    e.deviation = deviation;
+    e.dims[0] = cached(tech_ids[static_cast<std::size_t>(a.tech)],
+                       [&] { return dataset::dimension_key(a.tech); });
+    e.dims[1] = cached(isp_ids[static_cast<std::size_t>(a.isp)],
+                       [&] { return dataset::dimension_key(a.isp); });
+    obs::health::ServerKeyBuffer key;
+    e.dims[2] = log.intern(obs::health::server_dimension(a.first_server, key));
+    log.record_test(e);
+  }
+
+ private:
+  std::array<std::optional<SampleLog::DimId>, dataset::kAllTechs.size()> tech_ids{};
+  std::array<std::optional<SampleLog::DimId>, dataset::kAllIsps.size()> isp_ids{};
+
+  SampleLog::DimId cached(std::optional<SampleLog::DimId>& id, const auto& key) {
+    if (!id) id = log.intern(key());
+    return *id;
+  }
+};
 
 /// The simulated period and its whole utilization windows (none when
 /// windowing is off).
@@ -293,7 +322,7 @@ struct ChunkPlan {
 /// samples, sampled observability and self-telemetry.
 struct ChunkBase {
   std::uint64_t tests = 0;
-  obs::health::SampleLog health;
+  ChunkHealth health;
   bool want_health = false;
   /// Chunk-local observability accumulator; null when the run exports none.
   std::unique_ptr<obs::Hub> hub;
@@ -334,7 +363,7 @@ std::vector<Chunk> run_chunks(
                              std::chrono::steady_clock::now() - t0)
                              .count();
         t.tests = out.tests;
-        t.health_dropped = out.health.dropped();
+        t.health_dropped = out.health.log.dropped();
         t.sample_degradations =
             plan.schedule != nullptr
                 ? plan.schedule->degradations_in(plan.lo(c), plan.hi(c))
@@ -405,18 +434,30 @@ void merge_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
   accumulate_spill(spills, result);
 }
 
-/// Replays every chunk's health samples into config.health. Chunks hold
-/// consecutive draws, so replay in chunk order IS the global draw order —
-/// bit-identical health to a single serial pass.
+/// Folds every chunk's health log, then `tail` (the merge's own egress
+/// samples), into config.health on up to `jobs` lanes, one owner lane per
+/// cell (obs/health/sample_log.hpp). Chunks hold consecutive draws, so log
+/// order IS the global draw order and every cell sees exactly the sequence a
+/// single serial pass would feed it — bit-identical health for any (chunk,
+/// jobs). The lanes run unprofiled, so exec.run and the worker stats keep
+/// describing the chunk pool; the fold's host time is samplelog.replay.
 template <typename Chunk>
-void replay_health(const std::vector<Chunk>& chunks, const FleetSimConfig& config) {
+void fold_health(const std::vector<Chunk>& chunks, const obs::health::SampleLog& tail,
+                 const FleetSimConfig& config, std::size_t jobs) {
   if (config.health == nullptr) return;
   const obs::hostprof::HostScope scope(main_timeline(config), "samplelog.replay");
   std::vector<const obs::health::SampleLog*> logs;
-  logs.reserve(chunks.size());
-  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health);
-  obs::health::SampleLog::merge_arrivals(logs, *config.health);
-  for (const Chunk& chunk : chunks) chunk.health.replay_samples(*config.health);
+  logs.reserve(chunks.size() + 1);
+  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health.log);
+  logs.push_back(&tail);
+  const obs::health::LogFold fold(logs, *config.health, jobs);
+  run_tasks(fold.lanes(), jobs, [&](std::size_t lane) { fold.run_lane(lane); });
+}
+
+/// A log for the merge's egress samples: unbounded, since dropping any would
+/// change the health report.
+obs::health::SampleLog egress_log() {
+  return obs::health::SampleLog(std::numeric_limits<std::size_t>::max());
 }
 
 // ---------------------------------------------------------------------------
@@ -459,18 +500,14 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
       out.hub->spans.end(span, te);
     }
     if (out.want_health) {
-      out.health.note_arrival(static_cast<double>(a.second));
-      obs::health::TestSample sample;
-      sample.duration_s = static_cast<double>(a.duration_s);
-      // Data usage at the settled probing rate for the test's duration.
-      sample.data_mb = a.rate_mbps * static_cast<double>(a.duration_s) / 8.0;
-      // No estimator in the closed form: deviation is the model-coverage
-      // proxy — zero whenever the settled rate covers the client's truth.
-      sample.deviation =
-          bts::deviation(std::min(a.rate_mbps, a.truth_mbps), a.truth_mbps);
-      const auto dims = arrival_dimensions(a);
-      sample.dimensions = dims;
-      out.health.record_test(sample);
+      out.health.log.note_arrival(static_cast<double>(a.second));
+      // Data usage at the settled probing rate for the test's duration. No
+      // estimator in the closed form: deviation is the model-coverage proxy
+      // — zero whenever the settled rate covers the client's truth.
+      out.health.record_test(
+          a, static_cast<double>(a.duration_s),
+          a.rate_mbps * static_cast<double>(a.duration_s) / 8.0,
+          bts::deviation(std::min(a.rate_mbps, a.truth_mbps), a.truth_mbps));
     }
   }
   if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
@@ -541,7 +578,7 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
 
 FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
                               const AnalyticLoad& load,
-                              const FleetSimConfig& config) {
+                              const FleetSimConfig& config, std::size_t jobs) {
   FleetSimResult result;
   const Period period = sim_period(config);
   const double fleet_capacity =
@@ -557,9 +594,9 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
     merge_obs(chunks, config, {}, result);
   }
-  replay_health(chunks, config);
 
   // Busy windows in the historical emission order: window-major, then server.
+  obs::health::SampleLog egress = egress_log();
   for (std::int64_t w = 0; w < period.windows; ++w) {
     for (std::size_t s = 0; s < config.server_count; ++s) {
       const double window_sum =
@@ -571,11 +608,12 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
         result.busy_window_utilization.push_back(util);
         // Busy windows only, matching Fig 26's utilization distribution.
         if (config.health != nullptr) {
-          config.health->record_egress_utilization(s, util);
+          egress.record_egress_utilization(static_cast<std::uint32_t>(s), util);
         }
       }
     }
   }
+  fold_health(chunks, egress, config, jobs);
 
   finish_result(result, overload_seconds,
                 static_cast<std::uint64_t>(period.seconds));
@@ -639,7 +677,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
 
-  obs::health::HealthSink* health = out.want_health ? &out.health : nullptr;
+  ChunkHealth* health = out.want_health ? &out.health : nullptr;
   netsim::ClientContext& ctx = testbed.client(0);
   // Whole-test sampling: keyed on the global draw index, so the decision is
   // identical for every chunk size and jobs value. Every span this test's
@@ -691,7 +729,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   };
 
   sched.schedule_at(start, [&] {
-    if (health != nullptr) health->note_arrival(static_cast<double>(a.second));
+    if (health != nullptr) health->log.note_arrival(static_cast<double>(a.second));
     if (config.resource != nullptr) config.resource->add_tests(1);
     // Servers are born at test start, not at t = 0: their idle-GC timers
     // only tick while the test lives, which keeps this private scheduler's
@@ -726,13 +764,9 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
       }
       test_span = obs::span::kNoSpan;
       if (health != nullptr) {
-        obs::health::TestSample sample;
-        sample.duration_s = core::to_seconds(r.total_duration());
-        sample.data_mb = r.data_used.megabytes();
-        sample.deviation = bts::deviation(r.bandwidth_mbps, a.truth_mbps);
-        const auto dims = arrival_dimensions(a);
-        sample.dimensions = dims;
-        health->record_test(sample);
+        health->record_test(a, core::to_seconds(r.total_duration()),
+                            r.data_used.megabytes(),
+                            bts::deviation(r.bandwidth_mbps, a.truth_mbps));
       }
     });
     sctx.pop(test_span);
@@ -796,7 +830,7 @@ void run_packet_chunk(std::span<const Arrival> arrivals,
 }
 
 FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
-                            const FleetSimConfig& config) {
+                            const FleetSimConfig& config, std::size_t jobs) {
   FleetSimResult result;
   const Period period = sim_period(config);
   const double window_capacity_mbit =
@@ -853,10 +887,10 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
       }
     }, result);
   }
-  replay_health(chunks, config);
 
   // Busy windows, overload, and per-server egress health from the merged
   // matrix, window-major — the historical emission order.
+  obs::health::SampleLog egress = egress_log();
   std::uint64_t overloaded_windows = 0;
   for (std::int64_t w = 0; w < period.windows; ++w) {
     double window_total = 0.0;
@@ -866,7 +900,7 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
       if (util > 0.0) {
         result.busy_window_utilization.push_back(util);
         if (config.health != nullptr) {
-          config.health->record_egress_utilization(s, util);
+          egress.record_egress_utilization(static_cast<std::uint32_t>(s), util);
         }
       }
     }
@@ -875,6 +909,7 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
       ++overloaded_windows;
     }
   }
+  fold_health(chunks, egress, config, jobs);
 
   // Protocol-level per-server load balance (sessions, probe egress), from
   // the integer sums.
@@ -952,7 +987,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
           run_packet_chunk(arrivals, registry, config, plan.schedule, out);
         });
     const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_packet(chunks, config);
+    result = merge_packet(chunks, config, plan.jobs);
   } else {
     // The analytic backend emits observability only under sampling (or a
     // budget): its legacy contract is "no obs emission", and the sampled
@@ -980,7 +1015,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
       load = compute_analytic_load(workload, config);
     }
     const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_analytic(chunks, load, config);
+    result = merge_analytic(chunks, load, config, plan.jobs);
   }
   if (config.resource != nullptr) {
     config.resource->finish_run(std::chrono::duration<double>(

@@ -1,6 +1,7 @@
 #include "obs/health/monitor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 namespace swiftest::obs::health {
@@ -72,17 +73,48 @@ const AggregateStats* HealthSnapshot::find(std::string_view metric,
   return d == m->second.end() ? nullptr : &d->second;
 }
 
+std::string_view server_dimension(std::uint64_t server, ServerKeyBuffer& buf) {
+  constexpr std::string_view kPrefix = "server:";
+  kPrefix.copy(buf.data(), kPrefix.size());
+  const auto end =
+      std::to_chars(buf.data() + kPrefix.size(), buf.data() + buf.size(), server).ptr;
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+}
+
+namespace {
+
+/// The cell for `dimension` in one metric's row, created on first use.
+StreamingAggregate& cell_in(std::map<std::string, StreamingAggregate, std::less<>>& row,
+                            std::string_view dimension) {
+  auto it = row.find(dimension);
+  if (it == row.end()) it = row.emplace(std::string(dimension), StreamingAggregate{}).first;
+  return it->second;
+}
+
+}  // namespace
+
 HealthMonitor::HealthMonitor(double rate_window_seconds)
     : arrivals_(rate_window_seconds) {}
+
+HealthMonitor::ByDimension& HealthMonitor::row(std::string_view metric) {
+  auto it = cells_.find(metric);
+  if (it == cells_.end()) it = cells_.emplace(std::string(metric), ByDimension{}).first;
+  return it->second;
+}
+
+StreamingAggregate& HealthMonitor::cell(std::string_view metric,
+                                        std::string_view dimension) {
+  return cell_in(row(metric), dimension);
+}
 
 void HealthMonitor::note_arrival(double t_seconds) { arrivals_.note(t_seconds); }
 
 void HealthMonitor::record(std::string_view metric, double value,
                            std::span<const std::string> dimensions) {
-  auto& by_dim = cells_[std::string(metric)];
-  by_dim["all"].observe(value);
+  ByDimension& by_dim = row(metric);
+  cell_in(by_dim, "all").observe(value);
   for (const std::string& dim : dimensions) {
-    if (!dim.empty()) by_dim[dim].observe(value);
+    if (!dim.empty()) cell_in(by_dim, dim).observe(value);
   }
 }
 
@@ -95,10 +127,10 @@ void HealthMonitor::record_test(const TestSample& sample) {
 
 void HealthMonitor::record_egress_utilization(std::uint64_t server,
                                               double util_pct) {
-  std::string key = "server:";
-  key += std::to_string(server);
-  const std::string dims[] = {std::move(key)};
-  record(kMetricEgressUtil, util_pct, dims);
+  ServerKeyBuffer key;
+  ByDimension& by_dim = row(kMetricEgressUtil);
+  cell_in(by_dim, "all").observe(util_pct);
+  cell_in(by_dim, server_dimension(server, key)).observe(util_pct);
 }
 
 HealthSnapshot HealthMonitor::snapshot() const {

@@ -10,10 +10,14 @@
 // Dimension keys are plain strings ("all", "tech:4g", "isp:1", "server:7");
 // callers build them from the src/dataset taxonomy (dataset::dimension_key)
 // so the health layer itself depends only on core. Every sample lands in the
-// "all" cell plus each provided dimension cell. Snapshots are std::map-keyed
-// and therefore deterministically ordered — same seed, same bytes.
+// "all" cell plus each provided dimension cell. Strings are only the wire
+// format: cells are name-keyed maps searched by string_view, so ingest builds
+// no strings, and a cell's address is a stable handle for the parallel fold
+// (sample_log.hpp). Snapshots are std::map-keyed and therefore
+// deterministically ordered — same seed, same bytes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -91,29 +95,12 @@ struct TestSample {
   std::span<const std::string> dimensions;
 };
 
-/// Where health observations land. HealthMonitor aggregates them in place;
-/// SampleLog (sample_log.hpp) buffers them verbatim so a sharded run can
-/// collect per-shard streams concurrently and replay them into one monitor
-/// in a deterministic order after the shards join.
-class HealthSink {
- public:
-  virtual ~HealthSink() = default;
+/// Room for any "server:<index>" key.
+using ServerKeyBuffer = std::array<char, 32>;
 
-  /// Notes a test arrival at sim time `t_seconds` (feeds the windowed rate).
-  virtual void note_arrival(double t_seconds) = 0;
-
-  /// Records a completed test: duration, data, and deviation each land in
-  /// "all" plus every dimension key in `sample.dimensions`.
-  virtual void record_test(const TestSample& sample) = 0;
-
-  /// Records one egress-utilization window sample (%) for a server; lands in
-  /// "all" and "server:<index>".
-  virtual void record_egress_utilization(std::uint64_t server, double util_pct) = 0;
-
-  /// Records `value` for an arbitrary metric under "all" + `dimensions`.
-  virtual void record(std::string_view metric, double value,
-                      std::span<const std::string> dimensions) = 0;
-};
+/// The dimension key "server:<index>", formatted into `buf` without
+/// allocating; the view points into `buf`.
+std::string_view server_dimension(std::uint64_t server, ServerKeyBuffer& buf);
 
 /// metric name -> dimension key -> aggregate.
 struct HealthSnapshot {
@@ -132,23 +119,45 @@ inline constexpr const char* kMetricDataUsage = "data_mb";
 inline constexpr const char* kMetricDeviation = "deviation";
 inline constexpr const char* kMetricEgressUtil = "egress_util";
 
-class HealthMonitor final : public HealthSink {
+class HealthMonitor {
  public:
   explicit HealthMonitor(double rate_window_seconds = 10.0);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  void note_arrival(double t_seconds) override;
-  void record_test(const TestSample& sample) override;
-  void record_egress_utilization(std::uint64_t server, double util_pct) override;
+  /// Notes a test arrival at sim time `t_seconds` (feeds the windowed rate).
+  void note_arrival(double t_seconds);
+
+  /// Records a completed test: duration, data, and deviation each land in
+  /// "all" plus every dimension key in `sample.dimensions`.
+  void record_test(const TestSample& sample);
+
+  /// Records one egress-utilization window sample (%) for a server; lands in
+  /// "all" and "server:<index>".
+  void record_egress_utilization(std::uint64_t server, double util_pct);
+
+  /// Records `value` for an arbitrary metric under "all" + `dimensions`.
   void record(std::string_view metric, double value,
-              std::span<const std::string> dimensions = {}) override;
+              std::span<const std::string> dimensions = {});
+
+  /// The aggregate of cell (metric, dimension), created on first use. The
+  /// reference stays valid for the monitor's lifetime, and distinct cells
+  /// may be fed from distinct threads at once, provided nothing creates
+  /// cells or records meanwhile.
+  StreamingAggregate& cell(std::string_view metric, std::string_view dimension);
+
+  /// Counts `n` completed tests whose samples were fed through cell().
+  void add_tests(std::uint64_t n) noexcept { tests_ += n; }
 
   [[nodiscard]] HealthSnapshot snapshot() const;
 
  private:
-  std::map<std::string, std::map<std::string, StreamingAggregate>> cells_;
+  using ByDimension = std::map<std::string, StreamingAggregate, std::less<>>;
+
+  ByDimension& row(std::string_view metric);
+
+  std::map<std::string, ByDimension, std::less<>> cells_;
   WindowedRate arrivals_;
   std::uint64_t tests_ = 0;
 };

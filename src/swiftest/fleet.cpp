@@ -44,15 +44,4 @@ std::size_t ServerFleet::active_sessions() const noexcept {
   return total;
 }
 
-void ServerFleet::record_health(obs::health::HealthSink& sink) const {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    const ServerStats& s = servers_[i]->stats();
-    const std::string dims[] = {"server:" + std::to_string(i)};
-    sink.record("server_sessions",
-                   static_cast<double>(s.requests_accepted), dims);
-    sink.record("server_probe_mb",
-                   static_cast<double>(s.probe_bytes_sent) / 1e6, dims);
-  }
-}
-
 }  // namespace swiftest::swift

@@ -14,7 +14,6 @@
 
 #include "netsim/scheduler.hpp"
 #include "netsim/testbed.hpp"
-#include "obs/health/monitor.hpp"
 #include "swiftest/server.hpp"
 
 namespace swiftest::swift {
@@ -39,14 +38,6 @@ class ServerFleet {
   [[nodiscard]] ServerStats aggregate_stats() const;
   /// Total live sessions across the fleet.
   [[nodiscard]] std::size_t active_sessions() const noexcept;
-
-  /// Streams per-server protocol-level load into `sink`: one
-  /// "server_sessions" and one "server_probe_mb" sample per server, keyed
-  /// "server:<i>" — the load-balance view of the fleet (the "all" cell's
-  /// spread shows how evenly anycast assignment landed). Takes the sink
-  /// interface so sharded runs can log the samples and replay them in
-  /// deterministic shard order.
-  void record_health(obs::health::HealthSink& sink) const;
 
  private:
   std::vector<std::unique_ptr<SwiftestServer>> servers_;

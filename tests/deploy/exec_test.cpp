@@ -150,6 +150,33 @@ TEST(ChunkedFleet, AnalyticResultIsExactForAnyChunkSize) {
   }
 }
 
+TEST(ChunkedFleet, AnalyticHealthIdenticalAcrossPartitionAndJobs) {
+  // The analytic health report folds per cell on up to `jobs` lanes; no
+  // chunk size or lane count may change a byte of it.
+  const swift::ModelRegistry registry;
+  std::string reference;
+  for (std::size_t chunk : {64u, 4096u}) {
+    for (std::size_t jobs : {1u, 4u}) {
+      FleetSimConfig cfg = base_config();
+      cfg.tests_per_day = 20'000.0;
+      cfg.chunk = chunk;
+      cfg.jobs = jobs;
+      obs::health::HealthMonitor health;
+      cfg.health = &health;
+      const FleetSimResult result = simulate_fleet(population(), registry, cfg);
+      ASSERT_GT(result.tests_simulated, 10'000u);
+      std::ostringstream out;
+      obs::health::write_health_json(health.snapshot(), {}, nullptr, out);
+      if (reference.empty()) {
+        reference = out.str();
+        EXPECT_NE(reference.find("egress_util"), std::string::npos);
+      } else {
+        EXPECT_EQ(out.str(), reference) << "chunk=" << chunk << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
 /// Every artifact a chunked run can produce, rendered to strings.
 struct Artifacts {
   std::string health;

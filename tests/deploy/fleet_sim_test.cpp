@@ -155,7 +155,7 @@ TEST(FleetSim, PacketBackendStreamsRealTestOutcomes) {
   ASSERT_NE(deviation, nullptr);
   EXPECT_GT(deviation->mean, 0.0);
   EXPECT_LT(deviation->mean, 0.5);
-  // Per-server protocol counters from ServerFleet::record_health.
+  // Per-server protocol counters, recorded by the packet merge.
   const auto* sessions = snap.find("server_sessions", "all");
   ASSERT_NE(sessions, nullptr);
   EXPECT_EQ(sessions->count, cfg.server_count);

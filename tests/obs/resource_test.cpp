@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,19 +136,27 @@ TEST(SampleLogBounds, DropsNewestPastCapacityAndCounts) {
   health::SampleLog log(4);
   EXPECT_EQ(log.capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
-    health::TestSample sample;
-    sample.duration_s = static_cast<double>(i);
-    log.record_test(sample);
+    health::SampleLog::TestEntry entry;
+    entry.duration_s = static_cast<double>(i);
+    log.record_test(entry);
   }
-  // The buffered prefix is exactly what an unbounded log would replay first.
+  // The buffered prefix is exactly what an unbounded log would fold first.
   EXPECT_EQ(log.sample_count(), 4u);
   EXPECT_EQ(log.dropped(), 6u);
+  ASSERT_EQ(log.tests().size(), 4u);
+  EXPECT_EQ(log.tests().back().duration_s, 3.0);
+
+  // Egress samples share the sample cap.
+  log.record_egress_utilization(1, 50.0);
+  EXPECT_EQ(log.sample_count(), 4u);
+  EXPECT_TRUE(log.egress().empty());
+  EXPECT_EQ(log.dropped(), 7u);
 
   // Arrivals are bounded independently with the same policy.
   for (int i = 0; i < 6; ++i) log.note_arrival(static_cast<double>(i));
   EXPECT_EQ(log.arrival_times().size(), 4u);
   EXPECT_EQ(log.arrival_times().front(), 0.0);
-  EXPECT_EQ(log.dropped(), 8u);
+  EXPECT_EQ(log.dropped(), 9u);
 }
 
 TEST(SampleLogBounds, ZeroCapacityClampsToOne) {
@@ -159,11 +168,73 @@ TEST(SampleLogBounds, ZeroCapacityClampsToOne) {
   EXPECT_EQ(log.dropped(), 1u);
 }
 
+TEST(SampleLogBounds, RecordsAreFixedSize) {
+  // Three doubles plus four 32-bit dimension ids: no per-test heap payload.
+  EXPECT_EQ(sizeof(health::SampleLog::TestEntry), 40u);
+  EXPECT_EQ(sizeof(health::SampleLog::EgressEntry), 16u);
+}
+
+TEST(SampleLogBounds, InternsDimensionsPerLog) {
+  health::SampleLog log;
+  const auto tech = log.intern("tech:4g");
+  const auto isp = log.intern("isp:1");
+  EXPECT_NE(tech, isp);
+  EXPECT_EQ(log.intern("tech:4g"), tech);
+  EXPECT_EQ(log.intern(""), health::SampleLog::kNoDim);
+  EXPECT_EQ(log.dimensions().size(), 2u);
+
+  health::SampleLog::TestEntry bad;
+  bad.dims[0] = 7;  // never interned
+  EXPECT_THROW(log.record_test(bad), std::out_of_range);
+  EXPECT_EQ(log.sample_count(), 0u);
+}
+
+TEST(SampleLogBounds, InternsMoreKeysThanSixteenBitIdsHold) {
+  // A chunk of a large fleet can draw more distinct servers than a 16-bit
+  // id could name; every key keeps its own id and the records fold by name.
+  constexpr std::uint32_t kKeys = 70000;
+  health::SampleLog log;
+  for (std::uint32_t s = 0; s < kKeys; ++s) {
+    health::SampleLog::TestEntry e;
+    e.duration_s = static_cast<double>(s);
+    e.dims[0] = log.intern("server:" + std::to_string(s));
+    ASSERT_EQ(e.dims[0], s);
+    log.record_test(e);
+  }
+  EXPECT_EQ(log.intern("server:69999"), kKeys - 1);
+  EXPECT_EQ(log.dimensions().size(), kKeys);
+
+  health::HealthMonitor monitor;
+  const health::SampleLog* logs[] = {&log};
+  const health::LogFold fold(logs, monitor, 1);
+  fold.run_lane(0);
+  const health::HealthSnapshot snap = monitor.snapshot();
+  EXPECT_EQ(snap.tests, kKeys);
+  EXPECT_EQ(snap.metrics.at(health::kMetricDuration).size(), kKeys + 1);  // + "all"
+  const auto* last = snap.find(health::kMetricDuration, "server:69999");
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->count, 1u);
+  EXPECT_EQ(last->max, 69999.0);
+}
+
 TEST(SampleLogBounds, ApproxBytesScalesWithUse) {
   health::SampleLog log(1u << 10);
-  const std::uint64_t empty = log.approx_bytes();
+  EXPECT_EQ(log.approx_bytes(), 0u);
   for (int i = 0; i < 512; ++i) log.note_arrival(static_cast<double>(i));
-  EXPECT_GT(log.approx_bytes(), empty);
+  for (int i = 0; i < 100; ++i) log.record_test({});
+  for (int i = 0; i < 10; ++i) log.record_egress_utilization(2, 1.0);
+  EXPECT_GE(log.approx_bytes(),
+            512 * sizeof(double) + 100 * sizeof(health::SampleLog::TestEntry) +
+                10 * sizeof(health::SampleLog::EgressEntry));
+
+  // Interned keys count too — the id table and the key index, out-of-line
+  // payloads included.
+  health::SampleLog short_key;
+  short_key.intern("isp:1");
+  EXPECT_GT(short_key.approx_bytes(), 2 * sizeof(std::string));
+  health::SampleLog long_key;
+  long_key.intern(std::string(64, 'k'));
+  EXPECT_EQ(long_key.approx_bytes(), short_key.approx_bytes() + 2 * 65);
 }
 
 TEST(SampleLogBounds, DefaultCapacityIsBounded) {

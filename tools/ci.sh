@@ -478,7 +478,10 @@ run_perfbench_smoke() {
 # drives the pool with a live profiler (the reserve-before-spawn /
 # read-after-join contract, DESIGN.md §13), and WorkStealingDequeTsan churns
 # the raw Chase-Lev deque — one owner push/take against competing thieves —
-# under randomized interleavings with exactly-once assertions.
+# under randomized interleavings with exactly-once assertions. HealthFold
+# and an analytic fleet-day at --jobs 4 (its health JSON cmp'd against
+# --jobs 1) drive the per-cell health fold, whose lanes feed disjoint
+# HealthMonitor cells concurrently.
 run_tsan_fleet() {
   local build_dir="build-tsan"
   echo "=== configure ${build_dir} (-DSWIFTEST_SANITIZE=thread) ==="
@@ -486,9 +489,18 @@ run_tsan_fleet() {
   echo "=== build ${build_dir} (swiftest-cli, test_deploy) ==="
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
     --target swiftest-cli --target test_deploy
-  echo "=== TSan work-stealing pool + raw deque (live contention) ==="
+  echo "=== TSan work-stealing pool + raw deque + health fold (live contention) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
-    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*'
+    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:HealthFold.*'
+  echo "=== TSan analytic fleet-day: parallel health fold (--jobs 4 vs 1) ==="
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
+    --tests-per-day 20000 --seed 3 --jobs 4 \
+    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-j4.json"
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
+    --tests-per-day 20000 --seed 3 --jobs 1 \
+    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-j1.json"
+  cmp "${REPO_ROOT}/${build_dir}/health-tsan-j4.json" \
+    "${REPO_ROOT}/${build_dir}/health-tsan-j1.json"
   echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4
