@@ -10,7 +10,7 @@
 #include "bts/fastbts.hpp"
 #include "bts/flooding.hpp"
 #include "dataset/generator.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/histogram.hpp"
 #include "swiftest/client.hpp"

@@ -122,7 +122,7 @@ struct FleetSimResult {
   double overload_seconds_share = 0.0;
   std::uint64_t tests_simulated = 0;
   /// Spill accounting summed over every chunk's writers plus the merge
-  /// target (all zero when --obs-spill-dir is off). Deterministic — segment
+  /// target (all zero when `--obs spill` is off). Deterministic — segment
   /// rotation depends on store capacity and event volume, never on --jobs —
   /// so these feed the run manifest's spill summaries.
   std::uint64_t spill_trace_segments = 0;

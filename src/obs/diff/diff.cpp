@@ -12,7 +12,7 @@
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hostprof/report.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 #include "obs/span/critical_path.hpp"
 #include "obs/span/json.hpp"
 

@@ -1,12 +1,9 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs {
 namespace {
@@ -176,7 +173,7 @@ std::optional<TraceArtifactSummary> parse_trace_jsonl(std::string_view text,
     start = end + 1;
     if (line.empty()) continue;
     std::string line_error;
-    const auto doc = health::parse_json(line, &line_error);
+    const auto doc = parse_json(line, &line_error);
     if (!doc || !doc->is_object()) {
       if (error != nullptr) {
         *error = "line " + std::to_string(lineno) + ": " +
@@ -193,51 +190,46 @@ std::optional<TraceArtifactSummary> parse_trace_jsonl(std::string_view text,
 
 std::optional<TraceArtifactSummary> load_trace_jsonl_file(const std::string& path,
                                                           std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_trace_jsonl(text.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_trace_jsonl(*text, error);
 }
 
 std::optional<MetricsSnapshot> parse_metrics_json(std::string_view text,
                                                   std::string* error) {
-  const auto doc = health::parse_json(text, error);
+  const auto doc = parse_json(text, error);
   if (!doc) return std::nullopt;
   if (!doc->is_object()) {
     if (error != nullptr) *error = "metrics document must be an object";
     return std::nullopt;
   }
   MetricsSnapshot snapshot;
-  if (const health::JsonValue* counters = doc->get("counters");
+  if (const JsonValue* counters = doc->get("counters");
       counters != nullptr && counters->is_object()) {
     for (const auto& [name, value] : counters->members()) {
       snapshot.counters[name] = value.as_u64(0);
     }
   }
-  if (const health::JsonValue* gauges = doc->get("gauges");
+  if (const JsonValue* gauges = doc->get("gauges");
       gauges != nullptr && gauges->is_object()) {
     for (const auto& [name, value] : gauges->members()) {
       snapshot.gauges[name] = value.as_number(0.0);
     }
   }
-  if (const health::JsonValue* histograms = doc->get("histograms");
+  if (const JsonValue* histograms = doc->get("histograms");
       histograms != nullptr && histograms->is_object()) {
     for (const auto& [name, value] : histograms->members()) {
       if (!value.is_object()) continue;
       MetricsSnapshot::HistogramValue h;
-      if (const health::JsonValue* le = value.get("le");
+      if (const JsonValue* le = value.get("le");
           le != nullptr && le->is_array()) {
-        for (const health::JsonValue& bound : le->as_array()) {
+        for (const JsonValue& bound : le->as_array()) {
           h.bounds.push_back(bound.as_number(0.0));
         }
       }
-      if (const health::JsonValue* counts = value.get("counts");
+      if (const JsonValue* counts = value.get("counts");
           counts != nullptr && counts->is_array()) {
-        for (const health::JsonValue& count : counts->as_array()) {
+        for (const JsonValue& count : counts->as_array()) {
           h.counts.push_back(count.as_u64(0));
         }
       }
@@ -251,14 +243,9 @@ std::optional<MetricsSnapshot> parse_metrics_json(std::string_view text,
 
 std::optional<MetricsSnapshot> load_metrics_file(const std::string& path,
                                                  std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_metrics_json(text.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_metrics_json(*text, error);
 }
 
 }  // namespace swiftest::obs

@@ -54,7 +54,7 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
     const MetricsSnapshot& snapshot);
 
-/// What the trace-jsonl diff loader extracts from a --trace-jsonl artifact:
+/// What the trace-jsonl diff loader extracts from a trace.jsonl artifact:
 /// event totals plus per-category and per-event-name counts.
 struct TraceArtifactSummary {
   std::uint64_t events = 0;
@@ -62,7 +62,7 @@ struct TraceArtifactSummary {
   std::map<std::string, std::uint64_t> per_name;
 };
 
-/// Parses a --trace-jsonl artifact into count form. Returns nullopt (with a
+/// Parses a trace.jsonl artifact into count form. Returns nullopt (with a
 /// line-numbered reason in `error`) on a malformed line.
 [[nodiscard]] std::optional<TraceArtifactSummary> parse_trace_jsonl(
     std::string_view text, std::string* error = nullptr);
@@ -71,7 +71,7 @@ struct TraceArtifactSummary {
 [[nodiscard]] std::optional<TraceArtifactSummary> load_trace_jsonl_file(
     const std::string& path, std::string* error = nullptr);
 
-/// Parses a --metrics-out artifact back into a snapshot (the diff loader's
+/// Parses a metrics.json artifact back into a snapshot (the diff loader's
 /// input). Returns nullopt (with a reason in `error`) on malformed JSON or a
 /// document without the counters/gauges/histograms shape.
 [[nodiscard]] std::optional<MetricsSnapshot> parse_metrics_json(

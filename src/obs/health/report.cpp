@@ -1,12 +1,9 @@
 #include "obs/health/report.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 
@@ -231,14 +228,9 @@ std::optional<HealthArtifact> parse_health_json(std::string_view text,
 
 std::optional<HealthArtifact> load_health_file(const std::string& path,
                                                std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_health_json(text.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_health_json(*text, error);
 }
 
 std::vector<std::pair<std::string, double>> summarize_for_manifest(

@@ -49,7 +49,7 @@ struct HealthArtifact {
   std::map<std::string, std::map<std::string, AggregateStats>> metrics;
 };
 
-/// Parses a --health-out document. Returns nullopt (with a reason in
+/// Parses a health.json document. Returns nullopt (with a reason in
 /// `error`) on malformed JSON or a document without a "metrics" object.
 [[nodiscard]] std::optional<HealthArtifact> parse_health_json(
     std::string_view text, std::string* error = nullptr);

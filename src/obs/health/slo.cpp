@@ -1,9 +1,6 @@
 #include "obs/health/slo.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 
@@ -70,14 +67,9 @@ std::optional<std::vector<SloSpec>> parse_slo_specs(std::string_view json_text,
 
 std::optional<std::vector<SloSpec>> load_slo_file(const std::string& path,
                                                   std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_slo_specs(text.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_slo_specs(*text, error);
 }
 
 namespace {

@@ -10,8 +10,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::hostprof {
 namespace {
@@ -142,7 +141,7 @@ TimelineData& timeline_for(ProfData& data, std::uint32_t tid) {
   return data.timelines.back();
 }
 
-bool require(const health::JsonValue& obj, std::initializer_list<const char*> keys,
+bool require(const JsonValue& obj, std::initializer_list<const char*> keys,
              int lineno, std::string* error) {
   for (const char* key : keys) {
     if (obj.get(key) == nullptr) {
@@ -166,7 +165,7 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
     ++lineno;
     if (text.empty()) continue;
     std::string parse_error;
-    const auto value = health::parse_json(text, &parse_error);
+    const auto value = parse_json(text, &parse_error);
     if (!value || !value->is_object()) {
       if (error != nullptr) {
         *error = "line " + std::to_string(lineno) + ": " +

@@ -1,13 +1,13 @@
 // Rendering and analysis of host-time profiles (obs/hostprof/hostprof.hpp).
 //
 // Three renderings of one ProfData:
-//   * PROF JSONL (`--prof-out`) — one self-describing JSON object per line
+//   * PROF JSONL (`--obs prof`) — one self-describing JSON object per line
 //     ("type": meta | timeline | worker | phase | interval), the lossless
 //     machine format `swiftest-cli profile report` and the CI schema gate
 //     consume.
-//   * Chrome trace_event JSON (`--prof-trace`) — the host-time timeline with
-//     one named track per thread (main + each pool worker), loadable in
-//     Perfetto / chrome://tracing.
+//   * Chrome trace_event JSON (`--obs prof_trace`) — the host-time
+//     timeline with one named track per thread (main + each pool worker),
+//     loadable in Perfetto / chrome://tracing.
 //   * The attribution report — parallel efficiency, serial fraction, Amdahl
 //     bounds, per-chunk imbalance and steal attribution, and a ranked phase
 //     table, as markdown.

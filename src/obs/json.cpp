@@ -1,9 +1,72 @@
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
-namespace swiftest::obs::health {
+namespace swiftest::obs {
+
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "\"NaN\"";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
+    return;
+  }
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+void append_i64(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  out += '"';
+}
 
 const JsonValue* JsonValue::get(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
@@ -313,4 +376,15 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
   return JsonParser(text).parse(error);
 }
 
-}  // namespace swiftest::obs::health
+std::optional<std::string> read_file(const std::string& path, std::string* error) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  return std::move(text).str();
+}
+
+}  // namespace swiftest::obs

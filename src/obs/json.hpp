@@ -1,10 +1,17 @@
-// Minimal JSON reader for declarative health/SLO specs and the obs artifact
-// loaders (span documents, manifests, diff inputs).
+// The obs JSON codec: deterministic writer primitives, a minimal reader, and
+// a whole-file read shared by every artifact loader.
 //
-// A deliberately small recursive-descent parser: objects, arrays, strings,
-// numbers, booleans, null. It exists so spec and artifact files can be plain
-// JSON without pulling a dependency into the tree. Semantics the loaders
-// rely on (covered by tests/obs/json_util_test.cpp):
+// Writer. Doubles are rendered with std::to_chars (shortest round-trip
+// form), so the same value always produces the same bytes regardless of
+// stream state. JSON has no literal for NaN or the infinities; those render
+// as the quoted strings "NaN", "Infinity", and "-Infinity" so the emitted
+// document stays parseable by any conforming reader instead of containing
+// bare `nan`/`inf` tokens.
+//
+// Reader. A deliberately small recursive-descent parser: objects, arrays,
+// strings, numbers, booleans, null. It exists so spec and artifact files can
+// be plain JSON without pulling a dependency into the tree. Semantics the
+// loaders rely on (covered by tests/obs/json_util_test.cpp):
 //   * duplicate object keys: last value wins;
 //   * \uXXXX escapes decode to UTF-8, surrogate pairs included; a lone
 //     surrogate decodes to U+FFFD (replacement) instead of failing, so a
@@ -17,13 +24,27 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace swiftest::obs::health {
+namespace swiftest::obs {
+
+// ------------------------------------------------------------------ writer
+
+/// Appends a finite double in shortest round-trip decimal form; non-finite
+/// values render as the quoted strings "NaN" / "Infinity" / "-Infinity".
+void append_double(std::string& out, double v);
+
+void append_u64(std::string& out, std::uint64_t v);
+void append_i64(std::string& out, std::int64_t v);
+
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes, and
+/// control characters.
+void append_json_string(std::string& out, std::string_view s);
+
+// ------------------------------------------------------------------ reader
 
 /// Maximum object/array nesting the parser accepts. Deep enough for any
 /// artifact this tree writes (they nest < 10 levels), small enough that a
@@ -78,4 +99,11 @@ class JsonValue {
 [[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text,
                                                   std::string* error = nullptr);
 
-}  // namespace swiftest::obs::health
+// -------------------------------------------------------------------- files
+
+/// Reads a whole file as bytes. Returns nullopt (with "cannot read <path>"
+/// in `error`, when provided) if it cannot be opened.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path,
+                                                   std::string* error = nullptr);
+
+}  // namespace swiftest::obs

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::manifest {
 namespace {
@@ -25,10 +22,10 @@ void append_value_object(std::string& out, const ValueList& values) {
   out += '}';
 }
 
-bool require_string(const health::JsonValue& line, std::string_view key,
+bool require_string(const JsonValue& line, std::string_view key,
                     std::string* out, std::string* error, std::size_t line_no) {
-  const health::JsonValue* member = line.get(key);
-  if (member == nullptr || member->type() != health::JsonValue::Type::kString) {
+  const JsonValue* member = line.get(key);
+  if (member == nullptr || member->type() != JsonValue::Type::kString) {
     if (error != nullptr) {
       *error = "line " + std::to_string(line_no) + ": missing string field \"" +
                std::string(key) + "\"";
@@ -39,10 +36,10 @@ bool require_string(const health::JsonValue& line, std::string_view key,
   return true;
 }
 
-bool require_number(const health::JsonValue& line, std::string_view key,
+bool require_number(const JsonValue& line, std::string_view key,
                     double* out, std::string* error, std::size_t line_no) {
-  const health::JsonValue* member = line.get(key);
-  if (member == nullptr || member->type() != health::JsonValue::Type::kNumber) {
+  const JsonValue* member = line.get(key);
+  if (member == nullptr || member->type() != JsonValue::Type::kNumber) {
     if (error != nullptr) {
       *error = "line " + std::to_string(line_no) + ": missing number field \"" +
                std::string(key) + "\"";
@@ -96,14 +93,9 @@ std::string content_hash(std::string_view bytes) {
 std::optional<ArtifactRecord> artifact_from_file(const std::string& name,
                                                  const std::string& path,
                                                  std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read artifact " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string content = buffer.str();
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  const std::string& content = *text;
 
   ArtifactRecord record;
   record.name = name;
@@ -212,8 +204,8 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
     if (raw.empty()) continue;
 
     std::string parse_error;
-    const std::optional<health::JsonValue> parsed =
-        health::parse_json(raw, &parse_error);
+    const std::optional<JsonValue> parsed =
+        parse_json(raw, &parse_error);
     if (!parsed.has_value() || !parsed->is_object()) {
       if (error != nullptr) {
         *error = "line " + std::to_string(line_no) + ": " +
@@ -221,7 +213,7 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
       }
       return std::nullopt;
     }
-    const health::JsonValue& line = *parsed;
+    const JsonValue& line = *parsed;
     const std::string type = line.get_string("type", "");
 
     if (type == "manifest") {
@@ -261,7 +253,7 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
       if (!require_string(line, "layer", &layer, error, line_no)) {
         return std::nullopt;
       }
-      const health::JsonValue* values = line.get("values");
+      const JsonValue* values = line.get("values");
       if (values == nullptr || !values->is_object()) {
         if (error != nullptr) {
           *error = "line " + std::to_string(line_no) +
@@ -317,14 +309,9 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
 
 std::optional<RunManifest> load_manifest_file(const std::string& path,
                                               std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read manifest " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_manifest_jsonl(buffer.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_manifest_jsonl(*text, error);
 }
 
 }  // namespace swiftest::obs::manifest

@@ -1,7 +1,7 @@
 // Run manifests: the machine-readable record of what a run *was*.
 //
-// Every swiftest-cli command can emit a RunManifest (--manifest-out; on by
-// default for `fleet`): the resolved configuration, build identity, a
+// `swiftest-cli test|run|fleet --obs-dir DIR` always writes a RunManifest to
+// DIR/manifest.jsonl: the resolved configuration, build identity, a
 // content hash + row count for every artifact the run wrote, each obs
 // layer's summarize_for_manifest() values, the run's headline bench values,
 // and its SLO verdicts. Manifests are the inputs of `swiftest-cli obs diff`
@@ -106,7 +106,7 @@ struct RunManifest {
 [[nodiscard]] std::optional<ArtifactRecord> artifact_from_file(
     const std::string& name, const std::string& path, std::string* error = nullptr);
 
-/// Writes the manifest as JSONL (deterministic rendering, obs/json_util
+/// Writes the manifest as JSONL (deterministic rendering, obs/json
 /// numbers; lines in the fixed order manifest/config/artifact/summary/
 /// bench/slo/host).
 void write_manifest_jsonl(const RunManifest& manifest, std::ostream& out);

@@ -5,7 +5,7 @@
 #include <map>
 #include <ostream>
 
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::span {
 namespace {

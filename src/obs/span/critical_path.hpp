@@ -78,7 +78,7 @@ struct AttributionReport {
 /// to_span_data(), or from a parsed span JSON file).
 [[nodiscard]] AttributionReport analyze_spans(const std::vector<SpanData>& spans);
 
-/// Deterministic JSON rendering of a report (obs/json_util numbers).
+/// Deterministic JSON rendering of a report (obs/json numbers).
 void write_attribution_json(const AttributionReport& report, std::ostream& out);
 
 /// Markdown rendering: per-stage table plus the critical path of each tree.

@@ -1,11 +1,8 @@
 #include "obs/span/json.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::span {
 
@@ -99,9 +96,9 @@ void write_spans_json(const SpanStore& store, std::ostream& out) {
 
 std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
                                                       std::string* error) {
-  const auto doc = health::parse_json(text, error);
+  const auto doc = parse_json(text, error);
   if (!doc) return std::nullopt;
-  const health::JsonValue* spans = doc->get("spans");
+  const JsonValue* spans = doc->get("spans");
   if (spans == nullptr || !spans->is_array()) {
     if (error != nullptr) {
       *error = "span document must be an object with a \"spans\" array";
@@ -110,7 +107,7 @@ std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
   }
   std::vector<SpanData> out;
   out.reserve(spans->as_array().size());
-  for (const health::JsonValue& entry : spans->as_array()) {
+  for (const JsonValue& entry : spans->as_array()) {
     if (!entry.is_object()) {
       if (error != nullptr) *error = "span entries must be objects";
       return std::nullopt;
@@ -119,7 +116,7 @@ std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
     // Ids and timestamps are 64-bit integers; read them exactly (a double
     // would silently round trace nonces above 2^53).
     const auto u64_field = [&entry](const char* key) -> std::uint64_t {
-      const health::JsonValue* v = entry.get(key);
+      const JsonValue* v = entry.get(key);
       return v != nullptr ? v->as_u64(0) : 0;
     };
     data.id = u64_field("id");
@@ -129,14 +126,14 @@ std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
     data.category = entry.get_string("cat", "");
     data.start = static_cast<core::SimTime>(u64_field("start"));
     data.end = static_cast<core::SimTime>(u64_field("end"));
-    if (const health::JsonValue* closed = entry.get("closed")) {
+    if (const JsonValue* closed = entry.get("closed")) {
       data.closed = closed->as_bool(false);
     }
     if (data.id == 0) {
       if (error != nullptr) *error = "span entry missing a nonzero \"id\"";
       return std::nullopt;
     }
-    if (const health::JsonValue* attrs = entry.get("attrs");
+    if (const JsonValue* attrs = entry.get("attrs");
         attrs != nullptr && attrs->is_object()) {
       for (const auto& [key, value] : attrs->members()) {
         data.attrs.emplace_back(key, value.as_number(0.0));
@@ -159,14 +156,9 @@ std::vector<std::pair<std::string, double>> summarize_for_manifest(
 
 std::optional<std::vector<SpanData>> load_spans_file(const std::string& path,
                                                      std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_spans_json(text.str(), error);
+  const auto text = read_file(path, error);
+  if (!text) return std::nullopt;
+  return parse_spans_json(*text, error);
 }
 
 }  // namespace swiftest::obs::span

@@ -9,7 +9,7 @@
 //     ...
 //   ], "open": 0, "dropped": 0}
 //
-// Spans are emitted in begin order with json_util's deterministic number
+// Spans are emitted in begin order with obs/json's deterministic number
 // rendering, so same-seed runs produce byte-identical files. The reader
 // (parse_spans_json) is the input side of `swiftest-cli trace analyze`: it
 // produces owning SpanData values (names as std::string) that the analyzer

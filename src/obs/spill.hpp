@@ -13,7 +13,7 @@
 //
 // The full event stream of a spilled run is
 //   <stream>.spill.jsonl ++ the exported in-memory remainder
-// (e.g. trace.spill.jsonl followed by the --trace-jsonl file).
+// (e.g. trace.spill.jsonl followed by the trace.jsonl artifact).
 #pragma once
 
 #include <cstddef>

@@ -9,13 +9,10 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs {
 namespace {
-
-using health::parse_json;
 
 TEST(ExportEdge, EmptyTracerRendersValidJson) {
   Tracer tracer;

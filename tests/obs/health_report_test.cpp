@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 namespace {

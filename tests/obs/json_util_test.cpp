@@ -1,5 +1,5 @@
 // Edge-case coverage for the obs JSON reader/writer pair: the semantics the
-// artifact loaders rely on (documented in src/obs/health/json.hpp) and the
+// artifact loaders rely on (documented in src/obs/json.hpp) and the
 // writer/parser round-trip at the limits of double precision.
 
 #include <gtest/gtest.h>
@@ -8,15 +8,10 @@
 #include <limits>
 #include <string>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs {
 namespace {
-
-using health::JsonValue;
-using health::kMaxJsonDepth;
-using health::parse_json;
 
 // --- duplicate object keys -------------------------------------------------
 

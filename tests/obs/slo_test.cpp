@@ -4,7 +4,7 @@
 
 #include <fstream>
 
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 namespace {

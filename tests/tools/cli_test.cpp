@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -17,6 +18,16 @@ int run(std::vector<std::string> args, std::string& output) {
   output = out.str();
   return rc;
 }
+
+std::string slurp(const std::string& path) {
+  std::ifstream file(path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+/// A per-test --obs-dir under the gtest temp dir.
+std::string obs_dir(const std::string& tag) { return testing::TempDir() + "/" + tag; }
 
 TEST(Cli, NoArgsPrintsUsageAndFails) {
   std::string output;
@@ -104,43 +115,35 @@ TEST(Cli, RunIsAnAliasForTest) {
 }
 
 TEST(Cli, RunWritesTraceAndMetricsFiles) {
-  const std::string trace_path = testing::TempDir() + "/cli_trace.json";
-  const std::string metrics_path = testing::TempDir() + "/cli_metrics.json";
+  const std::string dir = obs_dir("cli_run_trace");
   std::string output;
-  ASSERT_EQ(run({"run", "--rate", "50", "--wire", "--trace-out", trace_path,
-                 "--metrics-out", metrics_path},
+  ASSERT_EQ(run({"run", "--rate", "50", "--wire", "--obs-dir", dir, "--obs",
+                 "trace_chrome,metrics"},
                 output),
             0);
-  EXPECT_NE(output.find("trace: " + trace_path), std::string::npos);
+  EXPECT_NE(output.find("trace_chrome: " + dir + "/trace.json ("), std::string::npos);
+  EXPECT_NE(output.find("metrics: " + dir + "/metrics.json"), std::string::npos);
 
-  std::ifstream trace_file(trace_path);
-  ASSERT_TRUE(trace_file.good());
-  std::stringstream trace;
-  trace << trace_file.rdbuf();
-  EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.str().find("probe.start"), std::string::npos);
+  const std::string trace = slurp(dir + "/trace.json");
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("probe.start"), std::string::npos);
 
-  std::ifstream metrics_file(metrics_path);
-  ASSERT_TRUE(metrics_file.good());
-  std::stringstream metrics;
-  metrics << metrics_file.rdbuf();
-  EXPECT_NE(metrics.str().find("\"probe.tests_completed\": 1"), std::string::npos);
+  const std::string metrics = slurp(dir + "/metrics.json");
+  EXPECT_NE(metrics.find("\"probe.tests_completed\": 1"), std::string::npos);
 }
 
 TEST(Cli, TraceCategoriesFilterAppliesAndRejectsUnknown) {
-  const std::string trace_path = testing::TempDir() + "/cli_trace_proto.json";
+  const std::string dir = obs_dir("cli_trace_proto");
   std::string output;
-  ASSERT_EQ(run({"run", "--rate", "50", "--wire", "--trace-out", trace_path,
-                 "--trace-categories", "protocol"},
+  ASSERT_EQ(run({"run", "--rate", "50", "--wire", "--obs-dir", dir, "--obs",
+                 "trace_chrome", "--trace-categories", "protocol"},
                 output),
             0);
-  std::ifstream trace_file(trace_path);
-  std::stringstream trace;
-  trace << trace_file.rdbuf();
-  EXPECT_NE(trace.str().find("\"cat\":\"protocol\""), std::string::npos);
-  EXPECT_EQ(trace.str().find("\"cat\":\"scheduler\""), std::string::npos);
+  const std::string trace = slurp(dir + "/trace.json");
+  EXPECT_NE(trace.find("\"cat\":\"protocol\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"cat\":\"scheduler\""), std::string::npos);
 
-  EXPECT_EQ(run({"run", "--rate", "50", "--trace-out", trace_path,
+  EXPECT_EQ(run({"run", "--rate", "50", "--obs-dir", dir, "--obs", "trace_chrome",
                  "--trace-categories", "bogus"},
                 output),
             2);
@@ -150,56 +153,97 @@ TEST(Cli, TraceCategoriesFilterAppliesAndRejectsUnknown) {
 }
 
 TEST(Cli, TraceCategoriesValidatedEvenWithoutTraceOutput) {
-  // A typo'd category list must fail loudly even when no trace output flag
-  // is present (it used to be silently ignored).
+  // A typo'd category list must fail loudly even when no trace artifact is
+  // requested (it used to be silently ignored).
   std::string output;
   EXPECT_EQ(run({"run", "--rate", "50", "--trace-categories", "protcol"},
                 output),
             2);
   EXPECT_NE(output.find("unknown trace category 'protcol'"), std::string::npos);
 
-  // A valid list without any output flag stays a no-op success.
+  // A valid list without any artifact stays a no-op success.
   EXPECT_EQ(run({"run", "--rate", "50", "--trace-categories", "protocol"},
                 output),
             0);
 }
 
 TEST(Cli, MetricsOnlyFleetRunRecordsNoTraceEvents) {
-  // Without --trace-out / --trace-jsonl the tracer stays off: a packet
-  // fleet-day with only metrics and spans exports records no trace events,
-  // so it has none to drop (it used to fill and wrap the ring).
-  const std::string metrics_path = testing::TempDir() + "/cli_metrics_only.json";
-  const std::string spans_path = testing::TempDir() + "/cli_metrics_only_spans.json";
+  // Without a trace artifact the tracer stays off: a packet fleet-day with
+  // only metrics and spans exports records no trace events, so it has none
+  // to drop (it used to fill and wrap the ring).
+  const std::string dir = obs_dir("cli_metrics_only");
   std::string output;
   testing::internal::CaptureStderr();
   const int rc = run({"fleet", "--backend", "packet", "--servers", "5", "--days", "1",
-                      "--tests-per-day", "50", "--metrics-out", metrics_path,
-                      "--spans-out", spans_path},
+                      "--tests-per-day", "50", "--obs-dir", dir, "--obs",
+                      "metrics,spans"},
                      output);
   const std::string errors = testing::internal::GetCapturedStderr();
   ASSERT_EQ(rc, 0) << output;
   EXPECT_EQ(errors.find("trace ring dropped"), std::string::npos) << errors;
-  EXPECT_NE(output.find("metrics: " + metrics_path), std::string::npos);
+  EXPECT_NE(output.find("metrics: " + dir + "/metrics.json"), std::string::npos);
+  EXPECT_EQ(slurp(dir + "/metrics.json").find("obs.trace_dropped"), std::string::npos);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
+// A wrapped trace ring is reported in the artifacts on every run, not only
+// on runs that opted into bounded observability: this packet fleet-day
+// records ~16.7M trace events into a 2^18-event ring.
+TEST(Cli, FleetReportsDroppedTraceEventsInMetricsAndHealth) {
+  const std::string dir = obs_dir("cli_trace_dropped");
+  std::string output;
+  testing::internal::CaptureStderr();
+  const int rc = run({"fleet", "--backend", "packet", "--servers", "5", "--days",
+                      "1", "--tests-per-day", "200", "--seed", "3", "--obs-dir",
+                      dir, "--obs", "trace_jsonl,metrics,health"},
+                     output);
+  const std::string errors = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0) << output;
+  EXPECT_NE(errors.find("trace ring dropped"), std::string::npos) << errors;
+  EXPECT_NE(output.find("trace_jsonl: " + dir + "/trace.jsonl (262144 events, "),
+            std::string::npos)
+      << output;
+  EXPECT_NE(slurp(dir + "/metrics.json").find("\"obs.trace_dropped\": "),
+            std::string::npos);
+  EXPECT_NE(slurp(dir + "/health.json").find("\"obs.trace_dropped\": \""),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// `--obs spill` rotates full rings into the obs dir itself, and the joined
+// spill stream is listed in the manifest next to the other artifacts. Link
+// events from 12 packet tests overflow one 2^18-event chunk ring.
+TEST(Cli, FleetSpillsIntoTheObsDir) {
+  const std::string dir = obs_dir("cli_spill");
+  std::string output;
+  testing::internal::CaptureStderr();
+  const int rc = run({"fleet", "--backend", "packet", "--servers", "2", "--days", "1",
+                      "--tests-per-day", "20", "--seed", "3", "--trace-categories",
+                      "link", "--obs-dir", dir, "--obs", "trace_jsonl,spill"},
+                     output);
+  const std::string errors = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0) << output;
+  EXPECT_EQ(errors.find("dropped"), std::string::npos) << errors;
+  EXPECT_FALSE(slurp(dir + "/trace.spill.jsonl").empty());
+  const std::string manifest = slurp(dir + "/manifest.jsonl");
+  EXPECT_NE(manifest.find("\"key\":\"obs.spill\",\"value\":\"on\""),
+            std::string::npos);
+  EXPECT_NE(manifest.find("\"name\":\"spill.trace\",\"path\":\"" + dir +
+                          "/trace.spill.jsonl\""),
+            std::string::npos)
+      << manifest;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, FleetWritesHealthReportAndMarkdown) {
-  const std::string json_path = testing::TempDir() + "/cli_health.json";
-  const std::string md_path = testing::TempDir() + "/cli_health.md";
+  const std::string dir = obs_dir("cli_health");
   std::string output;
-  ASSERT_EQ(run({"fleet", "--days", "1", "--health-out", json_path,
-                 "--report-md", md_path},
+  ASSERT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir, "--obs", "health,report_md"},
                 output),
             0);
-  EXPECT_NE(output.find("health: " + json_path), std::string::npos);
+  EXPECT_NE(output.find("health: " + dir + "/health.json"), std::string::npos);
+  EXPECT_NE(output.find("report_md: " + dir + "/report.md"), std::string::npos);
 
-  const std::string json = slurp(json_path);
+  const std::string json = slurp(dir + "/health.json");
   for (const char* key : {"\"meta\"", "\"tests\"", "\"test_rate\"",
                           "\"metrics\"", "\"duration_s\"", "\"data_mb\"",
                           "\"deviation\"", "\"egress_util\"", "\"tech:4g\"",
@@ -210,30 +254,25 @@ TEST(Cli, FleetWritesHealthReportAndMarkdown) {
   // No --slo given: the report carries no SLO section.
   EXPECT_EQ(json.find("\"slo\""), std::string::npos);
 
-  const std::string md = slurp(md_path);
+  const std::string md = slurp(dir + "/report.md");
   EXPECT_NE(md.find("# Fleet health report"), std::string::npos);
   EXPECT_NE(md.find("## Operational signals"), std::string::npos);
 }
 
 TEST(Cli, FleetHealthReportIsByteIdenticalForSameSeed) {
-  const std::string a_path = testing::TempDir() + "/cli_health_a.json";
-  const std::string b_path = testing::TempDir() + "/cli_health_b.json";
   std::string output;
-  ASSERT_EQ(run({"fleet", "--days", "1", "--seed", "7", "--health-out", a_path},
-                output),
-            0);
-  ASSERT_EQ(run({"fleet", "--days", "1", "--seed", "7", "--health-out", b_path},
-                output),
-            0);
-  const std::string a = slurp(a_path);
-  EXPECT_EQ(a, slurp(b_path));
+  for (const auto& [tag, seed] : {std::pair<const char*, const char*>{"a", "7"},
+                                  {"b", "7"},
+                                  {"c", "8"}}) {
+    ASSERT_EQ(run({"fleet", "--days", "1", "--seed", seed, "--obs-dir",
+                   obs_dir(std::string("cli_health_") + tag), "--obs", "health"},
+                  output),
+              0);
+  }
+  const std::string a = slurp(obs_dir("cli_health_a") + "/health.json");
+  EXPECT_EQ(a, slurp(obs_dir("cli_health_b") + "/health.json"));
   EXPECT_GT(a.size(), 1000u);
-
-  const std::string c_path = testing::TempDir() + "/cli_health_c.json";
-  ASSERT_EQ(run({"fleet", "--days", "1", "--seed", "8", "--health-out", c_path},
-                output),
-            0);
-  EXPECT_NE(a, slurp(c_path));
+  EXPECT_NE(a, slurp(obs_dir("cli_health_c") + "/health.json"));
 }
 
 TEST(Cli, FleetPassesDefaultSloSpec) {
@@ -273,13 +312,13 @@ TEST(Cli, FleetRejectsMalformedSloSpec) {
 }
 
 TEST(Cli, TestCommandWritesSingleTestHealth) {
-  const std::string json_path = testing::TempDir() + "/cli_test_health.json";
+  const std::string dir = obs_dir("cli_test_health");
   std::string output;
-  ASSERT_EQ(run({"test", "--rate", "80", "--tech", "4g", "--health-out",
-                 json_path},
+  ASSERT_EQ(run({"test", "--rate", "80", "--tech", "4g", "--obs-dir", dir, "--obs",
+                 "health"},
                 output),
             0);
-  const std::string json = slurp(json_path);
+  const std::string json = slurp(dir + "/health.json");
   EXPECT_NE(json.find("\"tests\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"tech:4g\""), std::string::npos);
   EXPECT_NE(json.find("\"deviation\""), std::string::npos);
@@ -287,7 +326,7 @@ TEST(Cli, TestCommandWritesSingleTestHealth) {
 
 TEST(Cli, ProfilePrintsWallClockTable) {
   // --profile prints the host-time report `profile report` renders, built
-  // from the same profiler --prof-out writes.
+  // from the same profiler `--obs prof` writes.
   std::string output;
   ASSERT_EQ(run({"test", "--rate", "80", "--tech", "4g", "--profile"}, output),
             0);
@@ -302,24 +341,29 @@ TEST(Cli, ProfilePrintsWallClockTable) {
 }
 
 TEST(Cli, TestWritesSpansAndAttributionAndAnalyzeRoundTrips) {
-  const std::string spans_path = testing::TempDir() + "/cli_spans.json";
-  const std::string md_path = testing::TempDir() + "/cli_attribution.md";
+  const std::string dir = obs_dir("cli_spans");
+  const std::string spans_path = dir + "/spans.json";
   std::string output;
   ASSERT_EQ(run({"test", "--rate", "50", "--tech", "4g", "--wire", "--seed", "7",
-                 "--spans-out", spans_path, "--attribution-md", md_path},
+                 "--obs-dir", dir, "--obs", "spans"},
                 output),
             0);
-  EXPECT_NE(output.find("spans: " + spans_path), std::string::npos);
-  EXPECT_NE(output.find("attribution: " + md_path), std::string::npos);
+  EXPECT_NE(output.find("spans: " + spans_path + " ("), std::string::npos);
 
   const std::string spans = slurp(spans_path);
   EXPECT_NE(spans.find("\"swiftest.test\""), std::string::npos);
   EXPECT_NE(spans.find("\"swiftest.convergence\""), std::string::npos);
+
+  // The emitted span file feeds straight back into `trace analyze`, which
+  // renders the critical-path attribution as markdown...
+  const std::string md_path = testing::TempDir() + "/cli_attribution.md";
+  ASSERT_EQ(run({"trace", "analyze", spans_path, "--md", md_path}, output), 0);
+  EXPECT_NE(output.find("attribution md: " + md_path), std::string::npos);
   const std::string md = slurp(md_path);
   EXPECT_NE(md.find("# Latency attribution"), std::string::npos);
   EXPECT_NE(md.find("swiftest.finalize"), std::string::npos);
 
-  // The emitted span file feeds straight back into `trace analyze`.
+  // ...and as JSON.
   const std::string json_path = testing::TempDir() + "/cli_attribution.json";
   ASSERT_EQ(run({"trace", "analyze", spans_path, "--json", json_path}, output),
             0);
@@ -335,13 +379,14 @@ TEST(Cli, TestWritesSpansAndAttributionAndAnalyzeRoundTrips) {
 
 TEST(Cli, FleetWritesSpanTree) {
   // Spans come from the wire clients, so only the packet backend emits them.
-  const std::string spans_path = testing::TempDir() + "/cli_fleet_spans.json";
+  const std::string dir = obs_dir("cli_fleet_spans");
   std::string output;
   ASSERT_EQ(run({"fleet", "--backend", "packet", "--days", "1", "--tests-per-day",
-                 "40", "--servers", "2", "--seed", "3", "--spans-out", spans_path},
+                 "40", "--servers", "2", "--seed", "3", "--obs-dir", dir, "--obs",
+                 "spans"},
                 output),
             0);
-  const std::string spans = slurp(spans_path);
+  const std::string spans = slurp(dir + "/spans.json");
   EXPECT_NE(spans.find("\"fleet.test\""), std::string::npos);
   EXPECT_NE(spans.find("\"swiftest.test\""), std::string::npos);
   EXPECT_NE(spans.find("\"spans\""), std::string::npos);
@@ -382,10 +427,13 @@ TEST(Cli, LogLevelFlagMapsToObsLogLevels) {
 TEST(Cli, UsageDocumentsHealthFlagsAndCategories) {
   std::string output;
   EXPECT_EQ(run({"help"}, output), 0);
-  EXPECT_NE(output.find("--health-out"), std::string::npos);
+  EXPECT_NE(output.find("--obs-dir DIR"), std::string::npos);
+  EXPECT_NE(output.find("--obs NAME[,NAME...]"), std::string::npos);
+  for (const char* line : {"    health        health.json", "    report_md     report.md",
+                           "    spans         spans.json"}) {
+    EXPECT_NE(output.find(line), std::string::npos) << line;
+  }
   EXPECT_NE(output.find("--slo"), std::string::npos);
-  EXPECT_NE(output.find("--spans-out"), std::string::npos);
-  EXPECT_NE(output.find("--attribution-md"), std::string::npos);
   EXPECT_NE(output.find("--log-level"), std::string::npos);
   EXPECT_NE(output.find("trace analyze"), std::string::npos);
   EXPECT_NE(output.find(obs::kCategoryListCsv), std::string::npos);
@@ -425,29 +473,22 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
   for (const auto& [chunk, jobs] :
        std::vector<std::pair<const char*, const char*>>{{"", ""}, {"32", "2"}}) {
     const std::string tag = *chunk == '\0' ? "default" : "chunked";
-    const std::string health_path =
-        testing::TempDir() + "/cli_golden_" + tag + "_health.json";
-    const std::string metrics_path =
-        testing::TempDir() + "/cli_golden_" + tag + "_metrics.json";
-    const std::string spans_path =
-        testing::TempDir() + "/cli_golden_" + tag + "_spans.json";
+    const std::string dir = obs_dir("cli_golden_" + tag);
     std::vector<std::string> args = {
-        "fleet",       "--backend",     "packet",       "--servers", "5",
-        "--days",      "1",             "--tests-per-day", "200",    "--seed",
-        "3",           "--health-out",  health_path,    "--metrics-out",
-        metrics_path,  "--spans-out",   spans_path};
+        "fleet",  "--backend", "packet", "--servers",         "5",
+        "--days", "1",         "--tests-per-day", "200",      "--seed",
+        "3",      "--obs-dir", dir,      "--obs", "health,metrics,spans"};
     if (*chunk != '\0') {
       args.insert(args.end(), {"--chunk", chunk, "--jobs", jobs});
     }
     std::string output;
     ASSERT_EQ(run(args, output), 0) << tag;
 
-    EXPECT_EQ(slurp(health_path), slurp(golden_dir + "/fleet_day_health.json"))
-        << tag;
-    EXPECT_EQ(slurp(metrics_path), slurp(golden_dir + "/fleet_day_metrics.json"))
-        << tag;
-    EXPECT_EQ(slurp(spans_path), slurp(golden_dir + "/fleet_day_spans.json"))
-        << tag;
+    for (const char* artifact : {"health", "metrics", "spans"}) {
+      EXPECT_EQ(slurp(dir + "/" + artifact + ".json"),
+                slurp(golden_dir + "/fleet_day_" + artifact + ".json"))
+          << tag << " " << artifact;
+    }
 
     // The summary lines (everything before the artifact-path echoes) must
     // match the golden stdout too.
@@ -459,59 +500,52 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
   }
 }
 
-// Host-time profiling must be pure observation: switching --prof-out /
-// --prof-trace or --profile on cannot move a single byte of the
+// Host-time profiling must be pure observation: switching `--obs
+// prof,prof_trace` or --profile on cannot move a single byte of the
 // deterministic artifacts. (ci.sh gates the same property on a full
 // fleet-day.)
 TEST(Cli, ProfOutDoesNotPerturbDeterministicArtifacts) {
-  const std::string dir = testing::TempDir();
+  const std::string kArtifacts = "health,metrics,spans,trace_chrome";
   std::string output;
-  auto fleet_args = [&](const std::string& tag) {
+  auto fleet_args = [&](const std::string& tag, const std::string& obs) {
     return std::vector<std::string>{
-        "fleet",         "--backend", "packet",
-        "--days",        "1",         "--tests-per-day",
-        "200",           "--servers", "4",
-        "--seed",        "9",         "--chunk",
-        "64",            "--jobs",    "2",
-        "--health-out",  dir + "/prof_" + tag + "_health.json",
-        "--metrics-out", dir + "/prof_" + tag + "_metrics.json",
-        "--spans-out",   dir + "/prof_" + tag + "_spans.json",
-        "--trace-out",   dir + "/prof_" + tag + "_trace.json"};
+        "fleet",     "--backend", "packet", "--days",   "1",
+        "--tests-per-day", "200", "--servers", "4",     "--seed",
+        "9",         "--chunk",   "64",     "--jobs",   "2",
+        "--obs-dir", obs_dir("cli_prof_" + tag), "--obs", obs};
   };
-  ASSERT_EQ(run(fleet_args("off"), output), 0);
+  ASSERT_EQ(run(fleet_args("off", kArtifacts), output), 0);
 
-  auto with_prof = fleet_args("on");
-  with_prof.push_back("--prof-out");
-  with_prof.push_back(dir + "/prof_on.jsonl");
-  with_prof.push_back("--prof-trace");
-  with_prof.push_back(dir + "/prof_on_chrome.json");
-  ASSERT_EQ(run(with_prof, output), 0);
-  EXPECT_NE(output.find("profile: " + dir + "/prof_on.jsonl"), std::string::npos);
-  EXPECT_NE(output.find("profile trace: "), std::string::npos);
+  ASSERT_EQ(run(fleet_args("on", kArtifacts + ",prof,prof_trace"), output), 0);
+  EXPECT_NE(output.find("prof: " + obs_dir("cli_prof_on") + "/prof.jsonl"),
+            std::string::npos);
+  EXPECT_NE(output.find("prof_trace: " + obs_dir("cli_prof_on") + "/prof_trace.json"),
+            std::string::npos);
 
-  auto with_profile = fleet_args("profile");
+  auto with_profile = fleet_args("profile", kArtifacts);
   with_profile.push_back("--profile");
   ASSERT_EQ(run(with_profile, output), 0);
   EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
 
   for (const char* artifact : {"health", "metrics", "spans", "trace"}) {
-    const std::string off = slurp(dir + "/prof_off_" + artifact + ".json");
+    const std::string file = std::string("/") + artifact + ".json";
+    const std::string off = slurp(obs_dir("cli_prof_off") + file);
     ASSERT_GT(off.size(), 0u) << artifact;
-    EXPECT_EQ(off, slurp(dir + "/prof_on_" + artifact + ".json")) << artifact;
-    EXPECT_EQ(off, slurp(dir + "/prof_profile_" + artifact + ".json")) << artifact;
+    EXPECT_EQ(off, slurp(obs_dir("cli_prof_on") + file)) << artifact;
+    EXPECT_EQ(off, slurp(obs_dir("cli_prof_profile") + file)) << artifact;
   }
   // --jobs and --chunk are wall-clock-only: the health report never names
   // either.
-  const std::string health = slurp(dir + "/prof_off_health.json");
+  const std::string health = slurp(obs_dir("cli_prof_off") + "/health.json");
   EXPECT_EQ(health.find("jobs"), std::string::npos);
   EXPECT_EQ(health.find("chunk"), std::string::npos);
 }
 
 TEST(Cli, ProfileReportFromFleetRun) {
-  const std::string prof_path = testing::TempDir() + "/cli_prof.jsonl";
+  const std::string prof_path = obs_dir("cli_prof") + "/prof.jsonl";
   std::string output;
   ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "300", "--chunk", "64",
-                 "--jobs", "2", "--prof-out", prof_path},
+                 "--jobs", "2", "--obs-dir", obs_dir("cli_prof"), "--obs", "prof"},
                 output),
             0);
 
@@ -543,25 +577,25 @@ TEST(Cli, ProfileReportRejectsBadInvocations) {
 TEST(Cli, UsageDocumentsHostProfiling) {
   std::string output;
   EXPECT_EQ(run({"help"}, output), 0);
-  EXPECT_NE(output.find("--prof-out"), std::string::npos);
-  EXPECT_NE(output.find("--prof-trace"), std::string::npos);
+  EXPECT_NE(output.find("    prof          prof.jsonl"), std::string::npos);
+  EXPECT_NE(output.find("    prof_trace    prof_trace.json"), std::string::npos);
   EXPECT_NE(output.find("profile  report FILE"), std::string::npos);
 }
 
 TEST(Cli, UsageDocumentsManifestsAndDiff) {
   std::string output;
   EXPECT_EQ(run({"help"}, output), 0);
-  EXPECT_NE(output.find("--manifest-out"), std::string::npos);
-  EXPECT_NE(output.find("--no-manifest"), std::string::npos);
+  EXPECT_NE(output.find("DIR/manifest.jsonl"), std::string::npos);
   EXPECT_NE(output.find("obs      diff"), std::string::npos);
   EXPECT_NE(output.find("4 diff regression"), std::string::npos);
 }
 
 TEST(Cli, TestCommandWritesManifest) {
-  const std::string manifest_path = testing::TempDir() + "/cli_test.manifest.jsonl";
+  const std::string dir = obs_dir("cli_test_manifest");
+  const std::string manifest_path = dir + "/manifest.jsonl";
   std::string output;
   ASSERT_EQ(run({"test", "--tech", "wifi5", "--rate", "60", "--seed", "7",
-                 "--manifest-out", manifest_path},
+                 "--obs-dir", dir, "--obs", "metrics"},
                 output),
             0);
   EXPECT_NE(output.find("manifest: " + manifest_path), std::string::npos);
@@ -572,28 +606,72 @@ TEST(Cli, TestCommandWritesManifest) {
   EXPECT_NE(text.find("\"name\":\"estimate_mbps\""), std::string::npos);
 }
 
-TEST(Cli, FleetManifestDefaultsNextToFirstArtifact) {
-  const std::string health_path = testing::TempDir() + "/cli_mf_health.json";
+TEST(Cli, FleetManifestAlwaysLandsInObsDir) {
+  // DIR is created when missing, and DIR/manifest.jsonl is written on every
+  // run that names DIR, listing each artifact under its --obs name.
+  const std::string dir = obs_dir("cli_mf") + "/nested/run";
   std::string output;
   ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "200", "--seed",
-                 "5", "--health-out", health_path},
+                 "5", "--obs-dir", dir, "--obs", "health"},
                 output),
             0);
-  const std::string manifest_path = health_path + ".manifest.jsonl";
+  const std::string manifest_path = dir + "/manifest.jsonl";
   EXPECT_NE(output.find("manifest: " + manifest_path), std::string::npos);
   const std::string text = slurp(manifest_path);
   EXPECT_NE(text.find("\"command\":\"fleet\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"health\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"health\",\"path\":\"" + dir + "/health.json\""),
+            std::string::npos);
   EXPECT_NE(text.find("\"hash\":\"fnv1a64:"), std::string::npos);
+}
 
-  // --no-manifest suppresses the default.
-  const std::string quiet_path = testing::TempDir() + "/cli_mf_quiet.json";
-  ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "200", "--seed",
-                 "5", "--health-out", quiet_path, "--no-manifest"},
+// Every command rejects option keys it does not accept, so a typo or a
+// retired per-artifact flag fails loudly instead of silently writing nothing.
+TEST(Cli, RejectsUnknownAndRemovedFlags) {
+  std::string output;
+  EXPECT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "50", "--helth-out",
+                 "x.json"},
                 output),
-            0);
-  EXPECT_EQ(output.find("manifest:"), std::string::npos);
-  EXPECT_TRUE(slurp(quiet_path + ".manifest.jsonl").empty());
+            2);
+  EXPECT_NE(output.find("unknown option --helth-out for fleet"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("--obs-dir"), std::string::npos) << output;
+  for (const char* removed : {"--health-out", "--manifest-out", "--no-manifest",
+                              "--obs-spill-dir", "--attribution-md"}) {
+    EXPECT_EQ(run({"fleet", "--days", "1", removed, "x"}, output), 2) << removed;
+    EXPECT_NE(output.find(std::string("unknown option ") + removed),
+              std::string::npos)
+        << output;
+  }
+  EXPECT_EQ(run({"run", "--rate", "50", "--trace-out", "x.json"}, output), 2);
+  EXPECT_NE(output.find("unknown option --trace-out for run"), std::string::npos);
+  // A fleet-only key on test, and a stray key on a subcommand.
+  EXPECT_EQ(run({"test", "--rate", "50", "--jobs", "2"}, output), 2);
+  EXPECT_EQ(run({"plan", "--regionl"}, output), 2);
+  EXPECT_EQ(run({"trace", "analyze", "spans.json", "--markdown", "x.md"}, output), 2);
+  EXPECT_NE(output.find("unknown option --markdown for trace"), std::string::npos);
+}
+
+TEST(Cli, ObsFlagsNeedEachOtherAndAProducibleName) {
+  const std::string dir = obs_dir("cli_obs_usage");
+  std::string output;
+  EXPECT_EQ(run({"fleet", "--days", "1", "--obs", "health"}, output), 2);
+  EXPECT_NE(output.find("--obs-dir and --obs go together"), std::string::npos);
+  EXPECT_NE(output.find("prof_trace, spill"), std::string::npos) << output;
+  EXPECT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir}, output), 2);
+  EXPECT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir, "--obs", "health,helth"},
+                output),
+            2);
+  EXPECT_NE(output.find("unknown --obs name 'helth' for fleet"), std::string::npos);
+  // A single test has no host-time profile artifacts and nothing to spill.
+  for (const char* name : {"prof", "prof_trace", "spill"}) {
+    EXPECT_EQ(run({"test", "--rate", "50", "--obs-dir", dir, "--obs", name}, output),
+              2)
+        << name;
+    EXPECT_NE(output.find("(valid: trace_chrome, trace_jsonl, metrics, spans, "
+                          "health, report_md)"),
+              std::string::npos)
+        << output;
+  }
 }
 
 TEST(Cli, ObsDiffVerdictsAndExitCodes) {
@@ -604,24 +682,22 @@ TEST(Cli, ObsDiffVerdictsAndExitCodes) {
                                   {"b", "9"},
                                   {"c", "10"}}) {
     ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "300", "--seed",
-                   seed, "--health-out",
-                   dir + "/cli_diff_" + tag + ".json", "--manifest-out",
-                   dir + "/cli_diff_" + tag + ".manifest.jsonl"},
+                   seed, "--obs-dir", dir + "/cli_diff_" + tag, "--obs", "health"},
                   output),
               0);
   }
 
   // Same seed: semantically identical, even under --expect-identical.
-  EXPECT_EQ(run({"obs", "diff", dir + "/cli_diff_a.manifest.jsonl",
-                 dir + "/cli_diff_b.manifest.jsonl", "--expect-identical"},
+  EXPECT_EQ(run({"obs", "diff", dir + "/cli_diff_a/manifest.jsonl",
+                 dir + "/cli_diff_b/manifest.jsonl", "--expect-identical"},
                 output),
             0);
   EXPECT_NE(output.find("diff: identical"), std::string::npos);
 
   // Perturbed seed: regression, exit 4, JSON report written.
   const std::string json_path = dir + "/cli_diff.json";
-  EXPECT_EQ(run({"obs", "diff", dir + "/cli_diff_a.manifest.jsonl",
-                 dir + "/cli_diff_c.manifest.jsonl", "--json", json_path},
+  EXPECT_EQ(run({"obs", "diff", dir + "/cli_diff_a/manifest.jsonl",
+                 dir + "/cli_diff_c/manifest.jsonl", "--json", json_path},
                 output),
             4);
   EXPECT_NE(output.find("DIFF REGRESSION"), std::string::npos);
@@ -630,7 +706,7 @@ TEST(Cli, ObsDiffVerdictsAndExitCodes) {
   // Usage and file errors keep their own exit codes.
   EXPECT_EQ(run({"obs", "diff", "only-one.jsonl"}, output), 2);
   EXPECT_EQ(run({"obs", "diff", "/nonexistent/a.jsonl",
-                 dir + "/cli_diff_b.manifest.jsonl"},
+                 dir + "/cli_diff_b/manifest.jsonl"},
                 output),
             1);
   EXPECT_EQ(run({"obs", "frobnicate"}, output), 2);

@@ -5,8 +5,9 @@ Usage:
     tools/bench_compare.py baseline.json current.json [--tolerance 0.05]
 
 Each file is the {"name", "repo_sha", "config", "values"} document written
-by benchutil::report_flush(), or a RunManifest JSONL file written by
-`swiftest-cli --manifest-out` — manifests are detected by their
+by benchutil::report_flush(), or the RunManifest JSONL file that
+`swiftest-cli test|run|fleet --obs-dir DIR` writes as DIR/manifest.jsonl —
+manifests are detected by their
 {"type": "manifest"} header line and their "bench" lines become the value
 set (config lines become the config, the build sha becomes repo_sha).
 Values are compared with a relative tolerance (default 5%); values whose

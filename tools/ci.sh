@@ -21,6 +21,7 @@ run_suite() {
   echo "=== ctest ${build_dir} ==="
   ctest --test-dir "${REPO_ROOT}/${build_dir}" --output-on-failure -j "${JOBS}"
   run_traced_cli "${build_dir}"
+  run_flag_probe "${build_dir}"
   run_health_gate "${build_dir}"
   run_span_gate "${build_dir}"
   run_executor_gate "${build_dir}"
@@ -32,16 +33,14 @@ run_suite() {
 
 # One traced end-to-end CLI run per suite: exercises the tracing/metrics
 # export path (under ASan too) and validates that the emitted files are
-# well-formed JSON.
+# well-formed JSON. Every gate below writes each run into its own
+# --obs-dir; swiftest-cli creates the directory.
 run_traced_cli() {
   local build_dir="$1"
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/traced"
   echo "=== traced swiftest-cli run (${build_dir}) ==="
-  mkdir -p "${out_dir}"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" run --rate 50 --wire \
-    --trace-out "${out_dir}/trace.json" \
-    --trace-jsonl "${out_dir}/trace.jsonl" \
-    --metrics-out "${out_dir}/metrics.json"
+    --obs-dir "${out_dir}" --obs trace_chrome,trace_jsonl,metrics
   python3 -m json.tool "${out_dir}/trace.json" > /dev/null
   python3 -m json.tool "${out_dir}/metrics.json" > /dev/null
   python3 - "${out_dir}/trace.jsonl" <<'PYEOF'
@@ -60,20 +59,33 @@ PYEOF
   echo "trace + metrics JSON validated"
 }
 
+# Unknown options are usage errors: a retired per-artifact flag such as
+# --health-out must exit 2 instead of being silently ignored.
+run_flag_probe() {
+  local build_dir="$1"
+  echo "=== retired-flag probe (${build_dir}) ==="
+  local rc=0
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
+    --health-out x > /dev/null || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "fleet --health-out exited ${rc}, expected 2 (unknown option)" >&2
+    return 1
+  fi
+  echo "retired flag rejected with exit 2"
+}
+
 # One fleet-day per suite gated on the default SLO spec: any objective
 # violation makes swiftest-cli exit 3 and fails CI, and the emitted health
 # report (JSON + markdown) must be well-formed.
 run_health_gate() {
   local build_dir="$1"
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/health"
   echo "=== fleet health/SLO gate (${build_dir}) ==="
-  mkdir -p "${out_dir}"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
-    --health-out "${out_dir}/health.json" \
-    --report-md "${out_dir}/health.md" \
+    --obs-dir "${out_dir}" --obs health,report_md \
     --slo "${REPO_ROOT}/tools/slo_default.json"
   python3 -m json.tool "${out_dir}/health.json" > /dev/null
-  grep -q '^# Fleet health report' "${out_dir}/health.md"
+  grep -q '^# Fleet health report' "${out_dir}/report.md"
   echo "health report validated, SLOs passed"
 }
 
@@ -82,15 +94,14 @@ run_health_gate() {
 # sum to its root duration within 1% — the span layer's core invariant.
 run_span_gate() {
   local build_dir="$1"
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/spans"
   echo "=== span attribution gate (${build_dir}) ==="
-  mkdir -p "${out_dir}"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 \
-    --spans-out "${out_dir}/spans.json" \
-    --attribution-md "${out_dir}/attribution.md"
+    --obs-dir "${out_dir}" --obs spans
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" trace analyze \
-    "${out_dir}/spans.json" --json "${out_dir}/attribution.json"
+    "${out_dir}/spans.json" --json "${out_dir}/attribution.json" \
+    --md "${out_dir}/attribution.md"
   python3 - "${out_dir}/attribution.json" <<'PYEOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -124,11 +135,8 @@ run_executor_gate() {
     local tag="$1"; shift
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
       --days 1 --tests-per-day 10000 --seed 31 --obs-sample 1/16 "$@" \
-      --trace-jsonl "${out_dir}/trace-${tag}.jsonl" \
-      --spans-out "${out_dir}/spans-${tag}.json" \
-      --metrics-out "${out_dir}/metrics-${tag}.json" \
-      --health-out "${out_dir}/health-${tag}.json" \
-      --manifest-out "${out_dir}/manifest-${tag}.jsonl" > /dev/null
+      --obs-dir "${out_dir}/${tag}" \
+      --obs trace_jsonl,spans,metrics,health > /dev/null
   }
   run_one ref  # default chunk (256), jobs 1
   for chunk in 64 512; do
@@ -136,14 +144,12 @@ run_executor_gate() {
       tag="c${chunk}j${jobs}"
       run_one "${tag}" --chunk "${chunk}" --jobs "${jobs}"
       local artifact
-      for artifact in trace-.jsonl spans-.json metrics-.json health-.json; do
-        local prefix="${artifact%%-*}" suffix="${artifact#*-}"
-        cmp "${out_dir}/${prefix}-ref${suffix}" \
-            "${out_dir}/${prefix}-${tag}${suffix}" \
-          || { echo "${prefix} differs: ref vs ${tag}" >&2; return 1; }
+      for artifact in trace.jsonl spans.json metrics.json health.json; do
+        cmp "${out_dir}/ref/${artifact}" "${out_dir}/${tag}/${artifact}" \
+          || { echo "${artifact} differs: ref vs ${tag}" >&2; return 1; }
       done
       "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" obs diff \
-        "${out_dir}/manifest-ref.jsonl" "${out_dir}/manifest-${tag}.jsonl" \
+        "${out_dir}/ref/manifest.jsonl" "${out_dir}/${tag}/manifest.jsonl" \
         --expect-identical > "${out_dir}/diff-${tag}.md" \
         || { echo "manifest diff not identical: ref vs ${tag}" >&2; return 1; }
     done
@@ -166,27 +172,23 @@ run_obs_budget_gate() {
   for chunk in 256 1024; do
     for jobs in 1 4; do
       tag="c${chunk}j${jobs}"
-      mkdir -p "${out_dir}/spill-${tag}"
       "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
         --days 1 --tests-per-day 50000 --seed 21 \
         --chunk "${chunk}" --jobs "${jobs}" \
         --obs-sample 1/16 --obs-budget-mb 256 --progress \
-        --obs-spill-dir "${out_dir}/spill-${tag}" \
-        --trace-jsonl "${out_dir}/trace-${tag}.jsonl" \
-        --spans-out "${out_dir}/spans-${tag}.json" \
-        --health-out "${out_dir}/health-${tag}.json" \
+        --obs-dir "${out_dir}/${tag}" --obs spill,trace_jsonl,spans,health \
         > /dev/null 2> "${out_dir}/progress-${tag}.log"
     done
   done
   for tag in c256j4 c1024j1 c1024j4; do
-    cmp "${out_dir}/trace-c256j1.jsonl" "${out_dir}/trace-${tag}.jsonl" \
+    cmp "${out_dir}/c256j1/trace.jsonl" "${out_dir}/${tag}/trace.jsonl" \
       || { echo "sampled trace differs: c256j1 vs ${tag}" >&2; return 1; }
-    cmp "${out_dir}/spans-c256j1.json" "${out_dir}/spans-${tag}.json" \
+    cmp "${out_dir}/c256j1/spans.json" "${out_dir}/${tag}/spans.json" \
       || { echo "sampled spans differ: c256j1 vs ${tag}" >&2; return 1; }
   done
   local check_rss=1
   case "${build_dir}" in *asan*|*tsan*) check_rss=0 ;; esac
-  python3 - "${out_dir}/health-c1024j4.json" "${check_rss}" <<'PYEOF'
+  python3 - "${out_dir}/c1024j4/health.json" "${check_rss}" <<'PYEOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 meta = report["meta"]
@@ -201,7 +203,7 @@ PYEOF
 }
 
 # Host-time profile attribution gate (DESIGN.md §13): a 10k-test fleet-day
-# at --jobs 1 and --jobs 4 with --prof-out/--prof-trace must emit (a) a PROF
+# at --jobs 1 and --jobs 4 with `--obs prof,prof_trace` must emit (a) a PROF
 # JSONL file whose every line matches the record schema, (b) a Chrome trace
 # that parses as JSON, and (c) calling-thread phase coverage of >= 95% of
 # wall-clock — if instrumented phases stop summing to the wall, the Amdahl
@@ -211,15 +213,13 @@ run_profile_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/profile"
   echo "=== profile attribution gate (${build_dir}) ==="
-  mkdir -p "${out_dir}"
   local jobs
   for jobs in 1 4; do
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
       --days 1 --tests-per-day 10000 --seed 11 --chunk 64 --jobs "${jobs}" \
-      --prof-out "${out_dir}/prof-j${jobs}.jsonl" \
-      --prof-trace "${out_dir}/prof-j${jobs}-trace.json" > /dev/null
-    python3 -m json.tool "${out_dir}/prof-j${jobs}-trace.json" > /dev/null
-    python3 - "${out_dir}/prof-j${jobs}.jsonl" <<'PYEOF'
+      --obs-dir "${out_dir}/j${jobs}" --obs prof,prof_trace > /dev/null
+    python3 -m json.tool "${out_dir}/j${jobs}/prof_trace.json" > /dev/null
+    python3 - "${out_dir}/j${jobs}/prof.jsonl" <<'PYEOF'
 import json, sys
 
 REQUIRED = {
@@ -261,7 +261,7 @@ print(f"PROF schema ok: {sum(counts.values())} records, "
 PYEOF
   done
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" profile report \
-    "${out_dir}/prof-j4.jsonl" --md "${out_dir}/prof-j4.md"
+    "${out_dir}/j4/prof.jsonl" --md "${out_dir}/prof-j4.md"
   grep -q '^# Host-time profile' "${out_dir}/prof-j4.md"
   grep -q '^## Workers' "${out_dir}/prof-j4.md"
   echo "profile attribution gate passed"
@@ -284,12 +284,9 @@ run_diff_gate() {
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
       --days 1 --tests-per-day 10000 --seed 21 --chunk 512 --jobs "${jobs}" \
       --obs-sample 1/16 \
-      --trace-jsonl "${out_dir}/trace-j${jobs}.jsonl" \
-      --metrics-out "${out_dir}/metrics-j${jobs}.json" \
-      --health-out "${out_dir}/health-j${jobs}.json" \
-      --manifest-out "${out_dir}/manifest-j${jobs}.jsonl" > /dev/null
+      --obs-dir "${out_dir}/j${jobs}" --obs trace_jsonl,metrics,health > /dev/null
   done
-  python3 - "${out_dir}/manifest-j1.jsonl" <<'PYEOF'
+  python3 - "${out_dir}/j1/manifest.jsonl" <<'PYEOF'
 import json, sys
 
 REQUIRED = {
@@ -326,7 +323,7 @@ print(f"manifest schema ok: {sum(counts.values())} lines "
       f"({counts['artifact']} artifacts, {counts['summary']} summaries)")
 PYEOF
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" obs diff \
-    "${out_dir}/manifest-j1.jsonl" "${out_dir}/manifest-j4.jsonl" \
+    "${out_dir}/j1/manifest.jsonl" "${out_dir}/j4/manifest.jsonl" \
     --expect-identical > "${out_dir}/diff-jobs.md" \
     || { echo "jobs-varied runs are not semantically identical" >&2; return 1; }
   grep -q 'diff: identical' "${out_dir}/diff-jobs.md" \
@@ -335,13 +332,11 @@ PYEOF
   for seed in 3 4; do
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
       --servers 5 --days 1 --tests-per-day 200 --seed "${seed}" \
-      --spans-out "${out_dir}/spans-seed${seed}.json" \
-      --health-out "${out_dir}/health-seed${seed}.json" \
-      --manifest-out "${out_dir}/manifest-seed${seed}.jsonl" > /dev/null
+      --obs-dir "${out_dir}/seed${seed}" --obs spans,health > /dev/null
   done
   local rc=0
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" obs diff \
-    "${out_dir}/manifest-seed3.jsonl" "${out_dir}/manifest-seed4.jsonl" \
+    "${out_dir}/seed3/manifest.jsonl" "${out_dir}/seed4/manifest.jsonl" \
     --json "${out_dir}/diff-seed.json" > "${out_dir}/diff-seed.out" || rc=$?
   if [ "${rc}" -ne 4 ]; then
     echo "seed-perturbed diff exited ${rc}, expected 4 (regression)" >&2
@@ -493,20 +488,20 @@ run_tsan_fleet() {
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
     --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:HealthFold.*'
   echo "=== TSan analytic fleet-day: parallel health fold (--jobs 4 vs 1) ==="
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
     --tests-per-day 20000 --seed 3 --jobs 4 \
-    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-j4.json"
+    --obs-dir "${out_dir}/health-j4" --obs health
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
     --tests-per-day 20000 --seed 3 --jobs 1 \
-    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-j1.json"
-  cmp "${REPO_ROOT}/${build_dir}/health-tsan-j4.json" \
-    "${REPO_ROOT}/${build_dir}/health-tsan-j1.json"
+    --obs-dir "${out_dir}/health-j1" --obs health
+  cmp "${out_dir}/health-j4/health.json" "${out_dir}/health-j1/health.json"
   echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4 \
-    --prof-out "${REPO_ROOT}/${build_dir}/prof-tsan.jsonl"
+    --obs-dir "${out_dir}/prof" --obs prof
   echo "TSan chunked fleet-day clean"
 }
 

@@ -1,14 +1,18 @@
 #include "cli.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -48,98 +52,137 @@
 namespace swiftest::cli {
 namespace {
 
-const std::string kUsage = std::string(
-    "usage: swiftest-cli <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  campaign --tests N [--year Y] [--seed S] --out FILE\n"
-    "  report   --in FILE\n"
-    "  test     --rate MBPS [--tech 4g|5g|wifi4|wifi5|wifi6] [--wire] [--seed S]\n"
-    "           [--models FILE]\n"
-    "  run      alias for test\n"
-    "  fit      --in FILE --out FILE    fit per-technology bandwidth models\n"
-    "  plan     [--tests-per-day N] [--regional]\n"
-    "  fleet    [--servers N] [--days D] [--tests-per-day N]\n"
-    "           [--backend analytic|packet] [--chunk N] [--jobs N]\n"
-    "           --chunk bounds the tests per execution chunk (default 256);\n"
-    "           --jobs replays chunks on up to N work-stealing worker\n"
-    "           threads (0 = hardware concurrency). Every artifact is a pure\n"
-    "           function of (config, seed): neither flag changes any output.\n"
-    "  trace    analyze FILE [--json OUT] [--md OUT]\n"
-    "           critical-path latency attribution of a span JSON file\n"
-    "  profile  report FILE [--md OUT]\n"
-    "           parallel efficiency, serial fraction, and Amdahl attribution\n"
-    "           of a --prof-out host-time profile\n"
-    "  obs      diff MANIFEST_A MANIFEST_B [--json OUT] [--md OUT]\n"
-    "           [--expect-identical] [--tolerance R] [--no-artifacts]\n"
-    "           semantic cross-run diff of two run manifests (and the\n"
-    "           artifacts they point at); exits 4 on a gated regression\n"
-    "\n"
-    "run manifests (test, run, fleet):\n"
-    "  --manifest-out FILE     write a RunManifest (JSONL): resolved config,\n"
-    "                          build sha, per-artifact content hashes and row\n"
-    "                          counts, per-layer summaries, headline bench\n"
-    "                          values, and SLO verdicts — the input of\n"
-    "                          `obs diff`. For fleet this is on by default\n"
-    "                          whenever the run writes an artifact (the\n"
-    "                          manifest lands next to the first artifact as\n"
-    "                          <artifact>.manifest.jsonl)\n"
-    "  --no-manifest           disable the default fleet manifest\n"
-    "\n"
-    "exit codes:\n"
-    "  0 success   1 file/runtime error   2 usage error\n"
-    "  3 SLO violation (--slo)   4 diff regression (obs diff)\n"
-    "\n"
-    "observability (test, run, fleet):\n"
-    "  --trace-out FILE        write a Chrome trace_event JSON trace\n"
-    "  --trace-jsonl FILE      write the trace as compact JSONL instead\n"
-    "  --metrics-out FILE      write a metrics snapshot as JSON\n"
-    "  --trace-categories L    comma list: ") + obs::kCategoryListCsv + " (default all)\n"
-    "  --spans-out FILE        write the causal span tree as JSON (input of\n"
-    "                          `trace analyze`)\n"
-    "  --attribution-md FILE   write the critical-path attribution as markdown\n"
-    "\n"
-    "bounded observability (fleet):\n"
-    "  --obs-sample 1/N        deterministically retain 1-in-N tests' trace\n"
-    "                          events and spans, keyed on the test identity —\n"
-    "                          the sampled artifacts are byte-identical for\n"
-    "                          every --chunk/--jobs (both backends)\n"
-    "  --obs-budget-mb N       total observability memory budget; the run\n"
-    "                          plans a deterministic degradation schedule up\n"
-    "                          front — the sampling rate halves (recorded) at\n"
-    "                          checkpoints where the modeled footprint would\n"
-    "                          exceed the budget, instead of OOMing\n"
-    "  --obs-spill-dir DIR     rotate full trace rings / span stores into\n"
-    "                          JSONL segments under DIR instead of dropping\n"
-    "  --progress              live test/chunk/RSS progress line on stderr\n"
-    "                          (host telemetry; never part of artifacts)\n"
-    "\n"
-    "host-time profiling (fleet):\n"
-    "  --prof-out FILE         write per-thread phase timelines and worker\n"
-    "                          busy/idle accounting as PROF JSONL (the input\n"
-    "                          of `profile report`); host time only — the\n"
-    "                          deterministic artifacts are byte-identical\n"
-    "                          with or without this flag\n"
-    "  --prof-trace FILE       write the host-time timeline as Chrome\n"
-    "                          trace_event JSON, one track per worker thread\n"
-    "\n"
-    "logging (all commands):\n"
-    "  --log-level L           debug|info|warn|error (default warn)\n"
-    "\n"
-    "health / SLO (test, run, fleet):\n"
-    "  --health-out FILE       write the health snapshot (aggregated duration,\n"
-    "                          data usage, deviation, egress utilization) as JSON\n"
-    "  --report-md FILE        render the health report as markdown\n"
-    "  --slo FILE              evaluate an SLO spec (JSON); any violation makes\n"
-    "                          the process exit 3\n"
-    "  --profile               print the host-time profile report (as\n"
-    "                          `profile report` renders it) after the run\n";
+/// One artifact a run can write under --obs-dir. `name` is both the --obs
+/// name and the manifest artifact name (what `obs diff` matches on); `file`
+/// is where it lands inside DIR.
+struct ObsArtifact {
+  std::string_view name;
+  std::string_view file;
+  bool fleet_only;
+  std::string_view help;
+};
+
+constexpr ObsArtifact kObsArtifacts[] = {
+    {"trace_chrome", "trace.json", false, "Chrome trace_event JSON trace"},
+    {"trace_jsonl", "trace.jsonl", false, "the trace as compact JSONL"},
+    {"metrics", "metrics.json", false, "metrics snapshot"},
+    {"spans", "spans.json", false, "causal span tree (`trace analyze` input)"},
+    {"health", "health.json", false, "health snapshot (p50/p95/p99 per dimension)"},
+    {"report_md", "report.md", false, "the health report as markdown"},
+    {"prof", "prof.jsonl", true, "host-time profile (`profile report`)"},
+    {"prof_trace", "prof_trace.json", true, "host-time Chrome trace per worker"},
+    {"spill", "*.spill.jsonl", true, "full trace/span rings rotate here"},
+};
+
+/// The --obs names `command` can produce, comma-separated.
+std::string obs_names(bool fleet) {
+  std::string names;
+  for (const ObsArtifact& a : kObsArtifacts) {
+    if (a.fleet_only && !fleet) continue;
+    if (!names.empty()) names += ", ";
+    names += a.name;
+  }
+  return names;
+}
+
+std::string usage() {
+  std::string text = std::string(
+      "usage: swiftest-cli <command> [options]\n"
+      "\n"
+      "commands:\n"
+      "  campaign --tests N [--year Y] [--seed S] --out FILE\n"
+      "  report   --in FILE\n"
+      "  test     --rate MBPS [--tech 4g|5g|wifi4|wifi5|wifi6] [--wire] [--seed S]\n"
+      "           [--models FILE]\n"
+      "  run      alias for test\n"
+      "  fit      --in FILE --out FILE    fit per-technology bandwidth models\n"
+      "  plan     [--tests-per-day N] [--regional]\n"
+      "  fleet    [--servers N] [--days D] [--tests-per-day N]\n"
+      "           [--backend analytic|packet] [--chunk N] [--jobs N]\n"
+      "           --chunk bounds the tests per execution chunk (default 256);\n"
+      "           --jobs replays chunks on up to N work-stealing worker\n"
+      "           threads (0 = hardware concurrency). Every artifact is a pure\n"
+      "           function of (config, seed): neither flag changes any output.\n"
+      "  trace    analyze FILE [--json OUT] [--md OUT]\n"
+      "           critical-path latency attribution of a span JSON file\n"
+      "  profile  report FILE [--md OUT]\n"
+      "           parallel efficiency, serial fraction, and Amdahl attribution\n"
+      "           of a prof.jsonl host-time profile\n"
+      "  obs      diff MANIFEST_A MANIFEST_B [--json OUT] [--md OUT]\n"
+      "           [--expect-identical] [--tolerance R] [--no-artifacts]\n"
+      "           semantic cross-run diff of two run manifests (and the\n"
+      "           artifacts they point at); exits 4 on a gated regression\n"
+      "\n"
+      "exit codes:\n"
+      "  0 success   1 file/runtime error   2 usage error (unknown flags too)\n"
+      "  3 SLO violation (--slo)   4 diff regression (obs diff)\n"
+      "\n"
+      "run artifacts (test, run, fleet):\n"
+      "  --obs-dir DIR           write the --obs artifacts into DIR (created if\n"
+      "                          missing) and always DIR/manifest.jsonl: config,\n"
+      "                          build, artifact hashes, layer summaries, bench\n"
+      "                          values and SLO verdicts, for `obs diff`\n"
+      "  --obs NAME[,NAME...]    which artifacts to write (needs --obs-dir):\n");
+  for (const ObsArtifact& a : kObsArtifacts) {
+    std::string line = "    " + std::string(a.name);
+    line.resize(18, ' ');
+    line += a.file;
+    line.resize(35, ' ');
+    text += line + (a.fleet_only ? "fleet only: " : "") + std::string(a.help) + "\n";
+  }
+  return text + std::string(
+      "  --trace-categories L    comma list: ") + obs::kCategoryListCsv + " (default all)\n"
+      "\n"
+      "bounded observability (fleet):\n"
+      "  --obs-sample 1/N        retain 1-in-N tests' trace events and spans,\n"
+      "                          keyed on the test identity: byte-identical\n"
+      "                          for every --chunk/--jobs (both backends)\n"
+      "  --obs-budget-mb N       observability memory budget: the sampling rate\n"
+      "                          halves (recorded) at planned checkpoints where\n"
+      "                          the modeled footprint would exceed it\n"
+      "  --progress              live test/chunk/RSS progress line on stderr\n"
+      "                          (host telemetry; never part of artifacts)\n"
+      "  Dropped trace events and spans are always counted in the metrics\n"
+      "  (obs.trace_dropped, obs.span_dropped) and the health meta.\n"
+      "\n"
+      "logging (all commands):\n"
+      "  --log-level L           debug|info|warn|error (default warn)\n"
+      "\n"
+      "health / SLO / profiling (test, run, fleet):\n"
+      "  --slo FILE              evaluate an SLO spec (JSON); any violation makes\n"
+      "                          the process exit 3\n"
+      "  --profile               print the host-time profile report (as\n"
+      "                          `profile report` renders it) after the run\n";
+}
+
+/// Option keys each command accepts besides --log-level; `run` shares
+/// `test`'s. Any other --key is a usage error, so a typo or a retired flag
+/// fails loudly instead of being ignored.
+const std::map<std::string_view, std::vector<std::string_view>> kCommandKeys = {
+    {"campaign", {"tests", "year", "seed", "out"}},
+    {"report", {"in"}},
+    {"test",
+     {"rate", "tech", "wire", "seed", "models", "trace-categories", "slo", "profile",
+      "obs-dir", "obs"}},
+    {"fit", {"in", "out"}},
+    {"plan", {"tests-per-day", "regional"}},
+    {"fleet",
+     {"servers", "days", "tests-per-day", "seed", "backend", "chunk", "jobs",
+      "obs-sample", "obs-budget-mb", "progress", "trace-categories", "slo",
+      "profile", "obs-dir", "obs"}},
+    {"trace", {"json", "md"}},
+    {"profile", {"md"}},
+    {"obs", {"json", "md", "expect-identical", "tolerance", "no-artifacts"}},
+};
 
 /// Minimal --key value parser; flags without values map to "true".
 class Options {
  public:
+  /// Parses `args` for `command`, rejecting any key the command does not
+  /// accept (see kCommandKeys).
   static std::optional<Options> parse(std::span<const std::string> args,
-                                      std::ostream& out) {
+                                      std::string_view command, std::ostream& out) {
+    const auto& accepted = kCommandKeys.at(command == "run" ? "test" : command);
     Options options;
     for (std::size_t i = 0; i < args.size(); ++i) {
       const std::string& arg = args[i];
@@ -148,6 +191,13 @@ class Options {
         return std::nullopt;
       }
       const std::string key = arg.substr(2);
+      if (key != "log-level" &&
+          std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+        out << "unknown option " << arg << " for " << command << " (accepted:";
+        for (const std::string_view k : accepted) out << " --" << k;
+        out << " --log-level)\n";
+        return std::nullopt;
+      }
       if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
         options.values_[key] = args[++i];
       } else {
@@ -198,14 +248,133 @@ bool apply_log_level(const Options& options, std::ostream& out) {
   return true;
 }
 
-/// Builds an obs::Hub when any trace/metrics/span output flag is present;
+using Render = std::function<void(std::ostream&)>;
+
+/// Renders into a fresh `path` and echoes `label: path<note>`. False (after
+/// a "cannot write" message) when the file cannot be opened.
+bool write_file(const std::string& path, std::string_view label, std::ostream& out,
+                const Render& render, const std::string& note = "") {
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    if (!file) {
+      out << "cannot write " << path << "\n";
+      return false;
+    }
+    render(file);
+  }
+  out << label << ": " << path << note << "\n";
+  return true;
+}
+
+/// The --json/--md convention of `trace analyze` and `obs diff`: each flag
+/// writes its rendering to the named file, and with neither the markdown
+/// goes to stdout. Returns 0, or 1 when a file cannot be written.
+int write_json_md(const Options& options, const std::string& label, std::ostream& out,
+                  const Render& json, const Render& md) {
+  if (!options.has("json") && !options.has("md")) {
+    md(out);
+    return 0;
+  }
+  const bool ok =
+      (!options.has("json") ||
+       write_file(options.get("json", ""), label + " json", out, json)) &&
+      (!options.has("md") || write_file(options.get("md", ""), label + " md", out, md));
+  return ok ? 0 : 1;
+}
+
+/// A run's --obs-dir/--obs selection and the manifest that records it.
+/// Every artifact lands in DIR under its kObsArtifacts file name, is hashed
+/// into the manifest, and is echoed as `name: path`. The manifest is always
+/// filled in and written as DIR/manifest.jsonl whenever DIR is given.
+class RunOutputs {
+ public:
+  /// Validates --obs-dir/--obs against what `command` ("test" or "fleet")
+  /// can produce and creates DIR. Returns 0, 2 on a usage error, or 1 when
+  /// DIR cannot be created.
+  int init(const Options& options, const std::string& command, std::ostream& out) {
+    manifest_.command = command;
+    manifest_.build = SWIFTEST_GIT_SHA;
+    const bool fleet = command == "fleet";
+    if (options.has("obs-dir") != options.has("obs")) {
+      out << "--obs-dir and --obs go together (--obs names: " << obs_names(fleet)
+          << ")\n";
+      return 2;
+    }
+    if (!options.has("obs")) return 0;
+    std::istringstream list(options.get("obs", ""));
+    for (std::string name; std::getline(list, name, ',');) {
+      const auto* it = std::find_if(
+          std::begin(kObsArtifacts), std::end(kObsArtifacts),
+          [&](const ObsArtifact& a) { return a.name == name && (fleet || !a.fleet_only); });
+      if (it == std::end(kObsArtifacts)) {
+        out << "unknown --obs name '" << name << "' for " << command
+            << " (valid: " << obs_names(fleet) << ")\n";
+        return 2;
+      }
+      files_.emplace(name, it->file);
+    }
+    dir_ = options.get("obs-dir", "");
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    if (ec) {
+      out << "cannot create " << dir_ << ": " << ec.message() << "\n";
+      return 1;
+    }
+    return 0;
+  }
+
+  [[nodiscard]] bool wants(std::string_view name) const { return files_.contains(name); }
+  [[nodiscard]] const std::string& dir() const { return dir_; }
+  [[nodiscard]] obs::manifest::RunManifest& manifest() { return manifest_; }
+
+  /// Renders artifact `name` into DIR when it was requested, registers it
+  /// in the manifest and echoes `name: path<note>`. False when the file
+  /// cannot be opened.
+  bool write(std::string_view name, std::ostream& out, const Render& render,
+             const std::string& note = "") {
+    const auto it = files_.find(name);
+    if (it == files_.end()) return true;
+    const std::string path = (std::filesystem::path(dir_) / it->second).string();
+    if (!write_file(path, name, out, render, note)) return false;
+    add(name, path);
+    return true;
+  }
+
+  /// Registers a file the run wrote (content hash, bytes, rows) in the
+  /// manifest. A manifest-side read failure warns on stderr instead of
+  /// failing the run: the artifact itself landed fine.
+  void add(std::string_view name, const std::string& path) {
+    std::string error;
+    auto record = obs::manifest::artifact_from_file(std::string(name), path, &error);
+    if (!record) {
+      std::cerr << "warning: manifest: " << error << "\n";
+      return;
+    }
+    manifest_.artifacts.push_back(std::move(*record));
+  }
+
+  /// Writes DIR/manifest.jsonl (if DIR was given); returns 0 or 1.
+  int write_manifest(std::ostream& out) {
+    if (dir_.empty()) return 0;
+    const bool ok = write_file(
+        (std::filesystem::path(dir_) / "manifest.jsonl").string(), "manifest", out,
+        [&](std::ostream& f) { obs::manifest::write_manifest_jsonl(manifest_, f); });
+    return ok ? 0 : 1;
+  }
+
+ private:
+  std::string dir_;
+  std::map<std::string, std::string_view, std::less<>> files_;  // --obs name -> file
+  obs::manifest::RunManifest manifest_;
+};
+
+/// Builds an obs::Hub when a trace, metrics or spans artifact is requested;
 /// null hub (and success) otherwise. The tracer records only when a trace
-/// output (--trace-out / --trace-jsonl) is requested — a metrics- or
-/// spans-only run pays nothing for trace events — and --trace-categories
-/// narrows it further. Returns false on a bad --trace-categories list —
-/// validated unconditionally, so a typo'd category fails the run loudly
-/// even when no trace output is requested.
-bool setup_obs(const Options& options, std::ostream& out,
+/// artifact is requested — a metrics- or spans-only run pays nothing for
+/// trace events — and --trace-categories narrows it further. Returns false
+/// on a bad --trace-categories list — validated unconditionally, so a
+/// typo'd category fails the run loudly even when no trace is requested.
+bool setup_obs(const Options& options, const RunOutputs& outputs, std::ostream& out,
                std::unique_ptr<obs::Hub>& hub) {
   std::optional<std::uint32_t> mask;
   if (options.has("trace-categories")) {
@@ -218,43 +387,11 @@ bool setup_obs(const Options& options, std::ostream& out,
       return false;
     }
   }
-  const bool wants_trace = options.has("trace-out") || options.has("trace-jsonl");
-  if (!wants_trace && !options.has("metrics-out") && !options.has("spans-out") &&
-      !options.has("attribution-md")) {
-    return true;
-  }
+  const bool wants_trace = outputs.wants("trace_chrome") || outputs.wants("trace_jsonl");
+  if (!wants_trace && !outputs.wants("metrics") && !outputs.wants("spans")) return true;
   hub = std::make_unique<obs::Hub>();
   hub->tracer.set_category_mask(wants_trace ? mask.value_or(obs::kAllCategories) : 0);
   return true;
-}
-
-/// Registers an artifact the run just wrote (content hash, bytes, rows) in
-/// the manifest. A manifest-side read failure warns on stderr instead of
-/// failing the run: the artifact itself landed fine.
-void manifest_add_artifact(obs::manifest::RunManifest* manifest,
-                           const std::string& name, const std::string& path) {
-  if (manifest == nullptr) return;
-  std::string error;
-  auto record = obs::manifest::artifact_from_file(name, path, &error);
-  if (!record) {
-    std::cerr << "warning: manifest: " << error << "\n";
-    return;
-  }
-  manifest->artifacts.push_back(std::move(*record));
-}
-
-/// Writes the manifest file; returns 0 or 1 (unwritable path).
-int write_manifest_file(const std::string& path,
-                        const obs::manifest::RunManifest& manifest,
-                        std::ostream& out) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    out << "cannot write " << path << "\n";
-    return 1;
-  }
-  obs::manifest::write_manifest_jsonl(manifest, file);
-  out << "manifest: " << path << "\n";
-  return 0;
 }
 
 const char* slo_status_name(obs::health::SloStatus status) {
@@ -269,116 +406,70 @@ const char* slo_status_name(obs::health::SloStatus status) {
   return "unknown";
 }
 
-/// True when the run opted into any of the bounded-observability machinery.
-/// Drop accounting lands in artifacts only then: golden pre-sampling runs
-/// (which legitimately wrap their rings) must stay byte-identical.
-bool bounded_obs_requested(const Options& options) {
-  return options.has("obs-sample") || options.has("obs-budget-mb") ||
-         options.has("obs-spill-dir") || options.has("progress");
+/// " (N <unit>[, M dropped])": the count suffix of a trace or spans echo.
+std::string count_note(std::size_t kept, const char* unit, std::uint64_t dropped) {
+  std::string note = " (" + std::to_string(kept) + " " + unit;
+  if (dropped > 0) note += ", " + std::to_string(dropped) + " dropped";
+  return note + ")";
 }
 
-/// Writes whichever trace/metrics outputs were requested. Returns a nonzero
-/// exit code if a file cannot be opened. Data loss is surfaced before the
-/// artifacts render: a stderr warning always, plus — for bounded-obs runs —
-/// only-nonzero obs.trace_dropped / obs.span_dropped counters in the metrics
-/// snapshot, so a silently-wrapped ring can't masquerade as a complete trace.
-int flush_obs(const Options& options, std::ostream& out, obs::Hub* hub,
-              obs::manifest::RunManifest* manifest = nullptr) {
+/// Writes whichever trace/metrics/spans artifacts were requested. Returns 1
+/// if a file cannot be opened. Data loss is surfaced before the artifacts
+/// render: a stderr warning plus only-nonzero obs.trace_dropped /
+/// obs.span_dropped counters in the metrics snapshot, so a wrapped ring
+/// can't masquerade as a complete trace.
+int flush_obs(RunOutputs& outputs, std::ostream& out, obs::Hub* hub) {
   if (hub == nullptr) return 0;
   if (hub->tracer.dropped() > 0) {
     std::cerr << "warning: trace ring dropped " << hub->tracer.dropped()
-              << " events (use --obs-sample or --obs-spill-dir)\n";
-    if (bounded_obs_requested(options)) {
-      hub->metrics.counter("obs.trace_dropped").inc(hub->tracer.dropped());
-    }
+              << " events (use --obs-sample or --obs spill)\n";
+    hub->metrics.counter("obs.trace_dropped").inc(hub->tracer.dropped());
   }
   if (hub->spans.dropped() > 0) {
     std::cerr << "warning: span store dropped " << hub->spans.dropped()
-              << " spans (use --obs-sample or --obs-spill-dir)\n";
-    if (bounded_obs_requested(options)) {
-      hub->metrics.counter("obs.span_dropped").inc(hub->spans.dropped());
-    }
+              << " spans (use --obs-sample or --obs spill)\n";
+    hub->metrics.counter("obs.span_dropped").inc(hub->spans.dropped());
   }
-  auto open = [&out](const std::string& path, std::ofstream& file) {
-    file.open(path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << path << "\n";
-    return static_cast<bool>(file);
-  };
-  if (options.has("trace-out")) {
-    std::ofstream file;
-    if (!open(options.get("trace-out", ""), file)) return 1;
-    obs::write_chrome_trace(hub->tracer, file);
-    file.close();
-    manifest_add_artifact(manifest, "trace_chrome", options.get("trace-out", ""));
-    out << "trace: " << options.get("trace-out", "") << " ("
-        << hub->tracer.events().size() << " events";
-    if (hub->tracer.dropped() > 0) out << ", " << hub->tracer.dropped() << " dropped";
-    out << ")\n";
-  }
-  if (options.has("trace-jsonl")) {
-    std::ofstream file;
-    if (!open(options.get("trace-jsonl", ""), file)) return 1;
-    obs::write_trace_jsonl(hub->tracer, file);
-    file.close();
-    manifest_add_artifact(manifest, "trace_jsonl", options.get("trace-jsonl", ""));
-  }
-  if (options.has("metrics-out")) {
-    std::ofstream file;
-    if (!open(options.get("metrics-out", ""), file)) return 1;
-    obs::write_metrics_json(hub->metrics.snapshot(), file);
-    file.close();
-    manifest_add_artifact(manifest, "metrics", options.get("metrics-out", ""));
-    out << "metrics: " << options.get("metrics-out", "") << "\n";
-  }
-  if (options.has("spans-out")) {
-    std::ofstream file;
-    if (!open(options.get("spans-out", ""), file)) return 1;
-    obs::span::write_spans_json(hub->spans, file);
-    file.close();
-    manifest_add_artifact(manifest, "spans", options.get("spans-out", ""));
-    out << "spans: " << options.get("spans-out", "") << " (" << hub->spans.size()
-        << " spans";
-    if (hub->spans.dropped() > 0) out << ", " << hub->spans.dropped() << " dropped";
-    out << ")\n";
-  }
-  if (options.has("attribution-md")) {
-    std::ofstream file;
-    if (!open(options.get("attribution-md", ""), file)) return 1;
-    const auto report = obs::span::analyze_spans(obs::span::to_span_data(hub->spans));
-    obs::span::write_attribution_markdown(report, file);
-    file.close();
-    manifest_add_artifact(manifest, "attribution_md",
-                          options.get("attribution-md", ""));
-    out << "attribution: " << options.get("attribution-md", "") << " ("
-        << report.traces.size() << " traces)\n";
-  }
-  if (manifest != nullptr) {
-    manifest->summaries["trace"] = obs::summarize_for_manifest(hub->tracer);
-    manifest->summaries["metrics"] =
-        obs::summarize_for_manifest(hub->metrics.snapshot());
-    manifest->summaries["spans"] = obs::span::summarize_for_manifest(hub->spans);
-  }
+  const std::string trace_note =
+      count_note(hub->tracer.size(), "events", hub->tracer.dropped());
+  const bool ok =
+      outputs.write("trace_chrome", out,
+                    [&](std::ostream& f) { obs::write_chrome_trace(hub->tracer, f); },
+                    trace_note) &&
+      outputs.write("trace_jsonl", out,
+                    [&](std::ostream& f) { obs::write_trace_jsonl(hub->tracer, f); },
+                    trace_note) &&
+      outputs.write("metrics", out,
+                    [&](std::ostream& f) {
+                      obs::write_metrics_json(hub->metrics.snapshot(), f);
+                    }) &&
+      outputs.write("spans", out,
+                    [&](std::ostream& f) { obs::span::write_spans_json(hub->spans, f); },
+                    count_note(hub->spans.size(), "spans", hub->spans.dropped()));
+  if (!ok) return 1;
+  auto& summaries = outputs.manifest().summaries;
+  summaries["trace"] = obs::summarize_for_manifest(hub->tracer);
+  summaries["metrics"] = obs::summarize_for_manifest(hub->metrics.snapshot());
+  summaries["spans"] = obs::span::summarize_for_manifest(hub->spans);
   return 0;
 }
 
 /// True when any health/SLO output was requested (a HealthMonitor is only
 /// built — and the run only pays for aggregation — in that case).
-bool wants_health(const Options& options) {
-  return options.has("health-out") || options.has("report-md") || options.has("slo");
+bool wants_health(const Options& options, const RunOutputs& outputs) {
+  return outputs.wants("health") || outputs.wants("report_md") || options.has("slo");
 }
 
 /// Writes the requested health artifacts and evaluates the SLO spec, if any.
 /// Returns 0 on success, 1 on an unwritable file, 2 on a malformed spec, and
 /// 3 when at least one objective is violated — the CI gate's exit code.
-int flush_health(const Options& options, std::ostream& out,
+int flush_health(const Options& options, RunOutputs& outputs, std::ostream& out,
                  const obs::health::HealthMonitor* health,
-                 const obs::health::ReportMeta& meta,
-                 obs::manifest::RunManifest* manifest = nullptr) {
+                 const obs::health::ReportMeta& meta) {
   if (health == nullptr) return 0;
   const obs::health::HealthSnapshot snapshot = health->snapshot();
-  if (manifest != nullptr) {
-    manifest->summaries["health"] = obs::health::summarize_for_manifest(snapshot);
-  }
+  obs::manifest::RunManifest& mf = outputs.manifest();
+  mf.summaries["health"] = obs::health::summarize_for_manifest(snapshot);
 
   std::optional<obs::health::SloEvaluation> evaluation;
   if (options.has("slo")) {
@@ -393,40 +484,19 @@ int flush_health(const Options& options, std::ostream& out,
   const obs::health::SloEvaluation* eval_ptr =
       evaluation ? &*evaluation : nullptr;
 
-  auto open = [&out](const std::string& path, std::ofstream& file) {
-    file.open(path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << path << "\n";
-    return static_cast<bool>(file);
-  };
-  if (options.has("health-out")) {
-    std::ofstream file;
-    if (!open(options.get("health-out", ""), file)) return 1;
-    obs::health::write_health_json(snapshot, meta, eval_ptr, file);
-    file.close();
-    manifest_add_artifact(manifest, "health", options.get("health-out", ""));
-    out << "health: " << options.get("health-out", "") << "\n";
-  }
-  if (options.has("report-md")) {
-    std::ofstream file;
-    if (!open(options.get("report-md", ""), file)) return 1;
-    obs::health::write_health_markdown(snapshot, meta, eval_ptr, file);
-    file.close();
-    manifest_add_artifact(manifest, "report_md", options.get("report-md", ""));
-    out << "report: " << options.get("report-md", "") << "\n";
-  }
-  if (evaluation && manifest != nullptr) {
-    for (const auto& r : evaluation->results) {
-      obs::manifest::SloVerdict verdict;
-      verdict.name = r.spec.name;
-      verdict.dimension = r.dimension;
-      verdict.stat = r.spec.stat;
-      verdict.observed = r.observed;
-      verdict.status = slo_status_name(r.status);
-      manifest->slos.push_back(std::move(verdict));
-    }
-  }
+  const bool ok =
+      outputs.write("health", out,
+                    [&](std::ostream& f) {
+                      obs::health::write_health_json(snapshot, meta, eval_ptr, f);
+                    }) &&
+      outputs.write("report_md", out, [&](std::ostream& f) {
+        obs::health::write_health_markdown(snapshot, meta, eval_ptr, f);
+      });
+  if (!ok) return 1;
   if (evaluation) {
     for (const auto& r : evaluation->results) {
+      mf.slos.push_back(
+          {r.spec.name, r.dimension, r.spec.stat, r.observed, slo_status_name(r.status)});
       if (r.status != obs::health::SloStatus::kViolated) continue;
       out << "SLO VIOLATION: " << r.spec.name << " [" << r.dimension << "] "
           << r.spec.stat << " = " << r.observed << " (samples " << r.samples
@@ -437,6 +507,13 @@ int flush_health(const Options& options, std::ostream& out,
     if (!evaluation->ok()) return 3;
   }
   return 0;
+}
+
+/// Host wall-clock milliseconds since `start` (manifest host lines only).
+double elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                   start)
+      .count();
 }
 
 /// Feeds every closed span's duration into the health monitor as the
@@ -457,7 +534,7 @@ int cmd_trace(std::span<const std::string> args, std::ostream& out) {
     return 2;
   }
   const std::string path = args[1];
-  const auto options = Options::parse(args.subspan(2), out);
+  const auto options = Options::parse(args.subspan(2), "trace", out);
   if (!options) return 2;
   if (!apply_log_level(*options, out)) return 2;
 
@@ -468,28 +545,10 @@ int cmd_trace(std::span<const std::string> args, std::ostream& out) {
     return 1;
   }
   const obs::span::AttributionReport report = obs::span::analyze_spans(*spans);
-
-  auto open = [&out](const std::string& file_path, std::ofstream& file) {
-    file.open(file_path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << file_path << "\n";
-    return static_cast<bool>(file);
-  };
-  if (options->has("json")) {
-    std::ofstream file;
-    if (!open(options->get("json", ""), file)) return 1;
-    obs::span::write_attribution_json(report, file);
-    out << "attribution json: " << options->get("json", "") << "\n";
-  }
-  if (options->has("md")) {
-    std::ofstream file;
-    if (!open(options->get("md", ""), file)) return 1;
-    obs::span::write_attribution_markdown(report, file);
-    out << "attribution md: " << options->get("md", "") << "\n";
-  }
-  if (!options->has("json") && !options->has("md")) {
-    obs::span::write_attribution_markdown(report, out);
-  }
-  return 0;
+  return write_json_md(
+      *options, "attribution", out,
+      [&](std::ostream& f) { obs::span::write_attribution_json(report, f); },
+      [&](std::ostream& f) { obs::span::write_attribution_markdown(report, f); });
 }
 
 std::optional<dataset::AccessTech> parse_tech(const std::string& name) {
@@ -539,21 +598,19 @@ int cmd_test(const Options& options, std::ostream& out) {
     out << "unknown --tech\n";
     return 2;
   }
+  RunOutputs outputs;
+  if (const int rc = outputs.init(options, "test", out); rc != 0) return rc;
   std::unique_ptr<obs::Hub> hub;
-  if (!setup_obs(options, out, hub)) return 2;
-  obs::manifest::RunManifest manifest;
-  obs::manifest::RunManifest* mf =
-      options.has("manifest-out") ? &manifest : nullptr;
-  if (mf != nullptr) {
-    manifest.command = "test";
-    manifest.build = SWIFTEST_GIT_SHA;
-    manifest.config = {
-        {"tech", options.get("tech", "5g")},
-        {"rate_mbps", options.get("rate", "")},
-        {"seed", std::to_string(options.get_int("seed", 42))},
-        {"wire", options.has("wire") ? "true" : "false"},
-    };
-  }
+  if (!setup_obs(options, outputs, out, hub)) return 2;
+  // Shared by the manifest's config lines and the health meta.
+  const obs::health::ReportMeta run_config = {
+      {"tech", options.get("tech", "5g")},
+      {"rate_mbps", options.get("rate", "")},
+      {"seed", std::to_string(options.get_int("seed", 42))},
+  };
+  obs::manifest::RunManifest& mf = outputs.manifest();
+  mf.config = run_config;
+  mf.config.emplace_back("wire", options.has("wire") ? "true" : "false");
   std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
   if (options.has("profile")) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
@@ -585,19 +642,17 @@ int cmd_test(const Options& options, std::ostream& out) {
       << "probe time: " << core::to_seconds(result.probe_duration) << " s; data: "
       << core::to_string(result.data_used) << "; servers: " << result.connections_used
       << "\n";
-  if (mf != nullptr) {
-    manifest.bench = {
-        {"estimate_mbps", result.bandwidth_mbps},
-        {"probe_time_s", core::to_seconds(result.probe_duration)},
-        {"data_mb", result.data_used.megabytes()},
-        {"servers_used", static_cast<double>(result.connections_used)},
-    };
-  }
-  const int obs_rc = flush_obs(options, out, hub.get(), mf);
+  mf.bench = {
+      {"estimate_mbps", result.bandwidth_mbps},
+      {"probe_time_s", core::to_seconds(result.probe_duration)},
+      {"data_mb", result.data_used.megabytes()},
+      {"servers_used", static_cast<double>(result.connections_used)},
+  };
+  const int obs_rc = flush_obs(outputs, out, hub.get());
   if (obs_rc != 0) return obs_rc;
 
   int health_rc = 0;
-  if (wants_health(options)) {
+  if (wants_health(options, outputs)) {
     obs::health::HealthMonitor health;
     obs::health::TestSample sample;
     sample.duration_s = core::to_seconds(result.total_duration());
@@ -608,33 +663,18 @@ int cmd_test(const Options& options, std::ostream& out) {
     health.note_arrival(0.0);
     health.record_test(sample);
     record_stage_health(hub.get(), &health);
-    const obs::health::ReportMeta meta = {
-        {"command", "test"},
-        {"tech", options.get("tech", "5g")},
-        {"rate_mbps", options.get("rate", "")},
-        {"seed", std::to_string(options.get_int("seed", 42))},
-    };
-    health_rc = flush_health(options, out, &health, meta, mf);
+    obs::health::ReportMeta meta = {{"command", "test"}};
+    meta.insert(meta.end(), run_config.begin(), run_config.end());
+    health_rc = flush_health(options, outputs, out, &health, meta);
   }
   if (hostprof != nullptr) {
     hostprof->finish();
     obs::hostprof::write_prof_report_markdown(
         obs::hostprof::analyze_prof(hostprof->snapshot()), out);
   }
-  if (mf != nullptr) {
-    manifest.host = {
-        {"wall_ms",
-         static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - wall_start)
-                 .count()) /
-             1e6},
-    };
-    const int manifest_rc =
-        write_manifest_file(options.get("manifest-out", ""), manifest, out);
-    if (health_rc == 0) health_rc = manifest_rc;
-  }
-  return health_rc;
+  mf.host = {{"wall_ms", elapsed_ms(wall_start)}};
+  const int manifest_rc = outputs.write_manifest(out);
+  return health_rc != 0 ? health_rc : manifest_rc;
 }
 
 int cmd_fit(const Options& options, std::ostream& out) {
@@ -694,30 +734,14 @@ int cmd_plan(const Options& options, std::ostream& out) {
   return 0;
 }
 
-/// Fleet manifests are on by default whenever the run writes any artifact:
-/// the manifest lands next to the run's first artifact as
-/// <artifact>.manifest.jsonl. --manifest-out overrides the path,
-/// --no-manifest disables. Runs that write no artifact get no default
-/// manifest (nothing to hash, and a bare `fleet` should not litter the cwd).
-std::string resolve_fleet_manifest_path(const Options& options) {
-  if (options.has("no-manifest")) return "";
-  if (options.has("manifest-out")) return options.get("manifest-out", "");
-  static constexpr const char* kAnchors[] = {
-      "health-out", "trace-jsonl", "trace-out",      "metrics-out",
-      "spans-out",  "report-md",   "attribution-md"};
-  for (const char* anchor : kAnchors) {
-    if (options.has(anchor)) return options.get(anchor, "") + ".manifest.jsonl";
-  }
-  return "";
-}
-
 int cmd_fleet(const Options& options, std::ostream& out) {
   const auto wall_start = std::chrono::steady_clock::now();
+  RunOutputs outputs;
+  if (const int rc = outputs.init(options, "fleet", out); rc != 0) return rc;
   // The host-time profiler spans the whole command — population draw through
   // artifact export — so the attribution covers (nearly) all of wall-clock.
   std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
-  if (options.has("prof-out") || options.has("prof-trace") ||
-      options.has("profile")) {
+  if (outputs.wants("prof") || outputs.wants("prof_trace") || options.has("profile")) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
   }
   obs::hostprof::Timeline* host_tl =
@@ -735,9 +759,9 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   setup_scope.emplace(host_tl, "run.setup");
   static const swift::ModelRegistry registry;
   std::unique_ptr<obs::Hub> hub;
-  if (!setup_obs(options, out, hub)) return 2;
+  if (!setup_obs(options, outputs, out, hub)) return 2;
   std::unique_ptr<obs::health::HealthMonitor> health;
-  if (wants_health(options)) {
+  if (wants_health(options, outputs)) {
     health = std::make_unique<obs::health::HealthMonitor>();
   }
   deploy::FleetSimConfig cfg;
@@ -806,38 +830,31 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     return 2;
   }
   cfg.obs_budget_mb = static_cast<std::uint64_t>(budget_mb);
-  cfg.obs_spill_dir = options.get("obs-spill-dir", "");
+  if (outputs.wants("spill")) cfg.obs_spill_dir = outputs.dir();
 
-  const std::string manifest_path = resolve_fleet_manifest_path(options);
-  obs::manifest::RunManifest manifest;
-  obs::manifest::RunManifest* mf = manifest_path.empty() ? nullptr : &manifest;
-  if (mf != nullptr) {
-    manifest.command = "fleet";
-    manifest.build = SWIFTEST_GIT_SHA;
-    // Deterministic configuration only: --chunk and --jobs (and every other
-    // host-side fact) ride in the "host" lines, so a partition-varied pair
-    // of runs diffs as identical. The "executor" entry records the
-    // partition-invariance contract itself — constant across runs, so
-    // `obs diff --expect-identical` holds across any {chunk, jobs} matrix.
-    manifest.config = {
-        {"backend", backend},
-        {"servers", std::to_string(cfg.server_count)},
-        {"days", std::to_string(cfg.days)},
-        {"tests_per_day", std::to_string(static_cast<long>(cfg.tests_per_day))},
-        {"seed", std::to_string(cfg.seed)},
-        {"executor", "chunked-work-stealing/partition-invariant"},
-    };
-    if (cfg.sample.enabled()) {
-      manifest.config.emplace_back("obs.sample", cfg.sample.describe());
-    }
-    if (cfg.obs_budget_mb > 0) {
-      manifest.config.emplace_back("obs.budget_mb",
-                                   std::to_string(cfg.obs_budget_mb));
-    }
-    if (!cfg.obs_spill_dir.empty()) {
-      manifest.config.emplace_back("obs.spill", "on");
-    }
+  // The deterministic configuration, shared by the manifest's config lines
+  // and the health meta. --chunk and --jobs (and every other host-side
+  // fact) never appear: no artifact may depend on the partition or the
+  // thread count, so a partition-varied pair of runs diffs as identical.
+  const obs::health::ReportMeta run_config = {
+      {"backend", backend},
+      {"servers", std::to_string(cfg.server_count)},
+      {"days", std::to_string(cfg.days)},
+      {"tests_per_day", std::to_string(static_cast<long>(cfg.tests_per_day))},
+      {"seed", std::to_string(cfg.seed)},
+  };
+  obs::health::ReportMeta obs_config;
+  if (cfg.sample.enabled()) obs_config.emplace_back("obs.sample", cfg.sample.describe());
+  if (cfg.obs_budget_mb > 0) {
+    obs_config.emplace_back("obs.budget_mb", std::to_string(cfg.obs_budget_mb));
   }
+  obs::manifest::RunManifest& mf = outputs.manifest();
+  mf.config = run_config;
+  // The partition-invariance contract itself — constant across runs, so
+  // `obs diff --expect-identical` holds across any {chunk, jobs} matrix.
+  mf.config.emplace_back("executor", "chunked-work-stealing/partition-invariant");
+  mf.config.insert(mf.config.end(), obs_config.begin(), obs_config.end());
+  if (!cfg.obs_spill_dir.empty()) mf.config.emplace_back("obs.spill", "on");
 
   // Resource self-telemetry is always collected (a few relaxed atomics per
   // test); --progress controls whether it is *surfaced* — the live stderr
@@ -864,36 +881,26 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   sim_scope.emplace(host_tl, "fleet.sim");
   const auto result = deploy::simulate_fleet(population, registry, cfg);
   sim_scope.reset();
-  if (mf != nullptr) {
-    manifest.bench = {
-        {"tests_simulated", static_cast<double>(result.tests_simulated)},
-        {"util_median_pct", result.summary.median},
-        {"util_mean_pct", result.summary.mean},
-        {"util_p99_pct", result.p99},
-        {"util_max_pct", result.summary.max},
-        {"share_leq_45", result.share_leq_45},
-        {"overload_seconds_share", result.overload_seconds_share},
+  mf.bench = {
+      {"tests_simulated", static_cast<double>(result.tests_simulated)},
+      {"util_median_pct", result.summary.median},
+      {"util_mean_pct", result.summary.mean},
+      {"util_p99_pct", result.p99},
+      {"util_max_pct", result.summary.max},
+      {"share_leq_45", result.share_leq_45},
+      {"overload_seconds_share", result.overload_seconds_share},
+  };
+  for (const auto& [stream, segments, bytes] :
+       {std::tuple<std::string, std::uint64_t, std::uint64_t>{
+            "trace", result.spill_trace_segments, result.spill_trace_bytes},
+        {"spans", result.spill_span_segments, result.spill_span_bytes}}) {
+    if (segments == 0) continue;
+    mf.summaries["spill." + stream] = {
+        {"segments", static_cast<double>(segments)},
+        {"bytes", static_cast<double>(bytes)},
+        {"ok", result.spill_ok ? 1.0 : 0.0},
     };
-    if (!cfg.obs_spill_dir.empty()) {
-      if (result.spill_trace_segments > 0) {
-        manifest.summaries["spill.trace"] = {
-            {"segments", static_cast<double>(result.spill_trace_segments)},
-            {"bytes", static_cast<double>(result.spill_trace_bytes)},
-            {"ok", result.spill_ok ? 1.0 : 0.0},
-        };
-        manifest_add_artifact(mf, "spill.trace",
-                              cfg.obs_spill_dir + "/trace.spill.jsonl");
-      }
-      if (result.spill_span_segments > 0) {
-        manifest.summaries["spill.spans"] = {
-            {"segments", static_cast<double>(result.spill_span_segments)},
-            {"bytes", static_cast<double>(result.spill_span_bytes)},
-            {"ok", result.spill_ok ? 1.0 : 0.0},
-        };
-        manifest_add_artifact(mf, "spill.spans",
-                              cfg.obs_spill_dir + "/spans.spill.jsonl");
-      }
-    }
+    outputs.add("spill." + stream, cfg.obs_spill_dir + "/" + stream + ".spill.jsonl");
   }
   int rc = 0;
   {
@@ -917,106 +924,61 @@ int cmd_fleet(const Options& options, std::ostream& out) {
         << result.summary.max << "%\n"
         << "share of busy windows <= 45%: " << 100.0 * result.share_leq_45
         << "%\n";
-    rc = flush_obs(options, out, hub.get(), mf);
+    rc = flush_obs(outputs, out, hub.get());
     if (rc == 0) {
       record_stage_health(hub.get(), health.get());
-      obs::health::ReportMeta meta = {
-          {"command", "fleet"},
-          {"backend", backend},
-          {"servers", std::to_string(cfg.server_count)},
-          {"days", std::to_string(cfg.days)},
-          {"tests_per_day", std::to_string(static_cast<long>(cfg.tests_per_day))},
-          {"seed", std::to_string(cfg.seed)},
-      };
-      // --chunk and --jobs never appear: no artifact may depend on the
-      // partition or the thread count.
-      if (cfg.sample.enabled()) {
-        meta.emplace_back("obs.sample", cfg.sample.describe());
-      }
-      if (cfg.obs_budget_mb > 0) {
-        meta.emplace_back("obs.budget_mb", std::to_string(cfg.obs_budget_mb));
-      }
-      // Data-loss accounting rides in the meta only for bounded-obs runs and
-      // only when loss happened, keeping legacy reports byte-identical.
-      if (hub != nullptr && bounded_obs_requested(options)) {
-        if (hub->tracer.dropped() > 0) {
-          meta.emplace_back("obs.trace_dropped",
-                            std::to_string(hub->tracer.dropped()));
-        }
-        if (hub->tracer.spilled() > 0) {
-          meta.emplace_back("obs.trace_spilled",
-                            std::to_string(hub->tracer.spilled()));
-        }
-        if (hub->spans.dropped() > 0) {
-          meta.emplace_back("obs.span_dropped",
-                            std::to_string(hub->spans.dropped()));
-        }
-        if (hub->spans.spilled() > 0) {
-          meta.emplace_back("obs.span_spilled",
-                            std::to_string(hub->spans.spilled()));
+      obs::health::ReportMeta meta = {{"command", "fleet"}};
+      meta.insert(meta.end(), run_config.begin(), run_config.end());
+      meta.insert(meta.end(), obs_config.begin(), obs_config.end());
+      // Data-loss accounting rides in the meta whenever loss happened.
+      if (hub != nullptr) {
+        for (const auto& [key, count] : {
+                 std::pair<const char*, std::uint64_t>{"obs.trace_dropped",
+                                                       hub->tracer.dropped()},
+                 {"obs.trace_spilled", hub->tracer.spilled()},
+                 {"obs.span_dropped", hub->spans.dropped()},
+                 {"obs.span_spilled", hub->spans.spilled()}}) {
+          if (count > 0) meta.emplace_back(key, std::to_string(count));
         }
       }
       if (options.has("progress")) monitor.append_report_meta(meta);
-      rc = flush_health(options, out, health.get(), meta, mf);
+      rc = flush_health(options, outputs, out, health.get(), meta);
     }
   }
 
   // Host-time profile artifacts render last, after finish() stamps the wall:
   // they describe the run, they are never diffed, and writing them cannot
   // perturb anything deterministic.
-  std::uint64_t wall_ns = 0;
+  double wall_ms = 0.0;
   if (hostprof != nullptr) {
     hostprof->finish();
     const obs::hostprof::ProfData data = hostprof->snapshot();
-    wall_ns = data.wall_ns;
-    auto open = [&out](const std::string& path, std::ofstream& file) {
-      file.open(path, std::ios::binary | std::ios::trunc);
-      if (!file) out << "cannot write " << path << "\n";
-      return static_cast<bool>(file);
-    };
-    if (options.has("prof-out")) {
-      std::ofstream file;
-      if (!open(options.get("prof-out", ""), file)) return 1;
-      obs::hostprof::write_prof_jsonl(data, file);
-      file.close();
-      manifest_add_artifact(mf, "prof", options.get("prof-out", ""));
-      out << "profile: " << options.get("prof-out", "") << " ("
-          << data.timelines.size() << " timelines)\n";
-    }
-    if (options.has("prof-trace")) {
-      std::ofstream file;
-      if (!open(options.get("prof-trace", ""), file)) return 1;
-      obs::hostprof::write_prof_chrome_trace(data, file);
-      file.close();
-      manifest_add_artifact(mf, "prof_trace", options.get("prof-trace", ""));
-      out << "profile trace: " << options.get("prof-trace", "") << "\n";
-    }
+    wall_ms = static_cast<double>(data.wall_ns) / 1e6;
+    const bool ok =
+        outputs.write("prof", out,
+                      [&](std::ostream& f) { obs::hostprof::write_prof_jsonl(data, f); }) &&
+        outputs.write("prof_trace", out, [&](std::ostream& f) {
+          obs::hostprof::write_prof_chrome_trace(data, f);
+        });
+    if (!ok) return 1;
     if (options.has("profile")) {
       obs::hostprof::write_prof_report_markdown(obs::hostprof::analyze_prof(data),
                                                 out);
     }
-    if (mf != nullptr) {
-      manifest.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
-    }
+    mf.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
   } else {
-    wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
+    wall_ms = elapsed_ms(wall_start);
   }
   // The manifest renders last so it can hash every artifact the run wrote.
   // An SLO violation (rc 3) still gets a manifest — the diff side wants the
   // violating run's record most of all.
-  if (mf != nullptr) {
-    manifest.host = {
-        {"jobs", static_cast<double>(cfg.jobs)},
-        {"chunk", static_cast<double>(cfg.chunk)},
-        {"wall_ms", static_cast<double>(wall_ns) / 1e6},
-    };
-    const int manifest_rc = write_manifest_file(manifest_path, manifest, out);
-    if (rc == 0) rc = manifest_rc;
-  }
-  return rc;
+  mf.host = {
+      {"jobs", static_cast<double>(cfg.jobs)},
+      {"chunk", static_cast<double>(cfg.chunk)},
+      {"wall_ms", wall_ms},
+  };
+  const int manifest_rc = outputs.write_manifest(out);
+  return rc != 0 ? rc : manifest_rc;
 }
 
 int cmd_profile(std::span<const std::string> args, std::ostream& out) {
@@ -1025,7 +987,7 @@ int cmd_profile(std::span<const std::string> args, std::ostream& out) {
     return 2;
   }
   const std::string path = args[1];
-  const auto options = Options::parse(args.subspan(2), out);
+  const auto options = Options::parse(args.subspan(2), "profile", out);
   if (!options) return 2;
   if (!apply_log_level(*options, out)) return 2;
 
@@ -1036,18 +998,14 @@ int cmd_profile(std::span<const std::string> args, std::ostream& out) {
     return 1;
   }
   const obs::hostprof::ProfReport report = obs::hostprof::analyze_prof(*data);
-  if (options->has("md")) {
-    std::ofstream file(options->get("md", ""), std::ios::binary | std::ios::trunc);
-    if (!file) {
-      out << "cannot write " << options->get("md", "") << "\n";
-      return 1;
-    }
-    obs::hostprof::write_prof_report_markdown(report, file);
-    out << "profile report: " << options->get("md", "") << "\n";
-  } else {
-    obs::hostprof::write_prof_report_markdown(report, out);
+  const Render render = [&](std::ostream& f) {
+    obs::hostprof::write_prof_report_markdown(report, f);
+  };
+  if (!options->has("md")) {
+    render(out);
+    return 0;
   }
-  return 0;
+  return write_file(options->get("md", ""), "profile report", out, render) ? 0 : 1;
 }
 
 /// `obs diff A B`: semantic cross-run comparison of two run manifests.
@@ -1063,7 +1021,7 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
   }
   const std::string path_a = args[1];
   const std::string path_b = args[2];
-  const auto options = Options::parse(args.subspan(3), out);
+  const auto options = Options::parse(args.subspan(3), "obs", out);
   if (!options) return 2;
   if (!apply_log_level(*options, out)) return 2;
 
@@ -1087,25 +1045,11 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
   const obs::diff::DiffReport report =
       obs::diff::diff_runs(*manifest_a, *manifest_b, diff_options, path_a, path_b);
 
-  auto open = [&out](const std::string& file_path, std::ofstream& file) {
-    file.open(file_path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << file_path << "\n";
-    return static_cast<bool>(file);
-  };
-  if (options->has("json")) {
-    std::ofstream file;
-    if (!open(options->get("json", ""), file)) return 1;
-    obs::diff::write_diff_json(report, file);
-    out << "diff json: " << options->get("json", "") << "\n";
-  }
-  if (options->has("md")) {
-    std::ofstream file;
-    if (!open(options->get("md", ""), file)) return 1;
-    obs::diff::write_diff_markdown(report, file);
-    out << "diff md: " << options->get("md", "") << "\n";
-  }
-  if (!options->has("json") && !options->has("md")) {
-    obs::diff::write_diff_markdown(report, out);
+  if (write_json_md(
+          *options, "diff", out,
+          [&](std::ostream& f) { obs::diff::write_diff_json(report, f); },
+          [&](std::ostream& f) { obs::diff::write_diff_markdown(report, f); }) != 0) {
+    return 1;
   }
 
   const bool failed = diff_options.expect_identical ? !report.identical
@@ -1131,37 +1075,31 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
 
 int run_cli(std::span<const std::string> args, std::ostream& out) {
   if (args.empty() || args[0] == "--help" || args[0] == "help") {
-    out << kUsage;
+    out << usage();
     return args.empty() ? 2 : 0;
   }
   const std::string& command = args[0];
-  if (command == "trace" || command == "profile" || command == "obs") {
-    try {
-      if (command == "trace") return cmd_trace(args.subspan(1), out);
-      if (command == "profile") return cmd_profile(args.subspan(1), out);
-      return cmd_obs(args.subspan(1), out);
-    } catch (const std::exception& e) {
-      out << "error: " << e.what() << "\n";
-      return 1;
-    }
+  if (!kCommandKeys.contains(command) && command != "run") {
+    out << "unknown command: " << command << "\n" << usage();
+    return 2;
   }
-  const auto options = Options::parse(args.subspan(1), out);
-  if (!options) return 2;
-  if (!apply_log_level(*options, out)) return 2;
-
   try {
+    if (command == "trace") return cmd_trace(args.subspan(1), out);
+    if (command == "profile") return cmd_profile(args.subspan(1), out);
+    if (command == "obs") return cmd_obs(args.subspan(1), out);
+    const auto options = Options::parse(args.subspan(1), command, out);
+    if (!options) return 2;
+    if (!apply_log_level(*options, out)) return 2;
     if (command == "campaign") return cmd_campaign(*options, out);
     if (command == "report") return cmd_report(*options, out);
-    if (command == "test" || command == "run") return cmd_test(*options, out);
     if (command == "fit") return cmd_fit(*options, out);
     if (command == "plan") return cmd_plan(*options, out);
     if (command == "fleet") return cmd_fleet(*options, out);
+    return cmd_test(*options, out);  // test or its alias run
   } catch (const std::exception& e) {
     out << "error: " << e.what() << "\n";
     return 1;
   }
-  out << "unknown command: " << command << "\n" << kUsage;
-  return 2;
 }
 
 }  // namespace swiftest::cli

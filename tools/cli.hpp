@@ -8,6 +8,9 @@
 //   plan     [--tests-per-day N] [--regional]              §5.2 workload + purchase ILP
 //   fleet    [--servers N] [--days D] [--tests-per-day N]  Fig 26 utilization replay
 //
+// test/run/fleet write their artifacts with --obs-dir DIR --obs NAME[,NAME...]
+// (plus DIR/manifest.jsonl); `swiftest-cli help` lists the names.
+//
 // The core is a pure function over (args, output stream) so that it is unit
 // testable; the binary in swiftest_cli.cpp is a thin wrapper.
 #pragma once
