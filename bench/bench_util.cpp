@@ -15,10 +15,6 @@
 #include "stats/histogram.hpp"
 #include "swiftest/client.hpp"
 
-#ifndef SWIFTEST_GIT_SHA
-#define SWIFTEST_GIT_SHA "unknown"
-#endif
-
 namespace swiftest::benchutil {
 
 void print_title(const std::string& title) {
@@ -179,8 +175,6 @@ int report_flush() {
   std::string out;
   out += "{\n  \"name\": ";
   obs::append_json_string(out, g_report.bench_name);
-  out += ",\n  \"repo_sha\": ";
-  obs::append_json_string(out, SWIFTEST_GIT_SHA);
   out += ",\n  \"config\": {";
   for (std::size_t i = 0; i < g_report.config.size(); ++i) {
     out += (i == 0 ? "\n    " : ",\n    ");

@@ -85,8 +85,9 @@ void set_comparison_obs(obs::Hub* hub);
 // ------------------------------------------------------------ machine output
 //
 // Benches stay human-first (the printf tables above), but when launched with
-// `--json <path>` they also emit a small machine-readable result file so
-// tools/bench_compare.py can diff two runs with a tolerance. Protocol:
+// `--json <path>` they also emit a small machine-readable result file
+// (tools/ci.sh compares fig20's `values` exactly against
+// tools/bench_baseline/BENCH_swiftest.json). Protocol:
 //
 //   int main(int argc, char** argv) {
 //     benchutil::report_init(argc, argv, "fig20_swiftest_time");
@@ -96,8 +97,8 @@ void set_comparison_obs(obs::Hub* hub);
 //     return benchutil::report_flush();
 //   }
 //
-// The file holds {"name", "repo_sha", "config", "values"}; repo_sha is baked
-// in at build time. Without --json, report_flush() is a no-op returning 0.
+// The file holds {"name", "config", "values"}. Without --json,
+// report_flush() is a no-op returning 0.
 
 /// Scans argv for `--json <path>` and resets the report state.
 void report_init(int argc, char** argv, const std::string& bench_name);

@@ -237,7 +237,10 @@ TEST(ChunkedFleet, PacketArtifactsIndependentOfPartitionAndJobs) {
   // artifacts across the {chunk} x {jobs} matrix. The reference is the
   // serial run at the default chunk size.
   const Artifacts reference = run_packet(0, 1);
-  ASSERT_GT(reference.tests, 50u);
+  // The workload itself is pinned too, so a change to what a packet
+  // fleet-day simulates cannot hide behind the invariance.
+  ASSERT_EQ(reference.tests, 164u);
+  EXPECT_EQ(reference.busy_windows.size(), 319u);
   for (std::size_t chunk : {16u, 64u}) {
     for (std::size_t jobs : {1u, 4u, 8u}) {
       if (chunk == 16 && jobs == 1) continue;  // covered by the reference shape

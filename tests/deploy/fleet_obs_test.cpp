@@ -41,6 +41,8 @@ struct ObsArtifacts {
   std::uint64_t sampled = 0;
   std::uint64_t degradations = 0;
   std::uint64_t span_suppressed = 0;
+  std::uint64_t trace_recorded = 0;  // retained + dropped events
+  std::uint64_t span_count = 0;
 };
 
 ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs,
@@ -89,6 +91,8 @@ ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs
     out.degradations += t.sample_degradations;
   }
   out.span_suppressed = hub.spans.suppressed();
+  out.trace_recorded = hub.tracer.size() + hub.tracer.dropped();
+  out.span_count = hub.spans.size();
   return out;
 }
 
@@ -207,6 +211,29 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   EXPECT_EQ(serial.spans, threaded.spans);
   EXPECT_EQ(serial.metrics, threaded.metrics);
   EXPECT_EQ(serial.health, threaded.health);
+}
+
+TEST(FleetSampling, PacketOneInEightSampledRunRecordsAtMostAQuarterOfTheTrace) {
+  // Sampling must cut what is recorded, not only what is retained: at 1/8
+  // the run records (retains + drops) at most a quarter of the trace events
+  // the keep-everything run does.
+  const ObsArtifacts full = run_fleet(FleetBackend::kPacket, 32, 1, 1);
+  const ObsArtifacts sampled = run_fleet(FleetBackend::kPacket, 32, 1, 8);
+  ASSERT_GT(sampled.trace_recorded, 0u);
+  EXPECT_LE(4 * sampled.trace_recorded, full.trace_recorded);
+
+  // The volumes themselves are a pure function of (config, seed), so they
+  // are pinned exactly: a change to what instrumentation emits or what
+  // sampling suppresses shows up here.
+  EXPECT_EQ(full.tests, 164u);
+  EXPECT_EQ(sampled.tests, full.tests);
+  EXPECT_EQ(sampled.sampled, 17u);
+  EXPECT_EQ(full.span_count, 1627u);
+  EXPECT_EQ(sampled.span_count, 158u);
+  EXPECT_EQ(full.span_suppressed, 0u);
+  EXPECT_EQ(sampled.span_suppressed, 288u);
+  EXPECT_EQ(full.trace_recorded, 15'698'533u);
+  EXPECT_EQ(sampled.trace_recorded, 1'207'841u);
 }
 
 TEST(FleetSampling, PacketTraceHoldsOnlySampledTests) {

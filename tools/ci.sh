@@ -3,7 +3,10 @@
 # once plain, once under AddressSanitizer + UBSan (SWIFTEST_SANITIZE=address) —
 # plus a ThreadSanitizer job that drives the work-stealing fleet runtime
 # (SWIFTEST_SANITIZE=thread), the only place the codebase runs real threads.
-# The plain suite also runs the benchmark's smoke test (perfbench/).
+# The plain suite also runs the smoke test of perfbench/, the repo's one
+# benchmark; from bench/ only Fig 20 is gated, compared exactly against
+# tools/bench_baseline/BENCH_swiftest.json. --scaling-only runs the Release
+# jobs-scaling gate on `swiftest-cli fleet`.
 #
 # Usage: tools/ci.sh [--plain-only|--asan-only|--tsan-only|--scaling-only]
 set -euo pipefail
@@ -361,56 +364,41 @@ PYEOF
   echo "manifest diff gate passed"
 }
 
-# Deterministic bench regression gate: fig20 (Swiftest test duration) values
-# are pure sim-time, so they must match the committed baseline on any host.
-# bench_fleet_shard additionally asserts that a sharded fleet-day's artifacts
-# are identical at every worker-pool size (its gated values are the
-# deterministic counts, never the host-dependent wall-clock).
+# Fig 20 regression gate: Swiftest's test-duration values are pure
+# sim-time, so the report's `values` must equal the committed baseline
+# exactly, on any host and in every build.
 run_bench_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
-  echo "=== bench baseline gate (${build_dir}) ==="
+  echo "=== fig20 baseline gate (${build_dir}) ==="
   mkdir -p "${out_dir}"
   "${REPO_ROOT}/${build_dir}/bench/bench_fig20_swiftest_time" \
     --json "${out_dir}/BENCH_swiftest.json" > /dev/null
-  python3 "${REPO_ROOT}/tools/bench_compare.py" \
-    "${REPO_ROOT}/tools/bench_baseline/BENCH_swiftest.json" \
-    "${out_dir}/BENCH_swiftest.json"
-  "${REPO_ROOT}/${build_dir}/bench/bench_fleet_shard" \
-    --json "${out_dir}/BENCH_fleet_shard.json" > /dev/null
-  python3 "${REPO_ROOT}/tools/bench_compare.py" \
-    "${REPO_ROOT}/tools/bench_baseline/BENCH_fleet_shard.json" \
-    "${out_dir}/BENCH_fleet_shard.json"
-  "${REPO_ROOT}/${build_dir}/bench/bench_obs_overhead" \
-    --json "${out_dir}/BENCH_obs_overhead.json" > /dev/null
-  python3 "${REPO_ROOT}/tools/bench_compare.py" \
-    "${REPO_ROOT}/tools/bench_baseline/BENCH_obs_overhead.json" \
-    "${out_dir}/BENCH_obs_overhead.json"
-  # Sampled trace volume: at 1/8 sampling only sampled tests may record
-  # trace events, so the sampled run records (retains + drops) at most a
-  # quarter of what the full run does.
-  python3 - "${out_dir}/BENCH_obs_overhead.json" <<'PYEOF'
+  python3 - "${REPO_ROOT}/tools/bench_baseline/BENCH_swiftest.json" \
+    "${out_dir}/BENCH_swiftest.json" <<'PYEOF'
 import json, sys
-values = json.load(open(sys.argv[1]))["values"]
-full = values["full_trace_retained"] + values["full_trace_dropped"]
-sampled = values["sampled_trace_retained"] + values["sampled_trace_dropped"]
-if sampled > full / 4:
-    sys.exit(f"1/8-sampled run recorded {sampled:.0f} trace events, more than a "
-             f"quarter of the full run's {full:.0f}")
-print(f"sampled trace volume ok: {sampled:.0f} recorded vs {full:.0f} full "
-      f"({sampled / full:.3f})")
+base, curr = (json.load(open(path))["values"] for path in sys.argv[1:])
+if curr != base:
+    for name in sorted(base.keys() | curr.keys()):
+        if base.get(name) != curr.get(name):
+            print(f"{name}: baseline {base.get(name)!r}, now {curr.get(name)!r}",
+                  file=sys.stderr)
+    sys.exit("fig20 values differ from tools/bench_baseline/BENCH_swiftest.json")
+print(f"fig20 gate passed: {len(base)} values equal the baseline exactly")
 PYEOF
 }
 
 # Release-build jobs-scaling gate: the work-stealing pool exists to make
-# chunk workers scale, so prove it — bench_fleet_shard runs a packet
-# fleet-day at --chunk 32 across jobs {1,2,4,8}. What is assertable depends
-# on the host:
+# chunk workers scale, so prove it on a packet fleet-day at --chunk 32, run
+# once at --jobs 1 and once at --jobs 8. Both runs must write byte-identical
+# health.json. What is assertable about the wall-clock depends on the host:
 #   - >= 8 hardware threads: a >= 3x wall-clock speedup at 8 jobs.
 #   - exactly 1 hardware thread: no speedup is possible, but the pool must
 #     not cost anything either — jobs-8 wall-clock within 5% of jobs-1.
-#   - anything in between: skipped with a warning (the determinism half —
-#     artifacts_identical — is still enforced by run_bench_gate above).
+#   - anything in between: skipped with a warning (jobs-invariance of the
+#     artifacts is still enforced by run_executor_gate and ctest).
+# Both runs profile themselves (--obs prof); the jobs-8 profile report's
+# "## Workers" section is the per-worker steal/imbalance table.
 run_scaling_gate() {
   local build_dir="build-release"
   local hw
@@ -422,36 +410,44 @@ run_scaling_gate() {
   echo "=== configure ${build_dir} (Release) ==="
   cmake -B "${REPO_ROOT}/${build_dir}" -S "${REPO_ROOT}" \
     -DCMAKE_BUILD_TYPE=Release
-  echo "=== build ${build_dir} (bench_fleet_shard) ==="
-  cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" --target bench_fleet_shard
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
+  echo "=== build ${build_dir} (swiftest-cli) ==="
+  cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" --target swiftest-cli
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/scaling"
+  echo "=== jobs-scaling gate (--chunk 32, jobs 1 vs 8, Release, ${hw} hw threads) ==="
   mkdir -p "${out_dir}"
-  echo "=== jobs-scaling gate (--chunk 32, jobs 1..8, Release, ${hw} hw threads) ==="
-  "${REPO_ROOT}/${build_dir}/bench/bench_fleet_shard" \
-    --json "${out_dir}/BENCH_fleet_shard.json"
-  python3 - "${out_dir}/BENCH_fleet_shard.json" "${hw}" <<'PYEOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-hw = int(sys.argv[2])
-values = report["values"]
-speedup = float(values["speedup_jobs8"])
-identical = float(values["artifacts_identical"])
-if identical != 1.0:
-    sys.exit("jobs-scaling gate: artifacts differ across job counts")
+  # bash's `time` keyword prints the elapsed seconds (TIMEFORMAT=%R) to the
+  # group's stderr, which goes to wall-j*.txt; the CLI's own stderr goes to
+  # fd 3, a copy of the terminal's.
+  local jobs TIMEFORMAT=%R
+  for jobs in 1 8; do
+    { time "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+        --servers 8 --days 1 --tests-per-day 300 --seed 5 --chunk 32 \
+        --jobs "${jobs}" --obs-dir "${out_dir}/j${jobs}" --obs health,prof \
+        > /dev/null 2>&3 ; } 3>&2 2> "${out_dir}/wall-j${jobs}.txt"
+  done
+  cmp "${out_dir}/j1/health.json" "${out_dir}/j8/health.json" \
+    || { echo "jobs-scaling gate: health.json differs between jobs 1 and 8" >&2; return 1; }
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" profile report \
+    "${out_dir}/j8/prof.jsonl" --md "${out_dir}/prof-j8.md"
+  awk '/^## /{show = ($0 == "## Workers")} show' "${out_dir}/prof-j8.md"
+  python3 - "${out_dir}/wall-j1.txt" "${out_dir}/wall-j8.txt" "${hw}" <<'PYEOF'
+import sys
+wall1, wall8 = (float(open(path).read()) for path in sys.argv[1:3])
+hw = int(sys.argv[3])
+speedup = wall1 / wall8
 if hw >= 8:
     if speedup < 3.0:
-        sys.exit(f"jobs-scaling gate: speedup_jobs8={speedup:.2f} < 3.0")
-    print(f"jobs-scaling gate passed: speedup_jobs8={speedup:.2f}, "
-          f"artifacts identical")
+        sys.exit(f"jobs-scaling gate: jobs-8 speedup {speedup:.2f} < 3.0 "
+                 f"({wall8:.3f}s vs {wall1:.3f}s)")
+    print(f"jobs-scaling gate passed: jobs-8 speedup {speedup:.2f}, "
+          f"health identical")
 else:  # hw == 1: the pool must be near-free when it cannot help
-    wall1 = float(values["wall_s_jobs1"])
-    wall8 = float(values["wall_s_jobs8"])
     if wall8 > 1.05 * wall1:
         sys.exit(f"jobs-scaling gate: jobs-8 overhead on 1 hw thread is "
                  f"{100.0 * (wall8 / wall1 - 1.0):.1f}% > 5% "
                  f"({wall8:.3f}s vs {wall1:.3f}s)")
     print(f"jobs-scaling gate passed (1 hw thread): jobs-8 overhead "
-          f"{100.0 * (wall8 / wall1 - 1.0):+.1f}% <= 5%, artifacts identical")
+          f"{100.0 * (wall8 / wall1 - 1.0):+.1f}% <= 5%, health identical")
 PYEOF
 }
 
