@@ -13,10 +13,10 @@
 #include "core/rng.hpp"
 #include "dataset/profiles.hpp"
 #include "dataset/taxonomy.hpp"
+#include "exec/exec.hpp"
 #include "obs/health/sample_log.hpp"
 #include "obs/log.hpp"
 #include "obs/spill.hpp"
-#include "deploy/exec.hpp"
 #include "deploy/placement.hpp"
 #include "netsim/testbed.hpp"
 #include "swiftest/client.hpp"
@@ -72,6 +72,11 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
                                        const swift::ModelRegistry& registry,
                                        const FleetSimConfig& config) {
   std::vector<Arrival> workload;
+  // The hourly weights are normalised, so days * tests_per_day is the exact
+  // Poisson mean of the draw; eight standard deviations of headroom make a
+  // regrow vanishingly rare.
+  const double expected = config.days * config.tests_per_day;
+  workload.reserve(static_cast<std::size_t>(expected + 8.0 * std::sqrt(expected) + 16.0));
   core::Rng rng(config.seed);
   const auto weights = dataset::hourly_test_weights();
   double weight_sum = 0.0;
@@ -351,7 +356,7 @@ std::vector<Chunk> run_chunks(
     out.hub = make_hub();
     if (out.hub != nullptr) out.spill.attach(*out.hub, config.obs_spill_dir, c);
   }
-  run_tasks(
+  exec::run_tasks(
       chunks.size(), plan.jobs,
       [&](std::size_t c) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -451,7 +456,7 @@ void fold_health(const std::vector<Chunk>& chunks, const obs::health::SampleLog&
   for (const Chunk& chunk : chunks) logs.push_back(&chunk.health.log);
   logs.push_back(&tail);
   const obs::health::LogFold fold(logs, *config.health, jobs);
-  run_tasks(fold.lanes(), jobs, [&](std::size_t lane) { fold.run_lane(lane); });
+  exec::run_tasks(fold.lanes(), jobs, [&](std::size_t lane) { fold.run_lane(lane); });
 }
 
 /// A log for the merge's egress samples: unbounded, since dropping any would
@@ -961,7 +966,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
   ChunkPlan plan;
   plan.workload = workload;
   plan.chunk_size = config.chunk == 0 ? kDefaultChunkSize : config.chunk;
-  plan.jobs = resolve_jobs(config.jobs);
+  plan.jobs = exec::resolve_jobs(config.jobs);
   if (config.hostprof != nullptr) config.hostprof->set_run_shape(plan.count(), plan.jobs);
   if (config.resource != nullptr) config.resource->begin_run(plan.count());
 

@@ -49,7 +49,7 @@ struct FleetSimConfig {
   FleetBackend backend = FleetBackend::kAnalytic;
   /// Tests per execution chunk (0 = the default, 256). The drawn workload
   /// decomposes into bounded chunks of *consecutive* draws executed by the
-  /// work-stealing pool (deploy/exec.hpp); chunk outputs merge in canonical
+  /// work-stealing pool (exec/exec.hpp); chunk outputs merge in canonical
   /// workload-index order. The partition-invariance contract: every
   /// deterministic artifact — result numbers, trace, spans, metrics, health —
   /// is a pure function of (config, seed), independent of this value and of

@@ -1,4 +1,4 @@
-#include "deploy/exec.hpp"
+#include "exec/exec.hpp"
 
 #include <deque>
 #include <exception>
@@ -8,7 +8,7 @@
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hostprof/report.hpp"
 
-namespace swiftest::deploy {
+namespace swiftest::exec {
 
 namespace {
 
@@ -203,4 +203,4 @@ void run_tasks(std::size_t task_count, std::size_t jobs,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-}  // namespace swiftest::deploy
+}  // namespace swiftest::exec

@@ -4,7 +4,7 @@
 // *when*, and how much of the run was serial. Every thread of the chunked
 // fleet runtime records nested phase *intervals* into its own Timeline — the calling thread's workload.gen / merge.* / export
 // phases, each pool worker's per-chunk replay — plus per-worker busy/idle
-// wait accounting around deploy::run_tasks' work-stealing pool. After the
+// wait accounting around exec::run_tasks' work-stealing pool. After the
 // pool joins, HostProfiler::snapshot() folds the timelines into one ProfData
 // that renders as PROF JSONL (obs/hostprof/report.hpp), as a Chrome
 // trace_event timeline with one track per worker, and as the Amdahl

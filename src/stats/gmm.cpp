@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <stdexcept>
+
+#include "exec/exec.hpp"
 
 namespace swiftest::stats {
 namespace {
@@ -83,6 +86,21 @@ EmFit run_em_once(std::span<const double> xs, std::size_t k, const EmOptions& op
 
   std::vector<double> log_resp(k);               // per-sample log responsibilities
   std::vector<double> resp_sum(k), mu_sum(k), var_sum(k);
+  // Per-component logs, computed once per pass rather than once per sample.
+  // The density below is Gaussian::log_pdf written out in its exact
+  // operation order, so the hoist changes no bit of the fit.
+  std::vector<double> log_w(k), log_sd(k);
+  const double log_norm = 0.5 * std::log(2.0 * std::numbers::pi);
+  const auto refresh_logs = [&] {
+    for (std::size_t j = 0; j < k; ++j) {
+      log_w[j] = std::log(comps[j].weight);
+      log_sd[j] = std::log(comps[j].dist.stddev);
+    }
+  };
+  const auto log_joint = [&](double x, std::size_t j) {
+    const double z = (x - comps[j].dist.mean) / comps[j].dist.stddev;
+    return log_w[j] + (-0.5 * z * z - log_sd[j] - log_norm);
+  };
   double prev_ll = -std::numeric_limits<double>::infinity();
   EmFit fit;
 
@@ -93,10 +111,9 @@ EmFit run_em_once(std::span<const double> xs, std::size_t k, const EmOptions& op
     double ll = 0.0;
 
     // E step (and accumulation for the M step in one pass).
+    refresh_logs();
     for (double x : xs) {
-      for (std::size_t j = 0; j < k; ++j) {
-        log_resp[j] = std::log(comps[j].weight) + comps[j].dist.log_pdf(x);
-      }
+      for (std::size_t j = 0; j < k; ++j) log_resp[j] = log_joint(x, j);
       const double lse = log_sum_exp(log_resp);
       ll += lse;
       for (std::size_t j = 0; j < k; ++j) {
@@ -119,10 +136,9 @@ EmFit run_em_once(std::span<const double> xs, std::size_t k, const EmOptions& op
       comps[j].weight = resp_sum[j] / static_cast<double>(n);
     }
     // Second pass for variances against the updated means.
+    refresh_logs();
     for (double x : xs) {
-      for (std::size_t j = 0; j < k; ++j) {
-        log_resp[j] = std::log(comps[j].weight) + comps[j].dist.log_pdf(x);
-      }
+      for (std::size_t j = 0; j < k; ++j) log_resp[j] = log_joint(x, j);
       const double lse = log_sum_exp(log_resp);
       for (std::size_t j = 0; j < k; ++j) {
         const double r = std::exp(log_resp[j] - lse);
@@ -236,20 +252,45 @@ double bic(const EmFit& fit, std::size_t sample_count) {
   return k_params * std::log(static_cast<double>(sample_count)) - 2.0 * fit.log_likelihood;
 }
 
-EmFit fit_gmm_bic(std::span<const double> xs, std::size_t min_k, std::size_t max_k,
-                  const EmOptions& opts) {
+std::vector<EmFit> fit_gmm_bic(std::span<const std::span<const double>> sets,
+                               std::size_t min_k, std::size_t max_k, const EmOptions& opts) {
   if (min_k == 0 || max_k < min_k) throw std::invalid_argument("fit_gmm_bic: bad k range");
-  EmFit best;
-  double best_bic = std::numeric_limits<double>::infinity();
-  for (std::size_t k = min_k; k <= max_k && k <= xs.size(); ++k) {
-    EmFit fit = fit_gmm(xs, k, opts);
-    const double b = bic(fit, xs.size());
-    if (b < best_bic) {
-      best_bic = b;
-      best = std::move(fit);
+  // No set can fit more components than it has samples, which bounds the
+  // slot table even when max_k is not.
+  std::size_t largest = 0;
+  for (const auto xs : sets) largest = std::max(largest, xs.size());
+  const std::size_t top_k = std::min(max_k, largest);
+  const std::size_t k_count = top_k >= min_k ? top_k - min_k + 1 : 0;
+
+  // Every (set, k) fit is an independent task — fit_gmm seeds from
+  // opts.seed alone — writing its own slot, so no schedule reaches a result.
+  std::vector<EmFit> slots(sets.size() * k_count);
+  exec::run_tasks(slots.size(), exec::resolve_jobs(0), [&](std::size_t task) {
+    const auto xs = sets[task / k_count];
+    const std::size_t k = min_k + task % k_count;
+    if (k <= xs.size()) slots[task] = fit_gmm(xs, k, opts);
+  });
+
+  std::vector<EmFit> best(sets.size());
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const auto xs = sets[s];
+    double best_bic = std::numeric_limits<double>::infinity();
+    for (std::size_t k = min_k; k <= max_k && k <= xs.size(); ++k) {
+      EmFit& fit = slots[s * k_count + (k - min_k)];
+      const double b = bic(fit, xs.size());
+      if (b < best_bic) {
+        best_bic = b;
+        best[s] = std::move(fit);
+      }
     }
   }
   return best;
+}
+
+EmFit fit_gmm_bic(std::span<const double> xs, std::size_t min_k, std::size_t max_k,
+                  const EmOptions& opts) {
+  const std::span<const double> sets[] = {xs};
+  return std::move(fit_gmm_bic(sets, min_k, max_k, opts).front());
 }
 
 }  // namespace swiftest::stats

@@ -69,11 +69,16 @@ void ModelRegistry::fit_from_campaign(std::span<const dataset::TestRecord> recor
                                       std::size_t min_samples) {
   std::map<AccessTech, std::vector<double>> by_tech;
   for (const auto& r : records) by_tech[r.tech].push_back(r.bandwidth_mbps);
-  for (auto& [tech, samples] : by_tech) {
+  std::vector<AccessTech> techs;
+  std::vector<std::span<const double>> sets;
+  for (const auto& [tech, samples] : by_tech) {
     if (samples.size() < min_samples) continue;
-    const auto fit = stats::fit_gmm_bic(samples, min_k, max_k);
-    set_model(tech, fit.mixture);
+    techs.push_back(tech);
+    sets.emplace_back(samples);
   }
+  // One task list for every (technology, k) fit; see stats::fit_gmm_bic.
+  auto fits = stats::fit_gmm_bic(sets, min_k, max_k);
+  for (std::size_t i = 0; i < techs.size(); ++i) set_model(techs[i], std::move(fits[i].mixture));
 }
 
 }  // namespace swiftest::swift

@@ -3,7 +3,7 @@
 // (`--gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*'` in ci.sh):
 // they drive the pool and the raw deque under live contention to prove the
 // lock-free paths are race-free and the accounting adds up.
-#include "deploy/exec.hpp"
+#include "exec/exec.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,9 @@
 
 namespace swiftest::deploy {
 namespace {
+
+using exec::run_tasks;
+using exec::WorkStealingDeque;
 
 using obs::hostprof::HostProfiler;
 using obs::hostprof::ProfData;

@@ -1,9 +1,9 @@
-// Determinism contract of the partition-free execution plane (deploy/exec.hpp
+// Determinism contract of the partition-free execution plane (exec/exec.hpp
 // + the chunked simulate_fleet): the work-stealing deque hands out each task
 // exactly once, run_tasks covers [0, n) at any job count, the analytic
 // backend is bit-exact for any chunk size, and no artifact — result, health
 // JSON, metrics JSON, span JSON — may depend on `chunk` or `jobs`.
-#include "deploy/exec.hpp"
+#include "exec/exec.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,10 @@
 
 namespace swiftest::deploy {
 namespace {
+
+using exec::resolve_jobs;
+using exec::run_tasks;
+using exec::WorkStealingDeque;
 
 TEST(StreamSeed, StreamZeroIsIdentity) {
   EXPECT_EQ(core::stream_seed(42, 0), 42u);

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "deploy/exec.hpp"
+#include "exec/exec.hpp"
 #include "obs/health/report.hpp"
 
 namespace swiftest::obs::health {
@@ -67,8 +67,8 @@ void fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
           std::size_t jobs) {
   const LogFold folder(logs, monitor, jobs);
   EXPECT_LE(folder.lanes(), std::max<std::size_t>(1, jobs));
-  deploy::run_tasks(folder.lanes(), jobs,
-                    [&](std::size_t lane) { folder.run_lane(lane); });
+  exec::run_tasks(folder.lanes(), jobs,
+                  [&](std::size_t lane) { folder.run_lane(lane); });
 }
 
 /// Four chunk logs (one empty) of tests, then a tail of egress samples.

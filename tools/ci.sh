@@ -472,17 +472,25 @@ run_perfbench_smoke() {
 # under randomized interleavings with exactly-once assertions. HealthFold
 # and an analytic fleet-day at --jobs 4 (its health JSON cmp'd against
 # --jobs 1) drive the per-cell health fold, whose lanes feed disjoint
-# HealthMonitor cells concurrently.
+# HealthMonitor cells concurrently. The model fits share the same pool: the
+# many-sets fit_gmm_bic must equal serial fits bit for bit, and the pinned
+# fits (one BIC pick, one registry refresh) must not move under TSan.
 run_tsan_fleet() {
   local build_dir="build-tsan"
   echo "=== configure ${build_dir} (-DSWIFTEST_SANITIZE=thread) ==="
   cmake -B "${REPO_ROOT}/${build_dir}" -S "${REPO_ROOT}" -DSWIFTEST_SANITIZE=thread
-  echo "=== build ${build_dir} (swiftest-cli, test_deploy) ==="
+  echo "=== build ${build_dir} (swiftest-cli, test_deploy, test_stats, test_swiftest) ==="
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
-    --target swiftest-cli --target test_deploy
+    --target swiftest-cli --target test_deploy --target test_stats \
+    --target test_swiftest
   echo "=== TSan work-stealing pool + raw deque + health fold (live contention) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
     --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:HealthFold.*'
+  echo "=== TSan parallel model fits (many-sets BIC fit vs serial, pinned fits) ==="
+  "${REPO_ROOT}/${build_dir}/tests/test_stats" \
+    --gtest_filter='FitGmmBic.ManySetsMatchSerialFits:FitGmmBic.BadKRangeThrows:FitGmmBic.BimodalFitIsBitExact'
+  "${REPO_ROOT}/${build_dir}/tests/test_swiftest" \
+    --gtest_filter='ModelRegistry.FitFromCampaignIsBitExact'
   echo "=== TSan analytic fleet-day: parallel health fold (--jobs 4 vs 1) ==="
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
