@@ -19,12 +19,8 @@ class LivenessToken {
   LivenessToken(const LivenessToken&) = delete;
   LivenessToken& operator=(const LivenessToken&) = delete;
 
-  /// Shared view of the owner's liveness; true until the token is destroyed
-  /// or revoked.
+  /// Shared view of the owner's liveness; true until the token is destroyed.
   [[nodiscard]] std::shared_ptr<const bool> watch() const noexcept { return alive_; }
-
-  /// Disables all watchers early (before destruction).
-  void revoke() noexcept { *alive_ = false; }
 
  private:
   std::shared_ptr<bool> alive_;

@@ -1,27 +1,24 @@
-// Event-queue front-ends for the slab scheduler.
+// Event queue for the slab scheduler.
 //
 // The scheduler stores callbacks in a slab; what gets ordered is a 24-byte
-// EventKey {when, seq, slot}. Two interchangeable front-ends produce the
-// exact same total order (strict (when, seq) — seq is unique, so there are
-// no ambiguous ties):
-//
-//  * HeapEventQueue — the reference std::priority_queue, O(log n) per op.
-//    Kept for the byte-identical migration gate and A/B determinism tests.
-//  * CalendarEventQueue — a bucketed timer ring for the dominant near-future
-//    events, O(1) amortized. The ring covers [base, base + buckets * width);
-//    events beyond the horizon wait in a far-future heap and migrate into
-//    the ring when it drains and rebases. Buckets are swept into a small
-//    "active" min-heap as the cursor reaches them; `swept_end` records the
-//    exclusive end time of the last swept bucket, and any in-window insert
-//    below that watermark joins the active heap directly — the cursor has
-//    already passed its bucket (e.g. a peek() swept a future bucket and the
-//    caller then scheduled into the gap), and parking it in the ring would
-//    delay it a full lap. Inserts before `base` (possible after run_until()
-//    parks the clock between a drained ring and a far-future rebase target)
-//    go to an underflow heap that is strictly earlier than everything else.
-//    Invariant: underflow < base <= active < swept_end <= ring, so draining
-//    underflow, then active, then sweeping buckets in cursor order yields
-//    the exact (when, seq) total order without ever rebasing backwards.
+// EventKey {when, seq, slot} in strict (when, seq) order — seq is unique, so
+// there are no ambiguous ties. CalendarEventQueue is the scheduler's one
+// queue: a bucketed timer ring for the dominant near-future events, O(1)
+// amortized. The ring covers [base, base + buckets * width); events beyond
+// the horizon wait in a far-future heap and migrate into the ring when it
+// drains and rebases. Buckets are swept into a small "active" min-heap as
+// the cursor reaches them; `swept_end` records the exclusive end time of the
+// last swept bucket, and any in-window insert below that watermark joins the
+// active heap directly — the cursor has already passed its bucket (e.g. a
+// peek() swept a future bucket and the caller then scheduled into the gap),
+// and parking it in the ring would delay it a full lap. Inserts before
+// `base` (possible after run_until() parks the clock between a drained ring
+// and a far-future rebase target) go to an underflow heap that is strictly
+// earlier than everything else. Invariant: underflow < base <= active <
+// swept_end <= ring, so draining underflow, then active, then sweeping
+// buckets in cursor order yields the exact (when, seq) total order without
+// ever rebasing backwards. The tests hold a plain EventKeyHeap as the
+// reference order the ring must reproduce.
 #pragma once
 
 #include <cassert>
@@ -47,43 +44,17 @@ struct EventKey {
 using EventKeyHeap =
     std::priority_queue<EventKey, std::vector<EventKey>, std::greater<>>;
 
-/// Reference front-end: a plain binary min-heap of keys.
-class HeapEventQueue {
- public:
-  void push(const EventKey& key) { heap_.push(key); }
-
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-
-  bool peek(EventKey& out) {
-    if (heap_.empty()) return false;
-    out = heap_.top();
-    return true;
-  }
-
-  EventKey pop() {
-    EventKey key = heap_.top();
-    heap_.pop();
-    return key;
-  }
-
- private:
-  EventKeyHeap heap_;
-};
-
-/// O(1)-amortized calendar queue. Defaults: 1024 buckets of 2^18 ns
-/// (~262 us) give a ~268 ms ring — wider than any simulated RTT or pacing
-/// gap, so steady-state packet events never touch the far heap.
+/// O(1)-amortized calendar queue: 1024 buckets of 2^18 ns (~262 us) give a
+/// ~268 ms ring — wider than any simulated RTT or pacing gap, so
+/// steady-state packet events never touch the far heap.
 class CalendarEventQueue {
  public:
-  explicit CalendarEventQueue(std::uint32_t width_shift = 18,
-                              std::uint32_t bucket_count = 1024)
-      : width_shift_(width_shift),
-        bucket_mask_(bucket_count - 1),
-        buckets_(bucket_count) {
-    assert((bucket_count & (bucket_count - 1)) == 0 && "bucket count must be a power of 2");
-    horizon_end_ = span();
-  }
+  static constexpr std::uint32_t kWidthShift = 18;
+  static constexpr std::uint32_t kBucketCount = 1024;
+  static_assert((kBucketCount & (kBucketCount - 1)) == 0,
+                "bucket count must be a power of 2");
+
+  CalendarEventQueue() : buckets_(kBucketCount) {}
 
   /// Structural activity counters for resource self-telemetry: how often the
   /// ring swept buckets, rebased its window, or routed keys to the slow
@@ -115,7 +86,6 @@ class CalendarEventQueue {
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Lowest (when, seq) key without removing it. May migrate far-future
   /// events into the ring (order-preserving). False when empty.
@@ -136,17 +106,17 @@ class CalendarEventQueue {
   }
 
  private:
-  [[nodiscard]] core::SimTime span() const noexcept {
-    return static_cast<core::SimTime>(bucket_mask_ + 1) << width_shift_;
-  }
-  [[nodiscard]] std::uint32_t bucket_of(core::SimTime when) const noexcept {
-    return static_cast<std::uint32_t>(when >> width_shift_) & bucket_mask_;
+  static constexpr std::uint32_t kBucketMask = kBucketCount - 1;
+  static constexpr core::SimTime kSpan = core::SimTime{kBucketCount} << kWidthShift;
+
+  [[nodiscard]] static std::uint32_t bucket_of(core::SimTime when) noexcept {
+    return static_cast<std::uint32_t>(when >> kWidthShift) & kBucketMask;
   }
   /// Start time of ring bucket `b` within the current window. Well-defined
   /// because `base_` is bucket-aligned and the window spans exactly one lap.
   [[nodiscard]] core::SimTime bucket_start(std::uint32_t b) const noexcept {
-    const std::uint32_t lap = (b - bucket_of(base_)) & bucket_mask_;
-    return base_ + (static_cast<core::SimTime>(lap) << width_shift_);
+    const std::uint32_t lap = (b - bucket_of(base_)) & kBucketMask;
+    return base_ + (static_cast<core::SimTime>(lap) << kWidthShift);
   }
 
   /// Sweeps ring buckets into the active heap (advancing the watermark)
@@ -155,7 +125,7 @@ class CalendarEventQueue {
     while (true) {
       if (!active_.empty()) return true;
       if (ring_count_ == 0) return false;
-      while (buckets_[cursor_].empty()) cursor_ = (cursor_ + 1) & bucket_mask_;
+      while (buckets_[cursor_].empty()) cursor_ = (cursor_ + 1) & kBucketMask;
       std::vector<EventKey>& bucket = buckets_[cursor_];
       for (const EventKey& key : bucket) active_.push(key);
       ring_count_ -= bucket.size();
@@ -163,8 +133,8 @@ class CalendarEventQueue {
       ++stats_.sweeps;
       // Buckets skipped above were empty, so every ring key still ahead of
       // the cursor is >= swept_end_ — late pushes below it go to active_.
-      swept_end_ = bucket_start(cursor_) + (core::SimTime{1} << width_shift_);
-      cursor_ = (cursor_ + 1) & bucket_mask_;
+      swept_end_ = bucket_start(cursor_) + (core::SimTime{1} << kWidthShift);
+      cursor_ = (cursor_ + 1) & kBucketMask;
     }
   }
 
@@ -174,8 +144,8 @@ class CalendarEventQueue {
   void rebase_from_far() {
     assert(!far_.empty());
     ++stats_.rebases;
-    base_ = (far_.top().when >> width_shift_) << width_shift_;
-    horizon_end_ = base_ + span();
+    base_ = (far_.top().when >> kWidthShift) << kWidthShift;
+    horizon_end_ = base_ + kSpan;
     cursor_ = bucket_of(base_);
     swept_end_ = base_;  // nothing in the new window has been swept yet
     while (!far_.empty() && far_.top().when < horizon_end_) {
@@ -199,13 +169,11 @@ class CalendarEventQueue {
     return &active_;
   }
 
-  std::uint32_t width_shift_;
-  std::uint32_t bucket_mask_;
   std::vector<std::vector<EventKey>> buckets_;
   std::size_t ring_count_ = 0;  // keys sitting in bucket vectors
   std::size_t size_ = 0;        // total keys across all structures
   core::SimTime base_ = 0;       // start of the ring window
-  core::SimTime horizon_end_;    // base_ + span()
+  core::SimTime horizon_end_ = kSpan;  // base_ + kSpan
   core::SimTime swept_end_ = 0;  // exclusive end of the last swept bucket
   std::uint32_t cursor_ = 0;     // next bucket to sweep into the active heap
   EventKeyHeap active_;     // swept keys plus late arrivals below swept_end_

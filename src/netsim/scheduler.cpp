@@ -53,7 +53,7 @@ EventHandle Scheduler::schedule_at(core::SimTime when, Task fn) {
   s.fn = std::move(fn);
   s.state = SlotState::kArmed;
   if (!s.fn.is_inline()) ++fn_heap_fallbacks_;
-  push_key(EventKey{when, next_seq_++, idx});
+  calendar_.push(EventKey{when, next_seq_++, idx});
   ++size_;
   if (obs_ != nullptr) {
     if (!obs_handles_.bound) bind_obs();
@@ -69,8 +69,8 @@ EventHandle Scheduler::schedule_in(core::SimDuration delay, Task fn) {
 
 void Scheduler::run_until(core::SimTime deadline) {
   EventKey key;
-  while (peek_key(key) && key.when <= deadline) {
-    pop_key();
+  while (calendar_.peek(key) && key.when <= deadline) {
+    calendar_.pop();
     EventSlot& slot = slots_[key.slot];
     // The clock advances even for cancelled events (legacy behavior).
     now_ = key.when;

@@ -6,14 +6,12 @@
 //
 // Hot-path layout (see DESIGN.md §11): callbacks live in a slab of reusable
 // EventSlots (free-list, small-buffer-optimized storage — zero per-event
-// heap allocations in steady state); the queue orders 24-byte EventKeys
-// through either an O(1)-amortized calendar ring (default) or the reference
-// binary heap (kept as the byte-identical migration gate). Cancellation is
-// by slot index + generation: an EventHandle holding a stale generation is
-// a guaranteed no-op, replacing the old shared_ptr<bool> per event.
+// heap allocations in steady state); one O(1)-amortized calendar ring
+// orders the 24-byte EventKeys. Cancellation is by slot index + generation:
+// an EventHandle holding a stale generation is a guaranteed no-op,
+// replacing the old shared_ptr<bool> per event.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -111,13 +109,7 @@ class Scheduler {
   /// counted in AllocStats.
   using Task = core::SmallFn<void(), 48>;
 
-  /// Queue front-end selection. kCalendar is the production default;
-  /// kHeap is the reference ordering used by determinism A/B tests.
-  enum class FrontEnd : std::uint8_t { kCalendar, kHeap };
-
-  Scheduler() : Scheduler(default_front_end()) {}
-  explicit Scheduler(FrontEnd front_end)
-      : front_end_(front_end), life_(new detail::SchedulerLife{this, 1}) {
+  Scheduler() : life_(new detail::SchedulerLife{this, 1}) {
     slots_.reserve(kInitialSlots);
   }
   Scheduler(const Scheduler&) = delete;
@@ -126,15 +118,6 @@ class Scheduler {
     life_->owner = nullptr;  // outstanding handles become inert
     if (--life_->refs == 0) delete life_;
   }
-
-  /// Process-wide default front-end for newly constructed schedulers.
-  static void set_default_front_end(FrontEnd fe) noexcept {
-    default_front_end_.store(fe, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static FrontEnd default_front_end() noexcept {
-    return default_front_end_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] FrontEnd front_end() const noexcept { return front_end_; }
 
   [[nodiscard]] core::SimTime now() const noexcept { return now_; }
 
@@ -186,11 +169,9 @@ class Scheduler {
                       transits_.peak_live()};
   }
 
-  /// Calendar-ring activity counters for resource self-telemetry. All zeros
-  /// when this scheduler runs the reference heap front-end.
-  [[nodiscard]] CalendarEventQueue::Stats calendar_stats() const noexcept {
-    return front_end_ == FrontEnd::kCalendar ? calendar_.stats()
-                                             : CalendarEventQueue::Stats{};
+  /// Calendar-ring activity counters for resource self-telemetry.
+  [[nodiscard]] const CalendarEventQueue::Stats& calendar_stats() const noexcept {
+    return calendar_.stats();
   }
 
   /// Attaches (or detaches, with nullptr) an observability Hub. Every
@@ -246,33 +227,15 @@ class Scheduler {
   void free_slot(std::uint32_t idx);
   void cancel_event(std::uint32_t slot, std::uint32_t generation);
 
-  void push_key(const EventKey& key) {
-    if (front_end_ == FrontEnd::kCalendar) {
-      calendar_.push(key);
-    } else {
-      heap_.push(key);
-    }
-  }
-  bool peek_key(EventKey& out) {
-    return front_end_ == FrontEnd::kCalendar ? calendar_.peek(out) : heap_.peek(out);
-  }
-  EventKey pop_key() {
-    return front_end_ == FrontEnd::kCalendar ? calendar_.pop() : heap_.pop();
-  }
-
-  static inline std::atomic<FrontEnd> default_front_end_{FrontEnd::kCalendar};
-
   core::SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t size_ = 0;  // events alive in the queue (incl. cancelled)
   std::uint64_t fn_heap_fallbacks_ = 0;
-  FrontEnd front_end_;
   detail::SchedulerLife* life_;
   std::vector<EventSlot> slots_;
   std::uint32_t free_head_ = kNil;
   CalendarEventQueue calendar_;
-  HeapEventQueue heap_;
   PayloadArena payloads_;
   TransitPool transits_;
   obs::Hub* obs_ = nullptr;

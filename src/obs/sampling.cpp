@@ -84,9 +84,4 @@ std::uint64_t SampleSchedule::degradations_in(std::uint64_t begin_test,
   return count;
 }
 
-std::string SampleSchedule::describe_final() const {
-  const std::uint64_t denom = steps_.empty() ? 1 : steps_.back().denominator;
-  return "1/" + std::to_string(denom);
-}
-
 }  // namespace swiftest::obs

@@ -154,9 +154,6 @@ class SampleSchedule {
   [[nodiscard]] std::uint64_t degradations_in(std::uint64_t begin_test,
                                               std::uint64_t end_test) const noexcept;
 
-  /// Final "1/N" spec, for artifact meta.
-  [[nodiscard]] std::string describe_final() const;
-
   static constexpr std::uint64_t kCheckpointInterval = 4096;
 
  private:

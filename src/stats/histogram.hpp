@@ -50,7 +50,6 @@ class EmpiricalCdf {
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] std::size_t sample_count() const noexcept { return sorted_.size(); }
-  [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept { return sorted_; }
 
   /// Largest pointwise gap to another empirical CDF (two-sample
   /// Kolmogorov-Smirnov statistic); used by generator-calibration tests.

@@ -17,7 +17,6 @@
 #include "core/rng.hpp"
 #include "dataset/generator.hpp"
 #include "deploy/fleet_sim.hpp"
-#include "netsim/scheduler.hpp"
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hub.hpp"
@@ -218,22 +217,6 @@ Artifacts run_packet(std::size_t chunk, std::size_t jobs) {
   artifacts.busy_windows = result.busy_window_utilization;
   artifacts.tests = result.tests_simulated;
   return artifacts;
-}
-
-TEST(ChunkedFleet, PacketArtifactsIdenticalAcrossQueueFrontEnds) {
-  // The calendar-queue front-end is a pure scheduling-structure swap: a full
-  // fleet-day replayed on it must reproduce the reference binary heap's
-  // artifacts byte for byte — same event order, same RNG draws, same JSON.
-  using FrontEnd = netsim::Scheduler::FrontEnd;
-  netsim::Scheduler::set_default_front_end(FrontEnd::kHeap);
-  const Artifacts heap = run_packet(64, 1);
-  netsim::Scheduler::set_default_front_end(FrontEnd::kCalendar);
-  const Artifacts calendar = run_packet(64, 1);
-  EXPECT_EQ(heap.tests, calendar.tests);
-  EXPECT_EQ(heap.busy_windows, calendar.busy_windows);
-  EXPECT_EQ(heap.health, calendar.health);
-  EXPECT_EQ(heap.metrics, calendar.metrics);
-  EXPECT_EQ(heap.spans, calendar.spans);
 }
 
 TEST(ChunkedFleet, PacketArtifactsIndependentOfPartitionAndJobs) {

@@ -14,7 +14,6 @@ namespace {
 using core::microseconds;
 using core::milliseconds;
 using core::seconds;
-using core::seconds;
 
 TEST(Scheduler, RunsEventsInTimeOrder) {
   Scheduler sched;
@@ -175,7 +174,7 @@ TEST(Scheduler, LateInsertBehindSweepCursorFiresInOrder) {
   // calendar's active heap. A subsequent schedule_at() into the gap between
   // now and that bucket must not be parked in a behind-cursor ring bucket
   // (which would fire it a full ~268 ms lap late, after the 100 ms event).
-  Scheduler sched(Scheduler::FrontEnd::kCalendar);
+  Scheduler sched;
   std::vector<int> order;
   sched.schedule_at(milliseconds(100), [&] { order.push_back(100); });
   sched.run_until(milliseconds(1));
@@ -185,87 +184,100 @@ TEST(Scheduler, LateInsertBehindSweepCursorFiresInOrder) {
   EXPECT_EQ(sched.now(), milliseconds(100));
 }
 
-TEST(Scheduler, CalendarMatchesHeapUnderInterleavedRunUntil) {
-  // A/B determinism with external scheduling between run_until() steps: the
-  // final peek of each step can sweep a future bucket into the calendar's
-  // active heap, so the next external push often lands behind the sweep
-  // cursor. Fire sequences must match the reference heap exactly, and the
-  // clock must never move backwards.
-  const auto run_with = [](Scheduler::FrontEnd fe) {
-    Scheduler sched(fe);
-    core::Rng rng(424242);
-    std::vector<std::pair<core::SimTime, int>> fired;
-    int next_id = 0;
-    for (int step = 0; step < 300; ++step) {
-      const auto pushes = rng.uniform_int(0, 3);
-      for (std::int64_t k = 0; k < pushes; ++k) {
-        // Offsets span same-bucket, mid-ring, and beyond-horizon targets.
-        const core::SimTime when = sched.now() + rng.uniform_int(0, milliseconds(400));
-        const int id = next_id++;
-        sched.schedule_at(when, [&fired, &sched, id] {
-          fired.emplace_back(sched.now(), id);
-        });
-      }
-      const core::SimTime before = sched.now();
-      sched.run_until(sched.now() + rng.uniform_int(0, milliseconds(120)));
-      EXPECT_GE(sched.now(), before);
+/// (fire time, id) per fired event, in fire order. Ids count up in the order
+/// the events were scheduled.
+using FireLog = std::vector<std::pair<core::SimTime, int>>;
+
+/// The scheduler's ordering contract, checked on a run's fire log: fire
+/// times never go backwards, equal times fire in insertion order, cancelled
+/// ids never fire, and every other scheduled id fires exactly once.
+void expect_contract(const FireLog& fired, const std::vector<bool>& cancelled) {
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LE(fired[i - 1].first, fired[i].first) << "fire " << i << " went backwards";
+    if (fired[i - 1].first == fired[i].first) {
+      EXPECT_LT(fired[i - 1].second, fired[i].second)
+          << "tie at fire " << i << " broke insertion order";
     }
-    sched.run();
-    return fired;
-  };
-  const auto heap = run_with(Scheduler::FrontEnd::kHeap);
-  const auto calendar = run_with(Scheduler::FrontEnd::kCalendar);
-  ASSERT_FALSE(heap.empty());
-  EXPECT_EQ(heap, calendar);
-  // The sequence itself must be sorted by fire time (no backwards pops).
-  for (std::size_t i = 1; i < calendar.size(); ++i) {
-    EXPECT_LE(calendar[i - 1].first, calendar[i].first);
+  }
+  std::vector<int> fire_count(cancelled.size(), 0);
+  for (const auto& [when, id] : fired) {
+    ASSERT_GE(id, 0);
+    ASSERT_LT(static_cast<std::size_t>(id), cancelled.size());
+    ++fire_count[static_cast<std::size_t>(id)];
+  }
+  for (std::size_t id = 0; id < cancelled.size(); ++id) {
+    EXPECT_EQ(fire_count[id], cancelled[id] ? 0 : 1) << "id " << id;
   }
 }
 
-TEST(Scheduler, CalendarFrontEndMatchesReferenceHeap) {
-  // Random churn replayed on both queue front-ends: uniform and far-future
-  // arrivals (beyond the calendar ring, forcing rebase), mid-drain inserts
-  // from firing events, and cancellations. The fire sequence — time and
-  // insertion id — must match the reference binary heap exactly.
-  const auto run_with = [](Scheduler::FrontEnd fe) {
-    Scheduler sched(fe);
-    core::Rng rng(2022);
-    std::vector<std::pair<core::SimTime, int>> fired;
-    std::vector<EventHandle> handles;
-    int next_id = 0;
-    for (int i = 0; i < 500; ++i) {
-      // Mix of near (same bucket), mid-ring, and far-future (several times
-      // the ~268 ms ring horizon) target times; duplicates are common and
-      // must resolve by insertion order.
-      const core::SimTime when = rng.uniform_int(0, seconds(2));
-      const int id = next_id++;
-      handles.push_back(sched.schedule_at(when, [&fired, &sched, id] {
-        fired.emplace_back(sched.now(), id);
-      }));
-      if (i % 4 == 0) {
-        const int child = next_id++;
-        handles.push_back(
-            sched.schedule_at(when, [&fired, &sched, &rng, &handles, child] {
-              fired.emplace_back(sched.now(), child);
-              // Mid-drain insert relative to the firing time: lands in the
-              // active bucket or just past it.
-              const int grandchild = -child;
-              handles.push_back(sched.schedule_in(
-                  rng.uniform_int(0, milliseconds(1)), [&fired, &sched, grandchild] {
-                    fired.emplace_back(sched.now(), grandchild);
-                  }));
-            }));
-      }
+TEST(Scheduler, InterleavedRunUntilFiresInOrder) {
+  // External scheduling between run_until() steps: the final peek of each
+  // step can sweep a future bucket into the calendar's active heap, so the
+  // next external push often lands behind the sweep cursor. The clock must
+  // never move backwards, and every event must fire once, in order.
+  Scheduler sched;
+  core::Rng rng(424242);
+  FireLog fired;
+  std::vector<bool> cancelled;
+  for (int step = 0; step < 300; ++step) {
+    const auto pushes = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < pushes; ++k) {
+      // Offsets span same-bucket, mid-ring, and beyond-horizon targets.
+      const core::SimTime when = sched.now() + rng.uniform_int(0, milliseconds(400));
+      const auto id = static_cast<int>(cancelled.size());
+      cancelled.push_back(false);
+      sched.schedule_at(when, [&fired, &sched, id] { fired.emplace_back(sched.now(), id); });
     }
-    for (std::size_t i = 0; i < handles.size(); i += 5) handles[i].cancel();
-    sched.run();
-    return fired;
+    const core::SimTime before = sched.now();
+    sched.run_until(sched.now() + rng.uniform_int(0, milliseconds(120)));
+    EXPECT_GE(sched.now(), before);
+  }
+  sched.run();
+  ASSERT_FALSE(fired.empty());
+  expect_contract(fired, cancelled);
+}
+
+TEST(Scheduler, ChurnFiresLiveEventsOnceInOrder) {
+  // Random churn: uniform and far-future arrivals (beyond the calendar ring,
+  // forcing rebase), mid-drain inserts from firing events, and
+  // cancellations. Duplicate target times are common and must resolve by
+  // insertion order.
+  Scheduler sched;
+  core::Rng rng(2022);
+  FireLog fired;
+  std::vector<bool> cancelled;
+  std::vector<EventHandle> handles;  // handles[id] arms event `id`
+  const auto schedule = [&](core::SimTime when, Scheduler::Task fn) {
+    cancelled.push_back(false);
+    handles.push_back(sched.schedule_at(when, std::move(fn)));
   };
-  const auto heap = run_with(Scheduler::FrontEnd::kHeap);
-  const auto calendar = run_with(Scheduler::FrontEnd::kCalendar);
-  ASSERT_FALSE(heap.empty());
-  EXPECT_EQ(heap, calendar);
+  for (int i = 0; i < 500; ++i) {
+    // Mix of near (same bucket), mid-ring, and far-future (several times
+    // the ~268 ms ring horizon) target times.
+    const core::SimTime when = rng.uniform_int(0, seconds(2));
+    const auto id = static_cast<int>(handles.size());
+    schedule(when, [&fired, &sched, id] { fired.emplace_back(sched.now(), id); });
+    if (i % 4 == 0) {
+      const int child = id + 1;
+      schedule(when, [&fired, &sched, &rng, &handles, &schedule, child] {
+        fired.emplace_back(sched.now(), child);
+        // Mid-drain insert relative to the firing time: lands in the
+        // active bucket or just past it.
+        const auto grandchild = static_cast<int>(handles.size());
+        schedule(sched.now() + rng.uniform_int(0, milliseconds(1)),
+                 [&fired, &sched, grandchild] {
+                   fired.emplace_back(sched.now(), grandchild);
+                 });
+      });
+    }
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 5) {
+    handles[i].cancel();
+    cancelled[i] = true;
+  }
+  sched.run();
+  ASSERT_FALSE(fired.empty());
+  expect_contract(fired, cancelled);
 }
 
 }  // namespace

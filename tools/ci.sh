@@ -390,22 +390,25 @@ PYEOF
 
 # Release-build jobs-scaling gate: the work-stealing pool exists to make
 # chunk workers scale, so prove it on a packet fleet-day at --chunk 32, run
-# once at --jobs 1 and once at --jobs 8. Both runs must write byte-identical
+# at --jobs 1 and at a higher job count. Every run must write byte-identical
 # health.json. What is assertable about the wall-clock depends on the host:
-#   - >= 8 hardware threads: a >= 3x wall-clock speedup at 8 jobs.
-#   - exactly 1 hardware thread: no speedup is possible, but the pool must
-#     not cost anything either — jobs-8 wall-clock within 5% of jobs-1.
-#   - anything in between: skipped with a warning (jobs-invariance of the
-#     artifacts is still enforced by run_executor_gate and ctest).
-# Both runs profile themselves (--obs prof); the jobs-8 profile report's
+#   - >= 8 hardware threads: one run per side at --jobs 8, and a >= 3x
+#     wall-clock speedup.
+#   - 2..7 hardware threads: --jobs <hw>, best of 3 runs per side (a cold
+#     first run can sit far below the steady state), and a speedup >= hw/2.
+#   - exactly 1 hardware thread: one run per side at --jobs 8. No speedup is
+#     possible, but the pool must not cost anything either — jobs-8
+#     wall-clock within 5% of jobs-1.
+# Every run profiles itself (--obs prof); the high-jobs profile report's
 # "## Workers" section is the per-worker steal/imbalance table.
 run_scaling_gate() {
   local build_dir="build-release"
   local hw
   hw="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
-  if [ "${hw}" -lt 8 ] && [ "${hw}" -ne 1 ]; then
-    echo "=== jobs-scaling gate: SKIPPED (${hw} hardware thread(s): not 1, < 8) ==="
-    return 0
+  local hi=8 reps=1
+  if [ "${hw}" -gt 1 ] && [ "${hw}" -lt 8 ]; then
+    hi="${hw}"
+    reps=3
   fi
   echo "=== configure ${build_dir} (Release) ==="
   cmake -B "${REPO_ROOT}/${build_dir}" -S "${REPO_ROOT}" \
@@ -413,41 +416,54 @@ run_scaling_gate() {
   echo "=== build ${build_dir} (swiftest-cli) ==="
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" --target swiftest-cli
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/scaling"
-  echo "=== jobs-scaling gate (--chunk 32, jobs 1 vs 8, Release, ${hw} hw threads) ==="
+  echo "=== jobs-scaling gate (--chunk 32, jobs 1 vs ${hi}, best of ${reps}," \
+    "Release, ${hw} hw threads) ==="
   mkdir -p "${out_dir}"
+  rm -f "${out_dir}"/wall-j*.txt
   # bash's `time` keyword prints the elapsed seconds (TIMEFORMAT=%R) to the
-  # group's stderr, which goes to wall-j*.txt; the CLI's own stderr goes to
-  # fd 3, a copy of the terminal's.
-  local jobs TIMEFORMAT=%R
-  for jobs in 1 8; do
-    { time "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
-        --servers 8 --days 1 --tests-per-day 300 --seed 5 --chunk 32 \
-        --jobs "${jobs}" --obs-dir "${out_dir}/j${jobs}" --obs health,prof \
-        > /dev/null 2>&3 ; } 3>&2 2> "${out_dir}/wall-j${jobs}.txt"
+  # group's stderr, which goes to wall-j*-r*.txt; the CLI's own stderr goes
+  # to fd 3, a copy of the terminal's.
+  local rep jobs TIMEFORMAT=%R
+  for rep in $(seq 1 "${reps}"); do
+    for jobs in 1 "${hi}"; do
+      { time "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+          --servers 8 --days 1 --tests-per-day 300 --seed 5 --chunk 32 \
+          --jobs "${jobs}" --obs-dir "${out_dir}/j${jobs}" --obs health,prof \
+          > /dev/null 2>&3 ; } 3>&2 2> "${out_dir}/wall-j${jobs}-r${rep}.txt"
+    done
+    cmp "${out_dir}/j1/health.json" "${out_dir}/j${hi}/health.json" \
+      || { echo "jobs-scaling gate: health.json differs between jobs 1 and ${hi}" >&2; return 1; }
   done
-  cmp "${out_dir}/j1/health.json" "${out_dir}/j8/health.json" \
-    || { echo "jobs-scaling gate: health.json differs between jobs 1 and 8" >&2; return 1; }
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" profile report \
-    "${out_dir}/j8/prof.jsonl" --md "${out_dir}/prof-j8.md"
-  awk '/^## /{show = ($0 == "## Workers")} show' "${out_dir}/prof-j8.md"
-  python3 - "${out_dir}/wall-j1.txt" "${out_dir}/wall-j8.txt" "${hw}" <<'PYEOF'
-import sys
-wall1, wall8 = (float(open(path).read()) for path in sys.argv[1:3])
-hw = int(sys.argv[3])
-speedup = wall1 / wall8
+    "${out_dir}/j${hi}/prof.jsonl" --md "${out_dir}/prof-j${hi}.md"
+  awk '/^## /{show = ($0 == "## Workers")} show' "${out_dir}/prof-j${hi}.md"
+  python3 - "${out_dir}" "${hw}" "${hi}" <<'PYEOF'
+import glob, sys
+out_dir, hw, hi = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+def best(jobs):
+    return min(float(open(path).read())
+               for path in glob.glob(f"{out_dir}/wall-j{jobs}-r*.txt"))
+wall1, wallhi = best(1), best(hi)
+speedup = wall1 / wallhi
 if hw >= 8:
     if speedup < 3.0:
         sys.exit(f"jobs-scaling gate: jobs-8 speedup {speedup:.2f} < 3.0 "
-                 f"({wall8:.3f}s vs {wall1:.3f}s)")
+                 f"({wallhi:.3f}s vs {wall1:.3f}s)")
     print(f"jobs-scaling gate passed: jobs-8 speedup {speedup:.2f}, "
           f"health identical")
+elif hw > 1:
+    if speedup < hw / 2:
+        sys.exit(f"jobs-scaling gate: jobs-{hi} best-of-3 speedup "
+                 f"{speedup:.2f} < {hw / 2:.1f} ({wallhi:.3f}s vs {wall1:.3f}s)")
+    print(f"jobs-scaling gate passed ({hw} hw threads): jobs-{hi} best-of-3 "
+          f"speedup {speedup:.2f} >= {hw / 2:.1f}, health identical")
 else:  # hw == 1: the pool must be near-free when it cannot help
-    if wall8 > 1.05 * wall1:
+    if wallhi > 1.05 * wall1:
         sys.exit(f"jobs-scaling gate: jobs-8 overhead on 1 hw thread is "
-                 f"{100.0 * (wall8 / wall1 - 1.0):.1f}% > 5% "
-                 f"({wall8:.3f}s vs {wall1:.3f}s)")
+                 f"{100.0 * (wallhi / wall1 - 1.0):.1f}% > 5% "
+                 f"({wallhi:.3f}s vs {wall1:.3f}s)")
     print(f"jobs-scaling gate passed (1 hw thread): jobs-8 overhead "
-          f"{100.0 * (wall8 / wall1 - 1.0):+.1f}% <= 5%, health identical")
+          f"{100.0 * (wallhi / wall1 - 1.0):+.1f}% <= 5%, health identical")
 PYEOF
 }
 
