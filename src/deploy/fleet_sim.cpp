@@ -94,6 +94,14 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
     next_server += placement.servers_per_domain[d];
   }
 
+  // The settled rate and server spread are pure functions of the drawn
+  // record, so each record's pair is computed on its first draw only.
+  struct Settled {
+    double rate_mbps = 0.0;
+    std::size_t n_servers = 1;
+  };
+  std::vector<std::optional<Settled>> settled_by_record(population.size());
+
   std::int64_t second_index = 0;
   for (int day = 0; day < config.days; ++day) {
     for (int hour = 0; hour < 24; ++hour) {
@@ -103,19 +111,26 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
       for (int second = 0; second < 3600; ++second, ++second_index) {
         const auto new_tests = rng.poisson(arrivals_per_second);
         for (std::int64_t t = 0; t < new_tests; ++t) {
-          const auto& rec = population[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(population.size()) - 1))];
+          const auto index = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(population.size()) - 1));
+          const auto& rec = population[index];
+          std::optional<Settled>& settled = settled_by_record[index];
+          if (!settled) {
+            settled.emplace();
+            settled->rate_mbps =
+                settled_probing_rate(registry.model(rec.tech), rec.bandwidth_mbps);
+            settled->n_servers = std::min<std::size_t>(
+                config.server_count,
+                swift::SwiftestClient::servers_needed(settled->rate_mbps,
+                                                      config.server_uplink_mbps));
+          }
           Arrival arrival;
           arrival.second = second_index;
           arrival.tech = rec.tech;
           arrival.isp = rec.isp;
           arrival.truth_mbps = rec.bandwidth_mbps;
-          arrival.rate_mbps =
-              settled_probing_rate(registry.model(rec.tech), rec.bandwidth_mbps);
-          arrival.n_servers = std::min<std::size_t>(
-              config.server_count,
-              swift::SwiftestClient::servers_needed(arrival.rate_mbps,
-                                                    config.server_uplink_mbps));
+          arrival.rate_mbps = settled->rate_mbps;
+          arrival.n_servers = settled->n_servers;
           arrival.duration_s = rng.bernoulli(0.25) ? 2 : 1;  // ~1.2 s average
           const auto domain = rng.weighted_index(domain_shares);
           const std::size_t domain_size =
@@ -134,9 +149,9 @@ std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> popu
 }
 
 /// A chunk's health log. The dimension keys a test lands under beyond "all"
-/// — its tech, ISP and first server — are interned into the log by name;
-/// tech and ISP ids are cached here and the server key is formatted on the
-/// stack, so recording a test builds no strings.
+/// — its tech, ISP and first server — are interned into the log by name on
+/// first use and their ids cached here, so recording a test builds no
+/// strings and searches no keys.
 struct ChunkHealth {
   using SampleLog = obs::health::SampleLog;
 
@@ -152,14 +167,17 @@ struct ChunkHealth {
                        [&] { return dataset::dimension_key(a.tech); });
     e.dims[1] = cached(isp_ids[static_cast<std::size_t>(a.isp)],
                        [&] { return dataset::dimension_key(a.isp); });
+    if (a.first_server >= server_ids.size()) server_ids.resize(a.first_server + 1);
     obs::health::ServerKeyBuffer key;
-    e.dims[2] = log.intern(obs::health::server_dimension(a.first_server, key));
+    e.dims[2] = cached(server_ids[a.first_server],
+                       [&] { return obs::health::server_dimension(a.first_server, key); });
     log.record_test(e);
   }
 
  private:
   std::array<std::optional<SampleLog::DimId>, dataset::kAllTechs.size()> tech_ids{};
   std::array<std::optional<SampleLog::DimId>, dataset::kAllIsps.size()> isp_ids{};
+  std::vector<std::optional<SampleLog::DimId>> server_ids;  // [first_server]
 
   SampleLog::DimId cached(std::optional<SampleLog::DimId>& id, const auto& key) {
     if (!id) id = log.intern(key());
@@ -191,7 +209,7 @@ void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                    std::uint64_t total_seconds) {
   std::sort(result.busy_window_utilization.begin(),
             result.busy_window_utilization.end());
-  result.summary = stats::summarize(result.busy_window_utilization);
+  result.summary = stats::summarize_sorted(result.busy_window_utilization);
   result.p99 = stats::quantile_sorted(result.busy_window_utilization, 0.99);
   result.p999 = stats::quantile_sorted(result.busy_window_utilization, 0.999);
   result.share_leq_45 =

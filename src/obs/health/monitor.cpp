@@ -6,7 +6,7 @@
 
 namespace swiftest::obs::health {
 
-void StreamingAggregate::observe(double v) {
+void StreamingAggregate::add_moments(double v) {
   if (count_ == 0) {
     min_ = v;
     max_ = v;
@@ -16,9 +16,20 @@ void StreamingAggregate::observe(double v) {
   }
   ++count_;
   sum_ += v;
+}
+
+void StreamingAggregate::observe(double v) {
+  add_moments(v);
   p50_.observe(v);
   p95_.observe(v);
   p99_.observe(v);
+}
+
+void StreamingAggregate::observe_all(std::span<const double> vs) {
+  for (const double v : vs) add_moments(v);
+  p50_.observe_all(vs);
+  p95_.observe_all(vs);
+  p99_.observe_all(vs);
 }
 
 AggregateStats StreamingAggregate::stats() const {

@@ -44,9 +44,14 @@ struct AggregateStats {
 class StreamingAggregate {
  public:
   void observe(double v);
+  /// Observes every value of `vs` in order: the same state as calling
+  /// observe() on each, with each tracker run over the span in its own loop.
+  void observe_all(std::span<const double> vs);
   [[nodiscard]] AggregateStats stats() const;
 
  private:
+  void add_moments(double v);  // count, sum, min and max
+
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

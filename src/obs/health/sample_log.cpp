@@ -171,15 +171,37 @@ LogFold::LogFold(std::span<const SampleLog* const> logs, HealthMonitor& monitor,
 }
 
 void LogFold::run_lane(std::size_t lane) const {
-  // This lane's cells; null for a cell another lane owns or none is fed.
-  const auto mine = [&](std::uint32_t c) -> StreamingAggregate* {
-    return c != kNoCell && owner_[c] == lane ? cells_[c] : nullptr;
+  // Each of this lane's cells collects its values for up to kFoldBlock
+  // consecutive records, in log order, then drains them through one
+  // observe_all: a cell's pending values are always the next stretch of its
+  // serial sequence, so the block size never changes what it is fed.
+  std::vector<std::vector<double>> pending(cells_.size());  // [cell]
+  std::vector<std::uint32_t> owned;
+  for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+    if (owner_[c] == lane) owned.push_back(c);
+  }
+  std::size_t records = 0;
+  const auto drain = [&] {
+    for (const std::uint32_t c : owned) {
+      cells_[c]->observe_all(pending[c]);
+      pending[c].clear();
+    }
+    records = 0;
   };
-  std::array<StreamingAggregate*, 3> all{};
-  for (std::size_t i = 0; i < 3; ++i) all[i] = mine(test_all_[i]);
-  StreamingAggregate* const egress_all = mine(egress_all_);
+  const auto next_record = [&] {
+    if (++records == kFoldBlock) drain();
+  };
 
-  std::vector<StreamingAggregate*> own;  // this lane's view of one log's cells
+  // This lane's buffer for a cell; null for a cell another lane owns or
+  // none is fed.
+  const auto mine = [&](std::uint32_t c) -> std::vector<double>* {
+    return c != kNoCell && owner_[c] == lane ? &pending[c] : nullptr;
+  };
+  std::array<std::vector<double>*, 3> all{};
+  for (std::size_t i = 0; i < 3; ++i) all[i] = mine(test_all_[i]);
+  std::vector<double>* const egress_all = mine(egress_all_);
+
+  std::vector<std::vector<double>*> own;  // this lane's view of one log's cells
   for (std::size_t l = 0; l < logs_.size(); ++l) {
     const SampleLog& log = *logs_[l];
     const LogCells& cells = log_cells_[l];
@@ -197,14 +219,15 @@ void LogFold::run_lane(std::size_t lane) const {
       for (const SampleLog::TestEntry& e : log.tests()) {
         const double values[] = {e.duration_s, e.data_mb, e.deviation};
         for (std::size_t i = 0; i < 3; ++i) {
-          if (all[i] != nullptr) all[i]->observe(values[i]);
+          if (all[i] != nullptr) all[i]->push_back(values[i]);
         }
         for (const SampleLog::DimId d : e.dims) {
           if (d == SampleLog::kNoDim) continue;
           for (std::size_t i = 0; i < 3; ++i) {
-            if (StreamingAggregate* c = own[i * dims + d]) c->observe(values[i]);
+            if (std::vector<double>* c = own[i * dims + d]) c->push_back(values[i]);
           }
         }
+        next_record();
       }
     }
 
@@ -216,10 +239,12 @@ void LogFold::run_lane(std::size_t lane) const {
     }
     if (!any) continue;
     for (const SampleLog::EgressEntry& e : log.egress()) {
-      if (egress_all != nullptr) egress_all->observe(e.util_pct);
-      if (own[e.server] != nullptr) own[e.server]->observe(e.util_pct);
+      if (egress_all != nullptr) egress_all->push_back(e.util_pct);
+      if (own[e.server] != nullptr) own[e.server]->push_back(e.util_pct);
+      next_record();
     }
   }
+  drain();
 }
 
 }  // namespace swiftest::obs::health

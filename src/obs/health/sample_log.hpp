@@ -11,10 +11,12 @@
 //     otherwise merge stably by time, so the windowed test-rate sees one
 //     globally time-ordered arrival stream, exactly as an unchunked run would;
 //   * every (metric, dimension) cell is owned by exactly one fold lane, and a
-//     lane walks every log in log order feeding only the cells it owns. Each
-//     cell therefore sees exactly the observation sequence a serial replay of
-//     the logs would feed it, so the monitor state — and every byte rendered
-//     from it — is the same for any lane count, and lanes share no writes.
+//     lane walks every log in log order collecting only the values of the
+//     cells it owns, per cell, then drains each cell's block of values in
+//     one StreamingAggregate::observe_all. Each cell therefore sees exactly
+//     the observation sequence a serial replay of the logs would feed it, so
+//     the monitor state — and every byte rendered from it — is the same for
+//     any lane count or block size, and lanes share no writes.
 //
 // Dimension keys are interned per log into small ids, so a test costs one
 // 40-byte record: no strings and no per-test allocation.
@@ -137,10 +139,15 @@ class LogFold {
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
 
-  /// Feeds the cells lane `lane` owns from every log, in log order. Distinct
-  /// lanes may run concurrently; nothing else may use the monitor until
-  /// every lane has run.
+  /// Feeds the cells lane `lane` owns from every log, in log order, in
+  /// blocks of kFoldBlock records per cell. Distinct lanes may run
+  /// concurrently; nothing else may use the monitor until every lane has
+  /// run.
   void run_lane(std::size_t lane) const;
+
+  /// Records (tests or egress samples) a lane buffers per cell before
+  /// draining; bounds a lane's buffers at a few hundred KiB.
+  static constexpr std::size_t kFoldBlock = 4096;
 
  private:
   /// One log's ids resolved to fold-local cell indices (kNoCell where unused).

@@ -41,20 +41,27 @@ double quantile(std::span<const double> xs, double q) {
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
-Summary summarize(std::span<const double> xs) {
+Summary summarize_sorted(std::span<const double> sorted) {
   Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
+  s.count = sorted.size();
+  if (sorted.empty()) return s;
+  s.mean = mean(sorted);
+  s.stddev = stddev(sorted);
   s.min = sorted.front();
   s.max = sorted.back();
   s.median = quantile_sorted(sorted, 0.5);
   s.p25 = quantile_sorted(sorted, 0.25);
   s.p75 = quantile_sorted(sorted, 0.75);
   s.p99 = quantile_sorted(sorted, 0.99);
+  return s;
+}
+
+Summary summarize(std::span<const double> xs) {
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  Summary s = summarize_sorted(sorted);
+  s.mean = mean(xs);
+  s.stddev = stddev(xs);
   return s;
 }
 

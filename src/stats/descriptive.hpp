@@ -33,7 +33,12 @@ struct Summary {
 
 [[nodiscard]] double median(std::span<const double> xs);
 
+/// The summary of any sample; mean and stddev are summed in the caller's
+/// order.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
+
+/// The summary of a sample already sorted ascending, without a sorted copy.
+[[nodiscard]] Summary summarize_sorted(std::span<const double> sorted);
 
 /// Fraction of samples strictly below `threshold`.
 [[nodiscard]] double fraction_below(std::span<const double> xs, double threshold);

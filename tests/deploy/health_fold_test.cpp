@@ -2,7 +2,8 @@
 // work-stealing pool, as simulate_fleet drives it: at any lane count it must
 // reproduce, byte for byte, the report of one HealthMonitor fed the same
 // samples serially — empty and duplicated dimension keys, egress samples,
-// arrivals straddling rate windows, and prior monitor state included.
+// arrivals straddling rate windows, logs and egress tails straddling fold
+// blocks, and prior monitor state included.
 #include "obs/health/sample_log.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,14 +73,15 @@ void fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
                   [&](std::size_t lane) { folder.run_lane(lane); });
 }
 
-/// Four chunk logs (one empty) of tests, then a tail of egress samples.
-void fill(Stream& s) {
+/// Chunk logs of `log_tests` tests each (plus one egress sample apiece),
+/// then a tail of egress samples over `windows` windows of five servers.
+void fill(Stream& s, std::span<const std::size_t> log_tests, std::uint32_t windows) {
   std::mt19937_64 rng(2022);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   const std::vector<std::string> techs = {"tech:4g", "tech:5g", "tech:wifi5"};
   const std::vector<std::string> isps = {"isp:1", "isp:2"};
   double t = 3.0;
-  for (const std::size_t tests : {300u, 0u, 41u, 517u}) {
+  for (const std::size_t tests : log_tests) {
     SampleLog& log = s.add_log();
     for (std::size_t i = 0; i < tests; ++i) {
       // 3.7 s apart on average: consecutive arrivals straddle 10 s windows,
@@ -103,7 +106,7 @@ void fill(Stream& s) {
     s.egress(log, 1, 100.0 * unit(rng));
   }
   SampleLog& tail = s.add_log();
-  for (std::uint32_t w = 0; w < 400; ++w) {
+  for (std::uint32_t w = 0; w < windows; ++w) {
     for (std::uint32_t server = 0; server < 5; ++server) {
       if ((w + server) % 3 != 0) s.egress(tail, server, 100.0 * unit(rng));
     }
@@ -111,22 +114,39 @@ void fill(Stream& s) {
 }
 
 TEST(HealthFold, MatchesSerialMonitorAtAnyJobCount) {
-  Stream stream;
-  // Prior state: the fold appends to cells that already hold values.
-  TestSample prior;
-  prior.duration_s = 1.5;
-  const std::vector<std::string> prior_dims = {"tech:4g"};
-  prior.dimensions = prior_dims;
-  stream.reference.record_test(prior);
-  fill(stream);
-  const std::string expected = render(stream.reference);
-  ASSERT_NE(expected.find("\"server:4\""), std::string::npos);
+  constexpr std::size_t kBlock = LogFold::kFoldBlock;
+  struct Case {
+    const char* name;
+    std::vector<std::size_t> log_tests;
+    std::uint32_t windows;
+  };
+  const Case cases[] = {
+      // Four chunk logs (one empty), then a tail of egress samples.
+      {"small", {300, 0, 41, 517}, 400},
+      // Several blocks of tests whose logs end just short of, just past and
+      // well past a block boundary.
+      {"blocks", {kBlock - 1, 2, kBlock + 3, 2 * kBlock + 17}, 400},
+      // An egress tail of about 1.6 blocks (~6.7k samples).
+      {"egress-tail", {300, 41}, 2'000},
+  };
+  for (const Case& c : cases) {
+    Stream stream;
+    // Prior state: the fold appends to cells that already hold values.
+    TestSample prior;
+    prior.duration_s = 1.5;
+    const std::vector<std::string> prior_dims = {"tech:4g"};
+    prior.dimensions = prior_dims;
+    stream.reference.record_test(prior);
+    fill(stream, c.log_tests, c.windows);
+    const std::string expected = render(stream.reference);
+    ASSERT_NE(expected.find("\"server:4\""), std::string::npos) << c.name;
 
-  for (const std::size_t jobs : {1u, 2u, 4u}) {
-    HealthMonitor folded;
-    folded.record_test(prior);
-    fold(stream.pointers(), folded, jobs);
-    EXPECT_EQ(render(folded), expected) << "jobs=" << jobs;
+    for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
+      HealthMonitor folded;
+      folded.record_test(prior);
+      fold(stream.pointers(), folded, jobs);
+      EXPECT_EQ(render(folded), expected) << c.name << " jobs=" << jobs;
+    }
   }
 }
 

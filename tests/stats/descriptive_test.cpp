@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace swiftest::stats {
@@ -60,6 +65,29 @@ TEST(Descriptive, SummarizeEmpty) {
   const Summary s = summarize(std::vector<double>{});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
+}
+
+TEST(Descriptive, SummarizeSortedMatchesSummarizeOnSortedInput) {
+  const auto bits = [](const Summary& s) {
+    return std::array<std::uint64_t, 9>{
+        s.count,
+        std::bit_cast<std::uint64_t>(s.mean),
+        std::bit_cast<std::uint64_t>(s.stddev),
+        std::bit_cast<std::uint64_t>(s.min),
+        std::bit_cast<std::uint64_t>(s.median),
+        std::bit_cast<std::uint64_t>(s.max),
+        std::bit_cast<std::uint64_t>(s.p25),
+        std::bit_cast<std::uint64_t>(s.p75),
+        std::bit_cast<std::uint64_t>(s.p99)};
+  };
+  std::mt19937_64 rng(26);
+  std::lognormal_distribution<double> util(3.0, 0.8);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 1000u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) xs.push_back(util(rng));
+    std::sort(xs.begin(), xs.end());
+    EXPECT_EQ(bits(summarize_sorted(xs)), bits(summarize(xs))) << "n=" << n;
+  }
 }
 
 TEST(Descriptive, Fractions) {

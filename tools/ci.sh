@@ -495,13 +495,16 @@ run_tsan_fleet() {
   local build_dir="build-tsan"
   echo "=== configure ${build_dir} (-DSWIFTEST_SANITIZE=thread) ==="
   cmake -B "${REPO_ROOT}/${build_dir}" -S "${REPO_ROOT}" -DSWIFTEST_SANITIZE=thread
-  echo "=== build ${build_dir} (swiftest-cli, test_deploy, test_stats, test_swiftest) ==="
+  echo "=== build ${build_dir} (swiftest-cli, test_deploy, test_obs, test_stats, test_swiftest) ==="
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
-    --target swiftest-cli --target test_deploy --target test_stats \
-    --target test_swiftest
-  echo "=== TSan work-stealing pool + raw deque + health fold (live contention) ==="
+    --target swiftest-cli --target test_deploy --target test_obs \
+    --target test_stats --target test_swiftest
+  echo "=== TSan work-stealing pool + raw deque + blocked health fold (live contention) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
     --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:HealthFold.*'
+  echo "=== TSan P2 bit-exactness pins (integer-position P2 vs reference, observe_all) ==="
+  "${REPO_ROOT}/${build_dir}/tests/test_obs" \
+    --gtest_filter='P2Quantile.BitExactAgainstDoublePositionReference:StreamingAggregate.ObserveAllMatchesRepeatedObserve'
   echo "=== TSan parallel model fits (many-sets BIC fit vs serial, pinned fits) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_stats" \
     --gtest_filter='FitGmmBic.ManySetsMatchSerialFits:FitGmmBic.BadKRangeThrows:FitGmmBic.BimodalFitIsBitExact'
@@ -516,6 +519,12 @@ run_tsan_fleet() {
     --tests-per-day 20000 --seed 3 --jobs 1 \
     --obs-dir "${out_dir}/health-j1" --obs health
   cmp "${out_dir}/health-j4/health.json" "${out_dir}/health-j1/health.json"
+  # An odd chunk size: lanes drain their blocks over a partition whose logs
+  # never line up with a block edge.
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
+    --tests-per-day 20000 --seed 3 --jobs 4 --chunk 37 \
+    --obs-dir "${out_dir}/health-j4-c37" --obs health
+  cmp "${out_dir}/health-j4-c37/health.json" "${out_dir}/health-j1/health.json"
   echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4
