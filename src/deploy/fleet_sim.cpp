@@ -305,18 +305,6 @@ obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
   return model;
 }
 
-/// A fresh hub shaped like the parent but with a bounded trace ring, so a
-/// run of many small chunks cannot multiply the parent's ring size by the
-/// chunk count. Analytic chunks emit at most two events per test, so
-/// 4 * chunk_size + slack never wraps (no drop-order dependence).
-std::unique_ptr<obs::Hub> make_chunk_hub(const obs::Hub& like,
-                                         std::size_t trace_capacity) {
-  auto hub = std::make_unique<obs::Hub>(
-      std::min(like.tracer.capacity(), trace_capacity), like.spans.capacity());
-  hub->tracer.set_category_mask(like.tracer.category_mask());
-  return hub;
-}
-
 // ---------------------------------------------------------------------------
 // The chunk pipeline both backends run through
 // ---------------------------------------------------------------------------
@@ -964,16 +952,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
 
   const auto run_start = std::chrono::steady_clock::now();
 
-  // The sampling base: salted with the run seed; the budget is GLOBAL (the
-  // degradation schedule is planned over the whole draw order, so no
-  // per-partition split exists to leak the partition into the sampled set).
-  obs::SamplingPolicy base_policy = config.sample;
-  base_policy.set_salt(config.seed);
-  if (config.obs_budget_mb > 0) {
-    base_policy.set_budget_bytes(config.obs_budget_mb * 1024ull * 1024ull);
-  }
-  const bool sampling_active =
-      base_policy.enabled() || config.obs_budget_mb > 0;
+  const bool sampling_active = config.sample.enabled() || config.obs_budget_mb > 0;
 
   std::vector<Arrival> workload;
   {
@@ -990,8 +969,12 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
 
   std::optional<obs::SampleSchedule> schedule;
   if (sampling_active) {
-    schedule = obs::SampleSchedule::plan(workload.size(), base_policy,
-                                         sample_cost_model(config));
+    // Salted with the run seed; the budget is global (the schedule is
+    // planned over the whole draw order, so no per-partition split exists to
+    // leak the partition into the sampled set).
+    schedule = obs::SampleSchedule::plan(
+        workload.size(), config.sample.denominator(), config.seed,
+        config.obs_budget_mb * 1024ull * 1024ull, sample_cost_model(config));
     plan.schedule = &*schedule;
   }
 
@@ -1019,7 +1002,11 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
         plan, config,
         [&]() -> std::unique_ptr<obs::Hub> {
           if (config.obs == nullptr || !sampling_active) return nullptr;
-          auto hub = make_chunk_hub(*config.obs, 4 * plan.chunk_size + 1024);
+          // A bounded trace ring, so a run of many small chunks cannot
+          // multiply the parent's ring size by the chunk count. Analytic
+          // chunks emit at most two events per test, so 4 * chunk_size +
+          // slack never wraps (no drop-order dependence).
+          auto hub = obs::Hub::mirror_of(*config.obs, 4 * plan.chunk_size + 1024);
           // Analytic fleet.test spans root their trace trees explicitly, so
           // sampled mode stays off; only the id-leaking tracer mirror goes.
           hub->spans.set_sinks(nullptr, &hub->metrics);

@@ -82,22 +82,23 @@ struct FleetSimConfig {
   /// per-worker busy/idle/steal accounting. Host time only: a non-null
   /// profiler never changes a single byte of the deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
-  /// Deterministic whole-test observability sampling (DESIGN.md §12). When
-  /// enabled (denominator > 1) and `obs` is attached, each test's trace
-  /// events and spans are retained iff sampled(test_id) — test_id is the
-  /// global workload draw index, so the sampled artifact is a pure function
-  /// of (seed, workload) and byte-identical for every `jobs`, `chunk`
-  /// combination (the merge canonicalizes event and span order). The salt
-  /// is overridden with this config's seed. Disabled (1/1) keeps the
+  /// Deterministic whole-test observability sampling (DESIGN.md §12): the
+  /// base keep-1-in-N rate. When it is enabled (N > 1) or a budget is set,
+  /// the run plans one obs::SampleSchedule, salted with `seed`, and with
+  /// `obs` attached each test's trace events and spans are retained iff the
+  /// schedule samples its test_id — the global workload draw index — so the
+  /// sampled artifact is a pure function of (seed, workload, budget) and
+  /// byte-identical for every `jobs`, `chunk` combination (the merge
+  /// canonicalizes event and span order). 1/1 with no budget keeps the
   /// retain-everything behavior.
   obs::SamplingPolicy sample;
-  /// Global observability memory budget in MB; 0 = unlimited. The run plans
-  /// a deterministic degradation schedule up front (obs::SampleSchedule):
-  /// walking the workload in draw order, the sampling denominator doubles at
-  /// the checkpoints where the modeled obs footprint would exceed the budget
-  /// — recorded in obs.sample_degradations — instead of the run growing
-  /// without bound. The plan depends only on (workload size, policy, budget,
-  /// cost model): never on the partition, the thread schedule, or RSS.
+  /// Global observability memory budget in MB; 0 = unlimited. The one place
+  /// a fleet budget is set. The schedule walks the workload in draw order
+  /// and doubles the sampling denominator at the checkpoints where the
+  /// modeled obs footprint would exceed the budget — recorded in
+  /// obs.sample_degradations — instead of the run growing without bound.
+  /// The plan depends only on (workload size, N, seed, budget, cost model):
+  /// never on the partition, the thread schedule, or RSS.
   std::uint64_t obs_budget_mb = 0;
   /// Directory for rotating spill segments (must exist; empty disables
   /// spilling). Full trace rings and span stores flush whole segments here

@@ -13,12 +13,13 @@
 // peek() swept a future bucket and the caller then scheduled into the gap),
 // and parking it in the ring would delay it a full lap. Inserts before
 // `base` (possible after run_until() parks the clock between a drained ring
-// and a far-future rebase target) go to an underflow heap that is strictly
-// earlier than everything else. Invariant: underflow < base <= active <
-// swept_end <= ring, so draining underflow, then active, then sweeping
-// buckets in cursor order yields the exact (when, seq) total order without
-// ever rebasing backwards. The tests hold a plain EventKeyHeap as the
-// reference order the ring must reproduce.
+// and a far-future rebase target) are below that watermark too: every
+// rebase is followed at once by a sweep of at least one bucket, so
+// swept_end > base whenever a push can happen. They join the active heap
+// like any other late arrival. Invariant: active < swept_end <= ring < far,
+// so draining active, then sweeping buckets in cursor order yields the
+// exact (when, seq) total order without ever rebasing backwards. The tests
+// hold a plain EventKeyHeap as the reference order the ring must reproduce.
 #pragma once
 
 #include <cassert>
@@ -57,13 +58,14 @@ class CalendarEventQueue {
   CalendarEventQueue() : buckets_(kBucketCount) {}
 
   /// Structural activity counters for resource self-telemetry: how often the
-  /// ring swept buckets, rebased its window, or routed keys to the slow
-  /// heaps. Deterministic for a deterministic event sequence.
+  /// ring swept buckets, rebased its window, routed keys to the far heap,
+  /// or took keys from before its window. Deterministic for a deterministic
+  /// event sequence.
   struct Stats {
     std::uint64_t sweeps = 0;           // buckets swept into the active heap
     std::uint64_t rebases = 0;          // window jumps to the far heap
     std::uint64_t far_pushes = 0;       // keys pushed beyond the horizon
-    std::uint64_t underflow_pushes = 0; // keys pushed before base
+    std::uint64_t underflow_pushes = 0; // keys pushed before base (to active)
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -72,12 +74,11 @@ class CalendarEventQueue {
     if (key.when >= horizon_end_) {
       ++stats_.far_pushes;
       far_.push(key);
-    } else if (key.when < base_) {
-      ++stats_.underflow_pushes;
-      underflow_.push(key);
     } else if (key.when < swept_end_) {
       // The sweep cursor has already passed this key's bucket in the current
-      // lap; the active heap restores (when, seq) order for late arrivals.
+      // lap (or the key predates the window: base_ < swept_end_ here); the
+      // active heap restores (when, seq) order for late arrivals.
+      if (key.when < base_) ++stats_.underflow_pushes;
       active_.push(key);
     } else {
       buckets_[bucket_of(key.when)].push_back(key);
@@ -138,7 +139,7 @@ class CalendarEventQueue {
     }
   }
 
-  /// Ring drained and no underflow: jump the window to the earliest
+  /// Active heap and ring drained: jump the window to the earliest
   /// far-future event and pull everything inside the new horizon into the
   /// ring. Keys only ever move far -> ring, so `size_` is untouched.
   void rebase_from_far() {
@@ -157,9 +158,6 @@ class CalendarEventQueue {
 
   EventKeyHeap* select_source() {
     if (size_ == 0) return nullptr;
-    // Underflow keys are strictly earlier than base_, and every ring/active
-    // key is >= base_, so the underflow heap always wins while non-empty.
-    if (!underflow_.empty()) return &underflow_;
     if (!ensure_active()) {
       rebase_from_far();
       const bool loaded = ensure_active();
@@ -177,7 +175,6 @@ class CalendarEventQueue {
   core::SimTime swept_end_ = 0;  // exclusive end of the last swept bucket
   std::uint32_t cursor_ = 0;     // next bucket to sweep into the active heap
   EventKeyHeap active_;     // swept keys plus late arrivals below swept_end_
-  EventKeyHeap underflow_;  // keys scheduled before base_ (post-rebase gap)
   EventKeyHeap far_;        // keys at or beyond the horizon
   Stats stats_;
 };

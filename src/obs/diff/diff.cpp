@@ -87,7 +87,6 @@ class Differ {
     diff_config();
     diff_artifacts();
     diff_summaries();
-    diff_metrics_fallback();
     diff_health_cells();
     diff_trace_deep();
     diff_stage_attribution();
@@ -285,29 +284,6 @@ class Differ {
                           values_a != nullptr ? *values_a : kEmpty,
                           values_b != nullptr ? *values_b : kEmpty);
     }
-  }
-
-  /// When a manifest predates summary lines, reconstruct the metrics
-  /// summary from the metrics artifact so the diff still has the section.
-  void diff_metrics_fallback() {
-    if (a_.find_summary("metrics") != nullptr ||
-        b_.find_summary("metrics") != nullptr || !options_.load_artifacts) {
-      return;
-    }
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("metrics");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("metrics");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<MetricsSnapshot> snapshot_a =
-        load_metrics_file(artifact_a->path);
-    const std::optional<MetricsSnapshot> snapshot_b =
-        load_metrics_file(artifact_b->path);
-    if (!snapshot_a.has_value() || !snapshot_b.has_value()) {
-      note_entry("summary.metrics", "artifacts",
-                 "metrics artifacts could not be loaded; no metrics deltas");
-      return;
-    }
-    compare_value_lists("summary.metrics", summarize_for_manifest(*snapshot_a),
-                        summarize_for_manifest(*snapshot_b));
   }
 
   void diff_health_cells() {

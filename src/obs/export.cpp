@@ -195,57 +195,4 @@ std::optional<TraceArtifactSummary> load_trace_jsonl_file(const std::string& pat
   return parse_trace_jsonl(*text, error);
 }
 
-std::optional<MetricsSnapshot> parse_metrics_json(std::string_view text,
-                                                  std::string* error) {
-  const auto doc = parse_json(text, error);
-  if (!doc) return std::nullopt;
-  if (!doc->is_object()) {
-    if (error != nullptr) *error = "metrics document must be an object";
-    return std::nullopt;
-  }
-  MetricsSnapshot snapshot;
-  if (const JsonValue* counters = doc->get("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->members()) {
-      snapshot.counters[name] = value.as_u64(0);
-    }
-  }
-  if (const JsonValue* gauges = doc->get("gauges");
-      gauges != nullptr && gauges->is_object()) {
-    for (const auto& [name, value] : gauges->members()) {
-      snapshot.gauges[name] = value.as_number(0.0);
-    }
-  }
-  if (const JsonValue* histograms = doc->get("histograms");
-      histograms != nullptr && histograms->is_object()) {
-    for (const auto& [name, value] : histograms->members()) {
-      if (!value.is_object()) continue;
-      MetricsSnapshot::HistogramValue h;
-      if (const JsonValue* le = value.get("le");
-          le != nullptr && le->is_array()) {
-        for (const JsonValue& bound : le->as_array()) {
-          h.bounds.push_back(bound.as_number(0.0));
-        }
-      }
-      if (const JsonValue* counts = value.get("counts");
-          counts != nullptr && counts->is_array()) {
-        for (const JsonValue& count : counts->as_array()) {
-          h.counts.push_back(count.as_u64(0));
-        }
-      }
-      h.count = value.get("count") != nullptr ? value.get("count")->as_u64(0) : 0;
-      h.sum = value.get_number("sum", 0.0);
-      snapshot.histograms[name] = std::move(h);
-    }
-  }
-  return snapshot;
-}
-
-std::optional<MetricsSnapshot> load_metrics_file(const std::string& path,
-                                                 std::string* error) {
-  const auto text = read_file(path, error);
-  if (!text) return std::nullopt;
-  return parse_metrics_json(*text, error);
-}
-
 }  // namespace swiftest::obs

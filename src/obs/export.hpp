@@ -71,14 +71,4 @@ struct TraceArtifactSummary {
 [[nodiscard]] std::optional<TraceArtifactSummary> load_trace_jsonl_file(
     const std::string& path, std::string* error = nullptr);
 
-/// Parses a metrics.json artifact back into a snapshot (the diff loader's
-/// input). Returns nullopt (with a reason in `error`) on malformed JSON or a
-/// document without the counters/gauges/histograms shape.
-[[nodiscard]] std::optional<MetricsSnapshot> parse_metrics_json(
-    std::string_view text, std::string* error = nullptr);
-
-/// File convenience wrapper over parse_metrics_json.
-[[nodiscard]] std::optional<MetricsSnapshot> load_metrics_file(
-    const std::string& path, std::string* error = nullptr);
-
 }  // namespace swiftest::obs

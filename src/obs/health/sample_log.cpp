@@ -34,24 +34,6 @@ void SampleLog::record_egress_utilization(std::uint32_t server, double util_pct)
   if (admit_sample()) egress_.push_back(EgressEntry{server, util_pct});
 }
 
-std::uint64_t SampleLog::approx_bytes() const noexcept {
-  const std::size_t inline_chars = std::string().capacity();
-  const auto payload = [&](const std::string& key) -> std::uint64_t {
-    return key.capacity() > inline_chars ? key.capacity() + 1 : 0;
-  };
-  // A red-black tree node: colour word and three links, then the value.
-  constexpr std::size_t kIndexNode =
-      4 * sizeof(void*) + sizeof(std::pair<const std::string, DimId>);
-  std::uint64_t bytes = arrivals_.capacity() * sizeof(double) +
-                        tests_.capacity() * sizeof(TestEntry) +
-                        egress_.capacity() * sizeof(EgressEntry) +
-                        dims_.capacity() * sizeof(std::string) +
-                        dim_ids_.size() * kIndexNode;
-  for (const std::string& d : dims_) bytes += payload(d);
-  for (const auto& [key, id] : dim_ids_) bytes += payload(key);
-  return bytes;
-}
-
 namespace {
 
 constexpr const char* kTestMetricNames[] = {kMetricDuration, kMetricDataUsage,

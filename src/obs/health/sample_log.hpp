@@ -102,11 +102,6 @@ class SampleLog {
   /// Arrivals plus samples refused because the log was at capacity.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Bytes the log's buffers hold: every vector's capacity, the keys with
-  /// their out-of-line payloads, and the key index at one tree node per key
-  /// (allocator bookkeeping excluded).
-  [[nodiscard]] std::uint64_t approx_bytes() const noexcept;
-
  private:
   /// True when another sample fits; counts the drop otherwise.
   bool admit_sample() {

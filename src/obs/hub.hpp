@@ -15,6 +15,8 @@
 // histograms into the metrics registry (span.stage_seconds/<name>).
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -32,11 +34,16 @@ struct Hub {
   }
 
   /// A fresh Hub shaped like `like` — same ring/store capacities and tracer
-  /// category mask, empty contents. The packet fleet builds one per chunk,
-  /// folded into `like` at merge, and one per test for its metrics and spans
-  /// (its trace events go to the chunk's tracer, see Scheduler::set_tracer).
-  [[nodiscard]] static std::unique_ptr<Hub> mirror_of(const Hub& like) {
-    auto hub = std::make_unique<Hub>(like.tracer.capacity(), like.spans.capacity());
+  /// category mask, empty contents — with the trace ring capped at
+  /// `max_trace_capacity` (default: no cap). The packet fleet builds one per
+  /// chunk, folded into `like` at merge, and one per test for its metrics and
+  /// spans (its trace events go to the chunk's tracer, see
+  /// Scheduler::set_tracer); the analytic fleet caps its chunk hubs' rings.
+  [[nodiscard]] static std::unique_ptr<Hub> mirror_of(
+      const Hub& like,
+      std::size_t max_trace_capacity = std::numeric_limits<std::size_t>::max()) {
+    auto hub = std::make_unique<Hub>(
+        std::min(like.tracer.capacity(), max_trace_capacity), like.spans.capacity());
     hub->tracer.set_category_mask(like.tracer.category_mask());
     return hub;
   }

@@ -36,25 +36,23 @@ std::string SamplingPolicy::describe() const {
 }
 
 SampleSchedule SampleSchedule::plan(std::uint64_t test_count,
-                                    const SamplingPolicy& policy,
+                                    std::uint64_t denominator, std::uint64_t salt,
+                                    std::uint64_t budget_bytes,
                                     const CostModel& model) {
   SampleSchedule schedule;
-  schedule.salt_ = policy.salt();
-  std::uint64_t denom = policy.denominator() == 0 ? 1 : policy.denominator();
+  schedule.salt_ = salt;
+  std::uint64_t denom = denominator == 0 ? 1 : denominator;
   schedule.steps_.push_back(Step{0, denom});
-  const std::uint64_t budget = policy.budget_bytes();
   std::uint64_t footprint = 0;
   for (std::uint64_t t = 0; t < test_count; ++t) {
-    if (t > 0 && t % kCheckpointInterval == 0 && budget != 0 &&
-        footprint + model.base_bytes > budget &&
+    if (t > 0 && t % kCheckpointInterval == 0 && budget_bytes != 0 &&
+        footprint + model.base_bytes > budget_bytes &&
         denom < SamplingPolicy::kMaxDenominator) {
       denom *= 2;
       schedule.steps_.push_back(Step{t, denom});
       ++schedule.degradations_;
     }
-    if (denom <= 1 || splitmix64(t ^ schedule.salt_) % denom == 0) {
-      footprint += model.sampled_test_bytes;
-    }
+    if (keeps(t, salt, denom)) footprint += model.sampled_test_bytes;
     footprint += model.per_test_bytes;
   }
   return schedule;
@@ -67,12 +65,6 @@ std::uint64_t SampleSchedule::denominator_at(std::uint64_t test_id) const noexce
     denom = step.denominator;
   }
   return denom;
-}
-
-bool SampleSchedule::sampled(std::uint64_t test_id) const noexcept {
-  const std::uint64_t denom = denominator_at(test_id);
-  if (denom <= 1) return true;
-  return splitmix64(test_id ^ salt_) % denom == 0;
 }
 
 std::uint64_t SampleSchedule::degradations_in(std::uint64_t begin_test,

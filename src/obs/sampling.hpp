@@ -2,21 +2,17 @@
 //
 // At fleet scale (the paper's platform ran 23.6M tests) retaining every
 // test's trace events and spans is neither affordable nor useful; what the
-// artifacts must stay is *representative* and *reproducible*. A
-// SamplingPolicy decides, per test, whether that test's observability is
-// retained — keyed on a splitmix64 hash of a stable test identity (the
-// global workload draw index, or a wire nonce), never on wall clock, shard
-// index, or thread id — so the sampled set is a pure function of (seed,
-// workload) and a `--obs-sample 1/N` fleet-day emits byte-identical sampled
-// artifacts regardless of `--chunk` / `--jobs`.
+// artifacts must stay is *representative* and *reproducible*. Two types
+// split the job:
 //
-// The policy also owns the memory-budget degradation rule: given a byte
-// budget, note_footprint() doubles the sampling denominator (and counts the
-// degradation) whenever the observed observability footprint exceeds the
-// budget — the run keeps going with a sparser sample instead of OOMing.
-// Degradations are keyed on the deterministic in-memory footprint of the
-// observability stores, not on process RSS, so a given (workload, budget)
-// degrades at the same points on every host.
+// - SamplingPolicy is the parsed `--obs-sample 1/N` value and nothing else.
+// - SampleSchedule makes every keep/drop decision a run takes. It is planned
+//   once, up front, from the base denominator, a salt (the run seed), an
+//   optional memory budget and a per-test cost model. Each decision is a
+//   splitmix64 hash of the global test index, never of wall clock, chunk or
+//   thread id, so the sampled set is a pure function of (seed, workload,
+//   budget) and a sampled fleet-day emits byte-identical artifacts for every
+//   `--chunk` / `--jobs`.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +33,15 @@ namespace swiftest::obs {
   return x ^ (x >> 31);
 }
 
+/// The requested keep-1-in-N rate, as parsed from `--obs-sample`.
 class SamplingPolicy {
  public:
   /// Keep-everything policy (denominator 1).
   SamplingPolicy() = default;
 
   /// Parses "1/N" or plain "N" into a keep-1-in-N policy ("1/1" and "1"
-  /// keep everything). Returns nullopt for malformed specs or N == 0.
+  /// keep everything). Returns nullopt for malformed specs, N == 0 or
+  /// N > kMaxDenominator.
   [[nodiscard]] static std::optional<SamplingPolicy> parse(std::string_view spec);
 
   void set_denominator(std::uint64_t denominator) noexcept {
@@ -51,40 +49,8 @@ class SamplingPolicy {
   }
   [[nodiscard]] std::uint64_t denominator() const noexcept { return denominator_; }
 
-  /// Salts the hash (set it to the run seed) so two runs with different
-  /// seeds sample different test subsets.
-  void set_salt(std::uint64_t salt) noexcept { salt_ = salt; }
-  [[nodiscard]] std::uint64_t salt() const noexcept { return salt_; }
-
   /// True when the policy discards anything (denominator > 1).
   [[nodiscard]] bool enabled() const noexcept { return denominator_ > 1; }
-
-  /// Whether the test identified by `key` is retained. Pure: depends only
-  /// on (key, salt, current denominator).
-  [[nodiscard]] bool sampled(std::uint64_t key) const noexcept {
-    if (denominator_ <= 1) return true;
-    return splitmix64(key ^ salt_) % denominator_ == 0;
-  }
-
-  /// Degradation budget in bytes; 0 disables degradation.
-  void set_budget_bytes(std::uint64_t bytes) noexcept { budget_bytes_ = bytes; }
-  [[nodiscard]] std::uint64_t budget_bytes() const noexcept { return budget_bytes_; }
-
-  /// Reports the current observability footprint. If a budget is set and the
-  /// footprint exceeds it, the denominator doubles (halving the retained
-  /// fraction of *future* tests) and the degradation is counted. At most one
-  /// degradation per call, so periodic checks ratchet down gradually instead
-  /// of collapsing to nothing. Returns true when this call degraded.
-  bool note_footprint(std::uint64_t bytes) noexcept {
-    if (budget_bytes_ == 0 || bytes <= budget_bytes_) return false;
-    if (denominator_ >= kMaxDenominator) return false;
-    denominator_ *= 2;
-    ++degradations_;
-    return true;
-  }
-
-  /// Times note_footprint() doubled the denominator.
-  [[nodiscard]] std::uint64_t degradations() const noexcept { return degradations_; }
 
   /// "1/N" — the spec string recorded in artifact meta.
   [[nodiscard]] std::string describe() const;
@@ -93,22 +59,18 @@ class SamplingPolicy {
 
  private:
   std::uint64_t denominator_ = 1;
-  std::uint64_t salt_ = 0;
-  std::uint64_t budget_bytes_ = 0;
-  std::uint64_t degradations_ = 0;
 };
 
-/// The precomputed budget-degradation schedule for one run.
+/// The keep/drop schedule for one run.
 ///
-/// With a global memory budget and a partition-free executor, degradation can
-/// no longer be a live decision made inside whichever shard happens to cross
-/// its slice of the budget first — that would make the sampled set depend on
-/// the partition. Instead plan() walks the workload once, in global test
-/// order, modelling the observability footprint the run will accumulate and
-/// doubling the denominator at the same deterministic checkpoints a serial
-/// run would: the resulting per-test keep/drop decisions are a pure function
-/// of (test count, base policy, budget, per-test cost model), so every chunk
-/// asks the schedule instead of mutating a shared policy.
+/// With a global memory budget and a partition-free executor, degradation
+/// cannot be a live decision made inside whichever chunk happens to cross
+/// the budget first — that would make the sampled set depend on the
+/// partition. Instead plan() walks the workload once, in global test order,
+/// modelling the observability footprint the run will accumulate, and
+/// doubles the denominator at fixed checkpoints where that model exceeds the
+/// budget. The per-test decisions are then a pure function of (test count,
+/// denominator, salt, budget, cost model), and every chunk asks the schedule.
 class SampleSchedule {
  public:
   /// A denominator step: tests with index >= from_test sample at 1/denominator
@@ -127,16 +89,22 @@ class SampleSchedule {
     std::uint64_t per_test_bytes = 0;
   };
 
-  /// Builds the schedule for `test_count` tests under `policy` (denominator,
-  /// salt and budget are read from it; the policy itself is not mutated).
-  /// Checkpoints every kCheckpointInterval tests mirror the legacy periodic
-  /// note_footprint cadence.
+  /// Builds the schedule for `test_count` tests starting at 1/`denominator`
+  /// (0 reads as 1), hashing with `salt`. With `budget_bytes` > 0, every
+  /// kCheckpointInterval tests the modeled footprint is checked against the
+  /// budget and, when over it, the denominator doubles (at most once per
+  /// checkpoint, never past SamplingPolicy::kMaxDenominator).
   [[nodiscard]] static SampleSchedule plan(std::uint64_t test_count,
-                                           const SamplingPolicy& policy,
+                                           std::uint64_t denominator,
+                                           std::uint64_t salt,
+                                           std::uint64_t budget_bytes,
                                            const CostModel& model);
 
-  /// Whether the test at global index `test_id` retains observability.
-  [[nodiscard]] bool sampled(std::uint64_t test_id) const noexcept;
+  /// Whether the test at global index `test_id` retains observability:
+  /// splitmix64(test_id ^ salt) % denominator_at(test_id) == 0.
+  [[nodiscard]] bool sampled(std::uint64_t test_id) const noexcept {
+    return keeps(test_id, salt_, denominator_at(test_id));
+  }
 
   /// Denominator in force at `test_id`.
   [[nodiscard]] std::uint64_t denominator_at(std::uint64_t test_id) const noexcept;
@@ -157,6 +125,12 @@ class SampleSchedule {
   static constexpr std::uint64_t kCheckpointInterval = 4096;
 
  private:
+  /// The one keep/drop rule: plan() and sampled() both call it.
+  [[nodiscard]] static bool keeps(std::uint64_t test_id, std::uint64_t salt,
+                                  std::uint64_t denominator) noexcept {
+    return denominator <= 1 || splitmix64(test_id ^ salt) % denominator == 0;
+  }
+
   std::vector<Step> steps_;          // from_test ascending; steps_[0].from_test == 0
   std::uint64_t salt_ = 0;
   std::uint64_t degradations_ = 0;

@@ -10,42 +10,20 @@ SpanRecord* SpanStore::find(SpanId id) noexcept {
   if (id == kNoSpan || spans_.empty()) return nullptr;
   const SpanId first = spans_.front().id;
   if (id < first || id > spans_.back().id) return nullptr;
-  if (!gapped_) return &spans_[static_cast<std::size_t>(id - first)];
-  const auto it = std::lower_bound(
-      spans_.begin(), spans_.end(), id,
-      [](const SpanRecord& r, SpanId value) { return r.id < value; });
-  return it != spans_.end() && it->id == id ? &*it : nullptr;
+  return &spans_[static_cast<std::size_t>(id - first)];
 }
 
 void SpanStore::make_room() {
-  if (spill_) {
-    // Rotate out the longest fully-closed prefix. Parents begin before and
-    // close after their children, so an open subtree is never split: the
-    // prefix stops at the oldest still-open span.
-    std::size_t closed = 0;
-    while (closed < spans_.size() && spans_[closed].closed) ++closed;
-    if (closed == 0) return;
-    spill_(spans_.data(), closed);
-    spilled_ += closed;
-    spans_.erase(spans_.begin(),
-                 spans_.begin() + static_cast<std::ptrdiff_t>(closed));
-    return;
-  }
-  if (head_keep_ == 0 && tail_keep_ == 0) return;
-  // Head+tail retention: keep the first head_keep_ ids ever begun and the
-  // newest tail_keep_ records; evict the middle in one batch so eviction
-  // cost amortizes to O(1) per begin.
-  std::size_t head_n = 0;
-  while (head_n < spans_.size() && spans_[head_n].id <= head_keep_) ++head_n;
-  if (spans_.size() <= head_n + tail_keep_) return;
-  const std::size_t erase_end = spans_.size() - tail_keep_;
-  for (std::size_t i = head_n; i < erase_end; ++i) {
-    if (!spans_[i].closed) --open_;
-  }
-  dropped_ += erase_end - head_n;
-  spans_.erase(spans_.begin() + static_cast<std::ptrdiff_t>(head_n),
-               spans_.begin() + static_cast<std::ptrdiff_t>(erase_end));
-  gapped_ = true;
+  if (!spill_) return;
+  // Rotate out the longest fully-closed prefix. Parents begin before and
+  // close after their children, so an open subtree is never split: the
+  // prefix stops at the oldest still-open span.
+  std::size_t closed = 0;
+  while (closed < spans_.size() && spans_[closed].closed) ++closed;
+  if (closed == 0) return;
+  spill_(spans_.data(), closed);
+  spilled_ += closed;
+  spans_.erase(spans_.begin(), spans_.begin() + static_cast<std::ptrdiff_t>(closed));
 }
 
 SpanId SpanStore::begin(core::SimTime ts, Category category, const char* name,
@@ -137,8 +115,8 @@ SpanId SpanStore::anchor(std::uint64_t trace_id) const {
 void SpanStore::merge_from(const SpanStore& src) {
   // Parents always begin before their children, so by the time a child is
   // copied its parent's new id is already in the remap (unless src spilled
-  // or evicted it — then the child becomes a root here, matching how the
-  // spill file keeps the original global ids).
+  // it — then the child becomes a root here, matching how the spill file
+  // keeps the original global ids).
   std::map<SpanId, SpanId> remap;
   spans_.reserve(spans_.size() + src.spans_.size());
   for (const SpanRecord& r : src.spans_) {
@@ -161,7 +139,6 @@ void SpanStore::merge_from(const SpanStore& src) {
   spilled_ += src.spilled_;
   suppressed_ += src.suppressed_;
   open_ += src.open_;
-  gapped_ = gapped_ || src.gapped_;
 }
 
 void SpanStore::sort_canonical() {
@@ -196,7 +173,6 @@ void SpanStore::sort_canonical() {
     }
   }
   next_id_ = static_cast<SpanId>(spans_.size()) + 1;
-  gapped_ = false;  // ids are 1..n in vector order again
 }
 
 }  // namespace swiftest::obs::span

@@ -17,7 +17,7 @@
 // Propagation: a SpanContext carries the ambient open-span stack for one
 // client (netsim::ClientContext owns one). Synchronous stages use the RAII
 // SpanScope against that context; asynchronous stages (a probing round that
-// spans many scheduler events) hold the SpanId and call end_at() when the
+// spans many scheduler events) hold the SpanId and call end() when the
 // stage closes. Server-side participants that only share a protocol nonce
 // with the client attach through the store's trace-anchor registry:
 // the client registers its test span under the nonce, the server parents
@@ -98,17 +98,6 @@ class SpanStore {
   using SpillFn = std::function<void(const SpanRecord*, std::size_t)>;
   void set_spill(SpillFn fn) { spill_ = std::move(fn); }
 
-  /// Head+tail retention: with no spill sink, a full store keeps the first
-  /// `head` spans (by id) ever begun plus the newest spans, and evicts the
-  /// middle in batches (counted in dropped()) — so both the first and last
-  /// tests of a long run survive in the artifact. `head + tail` must leave
-  /// room below capacity or begins still drop. Zero/zero (the default) is
-  /// the legacy behavior: begins are refused once the store is full.
-  void set_retention(std::size_t head, std::size_t tail) noexcept {
-    head_keep_ = head;
-    tail_keep_ = tail;
-  }
-
   /// Sampled mode (fleet sampling): a begin that would start a NEW trace
   /// tree for an unknown trace_id — nonzero trace_id, no parent, no anchor
   /// registered — is silently refused (counted in suppressed()). Unsampled
@@ -119,7 +108,8 @@ class SpanStore {
   [[nodiscard]] bool sampled_mode() const noexcept { return sampled_mode_; }
 
   /// Opens a span. Returns kNoSpan (and counts the drop) once the store is
-  /// at capacity. `trace_id` 0 inherits the parent's trace id.
+  /// at capacity and no spill sink can make room. `trace_id` 0 inherits the
+  /// parent's trace id.
   SpanId begin(core::SimTime ts, Category category, const char* name,
                SpanId parent = kNoSpan, std::uint64_t trace_id = 0);
 
@@ -142,9 +132,9 @@ class SpanStore {
   [[nodiscard]] SpanId anchor(std::uint64_t trace_id) const;
 
   /// Appends every retained span of `src` with fresh sequential ids (parent
-  /// links remapped; a parent that `src` spilled or evicted remaps to
-  /// kNoSpan); anchors remap the same way (first registration still wins)
-  /// and drop/spill counts add. No sink mirroring — the source store already
+  /// links remapped; a parent that `src` spilled remaps to kNoSpan); anchors
+  /// remap the same way (first registration still wins) and drop/spill
+  /// counts add. No sink mirroring — the source store already
   /// mirrored into its own sinks, which merge separately.
   /// Merging a full source into an empty store reproduces it record for
   /// record; an explicit merge may grow the store past its begin() capacity.
@@ -158,23 +148,18 @@ class SpanStore {
   /// byte-identically for every shard count (DESIGN.md §12).
   void sort_canonical();
 
-  /// Retained spans, id-ascending (spilled/evicted spans are absent).
+  /// Retained spans, id-ascending and contiguous (spilled spans are absent).
   [[nodiscard]] const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Begins refused, or retained spans evicted by head+tail retention.
+  /// Begins refused because the store was full.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Spans rotated out through the spill sink.
   [[nodiscard]] std::uint64_t spilled() const noexcept { return spilled_; }
   /// Begins refused by sampled mode (intentional, not data loss).
   [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_; }
-  /// Spans begun but not yet ended (evicted open spans leave this count).
+  /// Spans begun but not yet ended.
   [[nodiscard]] std::size_t open_count() const noexcept { return open_; }
-
-  /// In-memory footprint of the retained spans (for budget accounting).
-  [[nodiscard]] std::uint64_t approx_bytes() const noexcept {
-    return spans_.capacity() * sizeof(SpanRecord);
-  }
 
   void clear() noexcept {
     spans_.clear();
@@ -184,13 +169,12 @@ class SpanStore {
     suppressed_ = 0;
     open_ = 0;
     next_id_ = 1;
-    gapped_ = false;
   }
 
  private:
   [[nodiscard]] SpanRecord* find(SpanId id) noexcept;
-  /// Frees room at capacity: spill the closed prefix, or evict the middle
-  /// under head+tail retention. May free nothing (all spans open / no policy).
+  /// Frees room at capacity by spilling the closed prefix. May free nothing
+  /// (no spill sink, or the oldest span is still open).
   void make_room();
 
   std::size_t capacity_;
@@ -201,12 +185,7 @@ class SpanStore {
   std::uint64_t suppressed_ = 0;
   std::size_t open_ = 0;
   SpanId next_id_ = 1;
-  /// True once retention eviction removed ids from the middle — find() then
-  /// binary-searches instead of indexing.
-  bool gapped_ = false;
   bool sampled_mode_ = false;
-  std::size_t head_keep_ = 0;
-  std::size_t tail_keep_ = 0;
   SpillFn spill_;
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
@@ -255,9 +234,8 @@ class SpanContext {
     return store_->begin(now(), category, name, current());
   }
 
-  void end(SpanId id) { end_at(id, now()); }
-  void end_at(SpanId id, core::SimTime ts) {
-    if (store_ != nullptr) store_->end(id, ts);
+  void end(SpanId id) {
+    if (store_ != nullptr) store_->end(id, now());
   }
 
   /// Makes `id` the ambient parent until the matching pop. Pop tolerates

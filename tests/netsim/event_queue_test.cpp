@@ -21,7 +21,8 @@ TEST(CalendarEventQueue, MatchesReferenceHeapUnderSchedulerContract) {
   // is at or after a clock that advances to popped keys and to parked
   // run_until() deadlines — and mixes same-time ties, same-bucket and
   // mid-ring pushes, pushes beyond the ~268 ms horizon (forcing rebases),
-  // pushes into the gap below a rebased window (the underflow heap), and
+  // pushes into the gap below a rebased window (routed to the active heap
+  // and counted in underflow_pushes), and
   // short-offset pushes behind the sweep cursor after an exit peek.
   CalendarEventQueue calendar;
   EventKeyHeap reference;
@@ -122,6 +123,7 @@ TEST(CalendarEventQueue, MatchesReferenceHeapUnderSchedulerContract) {
   EXPECT_EQ(stats.sweeps, 13528u);
   EXPECT_EQ(stats.rebases, 3734u);
   EXPECT_EQ(stats.far_pushes, 9811u);
+  // Keys pushed below a rebased window's base (they join the active heap).
   EXPECT_EQ(stats.underflow_pushes, 11266u);
 }
 

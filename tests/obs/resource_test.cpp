@@ -217,26 +217,6 @@ TEST(SampleLogBounds, InternsMoreKeysThanSixteenBitIdsHold) {
   EXPECT_EQ(last->max, 69999.0);
 }
 
-TEST(SampleLogBounds, ApproxBytesScalesWithUse) {
-  health::SampleLog log(1u << 10);
-  EXPECT_EQ(log.approx_bytes(), 0u);
-  for (int i = 0; i < 512; ++i) log.note_arrival(static_cast<double>(i));
-  for (int i = 0; i < 100; ++i) log.record_test({});
-  for (int i = 0; i < 10; ++i) log.record_egress_utilization(2, 1.0);
-  EXPECT_GE(log.approx_bytes(),
-            512 * sizeof(double) + 100 * sizeof(health::SampleLog::TestEntry) +
-                10 * sizeof(health::SampleLog::EgressEntry));
-
-  // Interned keys count too — the id table and the key index, out-of-line
-  // payloads included.
-  health::SampleLog short_key;
-  short_key.intern("isp:1");
-  EXPECT_GT(short_key.approx_bytes(), 2 * sizeof(std::string));
-  health::SampleLog long_key;
-  long_key.intern(std::string(64, 'k'));
-  EXPECT_EQ(long_key.approx_bytes(), short_key.approx_bytes() + 2 * 65);
-}
-
 TEST(SampleLogBounds, DefaultCapacityIsBounded) {
   // The default is a hard ceiling (4M entries), not "unbounded": fleet-scale
   // days degrade by dropping + counting, never by OOM.

@@ -2,8 +2,7 @@
 // a full Tracer ring or SpanStore flushes whole segments through its spill
 // sink instead of dropping, segments concatenate with the in-memory
 // remainder into one complete stream, and merge_from carries spill counts so
-// a sharded merge still accounts for every record. Head+tail retention is
-// the no-disk fallback: first and last survive, the middle is counted out.
+// a sharded merge still accounts for every record.
 #include "obs/spill.hpp"
 
 #include <gtest/gtest.h>
@@ -170,48 +169,6 @@ TEST(SpanSpill, MergeFromSpilledStoreCarriesCountsAndRemapsIds) {
     EXPECT_EQ(s.parent, kNoSpan) << "spilled parents must remap to kNoSpan";
   }
   (void)c;
-}
-
-TEST(SpanRetention, HeadAndTailSurviveMiddleEviction) {
-  SpanStore store(8);
-  store.set_retention(2, 3);
-  for (int i = 0; i < 20; ++i) {
-    const SpanId id = store.begin(i, Category::kFleet, "t");
-    store.end(id, i + 1);
-    ASSERT_NE(id, kNoSpan) << "retention must keep making room, i=" << i;
-  }
-  // The first `head` ids ever begun and the newest spans survive; the
-  // middle is gone and counted.
-  const auto& spans = store.spans();
-  ASSERT_GE(spans.size(), 5u);
-  EXPECT_EQ(spans[0].id, 1u);
-  EXPECT_EQ(spans[1].id, 2u);
-  EXPECT_EQ(spans.back().id, 20u);
-  EXPECT_GT(store.dropped(), 0u);
-  EXPECT_EQ(store.spilled(), 0u);
-
-  // Boundary accounting: every begun span is retained or counted dropped.
-  EXPECT_EQ(spans.size() + store.dropped(), 20u);
-
-  // find() still resolves both sides of the gap: attributes attach to the
-  // head and to the newest span, and an evicted middle id is a no-op.
-  store.attr_u64(1, "k", 7);
-  store.attr_u64(20, "k", 7);
-  store.attr_u64(10, "k", 7);
-  EXPECT_EQ(spans[0].attr_count, 1u);
-  EXPECT_EQ(spans.back().attr_count, 1u);
-}
-
-TEST(SpanRetention, TailOnlyKeepsNewest) {
-  SpanStore store(4);
-  store.set_retention(0, 2);
-  for (int i = 0; i < 12; ++i) {
-    const SpanId id = store.begin(i, Category::kFleet, "t");
-    store.end(id, i + 1);
-    ASSERT_NE(id, kNoSpan);
-  }
-  EXPECT_EQ(store.spans().back().id, 12u);
-  EXPECT_EQ(store.spans().size() + store.dropped(), 12u);
 }
 
 // ---------------------------------------------------------------------------

@@ -166,6 +166,9 @@ run_executor_gate() {
 # run's own resource telemetry (obs.peak_rss_mb, from ResourceMonitor) must
 # stay under the budget. The RSS assertion is skipped in sanitizer builds —
 # shadow memory inflates RSS by design — but byte-identity is always gated.
+# The 256 MB budget is never reached on this workload, so two more runs at
+# --obs-budget-mb 1 must actually degrade (obs.sample_degradations > 0) and
+# still emit byte-identical artifacts across (chunk, jobs).
 run_obs_budget_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/obs-budget"
@@ -202,6 +205,28 @@ assert peak > 0.0, "obs.peak_rss_mb not recorded"
 if sys.argv[2] == "1" and peak >= 256.0:
     sys.exit(f"fleet-day peak RSS {peak:.1f} MB breaches the 256 MB budget")
 print(f"bounded-obs gate passed: artifacts byte-identical, peak RSS {peak:.1f} MB")
+PYEOF
+  for tag in c256j1 c1024j4; do
+    chunk="${tag#c}"; chunk="${chunk%j*}"; jobs="${tag#*j}"
+    "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
+      --days 1 --tests-per-day 50000 --seed 21 \
+      --chunk "${chunk}" --jobs "${jobs}" \
+      --obs-sample 1/16 --obs-budget-mb 1 --progress \
+      --obs-dir "${out_dir}/tight-${tag}" --obs trace_jsonl,spans,health \
+      > /dev/null 2> "${out_dir}/progress-tight-${tag}.log"
+  done
+  local artifact
+  for artifact in trace.jsonl spans.json; do
+    cmp "${out_dir}/tight-c256j1/${artifact}" "${out_dir}/tight-c1024j4/${artifact}" \
+      || { echo "degraded ${artifact} differs: c256j1 vs c1024j4" >&2; return 1; }
+  done
+  python3 - "${out_dir}/tight-c1024j4/health.json" <<'PYEOF'
+import json, sys
+meta = json.load(open(sys.argv[1]))["meta"]
+assert meta.get("obs.budget_mb") == "1", "obs.budget_mb missing from meta"
+degradations = int(meta.get("obs.sample_degradations", "0"))
+assert degradations > 0, "a 1 MB budget must degrade the sampling denominator"
+print(f"tight-budget gate passed: {degradations} degradations, artifacts byte-identical")
 PYEOF
 }
 
