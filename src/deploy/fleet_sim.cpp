@@ -50,6 +50,10 @@ struct Arrival {
   std::int64_t second = 0;  // arrival time, seconds since simulation start
   dataset::AccessTech tech = dataset::AccessTech::kWiFi5;
   dataset::Isp isp = dataset::Isp::kIsp1;
+  /// The sampling schedule's verdict, stamped at draw time: whether the test
+  /// retains observability, and whether it was drawn at a denominator > 1.
+  bool sampled = true;
+  bool thinned = false;
   double truth_mbps = 0.0;
   double rate_mbps = 0.0;       // the settled probing rate (analytic load)
   std::size_t n_servers = 1;    // servers the analytic model spreads it over
@@ -57,132 +61,160 @@ struct Arrival {
   std::size_t first_server = 0;
   /// Global workload draw index — the observability sampling key, the packet
   /// testbed's RNG stream index, and the canonical merge key. Assigned in
-  /// draw order before chunking, so it is identical for every chunk size and
-  /// never consumes RNG state.
+  /// draw order, so it is identical for every chunk size and never consumes
+  /// RNG state.
   std::uint64_t test_id = 0;
 };
 
-/// Draws the whole workload up front. The RNG consumption order is exactly
-/// the historical analytic loop's — per second one poisson draw, then per
-/// test: record, duration, domain, offset — so a given seed produces the
-/// identical test sequence for both backends, for any chunk size, and for
-/// pre-refactor runs. Chunking slices this list after the fact; it never
-/// touches the draw order.
-std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> population,
-                                       const swift::ModelRegistry& registry,
-                                       const FleetSimConfig& config) {
-  std::vector<Arrival> workload;
-  // The hourly weights are normalised, so days * tests_per_day is the exact
-  // Poisson mean of the draw; eight standard deviations of headroom make a
-  // regrow vanishingly rare.
-  const double expected = config.days * config.tests_per_day;
-  workload.reserve(static_cast<std::size_t>(expected + 8.0 * std::sqrt(expected) + 16.0));
-  core::Rng rng(config.seed);
-  const auto weights = dataset::hourly_test_weights();
-  double weight_sum = 0.0;
-  for (double w : weights) weight_sum += w;
-
-  // Geographic assignment: contiguous server ranges per IXP domain.
-  const auto placement = place_servers(config.server_count);
-  const auto domains = ixp_domains();
-  std::vector<double> domain_shares;
-  std::vector<std::size_t> domain_first;
-  std::size_t next_server = 0;
-  for (std::size_t d = 0; d < domains.size(); ++d) {
-    domain_shares.push_back(domains[d].demand_share);
-    domain_first.push_back(next_server);
-    next_server += placement.servers_per_domain[d];
+/// Draws the workload in consecutive pieces, one chunk at a time. The RNG
+/// consumption order is exactly the historical analytic loop's — per second
+/// one poisson draw, then per test: record, duration, domain, offset — so a
+/// given seed produces the identical test sequence for both backends and for
+/// any chunk size: a chunk boundary may fall inside a second, never inside a
+/// draw.
+class WorkloadDraw {
+ public:
+  WorkloadDraw(std::span<const dataset::TestRecord> population,
+               const swift::ModelRegistry& registry, const FleetSimConfig& config)
+      : population_(population),
+        registry_(registry),
+        config_(config),
+        rng_(config.seed),
+        settled_by_record_(population.size()) {
+    const auto weights = dataset::hourly_test_weights();
+    double weight_sum = 0.0;
+    for (double w : weights) weight_sum += w;
+    for (std::size_t hour = 0; hour < rate_by_hour_.size(); ++hour) {
+      rate_by_hour_[hour] = config.tests_per_day * weights[hour] / weight_sum / 3600.0;
+    }
+    // Geographic assignment: contiguous server ranges per IXP domain.
+    servers_per_domain_ = place_servers(config.server_count).servers_per_domain;
+    const auto domains = ixp_domains();
+    std::size_t next_server = 0;
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+      domain_shares_.push_back(domains[d].demand_share);
+      domain_first_.push_back(next_server);
+      next_server += servers_per_domain_[d];
+    }
+    seconds_ = config.days > 0 ? static_cast<std::int64_t>(config.days) * 24 * 3600 : 0;
   }
 
-  // The settled rate and server spread are pure functions of the drawn
-  // record, so each record's pair is computed on its first draw only.
+  /// Replaces `out` with the next (up to) `n` draws; false once none are
+  /// left.
+  bool next(std::size_t n, std::vector<Arrival>& out) {
+    out.clear();
+    while (out.size() < n) {
+      if (pending_ == 0) {
+        if (next_second_ >= seconds_) break;
+        second_ = next_second_++;
+        const auto hour = static_cast<std::size_t>(second_ % (24 * 3600) / 3600);
+        pending_ = rng_.poisson(rate_by_hour_[hour]);
+        continue;
+      }
+      --pending_;
+      out.push_back(draw_one());
+    }
+    return !out.empty();
+  }
+
+ private:
+  /// The settled rate and server spread are pure functions of the drawn
+  /// record, so each record's pair is computed on its first draw only.
   struct Settled {
     double rate_mbps = 0.0;
     std::size_t n_servers = 1;
   };
-  std::vector<std::optional<Settled>> settled_by_record(population.size());
 
-  std::int64_t second_index = 0;
-  for (int day = 0; day < config.days; ++day) {
-    for (int hour = 0; hour < 24; ++hour) {
-      const double arrivals_per_second =
-          config.tests_per_day * weights[static_cast<std::size_t>(hour)] / weight_sum /
-          3600.0;
-      for (int second = 0; second < 3600; ++second, ++second_index) {
-        const auto new_tests = rng.poisson(arrivals_per_second);
-        for (std::int64_t t = 0; t < new_tests; ++t) {
-          const auto index = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(population.size()) - 1));
-          const auto& rec = population[index];
-          std::optional<Settled>& settled = settled_by_record[index];
-          if (!settled) {
-            settled.emplace();
-            settled->rate_mbps =
-                settled_probing_rate(registry.model(rec.tech), rec.bandwidth_mbps);
-            settled->n_servers = std::min<std::size_t>(
-                config.server_count,
-                swift::SwiftestClient::servers_needed(settled->rate_mbps,
-                                                      config.server_uplink_mbps));
-          }
-          Arrival arrival;
-          arrival.second = second_index;
-          arrival.tech = rec.tech;
-          arrival.isp = rec.isp;
-          arrival.truth_mbps = rec.bandwidth_mbps;
-          arrival.rate_mbps = settled->rate_mbps;
-          arrival.n_servers = settled->n_servers;
-          arrival.duration_s = rng.bernoulli(0.25) ? 2 : 1;  // ~1.2 s average
-          const auto domain = rng.weighted_index(domain_shares);
-          const std::size_t domain_size =
-              std::max<std::size_t>(1, placement.servers_per_domain[domain]);
-          const auto offset = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(domain_size) - 1));
-          arrival.first_server =
-              (domain_first[domain] + offset) % config.server_count;
-          arrival.test_id = static_cast<std::uint64_t>(workload.size());
-          workload.push_back(arrival);
-        }
-      }
+  Arrival draw_one() {
+    const auto index = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(population_.size()) - 1));
+    const auto& rec = population_[index];
+    std::optional<Settled>& settled = settled_by_record_[index];
+    if (!settled) {
+      settled.emplace();
+      settled->rate_mbps =
+          settled_probing_rate(registry_.model(rec.tech), rec.bandwidth_mbps);
+      settled->n_servers = std::min<std::size_t>(
+          config_.server_count,
+          swift::SwiftestClient::servers_needed(settled->rate_mbps,
+                                                config_.server_uplink_mbps));
+    }
+    Arrival arrival;
+    arrival.second = second_;
+    arrival.tech = rec.tech;
+    arrival.isp = rec.isp;
+    arrival.truth_mbps = rec.bandwidth_mbps;
+    arrival.rate_mbps = settled->rate_mbps;
+    arrival.n_servers = settled->n_servers;
+    arrival.duration_s = rng_.bernoulli(0.25) ? 2 : 1;  // ~1.2 s average
+    const auto domain = rng_.weighted_index(domain_shares_);
+    const std::size_t domain_size = std::max<std::size_t>(1, servers_per_domain_[domain]);
+    const auto offset = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(domain_size) - 1));
+    arrival.first_server = (domain_first_[domain] + offset) % config_.server_count;
+    arrival.test_id = next_id_++;
+    return arrival;
+  }
+
+  std::span<const dataset::TestRecord> population_;
+  const swift::ModelRegistry& registry_;
+  const FleetSimConfig& config_;
+  core::Rng rng_;
+  std::array<double, 24> rate_by_hour_{};  // arrivals per second, by hour
+  std::vector<std::size_t> servers_per_domain_;
+  std::vector<double> domain_shares_;
+  std::vector<std::size_t> domain_first_;
+  std::vector<std::optional<Settled>> settled_by_record_;
+  std::int64_t seconds_ = 0;      // the simulated period
+  std::int64_t next_second_ = 0;  // the next second to draw a count for
+  std::int64_t second_ = 0;       // the second being drawn
+  std::int64_t pending_ = 0;      // tests left to draw in second_
+  std::uint64_t next_id_ = 0;
+};
+
+/// The run's one health dimension table: every tech key, then every ISP key,
+/// then every server key. A test's dimension ids are offsets into it, so
+/// recording a test builds no strings and searches no keys, and the fold
+/// resolves each key to its cells once per run.
+class DimensionTable {
+ public:
+  using DimId = obs::health::SampleLog::DimId;
+
+  explicit DimensionTable(std::size_t server_count) {
+    keys_.resize(kServers + server_count);
+    for (const dataset::AccessTech t : dataset::kAllTechs) {
+      keys_[static_cast<std::size_t>(t)] = dataset::dimension_key(t);
+    }
+    for (const dataset::Isp isp : dataset::kAllIsps) {
+      keys_[kIsps + static_cast<std::size_t>(isp)] = dataset::dimension_key(isp);
+    }
+    for (std::size_t s = 0; s < server_count; ++s) {
+      obs::health::ServerKeyBuffer key;
+      keys_[kServers + s] = obs::health::server_dimension(s, key);
     }
   }
-  return workload;
-}
 
-/// A chunk's health log. The dimension keys a test lands under beyond "all"
-/// — its tech, ISP and first server — are interned into the log by name on
-/// first use and their ids cached here, so recording a test builds no
-/// strings and searches no keys.
-struct ChunkHealth {
-  using SampleLog = obs::health::SampleLog;
+  [[nodiscard]] std::span<const std::string> keys() const noexcept { return keys_; }
 
-  SampleLog log;
-
-  void record_test(const Arrival& a, double duration_s, double data_mb,
-                   double deviation) {
-    SampleLog::TestEntry e;
+  /// Records one completed test into `log` (whose table this is) under its
+  /// tech, ISP and first server.
+  static void record_test(obs::health::SampleLog& log, const Arrival& a,
+                          double duration_s, double data_mb, double deviation) {
+    obs::health::SampleLog::TestEntry e;
     e.duration_s = duration_s;
     e.data_mb = data_mb;
     e.deviation = deviation;
-    e.dims[0] = cached(tech_ids[static_cast<std::size_t>(a.tech)],
-                       [&] { return dataset::dimension_key(a.tech); });
-    e.dims[1] = cached(isp_ids[static_cast<std::size_t>(a.isp)],
-                       [&] { return dataset::dimension_key(a.isp); });
-    if (a.first_server >= server_ids.size()) server_ids.resize(a.first_server + 1);
-    obs::health::ServerKeyBuffer key;
-    e.dims[2] = cached(server_ids[a.first_server],
-                       [&] { return obs::health::server_dimension(a.first_server, key); });
+    e.dims[0] = static_cast<DimId>(a.tech);
+    e.dims[1] = static_cast<DimId>(kIsps + static_cast<std::size_t>(a.isp));
+    e.dims[2] = static_cast<DimId>(kServers + a.first_server);
     log.record_test(e);
   }
 
  private:
-  std::array<std::optional<SampleLog::DimId>, dataset::kAllTechs.size()> tech_ids{};
-  std::array<std::optional<SampleLog::DimId>, dataset::kAllIsps.size()> isp_ids{};
-  std::vector<std::optional<SampleLog::DimId>> server_ids;  // [first_server]
+  static constexpr std::size_t kIsps = dataset::kAllTechs.size();
+  static constexpr std::size_t kServers = kIsps + dataset::kAllIsps.size();
 
-  SampleLog::DimId cached(std::optional<SampleLog::DimId>& id, const auto& key) {
-    if (!id) id = log.intern(key());
-    return *id;
-  }
+  std::vector<std::string> keys_;
 };
 
 /// The simulated period and its whole utilization windows (none when
@@ -205,10 +237,9 @@ obs::hostprof::Timeline* main_timeline(const FleetSimConfig& config) {
   return config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
 }
 
+/// Fills the result's statistics from its sorted busy windows.
 void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                    std::uint64_t total_seconds) {
-  std::sort(result.busy_window_utilization.begin(),
-            result.busy_window_utilization.end());
   result.summary = stats::summarize_sorted(result.busy_window_utilization);
   result.p99 = stats::quantile_sorted(result.busy_window_utilization, 0.99);
   result.p999 = stats::quantile_sorted(result.busy_window_utilization, 0.999);
@@ -220,9 +251,9 @@ void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                                static_cast<double>(total_seconds);
 }
 
-/// Rotating spill sinks for one chunk's hub (obs/spill.hpp). The writers
-/// must outlive the chunk run; the merge collects their segment paths in
-/// (chunk, segment) order.
+/// Rotating spill sinks for one hub (obs/spill.hpp). The writers must
+/// outlive the hub's recording; the run's SpillLedger then takes their
+/// segment paths in (chunk, segment) order.
 struct ChunkSpill {
   std::unique_ptr<obs::SpillWriter> trace;
   std::unique_ptr<obs::SpillWriter> spans;
@@ -242,44 +273,42 @@ struct ChunkSpill {
   }
 };
 
-/// Concatenates every chunk's spill segments — chunk order, then rotation
-/// order within a chunk, so the result is independent of --jobs — into
-/// <dir>/<stream>.spill.jsonl. No-op when nothing spilled.
-void concat_spill(const std::vector<ChunkSpill>& spills, bool trace_stream,
-                  const std::string& dir) {
-  std::vector<std::string> paths;
-  for (const ChunkSpill& s : spills) {
-    const obs::SpillWriter* w = trace_stream ? s.trace.get() : s.spans.get();
-    if (w == nullptr) continue;
-    paths.insert(paths.end(), w->segment_paths().begin(),
-                 w->segment_paths().end());
-  }
-  if (paths.empty()) return;
-  const std::string out = dir + (trace_stream ? "/trace.spill.jsonl" : "/spans.spill.jsonl");
-  std::string error;
-  if (!obs::concat_segments(paths, out, &error)) {
-    obs::logf(obs::LogLevel::kWarn, "fleet_sim: spill concat failed: %s",
-              error.c_str());
-  }
-}
+/// Every spill segment of the run, in (chunk, segment) order, so the
+/// concatenation is independent of --jobs; the writers' accounting sums into
+/// the result's spill fields as they are taken.
+struct SpillLedger {
+  std::vector<std::string> trace_paths;
+  std::vector<std::string> span_paths;
 
-/// Sums every writer's rotation accounting into the result's spill fields,
-/// so the run manifest can report spill volume without holding the writers.
-void accumulate_spill(const std::vector<ChunkSpill>& spills,
-                      FleetSimResult& result) {
-  for (const ChunkSpill& s : spills) {
-    if (s.trace != nullptr) {
-      result.spill_trace_segments += s.trace->segments();
-      result.spill_trace_bytes += s.trace->bytes_written();
-      result.spill_ok = result.spill_ok && s.trace->ok();
-    }
-    if (s.spans != nullptr) {
-      result.spill_span_segments += s.spans->segments();
-      result.spill_span_bytes += s.spans->bytes_written();
-      result.spill_ok = result.spill_ok && s.spans->ok();
+  void take(const ChunkSpill& spill, FleetSimResult& result) {
+    for (const auto& [writer, paths, segments, bytes] :
+         {std::tuple{spill.trace.get(), &trace_paths, &result.spill_trace_segments,
+                     &result.spill_trace_bytes},
+          std::tuple{spill.spans.get(), &span_paths, &result.spill_span_segments,
+                     &result.spill_span_bytes}}) {
+      if (writer == nullptr) continue;
+      paths->insert(paths->end(), writer->segment_paths().begin(),
+                    writer->segment_paths().end());
+      *segments += writer->segments();
+      *bytes += writer->bytes_written();
+      result.spill_ok = result.spill_ok && writer->ok();
     }
   }
-}
+
+  /// Concatenates each stream's segments into <dir>/<stream>.spill.jsonl;
+  /// no-op for a stream that never spilled.
+  void concat(const std::string& dir) const {
+    for (const auto& [paths, name] : {std::pair{&trace_paths, "/trace.spill.jsonl"},
+                                      std::pair{&span_paths, "/spans.spill.jsonl"}}) {
+      if (paths->empty()) continue;
+      std::string error;
+      if (!obs::concat_segments(*paths, dir + name, &error)) {
+        obs::logf(obs::LogLevel::kWarn, "fleet_sim: spill concat failed: %s",
+                  error.c_str());
+      }
+    }
+  }
+};
 
 /// The footprint model SampleSchedule::plan degrades against: store
 /// capacities and per-test record sizes, never RSS, so the degradation
@@ -306,35 +335,19 @@ obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// The chunk pipeline both backends run through
+// The chunk stream both backends run through
 // ---------------------------------------------------------------------------
 
-/// How the drawn workload splits into chunks of consecutive draws.
-struct ChunkPlan {
-  std::span<const Arrival> workload;
-  std::size_t chunk_size = kDefaultChunkSize;
-  std::size_t jobs = 1;
-  const obs::SampleSchedule* schedule = nullptr;  // null: no sampling
-
-  [[nodiscard]] std::size_t count() const {
-    return (workload.size() + chunk_size - 1) / chunk_size;
-  }
-  /// Chunk c holds the draws [lo(c), hi(c)).
-  [[nodiscard]] std::size_t lo(std::size_t c) const { return c * chunk_size; }
-  [[nodiscard]] std::size_t hi(std::size_t c) const {
-    return std::min(workload.size(), lo(c) + chunk_size);
-  }
-  [[nodiscard]] std::span<const Arrival> arrivals(std::size_t c) const {
-    return workload.subspan(lo(c), hi(c) - lo(c));
-  }
-};
-
-/// What every chunk produces, whatever the backend: its test count, health
-/// samples, sampled observability and self-telemetry.
+/// One chunk of consecutive draws, whatever the backend, from its draw until
+/// every health lane has folded it: its arrivals, test count, health log,
+/// sampled observability and self-telemetry.
 struct ChunkBase {
+  std::vector<Arrival> arrivals;
+  std::uint64_t sample_degradations = 0;  // schedule steps inside the chunk
   std::uint64_t tests = 0;
-  ChunkHealth health;
   bool want_health = false;
+  obs::health::SampleLog log;
+  obs::health::LogFold::Committed committed;  // `log`, once committed
   /// Chunk-local observability accumulator; null when the run exports none.
   std::unique_ptr<obs::Hub> hub;
   ChunkSpill spill;
@@ -347,89 +360,232 @@ struct ChunkBase {
   obs::ShardTelemetry telemetry;
 };
 
-/// Builds one output per chunk, each with the hub `make_hub` returns (null
-/// for none) and its spill sinks, then runs `run_chunk` over every chunk on
-/// the work-stealing pool, stamping each chunk's self-telemetry as it ends.
+/// What one run holds across its chunk stream: the draw, the sampling
+/// schedule it extends, the health fold its chunks commit into, the
+/// observability merge target's spill state, and the result.
+class FleetRun {
+ public:
+  FleetRun(std::span<const dataset::TestRecord> population,
+           const swift::ModelRegistry& registry, const FleetSimConfig& config,
+           bool obs_merge)
+      : config(config),
+        host_tl(main_timeline(config)),
+        chunk_size(config.chunk == 0 ? kDefaultChunkSize : config.chunk),
+        jobs(exec::resolve_jobs(config.jobs)),
+        obs_merge(obs_merge),
+        draw_(population, registry, config),
+        dims_(config.server_count) {
+    if (config.sample.enabled() || config.obs_budget_mb > 0) {
+      // Salted with the run seed; the budget is global (the schedule walks
+      // the global draw order, so no per-partition split exists to leak the
+      // partition into the sampled set).
+      schedule_.emplace(config.sample.denominator(), config.seed,
+                        config.obs_budget_mb * 1024ull * 1024ull,
+                        sample_cost_model(config));
+    }
+    if (config.health != nullptr) fold.emplace(*config.health, jobs, dims_.keys());
+    if (obs_merge) {
+      // The merge target can itself rotate. Its segments follow every
+      // chunk's, under the index one past the last chunk — known once the
+      // draw ends, so they are renumbered then.
+      merge_spill_.attach(*config.obs, config.obs_spill_dir, kUnnumbered);
+    }
+  }
+
+  // The fold and every chunk log hold views of dims_, and the stream's
+  // stages hold `this`.
+  FleetRun(const FleetRun&) = delete;
+  FleetRun& operator=(const FleetRun&) = delete;
+
+  const FleetSimConfig& config;
+  obs::hostprof::Timeline* const host_tl;
+  const std::size_t chunk_size;
+  const std::size_t jobs;
+  /// Chunks carry hubs whose contents merge into config.obs.
+  const bool obs_merge;
+  std::optional<obs::health::LogFold> fold;
+  FleetSimResult result;
+
+  /// Runs the stream: each chunk is drawn into a ring slot on the calling
+  /// thread, run by `run_chunk` on a worker, committed in chunk order — the
+  /// test count, `commit_chunk` (the backend's share), the hub merge into
+  /// config.obs, the health log commit — and then folded by every health
+  /// lane, all while later chunks are drawn and run (exec::run_stream). A
+  /// chunk's state is freed when its slot is redrawn, so memory is O(jobs x
+  /// chunk). `make_hub` returns each chunk's hub (null for none).
+  template <typename Chunk>
+  void stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub,
+              const std::function<void(Chunk&)>& run_chunk,
+              const std::function<void(Chunk&)>& commit_chunk);
+
+  /// Closes the stream's observability: `fleet_series` emits whatever series
+  /// only the merged result can produce, then the stores canonicalize —
+  /// chunk concatenation order (and chunk-local span ids) depend on the
+  /// partition, the content order does not, so after this the artifacts
+  /// render byte-identically for every chunk size (DESIGN.md §12, §15) — and
+  /// the spill segments concatenate.
+  void finish_obs(const std::function<void()>& fleet_series);
+
+  /// Commits the run's last health log, `tail`, folds it on every lane and
+  /// drains the lanes.
+  void finish_health(obs::health::SampleLog& tail);
+
+  /// Chunks drawn.
+  [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+
+  /// Sorts every full run of kSortRun busy windows not yet sorted: called
+  /// as the vector grows during the stream, so the calling thread sorts
+  /// while lanes fold and the tail only merges.
+  void sort_busy_runs() {
+    std::vector<double>& busy = result.busy_window_utilization;
+    while (busy.size() - sorted_runs_.back() >= kSortRun) {
+      const std::size_t lo = sorted_runs_.back();
+      std::sort(busy.begin() + static_cast<std::ptrdiff_t>(lo),
+                busy.begin() + static_cast<std::ptrdiff_t>(lo + kSortRun));
+      sorted_runs_.push_back(lo + kSortRun);
+    }
+  }
+
+  /// Sorts the busy windows: the last run, then pairwise merges of adjacent
+  /// runs. Distinct doubles have one ascending order (busy windows are
+  /// positive, so no signed zero or NaN), so this is std::sort's result.
+  void sort_busy_windows() {
+    std::vector<double>& busy = result.busy_window_utilization;
+    const auto at = [&](std::size_t i) {
+      return busy.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::sort(at(sorted_runs_.back()), busy.end());
+    if (sorted_runs_.back() != busy.size()) sorted_runs_.push_back(busy.size());
+    while (sorted_runs_.size() > 2) {
+      std::vector<std::size_t> merged = {0};
+      for (std::size_t r = 0; r + 2 < sorted_runs_.size(); r += 2) {
+        std::inplace_merge(at(sorted_runs_[r]), at(sorted_runs_[r + 1]),
+                           at(sorted_runs_[r + 2]));
+        merged.push_back(sorted_runs_[r + 2]);
+      }
+      if (sorted_runs_.size() % 2 == 0) merged.push_back(sorted_runs_.back());
+      sorted_runs_ = std::move(merged);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kUnnumbered = std::numeric_limits<std::size_t>::max();
+  static constexpr std::size_t kSortRun = std::size_t{1} << 16;
+
+  void merge_obs(ChunkBase& chunk);
+
+  WorkloadDraw draw_;
+  DimensionTable dims_;
+  std::optional<obs::SampleSchedule> schedule_;
+  ChunkSpill merge_spill_;
+  SpillLedger spills_;
+  std::size_t chunks_ = 0;
+  std::vector<std::size_t> sorted_runs_ = {0};  // sorted busy-window run bounds
+};
+
 template <typename Chunk>
-std::vector<Chunk> run_chunks(
-    const ChunkPlan& plan, const FleetSimConfig& config,
-    const std::function<std::unique_ptr<obs::Hub>()>& make_hub,
-    const std::function<void(std::span<const Arrival>, Chunk&)>& run_chunk) {
-  std::vector<Chunk> chunks(plan.count());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    Chunk& out = chunks[c];
-    out.want_health = config.health != nullptr;
+void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub,
+                      const std::function<void(Chunk&)>& run_chunk,
+                      const std::function<void(Chunk&)>& commit_chunk) {
+  std::vector<Chunk> slots(exec::stream_ring(jobs));
+  const auto slot = [&](std::size_t c) -> Chunk& { return slots[c % slots.size()]; };
+  exec::StreamStages stages;
+  stages.draw = [&](std::size_t c) {
+    const obs::hostprof::HostScope scope(host_tl, "workload.gen");
+    Chunk& out = slot(c);
+    // Frees the chunk this slot held, keeping only its arrival buffer.
+    std::vector<Arrival> arrivals = std::move(out.arrivals);
+    out = Chunk();
+    out.arrivals = std::move(arrivals);
+    if (!draw_.next(chunk_size, out.arrivals)) {
+      if (config.resource != nullptr) config.resource->end_draw();
+      return false;
+    }
+    ++chunks_;
+    if (schedule_) {
+      // The schedule is a causal walk over the draw order: extending it to
+      // this chunk's end plans exactly what a whole-workload plan would, and
+      // the verdicts travel with the arrivals, so workers never read it.
+      const std::uint64_t lo = out.arrivals.front().test_id;
+      const std::uint64_t hi = lo + out.arrivals.size();
+      schedule_->extend(hi);
+      for (Arrival& a : out.arrivals) {
+        a.sampled = schedule_->sampled(a.test_id);
+        a.thinned = schedule_->denominator_at(a.test_id) > 1;
+      }
+      out.sample_degradations = schedule_->degradations_in(lo, hi);
+    }
+    out.want_health = fold.has_value();
+    if (out.want_health) out.log = obs::health::SampleLog(dims_.keys());
     out.hub = make_hub();
     if (out.hub != nullptr) out.spill.attach(*out.hub, config.obs_spill_dir, c);
-  }
-  exec::run_tasks(
-      chunks.size(), plan.jobs,
-      [&](std::size_t c) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Chunk& out = chunks[c];
-        run_chunk(plan.arrivals(c), out);
-        obs::ShardTelemetry& t = out.telemetry;
-        t.shard = c;
-        t.wall_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        t.tests = out.tests;
-        t.health_dropped = out.health.log.dropped();
-        t.sample_degradations =
-            plan.schedule != nullptr
-                ? plan.schedule->degradations_in(plan.lo(c), plan.hi(c))
-                : 0;
-        if (out.hub != nullptr) {
-          t.trace_dropped = out.hub->tracer.dropped();
-          t.trace_spilled = out.hub->tracer.spilled();
-          t.span_dropped = out.hub->spans.dropped();
-          t.span_spilled = out.hub->spans.spilled();
-        }
-        if (config.resource != nullptr) {
-          config.resource->record_shard(t);
-          config.resource->note_shard_done();
-          config.resource->sample_usage();
-        }
-      },
-      config.hostprof);
-  return chunks;
+    if (config.resource != nullptr) config.resource->note_shard_drawn();
+    return true;
+  };
+  stages.run = [&](std::size_t c) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Chunk& out = slot(c);
+    run_chunk(out);
+    obs::ShardTelemetry& t = out.telemetry;
+    t.shard = c;
+    t.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    t.tests = out.tests;
+    t.health_dropped = out.log.dropped();
+    t.sample_degradations = out.sample_degradations;
+    if (out.hub != nullptr) {
+      t.trace_dropped = out.hub->tracer.dropped();
+      t.trace_spilled = out.hub->tracer.spilled();
+      t.span_dropped = out.hub->spans.dropped();
+      t.span_spilled = out.hub->spans.spilled();
+    }
+    if (config.resource != nullptr) {
+      config.resource->record_shard(t);
+      config.resource->note_shard_done();
+      config.resource->sample_usage();
+    }
+  };
+  stages.commit = [&](std::size_t c) {
+    Chunk& chunk = slot(c);
+    result.tests_simulated += chunk.tests;
+    commit_chunk(chunk);
+    const obs::hostprof::HostScope scope(host_tl, "merge");
+    if (obs_merge) merge_obs(chunk);
+    if (fold) fold->commit(chunk.log, chunk.committed);
+  };
+  stages.lanes = fold ? fold->lanes() : 0;
+  stages.fold = [&](std::size_t lane, std::size_t c) {
+    Chunk& chunk = slot(c);
+    fold->fold(lane, chunk.committed);
+    if constexpr (requires { chunk.egress_committed; }) {
+      fold->fold(lane, chunk.egress_committed);
+    }
+  };
+  result.peak_live_chunks = exec::run_stream(jobs, stages, config.hostprof);
 }
 
-/// Folds every chunk's observability into config.obs: component-wise in
-/// chunk order (one host-time phase per component), then `fleet_series`
-/// emits whatever series only the merged result can produce, then the stores
-/// canonicalize — chunk concatenation order (and chunk-local span ids)
-/// depend on the partition, the content order does not, so after this the
-/// artifacts render byte-identically for every chunk size (DESIGN.md §12,
-/// §15) — and the spill segments concatenate.
-template <typename Chunk>
-void merge_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
-               const std::function<void()>& fleet_series, FleetSimResult& result) {
-  obs::hostprof::Timeline* host_tl = main_timeline(config);
-  // The merge target can itself rotate: its segments take the index one
-  // past the last chunk, so concat order stays (chunk, segment).
-  ChunkSpill merge_spill;
-  merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
-  {
+/// Folds one chunk's observability into config.obs, one host-time phase per
+/// component, in chunk order — so every store sees the sequence a fold over
+/// all chunks after the run would feed it.
+void FleetRun::merge_obs(ChunkBase& chunk) {
+  obs::Hub& target = *config.obs;
+  if (chunk.hub != nullptr) {
     const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-    for (const Chunk& chunk : chunks) {
-      if (chunk.hub != nullptr) config.obs->tracer.merge_from(chunk.hub->tracer);
-    }
+    target.tracer.merge_from(chunk.hub->tracer);
   }
   {
     const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-    for (const Chunk& chunk : chunks) {
-      for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
-        config.obs->metrics.merge_from(snap);
-      }
-    }
+    for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) target.metrics.merge_from(snap);
   }
-  {
+  if (chunk.hub != nullptr) {
     const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-    for (const Chunk& chunk : chunks) {
-      if (chunk.hub != nullptr) config.obs->spans.merge_from(chunk.hub->spans);
-    }
+    target.spans.merge_from(chunk.hub->spans);
   }
+  spills_.take(chunk.spill, result);
+}
+
+void FleetRun::finish_obs(const std::function<void()>& fleet_series) {
+  if (!obs_merge) return;
   if (fleet_series) fleet_series();
   {
     const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
@@ -437,35 +593,26 @@ void merge_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
     config.obs->spans.sort_canonical();
   }
   const obs::hostprof::HostScope scope(host_tl, "spill.io");
-  std::vector<ChunkSpill> spills;
-  for (Chunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
-  spills.push_back(std::move(merge_spill));
-  concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
-  concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
-  accumulate_spill(spills, result);
+  // The writers die with the run: nothing may rotate into them afterwards.
+  config.obs->tracer.set_spill({});
+  config.obs->spans.set_spill({});
+  for (obs::SpillWriter* writer : {merge_spill_.trace.get(), merge_spill_.spans.get()}) {
+    if (writer != nullptr) writer->renumber(chunks_);
+  }
+  spills_.take(merge_spill_, result);
+  spills_.concat(config.obs_spill_dir);
 }
 
-/// Folds every chunk's health log, then `tail` (the merge's own egress
-/// samples), into config.health on up to `jobs` lanes, one owner lane per
-/// cell (obs/health/sample_log.hpp). Chunks hold consecutive draws, so log
-/// order IS the global draw order and every cell sees exactly the sequence a
-/// single serial pass would feed it — bit-identical health for any (chunk,
-/// jobs). The lanes run unprofiled, so exec.run and the worker stats keep
-/// describing the chunk pool; the fold's host time is samplelog.replay.
-template <typename Chunk>
-void fold_health(const std::vector<Chunk>& chunks, const obs::health::SampleLog& tail,
-                 const FleetSimConfig& config, std::size_t jobs) {
-  if (config.health == nullptr) return;
-  const obs::hostprof::HostScope scope(main_timeline(config), "samplelog.replay");
-  std::vector<const obs::health::SampleLog*> logs;
-  logs.reserve(chunks.size() + 1);
-  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health.log);
-  logs.push_back(&tail);
-  const obs::health::LogFold fold(logs, *config.health, jobs);
-  exec::run_tasks(fold.lanes(), jobs, [&](std::size_t lane) { fold.run_lane(lane); });
+void FleetRun::finish_health(obs::health::SampleLog& tail) {
+  if (!fold) return;
+  const obs::hostprof::HostScope scope(host_tl, "samplelog.replay");
+  obs::health::LogFold::Committed committed;
+  fold->commit(tail, committed);
+  for (std::size_t lane = 0; lane < fold->lanes(); ++lane) fold->fold(lane, committed);
+  fold->finish();
 }
 
-/// A log for the merge's egress samples: unbounded, since dropping any would
+/// A log for the run's egress samples: unbounded, since dropping any would
 /// change the health report.
 obs::health::SampleLog egress_log() {
   return obs::health::SampleLog(std::numeric_limits<std::size_t>::max());
@@ -475,22 +622,20 @@ obs::health::SampleLog egress_log() {
 // Analytic backend
 // ---------------------------------------------------------------------------
 
-/// One analytic chunk's output: health samples and sampled observability for
-/// its consecutive slice of draws. The numeric load accounting is NOT here —
-/// floating-point sums are not associative, so per-chunk partials would tie
-/// the result bits to the partition; compute_analytic_load runs once, over
-/// the whole workload, at merge. The hub is null unless sampling or a budget
-/// is active — legacy analytic runs emit nothing.
-using AnalyticChunk = ChunkBase;
+/// One analytic chunk: health samples and sampled observability for its
+/// slice of draws, plus the busy windows that closed when it committed. The
+/// hub is null unless sampling or a budget is active — legacy analytic runs
+/// emit nothing.
+struct AnalyticChunk : ChunkBase {
+  obs::health::SampleLog egress = egress_log();
+  obs::health::LogFold::Committed egress_committed;
+};
 
-void run_analytic_chunk(std::span<const Arrival> arrivals,
-                        const FleetSimConfig& config,
-                        const obs::SampleSchedule* schedule, AnalyticChunk& out) {
-  for (const Arrival& a : arrivals) {
+void run_analytic_chunk(const FleetSimConfig& config, AnalyticChunk& out) {
+  for (const Arrival& a : out.arrivals) {
     ++out.tests;
     if (config.resource != nullptr) config.resource->add_tests(1);
-    if (out.hub != nullptr &&
-        (schedule == nullptr || schedule->sampled(a.test_id))) {
+    if (out.hub != nullptr && a.sampled) {
       const core::SimTime ts = a.second * core::seconds(1);
       const core::SimTime te = ts + a.duration_s * core::seconds(1);
       out.hub->metrics.counter("fleet.tests_sampled").inc();
@@ -511,12 +656,12 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
       out.hub->spans.end(span, te);
     }
     if (out.want_health) {
-      out.health.log.note_arrival(static_cast<double>(a.second));
+      out.log.note_arrival(static_cast<double>(a.second));
       // Data usage at the settled probing rate for the test's duration. No
       // estimator in the closed form: deviation is the model-coverage proxy
       // — zero whenever the settled rate covers the client's truth.
-      out.health.record_test(
-          a, static_cast<double>(a.duration_s),
+      DimensionTable::record_test(
+          out.log, a, static_cast<double>(a.duration_s),
           a.rate_mbps * static_cast<double>(a.duration_s) / 8.0,
           bts::deviation(std::min(a.rate_mbps, a.truth_mbps), a.truth_mbps));
     }
@@ -524,111 +669,165 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
   if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
 }
 
-/// The closed-form load accounting, over the full workload in draw order.
-/// One serial pass — the bit-exact historical accumulation order, so the
-/// result is a pure function of (config, seed) with no partition anywhere
-/// in sight. Cheaper in total work than the per-shard scans it replaces:
-/// those walked the whole period once per shard.
-struct AnalyticLoad {
-  std::vector<double> window_load;  // [window * server_count + server]
-  std::vector<double> second_load;  // requested fleet load per second
-};
+/// The closed-form load accounting, fed the draws in order as chunks commit.
+/// Floating-point sums are not associative, so this is the one place the
+/// numbers accumulate — serially, in the historical order (per second, the
+/// arrivals at that second join first, then every server's load sums in
+/// arrival order), bit-identical for every (chunk, jobs). A second is
+/// computed once the first arrival after it is known; a window closes once a
+/// later second is computed, and emits each busy server's utilization,
+/// window-major then server. Memory is O(servers + active tests).
+class AnalyticLoad {
+ public:
+  AnalyticLoad(const FleetSimConfig& config, std::vector<double>& busy_windows)
+      : config_(config),
+        period_(sim_period(config)),
+        fleet_capacity_(config.server_uplink_mbps *
+                        static_cast<double>(config.server_count)),
+        active_(config.server_count),
+        window_load_(config.server_count, 0.0),
+        busy_windows_(busy_windows) {}
 
-AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
-                                   const FleetSimConfig& config) {
-  AnalyticLoad out;
-  const Period period = sim_period(config);
-  out.window_load.assign(
-      static_cast<std::size_t>(period.windows) * config.server_count, 0.0);
-  out.second_load.assign(static_cast<std::size_t>(period.seconds), 0.0);
-
-  std::vector<std::vector<std::pair<int, double>>> active(config.server_count);
-  std::size_t active_entries = 0;
-  std::size_t next_arrival = 0;
-  for (std::int64_t second = 0; second < period.seconds; ++second) {
-    if (active_entries == 0) {
-      // Idle: nothing contributes load until the next arrival, and zero
-      // seconds are already materialized, so jump straight there.
-      if (next_arrival >= arrivals.size()) break;
-      if (arrivals[next_arrival].second > second) {
-        second = arrivals[next_arrival].second;
-      }
-      if (second >= period.seconds) break;
-    }
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival].second == second) {
-      const Arrival& a = arrivals[next_arrival++];
+  /// Accounts `arrivals`, the next draws in order. Busy windows that close
+  /// land in the result and, when non-null, in `egress`.
+  void add(std::span<const Arrival> arrivals, obs::health::SampleLog* egress) {
+    for (const Arrival& a : arrivals) {
+      advance_to(a.second, egress);
       for (std::size_t s = 0; s < a.n_servers; ++s) {
-        active[(a.first_server + s) % config.server_count].emplace_back(
+        active_[(a.first_server + s) % config_.server_count].emplace_back(
             a.duration_s, a.rate_mbps / static_cast<double>(a.n_servers));
-        ++active_entries;
+        ++active_entries_;
       }
     }
+  }
+
+  /// Accounts the rest of the period and closes the last window.
+  void finish(obs::health::SampleLog* egress) {
+    advance_to(period_.seconds, egress);
+    close_window(egress);
+    // Seconds never computed carried no load.
+    if (0.0 > fleet_capacity_) overload_seconds_ += period_.seconds - computed_;
+  }
+
+  /// Seconds whose requested fleet load exceeded the fleet's capacity.
+  [[nodiscard]] std::uint64_t overload_seconds() const noexcept {
+    return static_cast<std::uint64_t>(overload_seconds_);
+  }
+
+ private:
+  /// Computes every second before `second`. Idle stretches are skipped:
+  /// nothing contributes load until the next arrival.
+  void advance_to(std::int64_t second, obs::health::SampleLog* egress) {
+    while (next_second_ < second) {
+      if (active_entries_ == 0) {
+        next_second_ = second;
+        return;
+      }
+      compute(next_second_++, egress);
+    }
+  }
+
+  void compute(std::int64_t second, obs::health::SampleLog* egress) {
     const std::int64_t w =
-        config.window_seconds > 0 ? second / config.window_seconds : period.windows;
+        config_.window_seconds > 0 ? second / config_.window_seconds : period_.windows;
+    if (w != window_) {
+      close_window(egress);
+      window_ = w;
+    }
     double second_total = 0.0;
-    for (std::size_t s = 0; s < config.server_count; ++s) {
+    for (std::size_t s = 0; s < config_.server_count; ++s) {
       double load = 0.0;
-      for (auto& [remaining, mbps] : active[s]) {
+      for (auto& [remaining, mbps] : active_[s]) {
         load += mbps;
         --remaining;
       }
-      const std::size_t before = active[s].size();
-      std::erase_if(active[s], [](const auto& e) { return e.first <= 0; });
-      active_entries -= before - active[s].size();
-      if (load > 0.0 && w < period.windows) {
-        out.window_load[static_cast<std::size_t>(w) * config.server_count + s] +=
-            load;
-      }
+      const std::size_t before = active_[s].size();
+      std::erase_if(active_[s], [](const auto& e) { return e.first <= 0; });
+      active_entries_ -= before - active_[s].size();
+      if (load > 0.0 && w < period_.windows) window_load_[s] += load;
       second_total += load;
     }
-    out.second_load[static_cast<std::size_t>(second)] = second_total;
-  }
-  return out;
-}
-
-FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
-                              const AnalyticLoad& load,
-                              const FleetSimConfig& config, std::size_t jobs) {
-  FleetSimResult result;
-  const Period period = sim_period(config);
-  const double fleet_capacity =
-      config.server_uplink_mbps * static_cast<double>(config.server_count);
-
-  for (const AnalyticChunk& chunk : chunks) result.tests_simulated += chunk.tests;
-
-  std::uint64_t overload_seconds = 0;
-  for (double second : load.second_load) {
-    if (second > fleet_capacity) ++overload_seconds;
+    if (second_total > fleet_capacity_) ++overload_seconds_;
+    ++computed_;
   }
 
-  if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
-    merge_obs(chunks, config, {}, result);
-  }
-
-  // Busy windows in the historical emission order: window-major, then server.
-  obs::health::SampleLog egress = egress_log();
-  for (std::int64_t w = 0; w < period.windows; ++w) {
-    for (std::size_t s = 0; s < config.server_count; ++s) {
-      const double window_sum =
-          load.window_load[static_cast<std::size_t>(w) * config.server_count + s];
-      const double util = 100.0 * window_sum /
-                          static_cast<double>(config.window_seconds) /
-                          config.server_uplink_mbps;
+  /// Emits the open window's busy servers (busy windows only, matching Fig
+  /// 26's utilization distribution) and resets its sums.
+  void close_window(obs::health::SampleLog* egress) {
+    if (window_ < 0 || window_ >= period_.windows) return;
+    for (std::size_t s = 0; s < config_.server_count; ++s) {
+      const double util = 100.0 * window_load_[s] /
+                          static_cast<double>(config_.window_seconds) /
+                          config_.server_uplink_mbps;
+      window_load_[s] = 0.0;
       if (util > 0.0) {
-        result.busy_window_utilization.push_back(util);
-        // Busy windows only, matching Fig 26's utilization distribution.
-        if (config.health != nullptr) {
-          egress.record_egress_utilization(static_cast<std::uint32_t>(s), util);
+        busy_windows_.push_back(util);
+        if (egress != nullptr) {
+          egress->record_egress_utilization(static_cast<std::uint32_t>(s), util);
         }
       }
     }
+    window_ = -1;
   }
-  fold_health(chunks, egress, config, jobs);
 
-  finish_result(result, overload_seconds,
-                static_cast<std::uint64_t>(period.seconds));
-  return result;
+  const FleetSimConfig& config_;
+  const Period period_;
+  const double fleet_capacity_;
+  std::vector<std::vector<std::pair<int, double>>> active_;  // [server]
+  std::size_t active_entries_ = 0;
+  std::int64_t next_second_ = 0;  // the next second to compute
+  std::int64_t computed_ = 0;     // seconds computed
+  std::int64_t window_ = -1;      // the open window; -1 for none
+  std::vector<double> window_load_;  // the open window's sums, [server]
+  std::vector<double>& busy_windows_;
+  std::int64_t overload_seconds_ = 0;
+};
+
+FleetSimResult run_analytic(std::span<const dataset::TestRecord> population,
+                            const swift::ModelRegistry& registry,
+                            const FleetSimConfig& config) {
+  // The analytic backend emits observability only under sampling (or a
+  // budget): its legacy contract is "no obs emission", and the sampled
+  // fleet.test events/spans are the artifact the byte-identity gate pins.
+  const bool sampled = config.sample.enabled() || config.obs_budget_mb > 0;
+  FleetRun run(population, registry, config, config.obs != nullptr && sampled);
+  AnalyticLoad load(config, run.result.busy_window_utilization);
+  run.stream<AnalyticChunk>(
+      [&]() -> std::unique_ptr<obs::Hub> {
+        if (!run.obs_merge) return nullptr;
+        // A bounded trace ring, so a run of many small chunks cannot
+        // multiply the parent's ring size by the chunk count. Analytic
+        // chunks emit at most two events per test, so 4 * chunk_size +
+        // slack never wraps (no drop-order dependence).
+        auto hub = obs::Hub::mirror_of(*config.obs, 4 * run.chunk_size + 1024);
+        // Analytic fleet.test spans root their trace trees explicitly, so
+        // sampled mode stays off; only the id-leaking tracer mirror goes.
+        hub->spans.set_sinks(nullptr, &hub->metrics);
+        return hub;
+      },
+      [&](AnalyticChunk& out) { run_analytic_chunk(config, out); },
+      [&](AnalyticChunk& chunk) {
+        {
+          const obs::hostprof::HostScope scope(run.host_tl, "replay.numeric");
+          load.add(chunk.arrivals, run.fold ? &chunk.egress : nullptr);
+        }
+        if (run.fold) run.fold->commit(chunk.egress, chunk.egress_committed);
+        run.sort_busy_runs();
+      });
+
+  const obs::hostprof::HostScope merge_scope(run.host_tl, "merge");
+  obs::health::SampleLog tail = egress_log();
+  {
+    const obs::hostprof::HostScope scope(run.host_tl, "replay.numeric");
+    load.finish(run.fold ? &tail : nullptr);
+  }
+  run.finish_obs({});
+  run.finish_health(tail);
+  run.sort_busy_windows();
+  finish_result(run.result, load.overload_seconds(),
+                static_cast<std::uint64_t>(sim_period(config).seconds));
+  if (config.hostprof != nullptr) config.hostprof->set_run_shape(run.chunks(), run.jobs);
+  return std::move(run.result);
 }
 
 // ---------------------------------------------------------------------------
@@ -639,7 +838,7 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
 /// isolated testbed (seeded by the test's global draw index), so a chunk is
 /// a pure function of its slice of draws: per-(window, server) delivered
 /// bytes and per-server protocol counters are *integers* that sum exactly —
-/// in any order — at merge. That is what makes the packet artifacts
+/// in any order — at commit. That is what makes the packet artifacts
 /// partition-free, at the documented cost of not modeling cross-test egress
 /// contention. The hub mirrors config.obs (null when disabled).
 struct PacketChunk : ChunkBase {
@@ -654,9 +853,12 @@ struct PacketChunk : ChunkBase {
 };
 
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
-                     const FleetSimConfig& config, bool sampled_test,
-                     bool count_sampled, bool sampled_mode,
+                     const FleetSimConfig& config, bool sampled_mode,
                      std::int64_t windows_total, PacketChunk& out) {
+  // Whole-test sampling: keyed on the global draw index, so the decision is
+  // identical for every chunk size and jobs value.
+  const bool sampled_test = a.sampled;
+  const bool count_sampled = a.sampled && a.thinned;
   netsim::TestbedConfig tb_cfg;
   tb_cfg.fleet.server_count = config.server_count;
   tb_cfg.fleet.server_uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -668,7 +870,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   netsim::Scheduler& sched = testbed.scheduler();
   // Each test keeps its own hub for metrics and spans: spans fold into the
   // chunk hub right after the test, while the metrics snapshot is kept per
-  // test for the draw-order fold at merge (see ChunkBase::metric_snaps).
+  // test for the draw-order fold at commit (see ChunkBase::metric_snaps).
   // Trace events skip the per-test hub: a sampled test records straight into
   // the chunk ring (tests in a chunk run one after another, so the ring sees
   // the same events in the same order a per-test fold would give it, and its
@@ -688,12 +890,10 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
 
-  ChunkHealth* health = out.want_health ? &out.health : nullptr;
+  obs::health::SampleLog* health = out.want_health ? &out.log : nullptr;
   netsim::ClientContext& ctx = testbed.client(0);
-  // Whole-test sampling: keyed on the global draw index, so the decision is
-  // identical for every chunk size and jobs value. Every span this test's
-  // client (or the wire protocol under it) would begin becomes a no-op when
-  // unsampled.
+  // Every span this test's client (or the wire protocol under it) would
+  // begin becomes a no-op when unsampled.
   ctx.spans().set_suppressed(!sampled_test);
 
   const std::int64_t W = config.window_seconds;
@@ -714,7 +914,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   // Utilization windows tick on the GLOBAL W-second grid — window w's
   // delivered-byte delta is read at time (w+1)*W regardless of when the
   // test started — so per-window deltas from different tests line up and
-  // sum exactly at merge. The chain self-terminates once the test is done
+  // sum exactly at commit. The chain self-terminates once the test is done
   // and a tick sees no new bytes.
   std::vector<std::int64_t> last_delivered(config.server_count, 0);
   std::int64_t window_index = W > 0 ? a.second / W : 0;
@@ -740,7 +940,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   };
 
   sched.schedule_at(start, [&] {
-    if (health != nullptr) health->log.note_arrival(static_cast<double>(a.second));
+    if (health != nullptr) health->note_arrival(static_cast<double>(a.second));
     if (config.resource != nullptr) config.resource->add_tests(1);
     // Servers are born at test start, not at t = 0: their idle-GC timers
     // only tick while the test lives, which keeps this private scheduler's
@@ -775,9 +975,9 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
       }
       test_span = obs::span::kNoSpan;
       if (health != nullptr) {
-        health->record_test(a, core::to_seconds(r.total_duration()),
-                            r.data_used.megabytes(),
-                            bts::deviation(r.bandwidth_mbps, a.truth_mbps));
+        DimensionTable::record_test(*health, a, core::to_seconds(r.total_duration()),
+                                    r.data_used.megabytes(),
+                                    bts::deviation(r.bandwidth_mbps, a.truth_mbps));
       }
     });
     sctx.pop(test_span);
@@ -802,7 +1002,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
 
   if (test_hub != nullptr) {
     // Fold this test's spans into the chunk accumulator now and bank the
-    // metrics snapshot for the merge-time draw-order fold.
+    // metrics snapshot for the commit-time draw-order fold.
     out.hub->spans.merge_from(test_hub->spans);
     out.metric_snaps.push_back(test_hub->metrics.snapshot());
   }
@@ -823,84 +1023,88 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   t.calendar_far_pushes += cal.far_pushes;
 }
 
-void run_packet_chunk(std::span<const Arrival> arrivals,
-                      const swift::ModelRegistry& registry,
-                      const FleetSimConfig& config,
-                      const obs::SampleSchedule* schedule, PacketChunk& out) {
+void run_packet_chunk(const swift::ModelRegistry& registry, const FleetSimConfig& config,
+                      bool sampled_mode, PacketChunk& out) {
   const std::int64_t windows_total = sim_period(config).windows;
   out.server_accepted.assign(config.server_count, 0);
   out.server_probe_bytes.assign(config.server_count, 0);
-  out.metric_snaps.reserve(arrivals.size());
-  for (const Arrival& a : arrivals) {
-    const bool sampled = schedule == nullptr || schedule->sampled(a.test_id);
-    const bool count_sampled =
-        schedule != nullptr && sampled && schedule->denominator_at(a.test_id) > 1;
-    run_packet_test(a, registry, config, sampled, count_sampled,
-                    /*sampled_mode=*/schedule != nullptr, windows_total, out);
+  out.metric_snaps.reserve(out.arrivals.size());
+  for (const Arrival& a : out.arrivals) {
+    run_packet_test(a, registry, config, sampled_mode, windows_total, out);
   }
 }
 
-FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
-                            const FleetSimConfig& config, std::size_t jobs) {
-  FleetSimResult result;
+FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
+                          const swift::ModelRegistry& registry,
+                          const FleetSimConfig& config) {
+  FleetRun run(population, registry, config, config.obs != nullptr);
+  const bool sampled_mode = config.sample.enabled() || config.obs_budget_mb > 0;
   const Period period = sim_period(config);
   const double window_capacity_mbit =
       config.server_uplink_mbps * static_cast<double>(config.window_seconds);
 
-  // Integer sums, commutative and associative: the merged matrices are
+  // Integer sums, commutative and associative: the committed matrices are
   // exactly partition-independent, no canonical summation order needed.
   std::vector<std::int64_t> delivered(
       static_cast<std::size_t>(period.windows) * config.server_count, 0);
   std::vector<std::uint64_t> accepted(config.server_count, 0);
   std::vector<std::int64_t> probe_bytes(config.server_count, 0);
-  for (const PacketChunk& chunk : chunks) {
-    result.tests_simulated += chunk.tests;
-    for (const PacketChunk::WindowDelta& d : chunk.deltas) {
-      delivered[static_cast<std::size_t>(d.window) * config.server_count +
-                d.server] += d.bytes;
-    }
-    for (std::size_t s = 0; s < chunk.server_accepted.size(); ++s) {
-      accepted[s] += chunk.server_accepted[s];
-      probe_bytes[s] += chunk.server_probe_bytes[s];
-    }
-  }
 
+  // The chunk hub is an accumulator: sampled tests trace straight into its
+  // ring, and spans fold in from per-test hubs after each test while
+  // metrics stay banked per test (run_packet_test). Its span store never
+  // records live, so no sink or sampled mode setup is needed — merge_from
+  // never re-emits through sinks.
+  run.stream<PacketChunk>(
+      [&] { return config.obs != nullptr ? obs::Hub::mirror_of(*config.obs) : nullptr; },
+      [&](PacketChunk& out) { run_packet_chunk(registry, config, sampled_mode, out); },
+      [&](PacketChunk& chunk) {
+        for (const PacketChunk::WindowDelta& d : chunk.deltas) {
+          delivered[static_cast<std::size_t>(d.window) * config.server_count +
+                    d.server] += d.bytes;
+        }
+        for (std::size_t s = 0; s < chunk.server_accepted.size(); ++s) {
+          accepted[s] += chunk.server_accepted[s];
+          probe_bytes[s] += chunk.server_probe_bytes[s];
+        }
+      });
+
+  const obs::hostprof::HostScope merge_scope(run.host_tl, "merge");
   const auto util_of = [&](std::int64_t w, std::size_t s) {
     const std::int64_t bytes =
         delivered[static_cast<std::size_t>(w) * config.server_count + s];
     return 100.0 * static_cast<double>(bytes) * 8.0 / 1e6 / window_capacity_mbit;
   };
 
-  if (config.obs != nullptr) {
-    // Fleet-level series are a function of the merged byte matrix, so they
-    // are emitted here — once, partition-free — rather than inside any
-    // chunk: one egress_util sample per (window, server) on the global
-    // grid, and the busy-window histogram.
-    merge_obs(chunks, config, [&] {
-      const obs::hostprof::HostScope scope(main_timeline(config), "merge.windows");
-      const bool wants_fleet = config.obs->tracer.wants(obs::Category::kFleet);
-      for (std::int64_t w = 0; w < period.windows; ++w) {
-        const core::SimTime ts = (w + 1) * config.window_seconds * core::seconds(1);
-        for (std::size_t s = 0; s < config.server_count; ++s) {
-          const double util = util_of(w, s);
-          if (util > 0.0) {
-            config.obs->metrics
-                .histogram("fleet.window_utilization",
-                           {5.0, 15.0, 30.0, 45.0, 60.0, 80.0, 95.0})
-                .observe(util);
-          }
-          if (wants_fleet) {
-            config.obs->tracer.record(ts, obs::Category::kFleet,
-                                      obs::EventKind::kCounter,
-                                      "fleet.egress_util", s, util);
-          }
+  // Fleet-level series are a function of the whole byte matrix, so they are
+  // emitted once the last chunk committed — once, partition-free — rather
+  // than inside any chunk: one egress_util sample per (window, server) on
+  // the global grid, and the busy-window histogram.
+  run.finish_obs([&] {
+    const obs::hostprof::HostScope scope(run.host_tl, "merge.windows");
+    const bool wants_fleet = config.obs->tracer.wants(obs::Category::kFleet);
+    for (std::int64_t w = 0; w < period.windows; ++w) {
+      const core::SimTime ts = (w + 1) * config.window_seconds * core::seconds(1);
+      for (std::size_t s = 0; s < config.server_count; ++s) {
+        const double util = util_of(w, s);
+        if (util > 0.0) {
+          config.obs->metrics
+              .histogram("fleet.window_utilization",
+                         {5.0, 15.0, 30.0, 45.0, 60.0, 80.0, 95.0})
+              .observe(util);
+        }
+        if (wants_fleet) {
+          config.obs->tracer.record(ts, obs::Category::kFleet,
+                                    obs::EventKind::kCounter, "fleet.egress_util", s,
+                                    util);
         }
       }
-    }, result);
-  }
+    }
+  });
 
-  // Busy windows, overload, and per-server egress health from the merged
+  // Busy windows, overload, and per-server egress health from the whole
   // matrix, window-major — the historical emission order.
+  FleetSimResult& result = run.result;
   obs::health::SampleLog egress = egress_log();
   std::uint64_t overloaded_windows = 0;
   for (std::int64_t w = 0; w < period.windows; ++w) {
@@ -920,7 +1124,7 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
       ++overloaded_windows;
     }
   }
-  fold_health(chunks, egress, config, jobs);
+  run.finish_health(egress);
 
   // Protocol-level per-server load balance (sessions, probe egress), from
   // the integer sums.
@@ -934,11 +1138,13 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
     }
   }
 
+  run.sort_busy_windows();
   finish_result(
       result,
       overloaded_windows * static_cast<std::uint64_t>(config.window_seconds),
       static_cast<std::uint64_t>(period.seconds));
-  return result;
+  if (config.hostprof != nullptr) config.hostprof->set_run_shape(run.chunks(), run.jobs);
+  return std::move(run.result);
 }
 
 }  // namespace
@@ -946,87 +1152,13 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
 FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
                               const swift::ModelRegistry& registry,
                               const FleetSimConfig& config) {
-  FleetSimResult result;
-  if (population.empty() || config.server_count == 0) return result;
-  obs::hostprof::Timeline* host_tl = main_timeline(config);
-
+  if (population.empty() || config.server_count == 0) return {};
   const auto run_start = std::chrono::steady_clock::now();
-
-  const bool sampling_active = config.sample.enabled() || config.obs_budget_mb > 0;
-
-  std::vector<Arrival> workload;
-  {
-    const obs::hostprof::HostScope scope(host_tl, "workload.gen");
-    workload = generate_workload(population, registry, config);
-  }
-
-  ChunkPlan plan;
-  plan.workload = workload;
-  plan.chunk_size = config.chunk == 0 ? kDefaultChunkSize : config.chunk;
-  plan.jobs = exec::resolve_jobs(config.jobs);
-  if (config.hostprof != nullptr) config.hostprof->set_run_shape(plan.count(), plan.jobs);
-  if (config.resource != nullptr) config.resource->begin_run(plan.count());
-
-  std::optional<obs::SampleSchedule> schedule;
-  if (sampling_active) {
-    // Salted with the run seed; the budget is global (the schedule is
-    // planned over the whole draw order, so no per-partition split exists to
-    // leak the partition into the sampled set).
-    schedule = obs::SampleSchedule::plan(
-        workload.size(), config.sample.denominator(), config.seed,
-        config.obs_budget_mb * 1024ull * 1024ull, sample_cost_model(config));
-    plan.schedule = &*schedule;
-  }
-
-  if (config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0) {
-    // The chunk hub is an accumulator: sampled tests trace straight into its
-    // ring, and spans fold in from per-test hubs after each test while
-    // metrics stay banked per test (run_packet_test). Its span store never
-    // records live, so no sink or sampled mode setup is needed — merge_from
-    // never re-emits through sinks.
-    auto chunks = run_chunks<PacketChunk>(
-        plan, config,
-        [&] {
-          return config.obs != nullptr ? obs::Hub::mirror_of(*config.obs) : nullptr;
-        },
-        [&](std::span<const Arrival> arrivals, PacketChunk& out) {
-          run_packet_chunk(arrivals, registry, config, plan.schedule, out);
-        });
-    const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_packet(chunks, config, plan.jobs);
-  } else {
-    // The analytic backend emits observability only under sampling (or a
-    // budget): its legacy contract is "no obs emission", and the sampled
-    // fleet.test events/spans are the artifact the byte-identity gate pins.
-    auto chunks = run_chunks<AnalyticChunk>(
-        plan, config,
-        [&]() -> std::unique_ptr<obs::Hub> {
-          if (config.obs == nullptr || !sampling_active) return nullptr;
-          // A bounded trace ring, so a run of many small chunks cannot
-          // multiply the parent's ring size by the chunk count. Analytic
-          // chunks emit at most two events per test, so 4 * chunk_size +
-          // slack never wraps (no drop-order dependence).
-          auto hub = obs::Hub::mirror_of(*config.obs, 4 * plan.chunk_size + 1024);
-          // Analytic fleet.test spans root their trace trees explicitly, so
-          // sampled mode stays off; only the id-leaking tracer mirror goes.
-          hub->spans.set_sinks(nullptr, &hub->metrics);
-          return hub;
-        },
-        [&](std::span<const Arrival> arrivals, AnalyticChunk& out) {
-          run_analytic_chunk(arrivals, config, plan.schedule, out);
-        });
-    // The closed-form load accounting runs once, serially, over the whole
-    // workload: floating-point sums are order-sensitive, so this is the one
-    // place the numbers are allowed to accumulate — the historical order,
-    // bit-identical for every (chunk, jobs).
-    AnalyticLoad load;
-    {
-      const obs::hostprof::HostScope scope(host_tl, "replay.numeric");
-      load = compute_analytic_load(workload, config);
-    }
-    const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_analytic(chunks, load, config, plan.jobs);
-  }
+  if (config.resource != nullptr) config.resource->begin_run();
+  FleetSimResult result =
+      config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0
+          ? run_packet(population, registry, config)
+          : run_analytic(population, registry, config);
   if (config.resource != nullptr) {
     config.resource->finish_run(std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - run_start)

@@ -31,10 +31,10 @@ enum class FleetBackend {
   kAnalytic,
   /// Packet-level replay: every test is a real WireClient probing real
   /// SwiftestServers through its own isolated netsim::Testbed, keyed by the
-  /// test's global draw index — per-window delivered-byte deltas sum exactly
-  /// at merge, so artifacts are partition-free. Cross-test egress contention
-  /// is not modeled (each test sees dedicated servers). Orders of magnitude
-  /// slower than analytic; use small workloads.
+  /// test's global draw index — per-window delivered-byte deltas sum
+  /// exactly as chunks commit, so artifacts are partition-free. Cross-test
+  /// egress contention is not modeled (each test sees dedicated servers).
+  /// Orders of magnitude slower than analytic; use small workloads.
   kPacket,
 };
 
@@ -47,19 +47,22 @@ struct FleetSimConfig {
   int window_seconds = 10;
   std::uint64_t seed = 99;
   FleetBackend backend = FleetBackend::kAnalytic;
-  /// Tests per execution chunk (0 = the default, 256). The drawn workload
-  /// decomposes into bounded chunks of *consecutive* draws executed by the
-  /// work-stealing pool (exec/exec.hpp); chunk outputs merge in canonical
-  /// workload-index order. The partition-invariance contract: every
-  /// deterministic artifact — result numbers, trace, spans, metrics, health —
-  /// is a pure function of (config, seed), independent of this value and of
-  /// `jobs`. Each test keys its own RNG stream (core::stream_seed of the
-  /// test's global draw index), so chunk boundaries never shift a draw.
+  /// Tests per execution chunk (0 = the default, 256). The workload is
+  /// drawn in chunks of *consecutive* draws that stream through a bounded
+  /// ring (exec::run_stream): the calling thread draws, pool workers run,
+  /// each chunk commits in draw order and health lanes fold it while later
+  /// chunks are still drawn; its memory is freed once every lane passed it.
+  /// The partition-invariance contract: every deterministic artifact —
+  /// result numbers, trace, spans, metrics, health — is a pure function of
+  /// (config, seed), independent of this value and of `jobs`. Each test
+  /// keys its own RNG stream (core::stream_seed of the test's global draw
+  /// index), so chunk boundaries never shift a draw.
   std::size_t chunk = 0;
-  /// Worker threads executing chunks (clamped to the chunk count); 1 runs
-  /// every chunk inline on the calling thread, 0 means the hardware
-  /// concurrency. Results and every artifact are independent of this value —
-  /// it buys wall-clock time only.
+  /// Pool workers running chunks and health lanes (never more than the
+  /// chunks drawn); at most exec::stream_ring(jobs) = 8 * jobs chunks are
+  /// alive at once. 1 runs the whole stream inline on the calling thread, 0
+  /// means the hardware concurrency. Results and every artifact are
+  /// independent of this value — it buys wall-clock time only.
   std::size_t jobs = 1;
   /// Optional observability hub, attached to the packet backend's scheduler
   /// for the run: per-test lifecycle traces, per-server egress-utilization
@@ -74,13 +77,16 @@ struct FleetSimConfig {
   /// rate covers the client). Null disables health aggregation.
   obs::health::HealthMonitor* health = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
-  /// run records per-thread phase timelines — workload.gen on the calling
-  /// thread, exec.run + per-worker chunk.run via run_tasks, then
-  /// replay.numeric (analytic) and merge.tracer / merge.metrics /
-  /// merge.spans / merge.windows (packet) / merge.canonicalize / spill.io /
-  /// samplelog.replay, all nested under one merge phase — plus
-  /// per-worker busy/idle/steal accounting. Host time only: a non-null
-  /// profiler never changes a single byte of the deterministic artifacts.
+  /// run records per-thread phase timelines — on the calling thread one
+  /// exec.run over the chunk stream holding, per chunk, workload.gen, then
+  /// replay.numeric (analytic) and merge (merge.tracer / merge.metrics /
+  /// merge.spans when chunks carry hubs), and pool.join per wait; then one
+  /// merge over the tail: replay.numeric (analytic), merge.windows (packet),
+  /// merge.canonicalize, spill.io and samplelog.replay. Workers record
+  /// chunk.run and lane.fold plus busy/idle accounting, and the run shape
+  /// (chunks, jobs) is stamped once the draw has ended. Host time only: a
+  /// non-null profiler never changes a single byte of the deterministic
+  /// artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
   /// Deterministic whole-test observability sampling (DESIGN.md §12): the
   /// base keep-1-in-N rate. When it is enabled (N > 1) or a budget is set,
@@ -106,7 +112,8 @@ struct FleetSimConfig {
   /// order into <dir>/trace.spill.jsonl and <dir>/spans.spill.jsonl.
   std::string obs_spill_dir;
   /// Optional resource self-telemetry: per-chunk occupancy/drop/spill
-  /// counters and host wall/RSS measurements land here (obs/resource.hpp).
+  /// counters, the running chunk count while the draw goes, and host
+  /// wall/RSS measurements land here (obs/resource.hpp).
   obs::ResourceMonitor* resource = nullptr;
 };
 
@@ -132,6 +139,10 @@ struct FleetSimResult {
   std::uint64_t spill_span_bytes = 0;
   /// False if any spill segment or concat failed to land intact.
   bool spill_ok = true;
+  /// Most chunks alive at once — drawn, not yet folded by every health
+  /// lane: min(chunks, exec::stream_ring(jobs)), whatever the period, so the
+  /// run's memory is O(jobs x chunk) plus the busy-window vector above.
+  std::size_t peak_live_chunks = 0;
 };
 
 /// The probing rate Swiftest settles on for a client of the given capacity:

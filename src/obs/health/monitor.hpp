@@ -147,9 +147,9 @@ class HealthMonitor {
               std::span<const std::string> dimensions = {});
 
   /// The aggregate of cell (metric, dimension), created on first use. The
-  /// reference stays valid for the monitor's lifetime, and distinct cells
-  /// may be fed from distinct threads at once, provided nothing creates
-  /// cells or records meanwhile.
+  /// reference stays valid for the monitor's lifetime — map nodes never
+  /// move — so distinct cells may be fed from distinct threads at once while
+  /// one other thread creates cells, provided nothing records meanwhile.
   StreamingAggregate& cell(std::string_view metric, std::string_view dimension);
 
   /// Counts `n` completed tests whose samples were fed through cell().

@@ -3,23 +3,30 @@
 // A chunked simulation cannot stream health observations into one
 // HealthMonitor concurrently (the P² cells are order-sensitive and not
 // mergeable), so each chunk writes its own SampleLog — fixed-size records of
-// every test, egress sample and arrival, in call order — and the merge stage
-// folds the logs into the real monitor after the chunks join (LogFold):
+// every test, egress sample and arrival, in call order — and a LogFold feeds
+// the logs, in log order, into the real monitor:
 //
-//   * arrival times concatenate in log order when that is already
-//     time-ordered (chunks hold consecutive draws, so it normally is) and
-//     otherwise merge stably by time, so the windowed test-rate sees one
-//     globally time-ordered arrival stream, exactly as an unchunked run would;
-//   * every (metric, dimension) cell is owned by exactly one fold lane, and a
-//     lane walks every log in log order collecting only the values of the
-//     cells it owns, per cell, then drains each cell's block of values in
-//     one StreamingAggregate::observe_all. Each cell therefore sees exactly
-//     the observation sequence a serial replay of the logs would feed it, so
-//     the monitor state — and every byte rendered from it — is the same for
-//     any lane count or block size, and lanes share no writes.
+//   * commit() takes the logs one at a time on one thread: it notes their
+//     arrivals (the windowed test-rate needs one globally time-ordered
+//     stream), counts their tests, creates each cell on its first use and
+//     deals it to a lane;
+//   * every (metric, dimension) cell is owned by exactly one fold lane, and
+//     a lane walks every committed log in commit order collecting only the
+//     values of the cells it owns, per cell, then drains each cell's block of
+//     values in one StreamingAggregate::observe_all. Each cell therefore sees
+//     exactly the observation sequence a serial replay of the logs would
+//     feed it, so the monitor state — and every byte rendered from it — is
+//     the same for any lane count, block size or commit/fold interleaving,
+//     and lanes share no writes.
 //
-// Dimension keys are interned per log into small ids, so a test costs one
-// 40-byte record: no strings and no per-test allocation.
+// A fleet commits each chunk's log as soon as the chunk ran and folds it
+// while later chunks still run (deploy/fleet_sim.cpp); the batch form folds
+// a finished set of logs.
+//
+// A test costs one 40-byte record: no strings and no per-test allocation.
+// Dimension keys are small ids into a table of keys — the log's own, interned
+// on first use, or one table a whole run shares, so that a fold maps each key
+// to its cell once per run instead of once per log.
 #pragma once
 
 #include <array>
@@ -42,14 +49,14 @@ namespace swiftest::obs::health {
 // dropped() so the merge stage can surface the loss instead of OOMing.
 class SampleLog {
  public:
-  /// Log-local dimension id; kNoDim marks an empty slot.
+  /// Dimension id (an index into dimensions()); kNoDim marks an empty slot.
   using DimId = std::uint32_t;
   static constexpr DimId kNoDim = 0xFFFFFFFFu;
   /// Dimension slots per test record.
   static constexpr std::size_t kMaxDims = 4;
   static constexpr std::size_t kDefaultCapacity = 1u << 22;
 
-  /// One completed test (the fields of TestSample). `dims` holds log-local
+  /// One completed test (the fields of TestSample). `dims` holds dimension
   /// ids in slot order; kNoDim slots are skipped.
   struct TestEntry {
     double duration_s = 0.0;
@@ -64,15 +71,22 @@ class SampleLog {
     double util_pct = 0.0;
   };
 
+  /// A log with its own dimension table, filled by intern().
   explicit SampleLog(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
+  /// A log whose ids index `dimensions`, a table shared with other logs
+  /// (it must outlive this log). intern() is unavailable on it.
+  explicit SampleLog(std::span<const std::string> dimensions,
+                     std::size_t capacity = kDefaultCapacity)
+      : capacity_(capacity == 0 ? 1 : capacity), shared_(dimensions), shares_(true) {}
 
-  /// The log-local id of `dimension`, interned on first use. The empty key
-  /// maps to kNoDim, so it is skipped like HealthMonitor skips it.
+  /// The id of `dimension` in the log's own table, interned on first use.
+  /// The empty key maps to kNoDim, so it is skipped like HealthMonitor skips
+  /// it. Throws std::logic_error on a log with a shared table.
   DimId intern(std::string_view dimension);
-  /// Interned keys, indexed by DimId.
-  [[nodiscard]] const std::vector<std::string>& dimensions() const noexcept {
-    return dims_;
+  /// The dimension keys, indexed by DimId.
+  [[nodiscard]] std::span<const std::string> dimensions() const noexcept {
+    return shares_ ? shared_ : std::span<const std::string>(dims_);
   }
 
   /// Notes a test arrival at sim time `t_seconds`.
@@ -83,7 +97,7 @@ class SampleLog {
     }
     arrivals_.push_back(t_seconds);
   }
-  /// Records a completed test; every non-kNoDim id must come from intern().
+  /// Records a completed test; every non-kNoDim id must index dimensions().
   void record_test(const TestEntry& entry);
   /// Records one egress-utilization window sample (%) for `server`.
   void record_egress_utilization(std::uint32_t server, double util_pct);
@@ -114,30 +128,78 @@ class SampleLog {
 
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
-  std::vector<std::string> dims_;
-  std::map<std::string, DimId, std::less<>> dim_ids_;  // key -> id
+  std::span<const std::string> shared_;
+  bool shares_ = false;
+  std::vector<std::string> dims_;                       // own table
+  std::map<std::string, DimId, std::less<>> dim_ids_;  // own table: key -> id
   std::vector<double> arrivals_;
   std::vector<TestEntry> tests_;
   std::vector<EgressEntry> egress_;
 };
 
-/// The per-cell fold of a sequence of logs into a monitor. Construction is
-/// serial: it merges the arrivals, counts the tests, resolves every cell the
-/// logs feed to its aggregate once and deals those cells to lanes, heaviest first onto the
-/// lightest lane, so lanes carry near-equal observation counts. Which lane
-/// owns a cell decides only which thread feeds it, never what it is fed.
+/// The per-cell fold of a sequence of logs into a monitor, streaming or in
+/// one batch. Which lane owns a cell decides only which thread feeds it,
+/// never what it is fed.
 class LogFold {
  public:
-  /// The logs must outlive the fold; `lanes` is clamped to [1, cells fed].
+  static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
+
+  /// One committed log, resolved so a lane folding it reads nothing that a
+  /// later commit() writes.
+  struct Committed {
+    /// A cell the commit created, and the lane that owns it.
+    struct Born {
+      std::uint32_t cell = kNoCell;
+      StreamingAggregate* aggregate = nullptr;
+      std::uint32_t lane = 0;
+    };
+    const SampleLog* log = nullptr;
+    std::array<std::vector<std::uint32_t>, 3> by_dim;  // [test metric][DimId] -> cell
+    std::vector<std::uint32_t> by_server;              // egress, [server] -> cell
+    std::array<std::uint32_t, 3> test_all{kNoCell, kNoCell, kNoCell};  // under "all"
+    std::uint32_t egress_all = kNoCell;
+    std::vector<Born> born;
+  };
+
+  /// A streaming fold into `monitor` on `lanes` lanes (at least one). Logs
+  /// whose ids index `dimensions` — the run's one table, which must outlive
+  /// the fold — resolve their cells without a key lookup; logs with tables
+  /// of their own are resolved by key.
+  LogFold(HealthMonitor& monitor, std::size_t lanes,
+          std::span<const std::string> dimensions = {});
+
+  /// The batch fold of `logs`, in order: commits every log up front. The
+  /// logs must outlive the fold; `lanes` is clamped to [1, cells fed].
+  /// Arrivals whose concatenation is out of time order merge stably by time
+  /// (ties keep log order) instead of being rejected.
   LogFold(std::span<const SampleLog* const> logs, HealthMonitor& monitor,
           std::size_t lanes);
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
+  LogFold(const LogFold&) = delete;
+  LogFold& operator=(const LogFold&) = delete;
 
-  /// Feeds the cells lane `lane` owns from every log, in log order, in
-  /// blocks of kFoldBlock records per cell. Distinct lanes may run
-  /// concurrently; nothing else may use the monitor until every lane has
-  /// run.
+  [[nodiscard]] std::size_t lanes() const noexcept { return lane_count_; }
+
+  /// Commits the next log, on one thread, in log order: notes its arrivals
+  /// — std::invalid_argument, with nothing noted, if one precedes the last
+  /// arrival noted — counts its tests, creates each cell it feeds on first
+  /// use and deals every new cell to the lane with the least estimated load
+  /// (its uses in this log, heaviest first). `log` must outlive every fold()
+  /// of `out`. May run while lanes fold earlier logs.
+  void commit(const SampleLog& log, Committed& out);
+
+  /// Feeds the cells lane `lane` owns from one committed log, in blocks of
+  /// kFoldBlock records per cell. One lane's folds must run one at a time,
+  /// in commit order; distinct lanes may fold concurrently.
+  void fold(std::size_t lane, const Committed& log);
+
+  /// Drains every lane's buffered values into the monitor. After the last
+  /// fold(); nothing else may use the monitor until it returns.
+  void finish();
+
+  /// Batch form: feeds the cells lane `lane` owns from every log, then
+  /// drains them. Distinct lanes may run concurrently; nothing else may use
+  /// the monitor until every lane has run.
   void run_lane(std::size_t lane) const;
 
   /// Records (tests or egress samples) a lane buffers per cell before
@@ -145,20 +207,44 @@ class LogFold {
   static constexpr std::size_t kFoldBlock = 4096;
 
  private:
-  /// One log's ids resolved to fold-local cell indices (kNoCell where unused).
-  struct LogCells {
-    std::array<std::vector<std::uint32_t>, 3> by_dim;  // [test metric][DimId]
-    std::vector<std::uint32_t> by_server;              // egress, [server]
+  /// One lane's private state: its cells and their pending values.
+  struct Lane {
+    std::vector<StreamingAggregate*> aggregate;  // [cell], null unless owned
+    std::vector<std::vector<double>> pending;    // [cell]
+    std::vector<std::uint32_t> owned;
+    std::size_t records = 0;                     // since the last drain
+    std::vector<std::vector<double>*> view;      // one log's dims, this lane's buffers
   };
-  static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
 
-  std::vector<const SampleLog*> logs_;
-  std::vector<StreamingAggregate*> cells_;  // every cell the logs feed
-  std::vector<std::uint32_t> owner_;        // [cell] -> lane
-  std::array<std::uint32_t, 3> test_all_{kNoCell, kNoCell, kNoCell};  // under "all"
+  void commit_log(const SampleLog& log, Committed& out, bool arrivals);
+  /// The fold-wide key id of `key`, added on first sight.
+  std::uint32_t key_id(std::string_view key);
+  /// The cell of (`metric`, `key`) in `slot`, created and queued for
+  /// dealing on first use; `uses` is its weight in this log.
+  std::uint32_t resolve(std::uint32_t& slot, std::string_view metric,
+                        std::string_view key, std::uint64_t uses, Committed& out);
+  static void fold_into(Lane& state, std::size_t lane, const Committed& log);
+  static void drain(Lane& state);
+
+  HealthMonitor* monitor_;
+  std::size_t lane_count_ = 1;
+  std::vector<std::uint64_t> lane_load_;  // [lane] estimated observations
+  std::uint32_t cells_ = 0;               // cells created so far
+
+  std::span<const std::string> table_;                  // the run's shared table
+  std::vector<std::uint32_t> table_keys_;               // [table DimId] -> key id
+  std::map<std::string, std::uint32_t, std::less<>> key_ids_;
+  std::vector<std::string_view> keys_;                  // [key id] -> key
+  std::vector<std::array<std::uint32_t, 3>> test_cells_;  // [key id][metric]
+  std::vector<std::uint32_t> egress_cells_;             // [server]
+  std::array<std::uint32_t, 3> test_all_{kNoCell, kNoCell, kNoCell};
   std::uint32_t egress_all_ = kNoCell;
-  std::vector<LogCells> log_cells_;  // parallel to logs_
-  std::size_t lanes_ = 1;
+  double last_arrival_;
+  std::vector<std::uint64_t> uses_;       // per log: [DimId] uses
+  std::vector<std::uint64_t> born_uses_;  // per log: weight per Committed::born
+
+  std::vector<Lane> lane_states_;     // streaming
+  std::vector<Committed> committed_;  // batch
 };
 
 }  // namespace swiftest::obs::health

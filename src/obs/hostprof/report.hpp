@@ -122,11 +122,14 @@ struct ProfReport {
 /// Renders the report as markdown ("# Host-time profile" ...).
 void write_prof_report_markdown(const ProfReport& report, std::ostream& out);
 
-/// The phase names run_tasks records: the pool region on the calling
-/// thread, per-chunk execution on workers, and the join barrier. Shared
+/// The phase names run_tasks and run_stream record: the pool region on the
+/// calling thread, per-chunk execution on workers, and the join barrier
+/// (run_stream: every wait of the calling thread). Shared
 /// constants so recorder and analyzer cannot drift apart.
 inline constexpr const char* kPhasePool = "exec.run";
 inline constexpr const char* kPhaseChunk = "chunk.run";
 inline constexpr const char* kPhaseJoin = "pool.join";
+/// run_stream's per-lane fold on a worker.
+inline constexpr const char* kPhaseFold = "lane.fold";
 
 }  // namespace swiftest::obs::hostprof

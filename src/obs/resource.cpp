@@ -58,11 +58,12 @@ ResourceUsage read_resource_usage() {
   return usage;
 }
 
-void ResourceMonitor::begin_run(std::size_t shard_count) {
+void ResourceMonitor::begin_run() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  shard_count_ = shard_count;
   tests_done_.store(0, std::memory_order_relaxed);
   shards_done_.store(0, std::memory_order_relaxed);
+  shards_drawn_.store(0, std::memory_order_relaxed);
+  draw_ended_.store(false, std::memory_order_relaxed);
   total_wall_seconds_ = 0.0;
   peak_rss_mb_ = 0.0;
   shards_.clear();
@@ -77,16 +78,13 @@ ResourceUsage ResourceMonitor::sample_usage() {
 
 std::string ResourceMonitor::progress_line() {
   const ResourceUsage usage = sample_usage();
-  std::size_t shard_count = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    shard_count = shard_count_;
-  }
+  const bool drawing = !draw_ended_.load(std::memory_order_relaxed);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "fleet: %llu tests | shards %llu/%zu | rss %.1f MB (peak %.1f)",
+                "fleet: %llu tests | shards %llu/%llu%s | rss %.1f MB (peak %.1f)",
                 static_cast<unsigned long long>(tests_done()),
-                static_cast<unsigned long long>(shards_done()), shard_count,
+                static_cast<unsigned long long>(shards_done()),
+                static_cast<unsigned long long>(shards_drawn()), drawing ? "+" : "",
                 usage.rss_mb, usage.peak_rss_mb);
   return buf;
 }

@@ -69,11 +69,18 @@ struct ShardTelemetry {
 
 class ResourceMonitor {
  public:
-  /// Resets the monitor for a run of `shard_count` shards.
-  void begin_run(std::size_t shard_count);
+  /// Resets the monitor for a run. The run's shard count is not known up
+  /// front: the draw counts each shard as it is drawn.
+  void begin_run();
 
   // -- progress side (thread-safe, called from shard workers / poller) -----
 
+  /// One more shard drawn.
+  void note_shard_drawn() noexcept {
+    shards_drawn_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// The draw has ended: shards_drawn() is the run's final shard count.
+  void end_draw() noexcept { draw_ended_.store(true, std::memory_order_relaxed); }
   void add_tests(std::uint64_t n) noexcept {
     tests_done_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -86,12 +93,16 @@ class ResourceMonitor {
   [[nodiscard]] std::uint64_t shards_done() const noexcept {
     return shards_done_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t shards_drawn() const noexcept {
+    return shards_drawn_.load(std::memory_order_relaxed);
+  }
 
   /// Samples RSS now and folds it into the tracked peak. Thread-safe.
   ResourceUsage sample_usage();
 
   /// One-line run status for the --progress stderr line, e.g.
-  /// "fleet: 10234 tests | shards 3/4 | rss 182.4 MB (peak 201.7)".
+  /// "fleet: 10234 tests | shards 3/4 | rss 182.4 MB (peak 201.7)". While
+  /// the draw runs the count is the shards drawn so far, marked "3/4+".
   [[nodiscard]] std::string progress_line();
 
   // -- telemetry side ------------------------------------------------------
@@ -123,7 +134,8 @@ class ResourceMonitor {
 
   std::atomic<std::uint64_t> tests_done_{0};
   std::atomic<std::uint64_t> shards_done_{0};
-  std::size_t shard_count_ = 0;
+  std::atomic<std::uint64_t> shards_drawn_{0};
+  std::atomic<bool> draw_ended_{false};
   double total_wall_seconds_ = 0.0;
   double peak_rss_mb_ = 0.0;
   std::vector<ShardTelemetry> shards_;

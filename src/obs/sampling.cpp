@@ -1,5 +1,7 @@
 #include "obs/sampling.hpp"
 
+#include <algorithm>
+
 namespace swiftest::obs {
 namespace {
 
@@ -35,27 +37,36 @@ std::string SamplingPolicy::describe() const {
   return "1/" + std::to_string(denominator_);
 }
 
+SampleSchedule::SampleSchedule(std::uint64_t denominator, std::uint64_t salt,
+                               std::uint64_t budget_bytes, const CostModel& model)
+    : steps_{Step{0, denominator == 0 ? 1 : denominator}},
+      salt_(salt),
+      budget_bytes_(budget_bytes),
+      model_(model) {}
+
 SampleSchedule SampleSchedule::plan(std::uint64_t test_count,
                                     std::uint64_t denominator, std::uint64_t salt,
                                     std::uint64_t budget_bytes,
                                     const CostModel& model) {
-  SampleSchedule schedule;
-  schedule.salt_ = salt;
-  std::uint64_t denom = denominator == 0 ? 1 : denominator;
-  schedule.steps_.push_back(Step{0, denom});
-  std::uint64_t footprint = 0;
-  for (std::uint64_t t = 0; t < test_count; ++t) {
-    if (t > 0 && t % kCheckpointInterval == 0 && budget_bytes != 0 &&
-        footprint + model.base_bytes > budget_bytes &&
+  SampleSchedule schedule(denominator, salt, budget_bytes, model);
+  schedule.extend(test_count);
+  return schedule;
+}
+
+void SampleSchedule::extend(std::uint64_t test_count) {
+  std::uint64_t denom = steps_.back().denominator;
+  for (std::uint64_t t = planned_; t < test_count; ++t) {
+    if (t > 0 && t % kCheckpointInterval == 0 && budget_bytes_ != 0 &&
+        footprint_ + model_.base_bytes > budget_bytes_ &&
         denom < SamplingPolicy::kMaxDenominator) {
       denom *= 2;
-      schedule.steps_.push_back(Step{t, denom});
-      ++schedule.degradations_;
+      steps_.push_back(Step{t, denom});
+      ++degradations_;
     }
-    if (keeps(t, salt, denom)) footprint += model.sampled_test_bytes;
-    footprint += model.per_test_bytes;
+    if (keeps(t, salt_, denom)) footprint_ += model_.sampled_test_bytes;
+    footprint_ += model_.per_test_bytes;
   }
-  return schedule;
+  planned_ = std::max(planned_, test_count);
 }
 
 std::uint64_t SampleSchedule::denominator_at(std::uint64_t test_id) const noexcept {

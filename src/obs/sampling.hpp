@@ -7,12 +7,12 @@
 //
 // - SamplingPolicy is the parsed `--obs-sample 1/N` value and nothing else.
 // - SampleSchedule makes every keep/drop decision a run takes. It is planned
-//   once, up front, from the base denominator, a salt (the run seed), an
-//   optional memory budget and a per-test cost model. Each decision is a
-//   splitmix64 hash of the global test index, never of wall clock, chunk or
-//   thread id, so the sampled set is a pure function of (seed, workload,
-//   budget) and a sampled fleet-day emits byte-identical artifacts for every
-//   `--chunk` / `--jobs`.
+//   in global test order as the run draws its workload, from the base
+//   denominator, a salt (the run seed), an optional memory budget and a
+//   per-test cost model. Each decision is a splitmix64 hash of the global
+//   test index, never of wall clock, chunk or thread id, so the sampled set
+//   is a pure function of (seed, workload, budget) and a sampled fleet-day
+//   emits byte-identical artifacts for every `--chunk` / `--jobs`.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +66,12 @@ class SamplingPolicy {
 /// With a global memory budget and a partition-free executor, degradation
 /// cannot be a live decision made inside whichever chunk happens to cross
 /// the budget first — that would make the sampled set depend on the
-/// partition. Instead plan() walks the workload once, in global test order,
-/// modelling the observability footprint the run will accumulate, and
-/// doubles the denominator at fixed checkpoints where that model exceeds the
-/// budget. The per-test decisions are then a pure function of (test count,
-/// denominator, salt, budget, cost model), and every chunk asks the schedule.
+/// partition. Instead the schedule walks the workload once, in global test
+/// order, modelling the observability footprint the run will accumulate,
+/// and doubles the denominator at fixed checkpoints where that model
+/// exceeds the budget. The per-test decisions are then a pure function of
+/// (test index, denominator, salt, budget, cost model); the run stamps each
+/// drawn test with its decision.
 class SampleSchedule {
  public:
   /// A denominator step: tests with index >= from_test sample at 1/denominator
@@ -89,16 +90,27 @@ class SampleSchedule {
     std::uint64_t per_test_bytes = 0;
   };
 
-  /// Builds the schedule for `test_count` tests starting at 1/`denominator`
+  /// An empty schedule — no test planned yet — starting at 1/`denominator`
   /// (0 reads as 1), hashing with `salt`. With `budget_bytes` > 0, every
   /// kCheckpointInterval tests the modeled footprint is checked against the
   /// budget and, when over it, the denominator doubles (at most once per
   /// checkpoint, never past SamplingPolicy::kMaxDenominator).
+  SampleSchedule(std::uint64_t denominator, std::uint64_t salt,
+                 std::uint64_t budget_bytes, const CostModel& model);
+
+  /// The schedule for `test_count` tests: the constructor, then extend().
   [[nodiscard]] static SampleSchedule plan(std::uint64_t test_count,
                                            std::uint64_t denominator,
                                            std::uint64_t salt,
                                            std::uint64_t budget_bytes,
                                            const CostModel& model);
+
+  /// Plans the tests from the last one planned up to `test_count`, in
+  /// global test order; the queries below hold for the tests planned. The
+  /// walk is causal — each checkpoint sees only the tests before it — so
+  /// extending in any number of steps plans exactly what one plan() call
+  /// would, and a run can extend the schedule as it draws its workload.
+  void extend(std::uint64_t test_count);
 
   /// Whether the test at global index `test_id` retains observability:
   /// splitmix64(test_id ^ salt) % denominator_at(test_id) == 0.
@@ -134,6 +146,10 @@ class SampleSchedule {
   std::vector<Step> steps_;          // from_test ascending; steps_[0].from_test == 0
   std::uint64_t salt_ = 0;
   std::uint64_t degradations_ = 0;
+  std::uint64_t budget_bytes_ = 0;
+  CostModel model_;
+  std::uint64_t planned_ = 0;
+  std::uint64_t footprint_ = 0;  // modeled bytes of the tests planned so far
 };
 
 }  // namespace swiftest::obs

@@ -11,11 +11,27 @@ namespace swiftest::obs {
 SpillWriter::SpillWriter(std::string dir, std::string stream, std::size_t shard)
     : dir_(std::move(dir)), stream_(std::move(stream)), shard_(shard) {}
 
-void SpillWriter::write_segment(const std::string& body) {
-  char name[64];
+std::string SpillWriter::segment_path(std::size_t segment) const {
+  char name[96];
   std::snprintf(name, sizeof(name), "%s.shard%04zu.seg%04zu.jsonl",
-                stream_.c_str(), shard_, paths_.size());
-  const std::string path = dir_ + "/" + name;
+                stream_.c_str(), shard_, segment);
+  return dir_ + "/" + name;
+}
+
+void SpillWriter::renumber(std::size_t shard) {
+  shard_ = shard;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    std::string path = segment_path(i);
+    if (std::rename(paths_[i].c_str(), path.c_str()) != 0) {
+      ok_ = false;
+      continue;
+    }
+    paths_[i] = std::move(path);
+  }
+}
+
+void SpillWriter::write_segment(const std::string& body) {
+  const std::string path = segment_path(paths_.size());
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     ok_ = false;

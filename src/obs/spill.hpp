@@ -44,6 +44,11 @@ class SpillWriter {
   /// entry per line).
   void write_span_segment(const span::SpanRecord* spans, std::size_t count);
 
+  /// Moves the writer to `shard`: renames the segments written so far to
+  /// that shard's names and names later ones after it. For a writer whose
+  /// place in the (shard, segment) order is only known once it has run.
+  void renumber(std::size_t shard);
+
   [[nodiscard]] std::size_t segments() const noexcept { return paths_.size(); }
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
   /// False after any segment failed to open or write.
@@ -55,6 +60,7 @@ class SpillWriter {
 
  private:
   void write_segment(const std::string& body);
+  [[nodiscard]] std::string segment_path(std::size_t segment) const;
 
   std::string dir_;
   std::string stream_;

@@ -109,10 +109,13 @@ TEST(FleetSampling, AnalyticSampledArtifactsByteIdenticalAcrossChunksAndJobs) {
   // Each sampled test contributes exactly fleet.test_start + fleet.test_done.
   EXPECT_EQ(count_lines(reference.trace), 2 * reference.sampled);
 
-  for (const std::size_t chunk : {32u, 64u}) {
+  // Chunk 1, an odd chunk, and (4096) one chunk on more workers than
+  // chunks.
+  for (const std::size_t chunk : {1u, 32u, 37u, 64u, 4096u}) {
     const ObsArtifacts j1 = run_fleet(FleetBackend::kAnalytic, chunk, 1, 8);
     const ObsArtifacts j4 = run_fleet(FleetBackend::kAnalytic, chunk, 4, 8);
-    for (const ObsArtifacts* run : {&j1, &j4}) {
+    const ObsArtifacts j8 = run_fleet(FleetBackend::kAnalytic, chunk, 8, 8);
+    for (const ObsArtifacts* run : {&j1, &j4, &j8}) {
       EXPECT_EQ(run->tests, reference.tests);
       EXPECT_EQ(run->sampled, reference.sampled);
       // The whole point: every artifact is a pure function of (config,
@@ -191,6 +194,29 @@ TEST(FleetSampling, BudgetDegradesSamplingInsteadOfGrowing) {
   std::ostringstream trace_out;
   obs::write_trace_jsonl(hub.tracer, trace_out);
   EXPECT_EQ(count_lines(trace_out.str()), 2 * it->second);
+
+  // The schedule is extended as the draw goes, yet it degrades at the same
+  // tests for chunk 1, an odd chunk, and one chunk on more workers than
+  // chunks.
+  for (const auto& [chunk, jobs] : {std::pair<std::size_t, std::size_t>{1, 2},
+                                   {37, 4}, {8192, 8}}) {
+    obs::Hub other_hub;
+    obs::ResourceMonitor other_monitor;
+    FleetSimConfig other = cfg;
+    other.chunk = chunk;
+    other.jobs = jobs;
+    other.obs = &other_hub;
+    other.resource = &other_monitor;
+    (void)simulate_fleet(population(), registry, other);
+    std::uint64_t other_degradations = 0;
+    for (const obs::ShardTelemetry& t : other_monitor.shard_telemetry()) {
+      other_degradations += t.sample_degradations;
+    }
+    EXPECT_EQ(other_degradations, degradations) << "chunk=" << chunk << " jobs=" << jobs;
+    std::ostringstream other_trace;
+    obs::write_trace_jsonl(other_hub.tracer, other_trace);
+    EXPECT_EQ(other_trace.str(), trace_out.str()) << "chunk=" << chunk << " jobs=" << jobs;
+  }
 }
 
 TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
@@ -205,6 +231,16 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   EXPECT_GT(serial.span_suppressed, 0u);
   EXPECT_NE(serial.spans.find("swiftest.test"), std::string::npos);
 
+  // Threads, chunk 1, an odd chunk, and one chunk on more workers than
+  // chunks.
+  for (const auto& [chunk, jobs] : {std::pair<std::size_t, std::size_t>{1, 2},
+                                   {37, 4}, {4096, 8}}) {
+    const ObsArtifacts run = run_fleet(FleetBackend::kPacket, chunk, jobs, 4);
+    EXPECT_EQ(run.trace, threaded.trace) << "chunk=" << chunk << " jobs=" << jobs;
+    EXPECT_EQ(run.spans, threaded.spans) << "chunk=" << chunk << " jobs=" << jobs;
+    EXPECT_EQ(run.metrics, threaded.metrics) << "chunk=" << chunk << " jobs=" << jobs;
+    EXPECT_EQ(run.health, threaded.health) << "chunk=" << chunk << " jobs=" << jobs;
+  }
   EXPECT_EQ(serial.tests, threaded.tests);
   EXPECT_EQ(serial.sampled, threaded.sampled);
   EXPECT_EQ(serial.trace, threaded.trace);

@@ -1,5 +1,6 @@
-// The per-cell health fold (obs/health/sample_log.hpp) driven by the
-// work-stealing pool, as simulate_fleet drives it: at any lane count it must
+// The per-cell health fold (obs/health/sample_log.hpp), in batch on the
+// work-stealing pool and streaming on run_stream as simulate_fleet drives
+// it: at any lane count it must
 // reproduce, byte for byte, the report of one HealthMonitor fed the same
 // samples serially — empty and duplicated dimension keys, egress samples,
 // arrivals straddling rate windows, logs and egress tails straddling fold
@@ -14,6 +15,7 @@
 #include <random>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -179,6 +181,105 @@ TEST(HealthFold, EmptyLogsFoldToAnEmptyReport) {
     fold(logs, folded, 4);
     EXPECT_EQ(render(folded), expected) << logs.size() << " logs";
   }
+}
+
+/// Folds `logs` through the streaming form on exec::run_stream, the way
+/// simulate_fleet does: each log is committed in order while lanes fold
+/// earlier ones. `table` is the dimension table the logs share, if any.
+void stream_fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
+                 std::size_t jobs, std::span<const std::string> table = {}) {
+  LogFold folder(monitor, jobs, table);
+  std::vector<LogFold::Committed> slots(exec::stream_ring(jobs));
+  exec::StreamStages stages;
+  stages.draw = [&](std::size_t i) { return i < logs.size(); };
+  stages.run = [](std::size_t) {};
+  stages.commit = [&](std::size_t i) { folder.commit(*logs[i], slots[i % slots.size()]); };
+  stages.lanes = folder.lanes();
+  stages.fold = [&](std::size_t lane, std::size_t i) {
+    folder.fold(lane, slots[i % slots.size()]);
+  };
+  exec::run_stream(jobs, stages);
+  folder.finish();
+}
+
+TEST(HealthFold, StreamingFoldMatchesTheSerialMonitor) {
+  constexpr std::size_t kBlock = LogFold::kFoldBlock;
+  const std::vector<std::size_t> log_tests = {300, 0, 41, kBlock + 3, 517, 2, 90};
+  Stream stream;
+  fill(stream, log_tests, 900);
+  const std::string expected = render(stream.reference);
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    HealthMonitor folded;
+    stream_fold(stream.pointers(), folded, jobs);
+    EXPECT_EQ(render(folded), expected) << "jobs=" << jobs;
+  }
+}
+
+TEST(HealthFold, SharedTableResolvesEachKeyOnceAndCreatesNoEmptyCell) {
+  // One table for every log, with keys no test ever uses: those must not
+  // appear in the report, and the logs need no intern() at all.
+  const std::vector<std::string> table = {"tech:4g", "tech:5g", "isp:1", "isp:2",
+                                          "server:0", "server:1", "server:99"};
+  std::vector<std::unique_ptr<SampleLog>> logs;
+  HealthMonitor reference;
+  std::mt19937_64 rng(7);
+  double t = 0.0;
+  for (std::size_t l = 0; l < 40; ++l) {
+    logs.push_back(std::make_unique<SampleLog>(table));
+    SampleLog& log = *logs.back();
+    for (std::size_t i = 0; i < 37; ++i) {
+      t += static_cast<double>(rng() % 5);
+      log.note_arrival(t);
+      reference.note_arrival(t);
+      SampleLog::TestEntry e;
+      e.duration_s = static_cast<double>(rng() % 3);
+      e.data_mb = static_cast<double>(rng() % 1000) / 10.0;
+      e.deviation = static_cast<double>(rng() % 100) / 500.0;
+      e.dims = {static_cast<SampleLog::DimId>(rng() % 2),
+                static_cast<SampleLog::DimId>(2 + rng() % 2),
+                static_cast<SampleLog::DimId>(4 + rng() % 2), SampleLog::kNoDim};
+      log.record_test(e);
+      TestSample sample;
+      sample.duration_s = e.duration_s;
+      sample.data_mb = e.data_mb;
+      sample.deviation = e.deviation;
+      const std::vector<std::string> dims = {table[e.dims[0]], table[e.dims[1]],
+                                             table[e.dims[2]]};
+      sample.dimensions = dims;
+      reference.record_test(sample);
+    }
+    log.record_egress_utilization(static_cast<std::uint32_t>(l % 3), 10.0 + l);
+    reference.record_egress_utilization(l % 3, 10.0 + l);
+  }
+  EXPECT_THROW(logs[0]->intern("tech:wifi5"), std::logic_error);
+  const std::string expected = render(reference);
+  ASSERT_EQ(expected.find("server:99"), std::string::npos);
+  std::vector<const SampleLog*> pointers;
+  for (const auto& log : logs) pointers.push_back(log.get());
+  for (const std::size_t jobs : {1u, 3u}) {
+    HealthMonitor folded;
+    stream_fold(pointers, folded, jobs, table);
+    EXPECT_EQ(render(folded), expected) << "jobs=" << jobs;
+  }
+}
+
+TEST(HealthFold, StreamingCommitRejectsArrivalsOutOfOrder) {
+  SampleLog first;
+  SampleLog late;
+  for (const double t : {5.0, 6.0}) first.note_arrival(t);
+  late.note_arrival(4.0);
+  late.record_test(SampleLog::TestEntry{});
+
+  HealthMonitor monitor;
+  LogFold folder(monitor, 2);
+  LogFold::Committed committed;
+  folder.commit(first, committed);
+  EXPECT_THROW(folder.commit(late, committed), std::invalid_argument);
+  folder.finish();
+  // The rejected log noted nothing: no arrival, no test.
+  HealthMonitor reference;
+  for (const double t : {5.0, 6.0}) reference.note_arrival(t);
+  EXPECT_EQ(render(monitor), render(reference));
 }
 
 }  // namespace

@@ -29,22 +29,31 @@ TEST(ReadResourceUsage, ReportsLiveProcessMemoryOnLinux) {
 
 TEST(ResourceMonitor, ProgressSideCountsTestsAndShards) {
   ResourceMonitor monitor;
-  monitor.begin_run(4);
+  monitor.begin_run();
+  for (int i = 0; i < 3; ++i) monitor.note_shard_drawn();
   monitor.add_tests(100);
   monitor.add_tests(25);
   monitor.note_shard_done();
   EXPECT_EQ(monitor.tests_done(), 125u);
   EXPECT_EQ(monitor.shards_done(), 1u);
 
-  const std::string line = monitor.progress_line();
+  // While the draw runs, the count is the shards drawn so far.
+  std::string line = monitor.progress_line();
   EXPECT_NE(line.find("125 tests"), std::string::npos) << line;
-  EXPECT_NE(line.find("shards 1/4"), std::string::npos) << line;
+  EXPECT_NE(line.find("shards 1/3+"), std::string::npos) << line;
   EXPECT_NE(line.find("rss"), std::string::npos) << line;
 
+  // Once it ends, the count is final.
+  monitor.note_shard_drawn();
+  monitor.end_draw();
+  line = monitor.progress_line();
+  EXPECT_NE(line.find("shards 1/4 "), std::string::npos) << line;
+
   // begin_run resets the counters for the next run.
-  monitor.begin_run(2);
+  monitor.begin_run();
   EXPECT_EQ(monitor.tests_done(), 0u);
   EXPECT_EQ(monitor.shards_done(), 0u);
+  EXPECT_EQ(monitor.shards_drawn(), 0u);
 }
 
 ShardTelemetry make_shard(std::size_t shard) {
@@ -65,7 +74,7 @@ ShardTelemetry make_shard(std::size_t shard) {
 
 TEST(ResourceMonitor, ShardTelemetryAggregates) {
   ResourceMonitor monitor;
-  monitor.begin_run(2);
+  monitor.begin_run();
   monitor.record_shard(make_shard(0));
   monitor.record_shard(make_shard(1));
   monitor.finish_run(1.25);
@@ -96,7 +105,7 @@ TEST(ResourceMonitor, ShardTelemetryAggregates) {
 
 TEST(ResourceMonitor, ExportMetricsWritesOnlyNonzeroCounters) {
   ResourceMonitor monitor;
-  monitor.begin_run(1);
+  monitor.begin_run();
   ShardTelemetry t;
   t.slab_slots = 5;
   t.calendar_sweeps = 9;
@@ -124,7 +133,7 @@ TEST(ResourceMonitor, ExportMetricsWritesOnlyNonzeroCounters) {
 
 TEST(ResourceMonitor, PeakRssTracksSamples) {
   ResourceMonitor monitor;
-  monitor.begin_run(1);
+  monitor.begin_run();
   const ResourceUsage usage = monitor.sample_usage();
   EXPECT_GE(monitor.peak_rss_mb(), usage.rss_mb);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -181,6 +182,35 @@ TEST(SampleSchedule, DegradationCapsAtMaxDenominator) {
   EXPECT_EQ(schedule.denominator_at(kInterval), SamplingPolicy::kMaxDenominator);
   EXPECT_EQ(schedule.denominator_at(4 * kInterval - 1),
             SamplingPolicy::kMaxDenominator);
+}
+
+TEST(SampleSchedule, ExtendingInStepsPlansWhatOnePlanDoes) {
+  // A run extends its schedule chunk by chunk as it draws; the walk is
+  // causal, so any split — odd steps, steps across checkpoints, empty and
+  // backwards steps — plans exactly the one-shot schedule.
+  constexpr std::uint64_t kInterval = SampleSchedule::kCheckpointInterval;
+  constexpr std::uint64_t kTests = 5 * kInterval + 3;
+  SampleSchedule::CostModel model;
+  model.base_bytes = 100;
+  model.sampled_test_bytes = 40;
+  model.per_test_bytes = 2;
+  const SampleSchedule whole = SampleSchedule::plan(kTests, 2, 9, 60'000, model);
+  ASSERT_GT(whole.degradations(), 0u);
+  for (const std::uint64_t step : {1u, 37u, 4096u, 5000u}) {
+    SampleSchedule stepped(2, 9, 60'000, model);
+    for (std::uint64_t n = 0; n < kTests; n = std::min(kTests, n + step)) {
+      stepped.extend(n);
+      stepped.extend(n / 2);  // never plans backwards
+    }
+    stepped.extend(kTests);
+    EXPECT_EQ(stepped.degradations(), whole.degradations()) << "step " << step;
+    for (std::uint64_t t = 0; t < kTests; ++t) {
+      ASSERT_EQ(stepped.sampled(t), whole.sampled(t)) << "step " << step << " test " << t;
+      ASSERT_EQ(stepped.denominator_at(t), whole.denominator_at(t));
+    }
+    EXPECT_EQ(stepped.degradations_in(kInterval, 3 * kInterval),
+              whole.degradations_in(kInterval, 3 * kInterval));
+  }
 }
 
 }  // namespace

@@ -283,5 +283,28 @@ TEST(TracerSpill, WriterRoundTripMatchesExporterStream) {
   EXPECT_EQ(read_file(spill_path) + remainder.str(), full);
 }
 
+TEST(SpillWriter, RenumberRenamesWrittenSegmentsAndLaterOnes) {
+  // A writer whose shard index is only known after it ran: segments already
+  // written move to the new name, later ones are born under it.
+  const std::string dir = ::testing::TempDir();
+  SpillWriter writer(dir, "renum_ut", 9999);
+  TraceEvent events[1];
+  events[0] = {1000, Category::kFleet, EventKind::kInstant, "a", 1, 0.5};
+  writer.write_trace_segment(events, 1);
+  const std::string old_path = writer.segment_paths()[0];
+  const std::string body = read_file(old_path);
+
+  writer.renumber(12);
+  writer.write_trace_segment(events, 1);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_EQ(writer.segments(), 2u);
+  EXPECT_NE(writer.segment_paths()[0].find("renum_ut.shard0012.seg0000.jsonl"),
+            std::string::npos);
+  EXPECT_NE(writer.segment_paths()[1].find("renum_ut.shard0012.seg0001.jsonl"),
+            std::string::npos);
+  EXPECT_EQ(read_file(writer.segment_paths()[0]), body);
+  EXPECT_FALSE(std::ifstream(old_path).good());
+}
+
 }  // namespace
 }  // namespace swiftest::obs

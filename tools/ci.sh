@@ -29,6 +29,7 @@ run_suite() {
   run_span_gate "${build_dir}"
   run_executor_gate "${build_dir}"
   run_obs_budget_gate "${build_dir}"
+  run_rss_slope_gate "${build_dir}"
   run_profile_gate "${build_dir}"
   run_diff_gate "${build_dir}"
   run_bench_gate "${build_dir}"
@@ -142,7 +143,7 @@ run_executor_gate() {
       --obs trace_jsonl,spans,metrics,health > /dev/null
   }
   run_one ref  # default chunk (256), jobs 1
-  for chunk in 64 512; do
+  for chunk in 1 64 512; do
     for jobs in 1 4; do
       tag="c${chunk}j${jobs}"
       run_one "${tag}" --chunk "${chunk}" --jobs "${jobs}"
@@ -227,6 +228,37 @@ assert meta.get("obs.budget_mb") == "1", "obs.budget_mb missing from meta"
 degradations = int(meta.get("obs.sample_degradations", "0"))
 assert degradations > 0, "a 1 MB budget must degrade the sampling denominator"
 print(f"tight-budget gate passed: {degradations} degradations, artifacts byte-identical")
+PYEOF
+}
+
+# Memory-slope gate (DESIGN.md §15): the chunk stream frees each chunk once
+# every health lane has folded it, so an analytic run's peak RSS must not
+# grow with the simulated period beyond its O(busy windows) result vector.
+# A 7-day and a 28-day run at 1e5 tests/day read obs.peak_rss_mb from their
+# health.json meta; the growth must stay at or under 3 MB per simulated day
+# (the whole-period pipeline it replaced grew about 17 MB per day). Skipped
+# in sanitizer builds, where shadow memory inflates RSS by design.
+run_rss_slope_gate() {
+  local build_dir="$1"
+  case "${build_dir}" in *asan*|*tsan*) return 0 ;; esac
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/rss-slope"
+  echo "=== memory-slope gate (${build_dir}) ==="
+  local days
+  for days in 7 28; do
+    "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend analytic \
+      --days "${days}" --tests-per-day 100000 --progress \
+      --obs-dir "${out_dir}/d${days}" --obs health > /dev/null 2> /dev/null
+  done
+  python3 - "${out_dir}/d7/health.json" "${out_dir}/d28/health.json" <<'PYEOF'
+import json, sys
+rss7, rss28 = (float(json.load(open(path))["meta"]["obs.peak_rss_mb"])
+               for path in sys.argv[1:])
+slope = (rss28 - rss7) / 21.0
+if slope > 3.0:
+    sys.exit(f"peak RSS grows {slope:.2f} MB per simulated day "
+             f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB) > 3 MB/day")
+print(f"memory-slope gate passed: {slope:.2f} MB per simulated day "
+      f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB)")
 PYEOF
 }
 
@@ -502,18 +534,19 @@ run_perfbench_smoke() {
 }
 
 # ThreadSanitizer job: build the CLI under -fsanitize=thread and run a
-# chunked packet fleet-day on the real work-stealing pool (--chunk 64
-# --jobs 4). Chunk workers share nothing but the partitioned workload, the
-# lock-free deques, and the join-then-merge handoff, so a TSan-clean run
-# certifies the substrate's isolation contract; any cross-worker data race
-# fails CI here. Two gtest suites ride the same build: RunTasksHostprof
-# drives the pool with a live profiler (the reserve-before-spawn /
-# read-after-join contract, DESIGN.md §13), and WorkStealingDequeTsan churns
-# the raw Chase-Lev deque — one owner push/take against competing thieves —
-# under randomized interleavings with exactly-once assertions. HealthFold
-# and an analytic fleet-day at --jobs 4 (its health JSON cmp'd against
-# --jobs 1) drive the per-cell health fold, whose lanes feed disjoint
-# HealthMonitor cells concurrently. The model fits share the same pool: the
+# chunked packet fleet-day on the real chunk stream (--chunk 64 --jobs 4).
+# Chunk workers share nothing but their ring slots, handed over under the
+# stream's mutex, and the in-order commit, so a TSan-clean run certifies the
+# substrate's isolation contract; any cross-worker data race fails CI here.
+# Several gtest suites ride the same build: RunTasksHostprof drives the pool
+# with a live profiler (the reserve-before-spawn / read-after-join contract,
+# DESIGN.md §13), WorkStealingDequeTsan churns the raw Chase-Lev deque — one
+# owner push/take against competing thieves — under randomized interleavings
+# with exactly-once assertions, RunStream drives the stream under randomized
+# task durations and throwing stages, and ChunkedFleet runs whole fleets on
+# it. HealthFold and an analytic fleet-day at --jobs 4 (its health JSON
+# cmp'd against --jobs 1) drive the per-cell health fold, whose lanes feed
+# disjoint HealthMonitor cells while the commit creates new ones. The model fits share the same pool: the
 # many-sets fit_gmm_bic must equal serial fits bit for bit, and the pinned
 # fits (one BIC pick, one registry refresh) must not move under TSan.
 run_tsan_fleet() {
@@ -524,9 +557,9 @@ run_tsan_fleet() {
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
     --target swiftest-cli --target test_deploy --target test_obs \
     --target test_stats --target test_swiftest
-  echo "=== TSan work-stealing pool + raw deque + blocked health fold (live contention) ==="
+  echo "=== TSan work-stealing pool + raw deque + chunk stream + health fold + chunked fleets (live contention) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
-    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:HealthFold.*'
+    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:RunStream.*:HealthFold.*:ChunkedFleet.*'
   echo "=== TSan P2 bit-exactness pins (integer-position P2 vs reference, observe_all) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_obs" \
     --gtest_filter='P2Quantile.BitExactAgainstDoublePositionReference:StreamingAggregate.ObserveAllMatchesRepeatedObserve'
