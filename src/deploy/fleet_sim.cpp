@@ -195,6 +195,10 @@ class DimensionTable {
   }
 
   [[nodiscard]] std::span<const std::string> keys() const noexcept { return keys_; }
+  /// Server `s`'s key, as a one-key span.
+  [[nodiscard]] std::span<const std::string> server(std::size_t s) const noexcept {
+    return keys().subspan(kServers + s, 1);
+  }
 
   /// Records one completed test into `log` (whose table this is) under its
   /// tech, ISP and first server.
@@ -432,6 +436,8 @@ class FleetRun {
 
   /// Chunks drawn.
   [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+  /// The run's health dimension table.
+  [[nodiscard]] const DimensionTable& dims() const noexcept { return dims_; }
 
   /// Sorts every full run of kSortRun busy windows not yet sorted: called
   /// as the vector grows during the stream, so the calling thread sorts
@@ -615,7 +621,7 @@ void FleetRun::finish_health(obs::health::SampleLog& tail) {
 /// A log for the run's egress samples: unbounded, since dropping any would
 /// change the health report.
 obs::health::SampleLog egress_log() {
-  return obs::health::SampleLog(std::numeric_limits<std::size_t>::max());
+  return obs::health::SampleLog({}, std::numeric_limits<std::size_t>::max());
 }
 
 // ---------------------------------------------------------------------------
@@ -1130,7 +1136,7 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
   // the integer sums.
   if (config.health != nullptr) {
     for (std::size_t s = 0; s < config.server_count; ++s) {
-      const std::string dims[] = {"server:" + std::to_string(s)};
+      const std::span<const std::string> dims = run.dims().server(s);
       config.health->record("server_sessions",
                             static_cast<double>(accepted[s]), dims);
       config.health->record("server_probe_mb",

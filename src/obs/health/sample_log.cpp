@@ -4,28 +4,13 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace swiftest::obs::health {
 
-SampleLog::DimId SampleLog::intern(std::string_view dimension) {
-  if (shares_) throw std::logic_error("SampleLog: intern() on a shared dimension table");
-  if (dimension.empty()) return kNoDim;
-  if (const auto it = dim_ids_.find(dimension); it != dim_ids_.end()) return it->second;
-  if (dims_.size() >= kNoDim) {
-    throw std::length_error("SampleLog: too many distinct dimension keys");
-  }
-  const auto id = static_cast<DimId>(dims_.size());
-  dims_.emplace_back(dimension);
-  dim_ids_.emplace(dims_.back(), id);
-  return id;
-}
-
 void SampleLog::record_test(const TestEntry& entry) {
-  const std::size_t table = dimensions().size();
   for (const DimId d : entry.dims) {
-    if (d != kNoDim && d >= table) {
-      throw std::out_of_range("SampleLog: dimension id was never interned");
+    if (d != kNoDim && d >= dims_.size()) {
+      throw std::out_of_range("SampleLog: dimension id outside the table");
     }
   }
   if (admit_sample()) tests_.push_back(entry);
@@ -40,64 +25,21 @@ namespace {
 constexpr const char* kTestMetricNames[] = {kMetricDuration, kMetricDataUsage,
                                             kMetricDeviation};
 
-/// True when the logs' arrivals, concatenated, never go back in time.
-bool arrivals_ordered(std::span<const SampleLog* const> logs) {
-  double last = -std::numeric_limits<double>::infinity();
-  for (const SampleLog* log : logs) {
-    for (const double t : log->arrival_times()) {
-      if (t < last) return false;
-      last = t;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 LogFold::LogFold(HealthMonitor& monitor, std::size_t lanes,
                  std::span<const std::string> dimensions)
     : monitor_(&monitor),
-      lane_count_(std::max<std::size_t>(1, lanes)),
-      lane_load_(lane_count_, 0),
+      lane_load_(std::max<std::size_t>(1, lanes), 0),
       table_(dimensions),
+      test_cells_(table_.size(), {kNoCell, kNoCell, kNoCell}),
       last_arrival_(-std::numeric_limits<double>::infinity()),
-      lane_states_(lane_count_) {
-  table_keys_.reserve(table_.size());
-  for (const std::string& key : table_) table_keys_.push_back(key_id(key));
-}
-
-LogFold::LogFold(std::span<const SampleLog* const> logs, HealthMonitor& monitor,
-                 std::size_t lanes)
-    : LogFold(monitor, lanes) {
-  lane_states_.clear();
-  // Logs whose concatenation goes back in time feed the windowed rate one
-  // stable merge by time instead (ties keep log order).
-  const bool ordered = arrivals_ordered(logs);
-  if (!ordered) {
-    std::vector<double> merged;
-    for (const SampleLog* log : logs) {
-      merged.insert(merged.end(), log->arrival_times().begin(),
-                    log->arrival_times().end());
-    }
-    std::stable_sort(merged.begin(), merged.end());
-    for (const double t : merged) monitor.note_arrival(t);
+      lanes_(lane_load_.size()) {
+  std::vector<std::string_view> keys(table_.begin(), table_.end());
+  std::sort(keys.begin(), keys.end());
+  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+    throw std::invalid_argument("LogFold: the dimension table repeats a key");
   }
-  committed_.resize(logs.size());
-  for (std::size_t l = 0; l < logs.size(); ++l) {
-    commit_log(*logs[l], committed_[l], ordered);
-  }
-  // Cells are dealt lightest lane first, so with fewer cells than lanes the
-  // cells sit on the lowest lanes and the rest would idle.
-  lane_count_ = std::clamp<std::size_t>(lane_count_, 1, std::max<std::uint32_t>(1, cells_));
-}
-
-std::uint32_t LogFold::key_id(std::string_view key) {
-  if (const auto it = key_ids_.find(key); it != key_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(keys_.size());
-  const auto it = key_ids_.emplace(std::string(key), id).first;
-  keys_.push_back(it->first);
-  test_cells_.push_back({kNoCell, kNoCell, kNoCell});
-  return id;
 }
 
 std::uint32_t LogFold::resolve(std::uint32_t& slot, std::string_view metric,
@@ -112,31 +54,26 @@ std::uint32_t LogFold::resolve(std::uint32_t& slot, std::string_view metric,
 }
 
 void LogFold::commit(const SampleLog& log, Committed& out) {
-  commit_log(log, out, /*arrivals=*/true);
-}
-
-void LogFold::commit_log(const SampleLog& log, Committed& out, bool arrivals) {
-  if (arrivals) {
-    double last = last_arrival_;
-    for (const double t : log.arrival_times()) {
-      if (t < last) {
-        throw std::invalid_argument("LogFold: arrival precedes the last one committed");
-      }
-      last = t;
-    }
-    for (const double t : log.arrival_times()) monitor_->note_arrival(t);
-    last_arrival_ = last;
+  const std::span<const std::string> dims = log.dimensions();
+  if (!log.tests().empty() &&
+      (dims.data() != table_.data() || dims.size() != table_.size())) {
+    throw std::invalid_argument("LogFold: tests recorded against another dimension table");
   }
+  double last = last_arrival_;
+  for (const double t : log.arrival_times()) {
+    if (t < last) {
+      throw std::invalid_argument("LogFold: arrival precedes the last one committed");
+    }
+    last = t;
+  }
+  for (const double t : log.arrival_times()) monitor_->note_arrival(t);
+  last_arrival_ = last;
   monitor_->add_tests(log.tests().size());
 
   out.log = &log;
   out.born.clear();
   born_uses_.clear();
 
-  // The log's ids as fold-wide key ids: the run's table is resolved once,
-  // a log's own table key by key.
-  const std::span<const std::string> dims = log.dimensions();
-  const bool shared = dims.data() == table_.data() && dims.size() == table_.size();
   uses_.assign(dims.size(), 0);
   for (const SampleLog::TestEntry& e : log.tests()) {
     for (const SampleLog::DimId d : e.dims) {
@@ -152,10 +89,9 @@ void LogFold::commit_log(const SampleLog& log, Committed& out, bool arrivals) {
   }
   for (std::size_t d = 0; d < dims.size(); ++d) {
     if (uses_[d] == 0) continue;
-    const std::uint32_t key = shared ? table_keys_[d] : key_id(dims[d]);
     for (std::size_t i = 0; i < 3; ++i) {
-      out.by_dim[i][d] = resolve(test_cells_[key][i], kTestMetricNames[i], keys_[key],
-                                 uses_[d], out);
+      out.by_dim[i][d] =
+          resolve(test_cells_[d][i], kTestMetricNames[i], table_[d], uses_[d], out);
     }
   }
 
@@ -193,18 +129,8 @@ void LogFold::commit_log(const SampleLog& log, Committed& out, bool arrivals) {
   }
 }
 
-void LogFold::fold(std::size_t lane, const Committed& log) {
-  fold_into(lane_states_[lane], lane, log);
-}
-
 void LogFold::finish() {
-  for (Lane& state : lane_states_) drain(state);
-}
-
-void LogFold::run_lane(std::size_t lane) const {
-  Lane state;
-  for (const Committed& log : committed_) fold_into(state, lane, log);
-  drain(state);
+  for (Lane& state : lanes_) drain(state);
 }
 
 void LogFold::drain(Lane& state) {
@@ -215,7 +141,8 @@ void LogFold::drain(Lane& state) {
   state.records = 0;
 }
 
-void LogFold::fold_into(Lane& state, std::size_t lane, const Committed& committed) {
+void LogFold::fold(std::size_t lane, const Committed& committed) {
+  Lane& state = lanes_[lane];
   // Each of this lane's cells collects its values for up to kFoldBlock
   // consecutive records, in commit order, then drains them through one
   // observe_all: a cell's pending values are always the next stretch of its

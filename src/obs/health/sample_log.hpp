@@ -1,4 +1,4 @@
-// Compact health logs for chunked runs, and their per-cell parallel fold.
+// Compact health logs for chunked runs, and their per-cell streaming fold.
 //
 // A chunked simulation cannot stream health observations into one
 // HealthMonitor concurrently (the P² cells are order-sensitive and not
@@ -20,18 +20,15 @@
 //     and lanes share no writes.
 //
 // A fleet commits each chunk's log as soon as the chunk ran and folds it
-// while later chunks still run (deploy/fleet_sim.cpp); the batch form folds
-// a finished set of logs.
+// while later chunks still run (deploy/fleet_sim.cpp).
 //
 // A test costs one 40-byte record: no strings and no per-test allocation.
-// Dimension keys are small ids into a table of keys — the log's own, interned
-// on first use, or one table a whole run shares, so that a fold maps each key
-// to its cell once per run instead of once per log.
+// Dimension keys are ids into the run's one table of keys, shared by every
+// log and the fold, so the fold maps each key to its cells once per run.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -71,23 +68,15 @@ class SampleLog {
     double util_pct = 0.0;
   };
 
-  /// A log with its own dimension table, filled by intern().
-  explicit SampleLog(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-  /// A log whose ids index `dimensions`, a table shared with other logs
-  /// (it must outlive this log). intern() is unavailable on it.
-  explicit SampleLog(std::span<const std::string> dimensions,
+  /// A log whose test ids index `dimensions`, the run's dimension table (it
+  /// must outlive the log). A log without a table holds arrivals and egress
+  /// samples only.
+  explicit SampleLog(std::span<const std::string> dimensions = {},
                      std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity), shared_(dimensions), shares_(true) {}
+      : capacity_(capacity == 0 ? 1 : capacity), dims_(dimensions) {}
 
-  /// The id of `dimension` in the log's own table, interned on first use.
-  /// The empty key maps to kNoDim, so it is skipped like HealthMonitor skips
-  /// it. Throws std::logic_error on a log with a shared table.
-  DimId intern(std::string_view dimension);
   /// The dimension keys, indexed by DimId.
-  [[nodiscard]] std::span<const std::string> dimensions() const noexcept {
-    return shares_ ? shared_ : std::span<const std::string>(dims_);
-  }
+  [[nodiscard]] std::span<const std::string> dimensions() const noexcept { return dims_; }
 
   /// Notes a test arrival at sim time `t_seconds`.
   void note_arrival(double t_seconds) {
@@ -128,18 +117,14 @@ class SampleLog {
 
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
-  std::span<const std::string> shared_;
-  bool shares_ = false;
-  std::vector<std::string> dims_;                       // own table
-  std::map<std::string, DimId, std::less<>> dim_ids_;  // own table: key -> id
+  std::span<const std::string> dims_;
   std::vector<double> arrivals_;
   std::vector<TestEntry> tests_;
   std::vector<EgressEntry> egress_;
 };
 
-/// The per-cell fold of a sequence of logs into a monitor, streaming or in
-/// one batch. Which lane owns a cell decides only which thread feeds it,
-/// never what it is fed.
+/// The per-cell streaming fold of a sequence of logs into a monitor. Which
+/// lane owns a cell decides only which thread feeds it, never what it is fed.
 class LogFold {
  public:
   static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
@@ -161,31 +146,25 @@ class LogFold {
     std::vector<Born> born;
   };
 
-  /// A streaming fold into `monitor` on `lanes` lanes (at least one). Logs
-  /// whose ids index `dimensions` — the run's one table, which must outlive
-  /// the fold — resolve their cells without a key lookup; logs with tables
-  /// of their own are resolved by key.
+  /// A fold into `monitor` on `lanes` lanes (at least one) of logs whose ids
+  /// index `dimensions`, the run's one table, which must outlive the fold.
+  /// Throws std::invalid_argument if the table repeats a key: its two ids
+  /// would feed one cell from two lanes.
   LogFold(HealthMonitor& monitor, std::size_t lanes,
           std::span<const std::string> dimensions = {});
-
-  /// The batch fold of `logs`, in order: commits every log up front. The
-  /// logs must outlive the fold; `lanes` is clamped to [1, cells fed].
-  /// Arrivals whose concatenation is out of time order merge stably by time
-  /// (ties keep log order) instead of being rejected.
-  LogFold(std::span<const SampleLog* const> logs, HealthMonitor& monitor,
-          std::size_t lanes);
 
   LogFold(const LogFold&) = delete;
   LogFold& operator=(const LogFold&) = delete;
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return lane_count_; }
+  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
 
-  /// Commits the next log, on one thread, in log order: notes its arrivals
-  /// — std::invalid_argument, with nothing noted, if one precedes the last
-  /// arrival noted — counts its tests, creates each cell it feeds on first
-  /// use and deals every new cell to the lane with the least estimated load
-  /// (its uses in this log, heaviest first). `log` must outlive every fold()
-  /// of `out`. May run while lanes fold earlier logs.
+  /// Commits the next log, on one thread, in log order: notes its arrivals,
+  /// counts its tests, creates each cell it feeds on first use and deals
+  /// every new cell to the lane with the least estimated load (its uses in
+  /// this log, heaviest first). Throws std::invalid_argument, with nothing
+  /// noted, if the log recorded tests against another table or an arrival
+  /// precedes the last arrival noted. `log` must outlive every fold() of
+  /// `out`. May run while lanes fold earlier logs.
   void commit(const SampleLog& log, Committed& out);
 
   /// Feeds the cells lane `lane` owns from one committed log, in blocks of
@@ -196,11 +175,6 @@ class LogFold {
   /// Drains every lane's buffered values into the monitor. After the last
   /// fold(); nothing else may use the monitor until it returns.
   void finish();
-
-  /// Batch form: feeds the cells lane `lane` owns from every log, then
-  /// drains them. Distinct lanes may run concurrently; nothing else may use
-  /// the monitor until every lane has run.
-  void run_lane(std::size_t lane) const;
 
   /// Records (tests or egress samples) a lane buffers per cell before
   /// draining; bounds a lane's buffers at a few hundred KiB.
@@ -216,35 +190,26 @@ class LogFold {
     std::vector<std::vector<double>*> view;      // one log's dims, this lane's buffers
   };
 
-  void commit_log(const SampleLog& log, Committed& out, bool arrivals);
-  /// The fold-wide key id of `key`, added on first sight.
-  std::uint32_t key_id(std::string_view key);
   /// The cell of (`metric`, `key`) in `slot`, created and queued for
   /// dealing on first use; `uses` is its weight in this log.
   std::uint32_t resolve(std::uint32_t& slot, std::string_view metric,
                         std::string_view key, std::uint64_t uses, Committed& out);
-  static void fold_into(Lane& state, std::size_t lane, const Committed& log);
   static void drain(Lane& state);
 
   HealthMonitor* monitor_;
-  std::size_t lane_count_ = 1;
   std::vector<std::uint64_t> lane_load_;  // [lane] estimated observations
   std::uint32_t cells_ = 0;               // cells created so far
 
-  std::span<const std::string> table_;                  // the run's shared table
-  std::vector<std::uint32_t> table_keys_;               // [table DimId] -> key id
-  std::map<std::string, std::uint32_t, std::less<>> key_ids_;
-  std::vector<std::string_view> keys_;                  // [key id] -> key
-  std::vector<std::array<std::uint32_t, 3>> test_cells_;  // [key id][metric]
-  std::vector<std::uint32_t> egress_cells_;             // [server]
+  std::span<const std::string> table_;                    // the run's table
+  std::vector<std::array<std::uint32_t, 3>> test_cells_;  // [DimId][metric]
+  std::vector<std::uint32_t> egress_cells_;               // [server]
   std::array<std::uint32_t, 3> test_all_{kNoCell, kNoCell, kNoCell};
   std::uint32_t egress_all_ = kNoCell;
   double last_arrival_;
   std::vector<std::uint64_t> uses_;       // per log: [DimId] uses
   std::vector<std::uint64_t> born_uses_;  // per log: weight per Committed::born
 
-  std::vector<Lane> lane_states_;     // streaming
-  std::vector<Committed> committed_;  // batch
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace swiftest::obs::health

@@ -1,10 +1,10 @@
-// The per-cell health fold (obs/health/sample_log.hpp), in batch on the
-// work-stealing pool and streaming on run_stream as simulate_fleet drives
-// it: at any lane count it must
+// The per-cell streaming health fold (obs/health/sample_log.hpp) on
+// exec::run_stream, as simulate_fleet drives it: at any lane count it must
 // reproduce, byte for byte, the report of one HealthMonitor fed the same
-// samples serially — empty and duplicated dimension keys, egress samples,
+// samples serially — empty and duplicated dimension slots, egress samples,
 // arrivals straddling rate windows, logs and egress tails straddling fold
-// blocks, and prior monitor state included.
+// blocks, and prior monitor state included — and it must refuse a table
+// that repeats a key and a log recorded against another table.
 #include "obs/health/sample_log.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -31,14 +32,26 @@ std::string render(const HealthMonitor& monitor) {
   return out.str();
 }
 
-/// Chunk logs plus a serial reference monitor fed the identical stream.
+/// Chunk logs on one shared dimension table, plus a serial reference monitor
+/// fed the identical stream.
 struct Stream {
+  explicit Stream(std::vector<std::string> keys) : table(std::move(keys)) {}
+
+  std::vector<std::string> table;  // every log's ids index it
   std::vector<std::unique_ptr<SampleLog>> logs;
   HealthMonitor reference;
 
   SampleLog& add_log() {
-    logs.push_back(std::make_unique<SampleLog>());
+    logs.push_back(std::make_unique<SampleLog>(table));
     return *logs.back();
+  }
+
+  /// The id of `key` in the table; the empty key is an empty slot.
+  [[nodiscard]] SampleLog::DimId id(const std::string& key) const {
+    if (key.empty()) return SampleLog::kNoDim;
+    const auto it = std::find(table.begin(), table.end(), key);
+    EXPECT_NE(it, table.end()) << key;
+    return static_cast<SampleLog::DimId>(it - table.begin());
   }
 
   void test(SampleLog& log, const TestSample& sample) {
@@ -48,7 +61,7 @@ struct Stream {
     e.data_mb = sample.data_mb;
     e.deviation = sample.deviation;
     for (std::size_t k = 0; k < sample.dimensions.size(); ++k) {
-      e.dims[k] = log.intern(sample.dimensions[k]);
+      e.dims[k] = id(sample.dimensions[k]);
     }
     log.record_test(e);
     reference.record_test(sample);
@@ -66,13 +79,30 @@ struct Stream {
   }
 };
 
-/// Folds `logs` into `monitor` on `jobs` workers, one task per lane.
-void fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
-          std::size_t jobs) {
-  const LogFold folder(logs, monitor, jobs);
-  EXPECT_LE(folder.lanes(), std::max<std::size_t>(1, jobs));
-  exec::run_tasks(folder.lanes(), jobs,
-                  [&](std::size_t lane) { folder.run_lane(lane); });
+/// Folds `logs` through the streaming form on exec::run_stream, the way
+/// simulate_fleet does: each log is committed in order while lanes fold
+/// earlier ones. `table` is the dimension table the logs share.
+void stream_fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
+                 std::size_t jobs, std::span<const std::string> table = {}) {
+  LogFold folder(monitor, jobs, table);
+  std::vector<LogFold::Committed> slots(exec::stream_ring(jobs));
+  exec::StreamStages stages;
+  stages.draw = [&](std::size_t i) { return i < logs.size(); };
+  stages.run = [](std::size_t) {};
+  stages.commit = [&](std::size_t i) { folder.commit(*logs[i], slots[i % slots.size()]); };
+  stages.lanes = folder.lanes();
+  stages.fold = [&](std::size_t lane, std::size_t i) {
+    folder.fold(lane, slots[i % slots.size()]);
+  };
+  exec::run_stream(jobs, stages);
+  folder.finish();
+}
+
+/// The table fill() records its tests against.
+std::vector<std::string> fill_keys() {
+  std::vector<std::string> keys = {"tech:4g", "tech:5g", "tech:wifi5", "isp:1", "isp:2"};
+  for (int s = 0; s < 6; ++s) keys.push_back("server:" + std::to_string(s));
+  return keys;
 }
 
 /// Chunk logs of `log_tests` tests each (plus one egress sample apiece),
@@ -132,7 +162,7 @@ TEST(HealthFold, MatchesSerialMonitorAtAnyJobCount) {
       {"egress-tail", {300, 41}, 2'000},
   };
   for (const Case& c : cases) {
-    Stream stream;
+    Stream stream(fill_keys());
     // Prior state: the fold appends to cells that already hold values.
     TestSample prior;
     prior.duration_s = 1.5;
@@ -146,29 +176,9 @@ TEST(HealthFold, MatchesSerialMonitorAtAnyJobCount) {
     for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
       HealthMonitor folded;
       folded.record_test(prior);
-      fold(stream.pointers(), folded, jobs);
+      stream_fold(stream.pointers(), folded, jobs, stream.table);
       EXPECT_EQ(render(folded), expected) << c.name << " jobs=" << jobs;
     }
-  }
-}
-
-TEST(HealthFold, UnorderedArrivalsFallBackToStableMerge) {
-  // Logs whose concatenation is out of time order still feed the windowed
-  // rate one time-ordered stream.
-  SampleLog late;
-  SampleLog early;
-  for (const double t : {25.0, 31.0, 31.0, 48.5}) late.note_arrival(t);
-  for (const double t : {2.0, 12.0, 31.0, 33.0}) early.note_arrival(t);
-
-  HealthMonitor reference;
-  for (const double t : {2.0, 12.0, 25.0, 31.0, 31.0, 31.0, 33.0, 48.5}) {
-    reference.note_arrival(t);
-  }
-  const std::vector<const SampleLog*> logs = {&late, &early};
-  for (const std::size_t jobs : {1u, 4u}) {
-    HealthMonitor folded;
-    fold(logs, folded, jobs);
-    EXPECT_EQ(render(folded), render(reference)) << "jobs=" << jobs;
   }
 }
 
@@ -178,46 +188,27 @@ TEST(HealthFold, EmptyLogsFoldToAnEmptyReport) {
   for (const std::vector<const SampleLog*>& logs :
        {std::vector<const SampleLog*>{}, std::vector<const SampleLog*>{&empty, &empty}}) {
     HealthMonitor folded;
-    fold(logs, folded, 4);
+    stream_fold(logs, folded, 4);
     EXPECT_EQ(render(folded), expected) << logs.size() << " logs";
   }
-}
-
-/// Folds `logs` through the streaming form on exec::run_stream, the way
-/// simulate_fleet does: each log is committed in order while lanes fold
-/// earlier ones. `table` is the dimension table the logs share, if any.
-void stream_fold(const std::vector<const SampleLog*>& logs, HealthMonitor& monitor,
-                 std::size_t jobs, std::span<const std::string> table = {}) {
-  LogFold folder(monitor, jobs, table);
-  std::vector<LogFold::Committed> slots(exec::stream_ring(jobs));
-  exec::StreamStages stages;
-  stages.draw = [&](std::size_t i) { return i < logs.size(); };
-  stages.run = [](std::size_t) {};
-  stages.commit = [&](std::size_t i) { folder.commit(*logs[i], slots[i % slots.size()]); };
-  stages.lanes = folder.lanes();
-  stages.fold = [&](std::size_t lane, std::size_t i) {
-    folder.fold(lane, slots[i % slots.size()]);
-  };
-  exec::run_stream(jobs, stages);
-  folder.finish();
 }
 
 TEST(HealthFold, StreamingFoldMatchesTheSerialMonitor) {
   constexpr std::size_t kBlock = LogFold::kFoldBlock;
   const std::vector<std::size_t> log_tests = {300, 0, 41, kBlock + 3, 517, 2, 90};
-  Stream stream;
+  Stream stream(fill_keys());
   fill(stream, log_tests, 900);
   const std::string expected = render(stream.reference);
   for (const std::size_t jobs : {1u, 2u, 4u}) {
     HealthMonitor folded;
-    stream_fold(stream.pointers(), folded, jobs);
+    stream_fold(stream.pointers(), folded, jobs, stream.table);
     EXPECT_EQ(render(folded), expected) << "jobs=" << jobs;
   }
 }
 
 TEST(HealthFold, SharedTableResolvesEachKeyOnceAndCreatesNoEmptyCell) {
   // One table for every log, with keys no test ever uses: those must not
-  // appear in the report, and the logs need no intern() at all.
+  // appear in the report.
   const std::vector<std::string> table = {"tech:4g", "tech:5g", "isp:1", "isp:2",
                                           "server:0", "server:1", "server:99"};
   std::vector<std::unique_ptr<SampleLog>> logs;
@@ -251,7 +242,6 @@ TEST(HealthFold, SharedTableResolvesEachKeyOnceAndCreatesNoEmptyCell) {
     log.record_egress_utilization(static_cast<std::uint32_t>(l % 3), 10.0 + l);
     reference.record_egress_utilization(l % 3, 10.0 + l);
   }
-  EXPECT_THROW(logs[0]->intern("tech:wifi5"), std::logic_error);
   const std::string expected = render(reference);
   ASSERT_EQ(expected.find("server:99"), std::string::npos);
   std::vector<const SampleLog*> pointers;
@@ -279,6 +269,50 @@ TEST(HealthFold, StreamingCommitRejectsArrivalsOutOfOrder) {
   // The rejected log noted nothing: no arrival, no test.
   HealthMonitor reference;
   for (const double t : {5.0, 6.0}) reference.note_arrival(t);
+  EXPECT_EQ(render(monitor), render(reference));
+}
+
+TEST(HealthFold, RejectsATableThatRepeatsAKey) {
+  // The key's two ids would feed one cell from two lanes.
+  HealthMonitor monitor;
+  const std::vector<std::string> repeated = {"tech:4g", "isp:1", "tech:4g"};
+  EXPECT_THROW(LogFold(monitor, 2, repeated), std::invalid_argument);
+  const std::vector<std::string> distinct = {"tech:4g", "isp:1", "tech:5g"};
+  EXPECT_NO_THROW(LogFold(monitor, 2, distinct));
+}
+
+TEST(HealthFold, CommitRejectsTestsAgainstAForeignTable) {
+  const std::vector<std::string> table = {"tech:4g", "isp:1"};
+  const std::vector<std::string> copy = table;  // the same keys, another table
+  SampleLog first(table);
+  first.note_arrival(1.0);
+  SampleLog::TestEntry e;
+  e.duration_s = 2.0;
+  e.dims = {0, 1, SampleLog::kNoDim, SampleLog::kNoDim};
+  first.record_test(e);
+  SampleLog foreign(copy);
+  foreign.note_arrival(3.0);
+  e.duration_s = 4.0;
+  foreign.record_test(e);
+
+  HealthMonitor monitor;
+  LogFold folder(monitor, 2, table);
+  LogFold::Committed committed;
+  folder.commit(first, committed);
+  for (std::size_t lane = 0; lane < folder.lanes(); ++lane) folder.fold(lane, committed);
+  const std::string before = render(monitor);
+  LogFold::Committed rejected;
+  EXPECT_THROW(folder.commit(foreign, rejected), std::invalid_argument);
+  EXPECT_EQ(render(monitor), before);
+  folder.finish();
+
+  // The rejected log noted nothing: no arrival, no test, no cell.
+  HealthMonitor reference;
+  reference.note_arrival(1.0);
+  TestSample sample;
+  sample.duration_s = 2.0;
+  sample.dimensions = table;
+  reference.record_test(sample);
   EXPECT_EQ(render(monitor), render(reference));
 }
 

@@ -142,7 +142,7 @@ TEST(ResourceMonitor, PeakRssTracksSamples) {
 // SampleLog bounds (obs/health/sample_log.hpp): drop-newest with accounting.
 
 TEST(SampleLogBounds, DropsNewestPastCapacityAndCounts) {
-  health::SampleLog log(4);
+  health::SampleLog log({}, 4);
   EXPECT_EQ(log.capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
     health::SampleLog::TestEntry entry;
@@ -169,7 +169,7 @@ TEST(SampleLogBounds, DropsNewestPastCapacityAndCounts) {
 }
 
 TEST(SampleLogBounds, ZeroCapacityClampsToOne) {
-  health::SampleLog log(0);
+  health::SampleLog log({}, 0);
   EXPECT_EQ(log.capacity(), 1u);
   log.note_arrival(1.0);
   log.note_arrival(2.0);
@@ -184,39 +184,51 @@ TEST(SampleLogBounds, RecordsAreFixedSize) {
 }
 
 TEST(SampleLogBounds, InternsDimensionsPerLog) {
-  health::SampleLog log;
-  const auto tech = log.intern("tech:4g");
-  const auto isp = log.intern("isp:1");
-  EXPECT_NE(tech, isp);
-  EXPECT_EQ(log.intern("tech:4g"), tech);
-  EXPECT_EQ(log.intern(""), health::SampleLog::kNoDim);
+  // A log records ids into the table it is handed; an id outside it is
+  // refused, and nothing is recorded.
+  const std::vector<std::string> table = {"tech:4g", "isp:1"};
+  health::SampleLog log(table);
+  EXPECT_EQ(log.dimensions().data(), table.data());
   EXPECT_EQ(log.dimensions().size(), 2u);
+  health::SampleLog::TestEntry good;
+  good.dims = {1, 0, 1, health::SampleLog::kNoDim};
+  log.record_test(good);
+  EXPECT_EQ(log.sample_count(), 1u);
 
   health::SampleLog::TestEntry bad;
-  bad.dims[0] = 7;  // never interned
+  bad.dims[0] = 2;  // one past the table
   EXPECT_THROW(log.record_test(bad), std::out_of_range);
-  EXPECT_EQ(log.sample_count(), 0u);
+  EXPECT_EQ(log.sample_count(), 1u);
+
+  // A log without a table holds no test with a dimension.
+  health::SampleLog bare;
+  bad.dims[0] = 0;
+  EXPECT_THROW(bare.record_test(bad), std::out_of_range);
+  EXPECT_EQ(bare.sample_count(), 0u);
 }
 
 TEST(SampleLogBounds, InternsMoreKeysThanSixteenBitIdsHold) {
-  // A chunk of a large fleet can draw more distinct servers than a 16-bit
-  // id could name; every key keeps its own id and the records fold by name.
+  // A large fleet's table holds more servers than a 16-bit id could name;
+  // every key keeps its own id and the records fold by name.
   constexpr std::uint32_t kKeys = 70000;
-  health::SampleLog log;
+  std::vector<std::string> table;
+  for (std::uint32_t s = 0; s < kKeys; ++s) table.push_back("server:" + std::to_string(s));
+  health::SampleLog log(table);
   for (std::uint32_t s = 0; s < kKeys; ++s) {
     health::SampleLog::TestEntry e;
     e.duration_s = static_cast<double>(s);
-    e.dims[0] = log.intern("server:" + std::to_string(s));
-    ASSERT_EQ(e.dims[0], s);
+    e.dims[0] = s;
     log.record_test(e);
   }
-  EXPECT_EQ(log.intern("server:69999"), kKeys - 1);
+  EXPECT_EQ(log.tests().back().dims[0], kKeys - 1);
   EXPECT_EQ(log.dimensions().size(), kKeys);
 
   health::HealthMonitor monitor;
-  const health::SampleLog* logs[] = {&log};
-  const health::LogFold fold(logs, monitor, 1);
-  fold.run_lane(0);
+  health::LogFold fold(monitor, 1, table);
+  health::LogFold::Committed committed;
+  fold.commit(log, committed);
+  fold.fold(0, committed);
+  fold.finish();
   const health::HealthSnapshot snap = monitor.snapshot();
   EXPECT_EQ(snap.tests, kKeys);
   EXPECT_EQ(snap.metrics.at(health::kMetricDuration).size(), kKeys + 1);  // + "all"

@@ -80,7 +80,10 @@ run_flag_probe() {
 
 # One fleet-day per suite gated on the default SLO spec: any objective
 # violation makes swiftest-cli exit 3 and fails CI, and the emitted health
-# report (JSON + markdown) must be well-formed.
+# report (JSON + markdown) must be well-formed. A packet fleet-day then
+# folds its health — the egress tail and the server_* cells included — at
+# --jobs 1 and at --jobs 4 over an odd chunk size, and the two health.json
+# files must be byte-identical.
 run_health_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/health"
@@ -91,6 +94,14 @@ run_health_gate() {
   python3 -m json.tool "${out_dir}/health.json" > /dev/null
   grep -q '^# Fleet health report' "${out_dir}/report.md"
   echo "health report validated, SLOs passed"
+  local packet=(fleet --backend packet --servers 5 --days 1 --tests-per-day 200
+                --seed 3 --obs health)
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" "${packet[@]}" --jobs 1 \
+    --obs-dir "${out_dir}/packet-j1"
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" "${packet[@]}" --jobs 4 --chunk 37 \
+    --obs-dir "${out_dir}/packet-j4-c37"
+  cmp "${out_dir}/packet-j1/health.json" "${out_dir}/packet-j4-c37/health.json"
+  echo "packet health identical at --jobs 1 and --jobs 4 --chunk 37"
 }
 
 # One traced packet fleet-day per suite, piped through `trace analyze`: the
@@ -545,8 +556,9 @@ run_perfbench_smoke() {
 # with exactly-once assertions, RunStream drives the stream under randomized
 # task durations and throwing stages, and ChunkedFleet runs whole fleets on
 # it. HealthFold and an analytic fleet-day at --jobs 4 (its health JSON
-# cmp'd against --jobs 1) drive the per-cell health fold, whose lanes feed
-# disjoint HealthMonitor cells while the commit creates new ones. The model fits share the same pool: the
+# cmp'd against --jobs 1) drive the streaming health fold on the stream,
+# whose lanes feed disjoint HealthMonitor cells while the in-order commit
+# creates new ones. The model fits share the same pool: the
 # many-sets fit_gmm_bic must equal serial fits bit for bit, and the pinned
 # fits (one BIC pick, one registry refresh) must not move under TSan.
 run_tsan_fleet() {
