@@ -1,6 +1,6 @@
-// The work-stealing pool lives in exec/exec.hpp. perfbench/src/ledger.cpp
-// still spells it deploy::run_tasks; these aliases keep that compiling until
-// the benchmark moves to the exec:: names.
+// The thread pool lives in exec/exec.hpp. perfbench/src/ledger.cpp still
+// spells it deploy::run_tasks; these aliases keep that compiling until the
+// benchmark moves to the exec:: names.
 #pragma once
 
 #include "exec/exec.hpp"
@@ -9,6 +9,5 @@ namespace swiftest::deploy {
 
 using exec::resolve_jobs;
 using exec::run_tasks;
-using exec::WorkStealingDeque;
 
 }  // namespace swiftest::deploy

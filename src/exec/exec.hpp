@@ -1,29 +1,19 @@
-// The test-keyed execution plane: the library's one thread pool, in two
-// shapes. run_tasks runs a known task count on work-stealing workers — the
-// (sample set, k) model fits of stats::fit_gmm_bic use it. run_stream runs
-// an open-ended, in-order stream of items through a bounded ring —
-// fleet-day chunks (deploy/fleet_sim.cpp) are drawn, run, committed in
-// order and folded by health lanes while later chunks are still being
-// drawn.
+// The test-keyed execution plane: the library's one thread pool.
+// run_stream runs an open-ended, in-order stream of items through a bounded
+// ring — fleet-day chunks (deploy/fleet_sim.cpp) are drawn, run, committed
+// in order and folded by health lanes while later chunks are still being
+// drawn. run_tasks is run_stream over a known task count with nothing to
+// commit or fold — the (sample set, k) model fits of stats::fit_gmm_bic use
+// it.
 //
-// Neither shape lets the schedule leak into an artifact: every task is a
-// pure function of its inputs and index, its output lands in its own slot,
-// and whatever is order-sensitive the caller does in index order —
-// run_stream's commits and each lane's folds run in item order by
-// construction. run_tasks' workers steal from each other when their own
-// block drains, so imbalance is bounded at task granularity.
-//
-// run_tasks' deque is a fixed-capacity Chase-Lev: the owner pushes and takes at
-// the bottom without contention; thieves race a single CAS on top. Memory
-// orderings follow Le, Pop, Cohen & Nardelli, "Correct and Efficient
-// Work-Stealing for Weak Memory Models" (PPoPP '13).
+// No schedule leaks into an artifact: every task is a pure function of its
+// inputs and index, its output lands in its own slot, and whatever is
+// order-sensitive the caller does in index order — run_stream's commits and
+// each lane's folds run in item order by construction.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace swiftest::obs::hostprof {
 class HostProfiler;
@@ -31,76 +21,22 @@ class HostProfiler;
 
 namespace swiftest::exec {
 
-/// Fixed-capacity single-owner work-stealing deque over task indices.
-///
-/// Contract: exactly one thread (the owner) calls push()/take(); any number
-/// of other threads call steal(). Tasks come back exactly once: either to
-/// the owner (LIFO, bottom) or to one thief (FIFO, top). The buffer never
-/// grows — push() refuses when capacity is reached, which keeps the pool
-/// bounded and allocation-free after construction.
-class WorkStealingDeque {
- public:
-  /// Capacity is rounded up to a power of two (minimum 2).
-  explicit WorkStealingDeque(std::size_t capacity);
-
-  WorkStealingDeque(const WorkStealingDeque&) = delete;
-  WorkStealingDeque& operator=(const WorkStealingDeque&) = delete;
-
-  /// Owner only. False when the deque is full.
-  bool push(std::size_t task) noexcept;
-
-  /// Owner only. Pops the most recently pushed remaining task. False when
-  /// the deque is empty (including losing the last-element race to a thief).
-  bool take(std::size_t& task) noexcept;
-
-  /// Thief side. Claims the oldest task. False when empty or when another
-  /// thread won the race for the same slot.
-  bool steal(std::size_t& task) noexcept;
-
-  /// Approximate (racy) occupancy; exact once all threads are quiescent.
-  [[nodiscard]] std::size_t size() const noexcept;
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
- private:
-  std::vector<std::atomic<std::size_t>> buffer_;
-  std::size_t mask_;
-  // top_ <= bottom_; both only ever increase except the owner's speculative
-  // bottom decrement in take(). int64 so the transient bottom - 1 below a
-  // concurrent top is well-defined.
-  alignas(64) std::atomic<std::int64_t> top_{0};
-  alignas(64) std::atomic<std::int64_t> bottom_{0};
-};
-
 /// Worker threads to use for `jobs`: 0 means the hardware concurrency
 /// (minimum 1); anything else is returned unchanged.
 [[nodiscard]] std::size_t resolve_jobs(std::size_t jobs) noexcept;
 
-/// Runs `fn(task)` exactly once for every task in [0, task_count) on a
-/// bounded work-stealing pool of at most `jobs` threads.
+/// Runs `fn(task)` once for every task in [0, task_count) on at most
+/// `jobs` threads: run_stream(min(jobs, task_count)) drawing the task
+/// indices in order, with no commit and no lanes. jobs <= 1 (or a single
+/// task) runs inline on the calling thread in ascending order. Given
+/// task-local state the results are independent of scheduling, so callers
+/// that merge outputs in task order produce artifacts independent of `jobs`.
 ///
-/// Each worker owns a contiguous block of tasks (pushed so its own take()
-/// order is ascending); when its deque drains it sweeps the other workers'
-/// deques and steals their oldest task. jobs <= 1 (or a single task) runs
-/// inline on the calling thread in ascending order. The set of executed
-/// tasks is always exactly [0, task_count) — given task-local state, the
-/// computed results are independent of scheduling, so callers that merge
-/// outputs in task order produce artifacts independent of `jobs`. The first
-/// exception thrown by any task is rethrown on the calling thread after
-/// every worker has joined.
-///
-/// When `prof` is non-null the pool self-profiles (host time only):
-///   * calling thread: one "exec.run" interval over the parallel region
-///     with a nested "pool.join" interval over the joins;
-///   * each worker timeline: one "chunk.run" interval per executed task
-///     (arg = task index) plus WorkerStats — busy (inside fn), idle
-///     (everything else; busy + idle == wall exactly), pulls (take/steal
-///     acquisition rounds, including final misses), steals (tasks taken
-///     from another worker's deque), and chunks (tasks executed). The
-///     inline path records the same on the calling thread's timeline
-///     (tid 0). Worker timelines are reserved before spawning.
+/// The first exception a task throws stops the draw — no further task
+/// starts — and is rethrown on the calling thread once the tasks already
+/// running have returned and every worker has joined.
 void run_tasks(std::size_t task_count, std::size_t jobs,
-               const std::function<void(std::size_t)>& fn,
-               obs::hostprof::HostProfiler* prof = nullptr);
+               const std::function<void(std::size_t)>& fn);
 
 /// The stages of one ordered stream (run_stream). Item `i` lives in ring
 /// slot `i % stream_ring(jobs)` from draw(i) until every lane has folded it,
@@ -154,7 +90,7 @@ inline constexpr std::size_t kStreamRingPerJob = 8;
 /// lane): min(items, stream_ring(jobs)), because the draw fills the ring
 /// first.
 ///
-/// When `prof` is non-null the stream self-profiles like run_tasks: one
+/// When `prof` is non-null the stream self-profiles (host time only): one
 /// "exec.run" interval over the stream on the calling thread with a nested
 /// "pool.join" per wait; per worker one "chunk.run" interval per run (arg =
 /// item) and one "lane.fold" per fold (arg = lane), plus WorkerStats (busy

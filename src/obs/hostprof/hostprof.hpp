@@ -2,10 +2,11 @@
 //
 // It answers how much host time each phase cost, *which thread* spent it,
 // *when*, and how much of the run was serial. Every thread of the chunked
-// fleet runtime records nested phase *intervals* into its own Timeline — the calling thread's workload.gen / merge.* / export
-// phases, each pool worker's per-chunk replay — plus per-worker busy/idle
-// wait accounting around exec::run_tasks' work-stealing pool. After the
-// pool joins, HostProfiler::snapshot() folds the timelines into one ProfData
+// fleet runtime records nested phase *intervals* into its own Timeline — the
+// calling thread's workload.gen / merge.* / export phases, each pool
+// worker's per-chunk replay and health-lane folds — plus per-worker
+// busy/idle wait accounting around exec::run_stream, the chunk stream.
+// After the pool joins, HostProfiler::snapshot() folds the timelines into one ProfData
 // that renders as PROF JSONL (obs/hostprof/report.hpp), as a Chrome
 // trace_event timeline with one track per worker, and as the Amdahl
 // attribution report behind `swiftest-cli profile report`.
@@ -57,16 +58,17 @@ struct PhaseAgg {
 };
 
 /// Pool wait accounting for one worker thread (or the calling thread on the
-/// inline jobs<=1 path): busy is the sum of chunk-execution time, idle is
-/// everything else between the worker's first and last breath (deque takes,
-/// steal sweeps, termination checks), so busy + idle == wall exactly.
+/// inline jobs<=1 path): busy is the time inside chunk runs and lane folds,
+/// idle is everything else between the worker's first and last breath
+/// (waiting for work, the stream's lock), so busy + idle == wall exactly.
 struct WorkerStats {
   bool valid = false;
   std::uint64_t busy_ns = 0;
   std::uint64_t idle_ns = 0;
   std::uint64_t wall_ns = 0;
-  std::uint64_t pulls = 0;   // acquisition rounds (take + steal sweeps, incl. misses)
-  std::uint64_t steals = 0;  // chunks taken from another worker's deque
+  std::uint64_t pulls = 0;   // tasks taken: chunk runs plus lane folds
+  std::uint64_t steals = 0;  // always 0: the stream has one shared queue (the
+                             // PROF schema and perfbench still carry it)
   std::uint64_t chunks = 0;  // chunks this worker executed
 };
 

@@ -9,7 +9,7 @@
 //     timeline with one named track per thread (main + each pool worker),
 //     loadable in Perfetto / chrome://tracing.
 //   * The attribution report — parallel efficiency, serial fraction, Amdahl
-//     bounds, per-chunk imbalance and steal attribution, and a ranked phase
+//     bounds, per-chunk imbalance and per-worker pulls, and a ranked phase
 //     table, as markdown.
 //
 // Everything here is host-time presentation: these files are never compared
@@ -84,8 +84,9 @@ struct ChunkRow {
 ///   parallel_efficiency     busy_ns / (workers * pool_wall_ns): how much of
 ///                    the pool's capacity did real work (1 - idle share).
 ///   shard_imbalance  max / mean of per-chunk wall times ("chunk.run").
-///                    Work stealing bounds it structurally: the name keeps
-///                    the historical gate key, the unit is now a chunk.
+///                    Workers take chunks from one shared queue, so a slow
+///                    chunk never holds up a worker's queued ones: the name
+///                    keeps the historical gate key, the unit is a chunk.
 ///   main_coverage    Σ depth-0 calling-thread intervals / wall — how much
 ///                    of the run the phase instrumentation accounts for
 ///                    (the CI gate requires >= 95%).
@@ -122,10 +123,10 @@ struct ProfReport {
 /// Renders the report as markdown ("# Host-time profile" ...).
 void write_prof_report_markdown(const ProfReport& report, std::ostream& out);
 
-/// The phase names run_tasks and run_stream record: the pool region on the
-/// calling thread, per-chunk execution on workers, and the join barrier
-/// (run_stream: every wait of the calling thread). Shared
-/// constants so recorder and analyzer cannot drift apart.
+/// The phase names run_stream records: the pool region on the calling
+/// thread, per-chunk execution on workers, and every wait of the calling
+/// thread, the final join included. Shared constants so recorder and
+/// analyzer cannot drift apart.
 inline constexpr const char* kPhasePool = "exec.run";
 inline constexpr const char* kPhaseChunk = "chunk.run";
 inline constexpr const char* kPhaseJoin = "pool.join";

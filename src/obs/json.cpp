@@ -93,9 +93,12 @@ std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
   const char* end = begin + string_.size();
   const auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec == std::errc() && ptr == end) return v;
-  // Not a plain non-negative integer token (sign, fraction, exponent):
-  // the double value is the best available reading.
-  return number_ >= 0.0 ? static_cast<std::uint64_t>(number_) : fallback;
+  // Not a plain non-negative integer token (sign, fraction, exponent, or
+  // beyond 2^64 - 1): the double value is the best available reading, when
+  // it fits — casting a double at or past 2^64 is undefined.
+  constexpr double kTwoPow64 = 18446744073709551616.0;
+  return number_ >= 0.0 && number_ < kTwoPow64 ? static_cast<std::uint64_t>(number_)
+                                               : fallback;
 }
 
 class JsonParser {

@@ -83,9 +83,9 @@ struct EmFit {
                                 const EmOptions& opts = {});
 
 /// fit_gmm_bic for several sample sets at once: every (set, k) fit runs as
-/// one task on the shared work-stealing pool (exec/exec.hpp) at the hardware
-/// concurrency, and each set's winner is then picked in ascending k with a
-/// strict BIC comparison. Results are bit-identical to fitting each set
+/// one task of exec::run_tasks (exec/exec.hpp), the shared pool, at the
+/// hardware concurrency, and each set's winner is then picked in ascending k
+/// with a strict BIC comparison. Results are bit-identical to fitting each set
 /// alone, serially. A bad k range throws std::invalid_argument before any
 /// fit starts.
 [[nodiscard]] std::vector<EmFit> fit_gmm_bic(std::span<const std::span<const double>> sets,

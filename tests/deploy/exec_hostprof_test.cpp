@@ -1,27 +1,27 @@
-// Host-time self-profiling and thread-safety of the run_tasks work-stealing
-// pool. The suite names are the TSan gate's filter
-// (`--gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*'` in ci.sh):
-// they drive the pool and the raw deque under live contention to prove the
-// lock-free paths are race-free and the accounting adds up.
+// Host-time self-profiling and thread-safety of run_stream, the library's
+// one thread pool. The suite name is in the TSan gate's filter
+// (`--gtest_filter='RunStreamHostprof.*:...'` in ci.sh): it drives the pool
+// with a live profiler under contention to prove the accounting adds up —
+// pulls == runs + folds, no steals, busy + idle == wall — and that the
+// recording stays race-free.
 #include "exec/exec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "core/rng.hpp"
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hostprof/report.hpp"
 
 namespace swiftest::deploy {
 namespace {
 
-using exec::run_tasks;
-using exec::WorkStealingDeque;
+using exec::run_stream;
+using exec::StreamStages;
 
 using obs::hostprof::HostProfiler;
 using obs::hostprof::ProfData;
@@ -38,28 +38,21 @@ void spin_task(std::atomic<std::uint64_t>& sink) {
   sink.fetch_add(x | 1, std::memory_order_relaxed);
 }
 
-TEST(RunTasksHostprof, PoolAccountingAddsUp) {
-  HostProfiler prof;
-  std::atomic<std::uint64_t> sink{0};
-  std::vector<std::atomic<int>> ran(kTasks);
-  run_tasks(
-      kTasks, kJobs,
-      [&](std::size_t task) {
-        ran[task].fetch_add(1);
-        spin_task(sink);
-      },
-      &prof);
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(ran[t].load(), 1) << "task " << t;
-  }
+/// `items` items that each run `run`, commit nothing and fold `fold` on
+/// every one of `lanes` lanes.
+StreamStages stages(std::size_t items, const std::function<void(std::size_t)>& run,
+                    std::size_t lanes = 0,
+                    const std::function<void(std::size_t, std::size_t)>& fold = {}) {
+  return {.draw = [items](std::size_t item) { return item < items; },
+          .run = run,
+          .commit = [](std::size_t) {},
+          .lanes = lanes,
+          .fold = fold};
+}
 
-  prof.set_run_shape(kTasks, kJobs);
-  prof.finish();
-  const ProfData data = prof.snapshot();
-  ASSERT_EQ(data.timelines.size(), 1 + kJobs);
-
-  // Calling thread: the pool region and the nested join barrier.
-  const TimelineData& main_tl = data.timelines[0];
+/// The calling thread's timeline of a threaded stream: the pool region at
+/// depth 0 with its waits nested inside, and no WorkerStats of its own.
+void expect_main_timeline(const TimelineData& main_tl) {
   bool saw_pool = false;
   bool saw_join = false;
   for (const auto& iv : main_tl.intervals) {
@@ -75,34 +68,77 @@ TEST(RunTasksHostprof, PoolAccountingAddsUp) {
   EXPECT_TRUE(saw_pool);
   EXPECT_TRUE(saw_join);
   EXPECT_FALSE(main_tl.worker.valid) << "pool path: workers own the stats";
+}
 
-  // Workers: stats valid, busy + idle == wall exactly, stealing bounded by
-  // execution, every acquisition round counted (each worker's final miss
-  // pulls too), and the chunk.run intervals jointly cover every task
-  // exactly once — no matter who stole what from whom.
-  std::uint64_t total_chunks = 0;
-  std::uint64_t total_steals = 0;
-  std::vector<int> task_seen(kTasks, 0);
-  for (std::size_t w = 1; w < data.timelines.size(); ++w) {
-    const TimelineData& tl = data.timelines[w];
-    ASSERT_TRUE(tl.worker.valid) << "worker tid " << tl.tid;
-    EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
-    EXPECT_GE(tl.worker.pulls, tl.worker.chunks + 1) << "the final miss pulls too";
-    EXPECT_LE(tl.worker.steals, tl.worker.chunks);
-    total_chunks += tl.worker.chunks;
-    total_steals += tl.worker.steals;
-    std::uint64_t busy_from_intervals = 0;
-    for (const auto& iv : tl.intervals) {
-      ASSERT_EQ(iv.phase, obs::hostprof::kPhaseChunk);
-      ASSERT_LT(iv.arg, kTasks);
-      ++task_seen[iv.arg];
-      busy_from_intervals += iv.dur_ns;
+/// What a worker timeline's intervals add up to.
+struct WorkerIntervals {
+  std::uint64_t runs = 0;
+  std::uint64_t folds = 0;
+  std::uint64_t busy_ns = 0;
+};
+
+/// Checks one worker's stats against its intervals: busy + idle == wall
+/// exactly, every run and fold was one pull, nothing was stolen. Adds each
+/// run's item to `item_runs` and each fold's lane to `lane_folds`.
+WorkerIntervals expect_worker_accounting(const TimelineData& tl,
+                                         std::vector<int>& item_runs,
+                                         std::vector<std::size_t>& lane_folds) {
+  WorkerIntervals seen;
+  EXPECT_TRUE(tl.worker.valid) << "worker tid " << tl.tid;
+  EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
+  for (const auto& iv : tl.intervals) {
+    if (iv.phase == obs::hostprof::kPhaseChunk) {
+      EXPECT_LT(iv.arg, item_runs.size());
+      if (iv.arg < item_runs.size()) ++item_runs[iv.arg];
+      ++seen.runs;
+    } else {
+      EXPECT_EQ(iv.phase, obs::hostprof::kPhaseFold);
+      EXPECT_LT(iv.arg, lane_folds.size()) << "lane.fold's arg is the lane";
+      if (iv.arg < lane_folds.size()) ++lane_folds[iv.arg];
+      ++seen.folds;
     }
-    EXPECT_EQ(tl.intervals.size(), tl.worker.chunks);
-    EXPECT_LE(busy_from_intervals, tl.worker.busy_ns);
+    seen.busy_ns += iv.dur_ns;
+  }
+  EXPECT_EQ(seen.runs, tl.worker.chunks);
+  EXPECT_EQ(tl.worker.pulls, seen.runs + seen.folds) << "one pull per run or fold";
+  EXPECT_EQ(tl.worker.steals, 0u);
+  EXPECT_LE(seen.busy_ns, tl.worker.busy_ns);
+  return seen;
+}
+
+TEST(RunStreamHostprof, PoolAccountingAddsUp) {
+  HostProfiler prof;
+  std::atomic<std::uint64_t> sink{0};
+  std::vector<std::atomic<int>> ran(kTasks);
+  run_stream(kJobs,
+             stages(kTasks,
+                    [&](std::size_t task) {
+                      ran[task].fetch_add(1);
+                      spin_task(sink);
+                    }),
+             &prof);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(ran[t].load(), 1) << "task " << t;
+  }
+
+  prof.set_run_shape(kTasks, kJobs);
+  prof.finish();
+  const ProfData data = prof.snapshot();
+  ASSERT_EQ(data.timelines.size(), 1 + kJobs);
+  expect_main_timeline(data.timelines[0]);
+
+  // Workers: the chunk.run intervals jointly cover every task exactly once,
+  // no matter which worker ran what.
+  std::uint64_t total_chunks = 0;
+  std::vector<int> task_seen(kTasks, 0);
+  std::vector<std::size_t> no_lanes;
+  for (std::size_t w = 1; w < data.timelines.size(); ++w) {
+    const WorkerIntervals seen =
+        expect_worker_accounting(data.timelines[w], task_seen, no_lanes);
+    EXPECT_EQ(seen.folds, 0u);
+    total_chunks += seen.runs;
   }
   EXPECT_EQ(total_chunks, kTasks);
-  EXPECT_LE(total_steals, total_chunks);
   for (std::size_t t = 0; t < kTasks; ++t) {
     EXPECT_EQ(task_seen[t], 1) << "task " << t;
   }
@@ -115,111 +151,102 @@ TEST(RunTasksHostprof, PoolAccountingAddsUp) {
   EXPECT_GT(report.pool_wall_ns, 0u);
 }
 
-TEST(RunTasksHostprof, InlinePathRecordsOnMainTimeline) {
+TEST(RunStreamHostprof, LaneFoldsAreCountedPerLane) {
+  constexpr std::size_t kLanes = 3;
   HostProfiler prof;
   std::atomic<std::uint64_t> sink{0};
-  run_tasks(3, 1, [&](std::size_t) { spin_task(sink); }, &prof);
+  std::vector<std::atomic<int>> folded(kTasks * kLanes);
+  run_stream(kJobs,
+             stages(
+                 kTasks, [&](std::size_t) { spin_task(sink); }, kLanes,
+                 [&](std::size_t lane, std::size_t item) {
+                   folded[item * kLanes + lane].fetch_add(1);
+                   spin_task(sink);
+                 }),
+             &prof);
+  for (std::size_t i = 0; i < folded.size(); ++i) {
+    EXPECT_EQ(folded[i].load(), 1) << "item " << i / kLanes << " lane " << i % kLanes;
+  }
+
+  prof.finish();
+  const ProfData data = prof.snapshot();
+  ASSERT_EQ(data.timelines.size(), 1 + kJobs);
+  expect_main_timeline(data.timelines[0]);
+
+  // Every lane folded every item once, wherever its folds ran.
+  std::vector<int> task_seen(kTasks, 0);
+  std::vector<std::size_t> lane_folds(kLanes, 0);
+  std::uint64_t total_chunks = 0;
+  std::uint64_t total_folds = 0;
+  for (std::size_t w = 1; w < data.timelines.size(); ++w) {
+    const WorkerIntervals seen =
+        expect_worker_accounting(data.timelines[w], task_seen, lane_folds);
+    total_chunks += seen.runs;
+    total_folds += seen.folds;
+  }
+  EXPECT_EQ(total_chunks, kTasks);
+  EXPECT_EQ(total_folds, kTasks * kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    EXPECT_EQ(lane_folds[lane], kTasks) << "lane " << lane;
+  }
+}
+
+TEST(RunStreamHostprof, InlinePathRecordsOnMainTimeline) {
+  constexpr std::size_t kLanes = 2;
+  HostProfiler prof;
+  std::atomic<std::uint64_t> sink{0};
+  run_stream(1,
+             stages(
+                 3, [&](std::size_t) { spin_task(sink); }, kLanes,
+                 [](std::size_t, std::size_t) {}),
+             &prof);
   prof.finish();
   const ProfData data = prof.snapshot();
   ASSERT_EQ(data.timelines.size(), 1u) << "jobs<=1 must not spawn timelines";
   const TimelineData& tl = data.timelines[0];
   ASSERT_TRUE(tl.worker.valid);
   EXPECT_EQ(tl.worker.chunks, 3u);
+  EXPECT_EQ(tl.worker.pulls, 3u * (1 + kLanes));
   EXPECT_EQ(tl.worker.steals, 0u);
   EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
   std::size_t chunk_runs = 0;
+  std::vector<std::size_t> lane_folds(kLanes, 0);
   for (const auto& iv : tl.intervals) {
     if (iv.phase == obs::hostprof::kPhaseChunk) ++chunk_runs;
+    if (iv.phase == obs::hostprof::kPhaseFold) {
+      ASSERT_LT(iv.arg, kLanes);
+      ++lane_folds[iv.arg];
+    }
   }
   EXPECT_EQ(chunk_runs, 3u);
+  EXPECT_EQ(lane_folds, std::vector<std::size_t>(kLanes, 3u));
 }
 
-TEST(RunTasksHostprof, NullProfilerStillRunsEveryTask) {
+TEST(RunStreamHostprof, NullProfilerStillRunsEveryTask) {
   std::vector<std::atomic<int>> ran(kTasks);
-  run_tasks(kTasks, kJobs, [&](std::size_t task) { ran[task].fetch_add(1); },
-            nullptr);
+  run_stream(kJobs, stages(kTasks, [&](std::size_t task) { ran[task].fetch_add(1); }),
+             nullptr);
   for (std::size_t t = 0; t < kTasks; ++t) {
     EXPECT_EQ(ran[t].load(), 1) << "task " << t;
   }
 }
 
-TEST(RunTasksHostprof, ExceptionStillJoinsAndRethrows) {
+TEST(RunStreamHostprof, ExceptionStillJoinsAndRethrows) {
   HostProfiler prof;
-  EXPECT_THROW(
-      run_tasks(
-          kTasks, kJobs,
-          [&](std::size_t task) {
-            if (task == 3) throw std::runtime_error("task 3 boom");
-          },
-          &prof),
-      std::runtime_error);
+  EXPECT_THROW(run_stream(kJobs,
+                          stages(kTasks,
+                                 [&](std::size_t task) {
+                                   if (task == 3) throw std::runtime_error("task 3 boom");
+                                 }),
+                          &prof),
+               std::runtime_error);
   // Workers joined: their stats are consistent even on the error path.
   const ProfData data = prof.snapshot();
   for (std::size_t w = 1; w < data.timelines.size(); ++w) {
     const TimelineData& tl = data.timelines[w];
     if (!tl.worker.valid) continue;
     EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
-  }
-}
-
-// Randomized interleaving of one owner (push/take) against competing thieves
-// on the raw deque. Run under TSan by the ci gate; the assertions are the
-// exactly-once contract — every pushed task comes back exactly once, across
-// owner and thieves combined — plus bounded occupancy.
-TEST(WorkStealingDequeTsan, RandomizedOwnerAndThievesExactlyOnce) {
-  constexpr std::size_t kRounds = 4;
-  constexpr std::size_t kThieves = 3;
-  constexpr std::size_t kTotal = 4096;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    WorkStealingDeque dq(kTotal);
-    std::vector<std::atomic<int>> claimed(kTotal);
-    std::atomic<bool> owner_done{false};
-    std::atomic<std::size_t> taken{0};
-
-    std::vector<std::thread> thieves;
-    thieves.reserve(kThieves);
-    for (std::size_t i = 0; i < kThieves; ++i) {
-      thieves.emplace_back([&, i] {
-        core::Rng rng(0xFEED + round * 31 + i);
-        while (taken.load(std::memory_order_acquire) < kTotal) {
-          std::size_t task = 0;
-          if (dq.steal(task)) {
-            claimed[task].fetch_add(1, std::memory_order_relaxed);
-            taken.fetch_add(1, std::memory_order_release);
-          } else if (owner_done.load(std::memory_order_acquire) &&
-                     dq.size() == 0) {
-            break;
-          }
-          if (rng.bernoulli(0.25)) std::this_thread::yield();
-        }
-      });
-    }
-
-    // The owner interleaves pushes and takes in a seeded random pattern so
-    // the bottom end churns against the thieves' top-end CAS traffic.
-    core::Rng rng(0xACE0 + round);
-    std::size_t next = 0;
-    while (next < kTotal || dq.size() > 0) {
-      const bool can_push = next < kTotal;
-      if (can_push && (dq.size() == 0 || rng.bernoulli(0.6))) {
-        ASSERT_TRUE(dq.push(next));
-        ++next;
-      } else {
-        std::size_t task = 0;
-        if (dq.take(task)) {
-          claimed[task].fetch_add(1, std::memory_order_relaxed);
-          taken.fetch_add(1, std::memory_order_release);
-        }
-      }
-      ASSERT_LE(dq.size(), kTotal);
-    }
-    owner_done.store(true, std::memory_order_release);
-    for (std::thread& t : thieves) t.join();
-
-    EXPECT_EQ(taken.load(), kTotal) << "round " << round;
-    for (std::size_t t = 0; t < kTotal; ++t) {
-      ASSERT_EQ(claimed[t].load(), 1) << "task " << t << " round " << round;
-    }
+    EXPECT_EQ(tl.worker.steals, 0u);
   }
 }
 

@@ -1,9 +1,9 @@
 // Determinism contract of the partition-free execution plane (exec/exec.hpp
-// + the chunked simulate_fleet): the work-stealing deque hands out each task
-// exactly once, run_tasks covers [0, n) at any job count, run_stream commits
-// and folds in item order inside its ring, the analytic backend is bit-exact
-// for any chunk size, and no artifact — result, health JSON, metrics JSON,
-// span JSON — may depend on `chunk` or `jobs`.
+// + the chunked simulate_fleet): run_tasks covers [0, n) at any job count
+// and stops drawing after a throw, run_stream commits and folds in item
+// order inside its ring, the analytic backend is bit-exact for any chunk
+// size, and no artifact — result, health JSON, metrics JSON, span JSON —
+// may depend on `chunk` or `jobs`.
 #include "exec/exec.hpp"
 
 #include <gtest/gtest.h>
@@ -35,7 +35,6 @@ using exec::run_stream;
 using exec::run_tasks;
 using exec::stream_ring;
 using exec::StreamStages;
-using exec::WorkStealingDeque;
 
 TEST(StreamSeed, StreamZeroIsIdentity) {
   EXPECT_EQ(core::stream_seed(42, 0), 42u);
@@ -50,47 +49,6 @@ TEST(StreamSeed, StreamsAreDistinct) {
     seeds.insert(core::stream_seed(99, stream));
   }
   EXPECT_EQ(seeds.size(), 16u);
-}
-
-TEST(WorkStealingDeque, OwnerTakesLifoThiefStealsFifo) {
-  WorkStealingDeque dq(8);
-  for (std::size_t t = 0; t < 5; ++t) EXPECT_TRUE(dq.push(t));
-  EXPECT_EQ(dq.size(), 5u);
-  std::size_t task = 99;
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 4u);  // owner pops the newest
-  ASSERT_TRUE(dq.steal(task));
-  EXPECT_EQ(task, 0u);  // thief claims the oldest
-  ASSERT_TRUE(dq.steal(task));
-  EXPECT_EQ(task, 1u);
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 3u);
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 2u);
-  EXPECT_FALSE(dq.take(task));
-  EXPECT_FALSE(dq.steal(task));
-  EXPECT_EQ(dq.size(), 0u);
-}
-
-TEST(WorkStealingDeque, PushRefusesBeyondCapacity) {
-  WorkStealingDeque dq(4);
-  EXPECT_EQ(dq.capacity(), 4u);
-  for (std::size_t t = 0; t < 4; ++t) EXPECT_TRUE(dq.push(t));
-  EXPECT_FALSE(dq.push(4));
-  std::size_t task = 0;
-  ASSERT_TRUE(dq.steal(task));  // frees the oldest slot
-  EXPECT_TRUE(dq.push(4));
-}
-
-TEST(WorkStealingDeque, ReusableAfterDraining) {
-  WorkStealingDeque dq(2);
-  std::size_t task = 0;
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(dq.push(static_cast<std::size_t>(round)));
-    ASSERT_TRUE(round % 2 == 0 ? dq.take(task) : dq.steal(task));
-    EXPECT_EQ(task, static_cast<std::size_t>(round));
-    EXPECT_FALSE(dq.take(task));
-  }
 }
 
 TEST(ResolveJobs, ZeroMeansHardwareConcurrency) {
@@ -118,6 +76,21 @@ TEST(RunTasks, PropagatesTheFirstException) {
                            if (task == 5) throw std::runtime_error("boom");
                          }),
                std::runtime_error);
+}
+
+// A throw stops the draw: task 0 never commits, so the ring never frees a
+// slot and nothing past stream_ring(jobs) is drawn, let alone run.
+TEST(RunTasks, StopsDrawingAfterAThrow) {
+  constexpr std::size_t kJobs = 4;
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(run_tasks(1000, kJobs,
+                         [&](std::size_t task) {
+                           ran.fetch_add(1);
+                           if (task == 0) throw std::runtime_error("boom");
+                         }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1u);
+  EXPECT_LE(ran.load(), stream_ring(kJobs));
 }
 
 /// A stream of `items` items over `lanes` lanes that records what every

@@ -146,6 +146,19 @@ TEST(JsonUtil, U64FallbackForNonIntegerTokens) {
   EXPECT_EQ(parse_json(R"("9")")->as_u64(4), 4u);   // wrong type -> fallback
 }
 
+TEST(JsonUtil, U64FallbackAtOrPastTwoPow64) {
+  // No uint64 holds these; casting their double value would be undefined.
+  for (const char* text : {"18446744073709551616", "1.8446744073709552e19", "1e300",
+                           R"({"tid": 1e300})"}) {
+    const auto doc = parse_json(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    const JsonValue& value = doc->is_object() ? *doc->get("tid") : *doc;
+    EXPECT_EQ(value.as_u64(7), 7u) << text;
+  }
+  // The largest double below 2^64 still reads.
+  EXPECT_EQ(parse_json("1.8446744073709550e19")->as_u64(), 18446744073709549568ull);
+}
+
 // --- writer/reader round-trip misc -----------------------------------------
 
 TEST(JsonUtil, NonFiniteDoublesRenderAsQuotedStrings) {

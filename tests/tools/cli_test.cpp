@@ -459,6 +459,17 @@ TEST(Cli, FleetValidatesExecutionFlags) {
   EXPECT_NE(output.find("--days must be an integer >= 1"), std::string::npos);
   EXPECT_EQ(run({"fleet", "--servers", "abc"}, output), 2);
   EXPECT_NE(output.find("--servers must be an integer >= 1"), std::string::npos);
+  // --tests-per-day is each server-day's Poisson mean: garbage, a negative
+  // mean (no tests) and a NaN or huge one (the draw would hang) exit 2.
+  for (const char* bad : {"abc", "-5", "1e30", "nan", "inf", "5x", ""}) {
+    EXPECT_EQ(run({"fleet", "--servers", "2", "--days", "1", "--tests-per-day", bad},
+                  output),
+              2)
+        << bad;
+    EXPECT_NE(output.find("--tests-per-day must be a number in [0, 1e9]"),
+              std::string::npos)
+        << bad;
+  }
   // --jobs 0 is valid: it means the hardware concurrency.
   EXPECT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "50", "--jobs", "0"},
                 output),

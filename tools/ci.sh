@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite twice —
 # once plain, once under AddressSanitizer + UBSan (SWIFTEST_SANITIZE=address) —
-# plus a ThreadSanitizer job that drives the work-stealing fleet runtime
+# plus a ThreadSanitizer job that drives the chunk-stream fleet runtime
 # (SWIFTEST_SANITIZE=thread), the only place the codebase runs real threads.
 # The plain suite also runs the smoke test of perfbench/, the repo's one
 # benchmark; from bench/ only Fig 20 is gated, compared exactly against
@@ -456,7 +456,7 @@ print(f"fig20 gate passed: {len(base)} values equal the baseline exactly")
 PYEOF
 }
 
-# Release-build jobs-scaling gate: the work-stealing pool exists to make
+# Release-build jobs-scaling gate: the chunk stream exists to make
 # chunk workers scale, so prove it on a packet fleet-day at --chunk 32, run
 # at --jobs 1 and at a higher job count. Every run must write byte-identical
 # health.json. What is assertable about the wall-clock depends on the host:
@@ -549,16 +549,14 @@ run_perfbench_smoke() {
 # Chunk workers share nothing but their ring slots, handed over under the
 # stream's mutex, and the in-order commit, so a TSan-clean run certifies the
 # substrate's isolation contract; any cross-worker data race fails CI here.
-# Several gtest suites ride the same build: RunTasksHostprof drives the pool
-# with a live profiler (the reserve-before-spawn / read-after-join contract,
-# DESIGN.md §13), WorkStealingDequeTsan churns the raw Chase-Lev deque — one
-# owner push/take against competing thieves — under randomized interleavings
-# with exactly-once assertions, RunStream drives the stream under randomized
-# task durations and throwing stages, and ChunkedFleet runs whole fleets on
-# it. HealthFold and an analytic fleet-day at --jobs 4 (its health JSON
-# cmp'd against --jobs 1) drive the streaming health fold on the stream,
-# whose lanes feed disjoint HealthMonitor cells while the in-order commit
-# creates new ones. The model fits share the same pool: the
+# Several gtest suites ride the same build: RunStreamHostprof drives the
+# stream with a live profiler (the reserve-before-spawn / read-after-join
+# contract, DESIGN.md §13), RunStream drives it under randomized task
+# durations and throwing stages, and ChunkedFleet runs whole fleets on it.
+# HealthFold and an analytic fleet-day at --jobs 4 (its health JSON cmp'd
+# against --jobs 1) drive the streaming health fold on the stream, whose
+# lanes feed disjoint HealthMonitor cells while the in-order commit creates
+# new ones. The model fits share the same pool through run_tasks: the
 # many-sets fit_gmm_bic must equal serial fits bit for bit, and the pinned
 # fits (one BIC pick, one registry refresh) must not move under TSan.
 run_tsan_fleet() {
@@ -569,9 +567,9 @@ run_tsan_fleet() {
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
     --target swiftest-cli --target test_deploy --target test_obs \
     --target test_stats --target test_swiftest
-  echo "=== TSan work-stealing pool + raw deque + chunk stream + health fold + chunked fleets (live contention) ==="
+  echo "=== TSan chunk stream + its profiler + health fold + chunked fleets (live contention) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
-    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*:RunStream.*:HealthFold.*:ChunkedFleet.*'
+    --gtest_filter='RunStreamHostprof.*:RunStream.*:HealthFold.*:ChunkedFleet.*'
   echo "=== TSan P2 bit-exactness pins (integer-position P2 vs reference, observe_all) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_obs" \
     --gtest_filter='P2Quantile.BitExactAgainstDoublePositionReference:StreamingAggregate.ObserveAllMatchesRepeatedObserve'

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -100,9 +101,10 @@ std::string usage() {
       "  fleet    [--servers N] [--days D] [--tests-per-day N]\n"
       "           [--backend analytic|packet] [--chunk N] [--jobs N]\n"
       "           --chunk bounds the tests per execution chunk (default 256);\n"
-      "           --jobs replays chunks on up to N work-stealing worker\n"
-      "           threads (0 = hardware concurrency). Every artifact is a pure\n"
-      "           function of (config, seed): neither flag changes any output.\n"
+      "           --jobs streams chunks through up to N worker threads, drawn,\n"
+      "           run and committed in order (0 = hardware concurrency). Every\n"
+      "           artifact is a pure function of (config, seed): neither flag\n"
+      "           changes any output.\n"
       "  trace    analyze FILE [--json OUT] [--md OUT]\n"
       "           critical-path latency attribution of a span JSON file\n"
       "  profile  report FILE [--md OUT]\n"
@@ -768,7 +770,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   cfg.obs = hub.get();
   cfg.health = health.get();
   cfg.hostprof = hostprof.get();
-  cfg.tests_per_day = options.get_double("tests-per-day", 10'000.0);
   cfg.seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
   // Strict manual parses: std::stol would throw (or silently truncate) on
   // garbage, and these flags size the run or gate a thread pool — fail
@@ -804,6 +805,19 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (!jobs) return 2;
   const auto chunk = parse_count("chunk", 0, 1);
   if (!chunk) return 2;
+  // --tests-per-day is each server-day's Poisson mean: a NaN or huge mean
+  // would hang the draw and a negative one silently runs nothing.
+  if (options.has("tests-per-day")) {
+    const std::string text = options.get("tests-per-day", "");
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || ptr != text.data() + text.size() || !(value >= 0.0) ||
+        value > 1e9) {
+      out << "--tests-per-day must be a number in [0, 1e9] (got '" << text << "')\n";
+      return 2;
+    }
+    cfg.tests_per_day = value;
+  }
   cfg.server_count = static_cast<std::size_t>(*servers);
   cfg.days = static_cast<int>(*days);
   cfg.jobs = static_cast<std::size_t>(*jobs);
@@ -852,7 +866,7 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   mf.config = run_config;
   // The partition-invariance contract itself — constant across runs, so
   // `obs diff --expect-identical` holds across any {chunk, jobs} matrix.
-  mf.config.emplace_back("executor", "chunked-work-stealing/partition-invariant");
+  mf.config.emplace_back("executor", "chunk-stream/partition-invariant");
   mf.config.insert(mf.config.end(), obs_config.begin(), obs_config.end());
   if (!cfg.obs_spill_dir.empty()) mf.config.emplace_back("obs.spill", "on");
 
