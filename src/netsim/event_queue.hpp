@@ -97,13 +97,13 @@ class CalendarEventQueue {
     return true;
   }
 
-  EventKey pop() {
-    EventKeyHeap* src = select_source();
-    assert(src != nullptr);
-    EventKey key = src->top();
-    src->pop();
+  /// Removes the key the last peek() returned. Call only right after a
+  /// peek() that returned true, with no push in between: peek() left that
+  /// key on top of the active heap, so no source is selected again.
+  void pop_peeked() {
+    assert(!active_.empty());
+    active_.pop();
     --size_;
-    return key;
   }
 
  private:

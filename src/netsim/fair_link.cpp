@@ -6,7 +6,7 @@
 namespace swiftest::netsim {
 
 FairLink::FairLink(Scheduler& sched, FairLinkConfig config, core::Rng rng)
-    : sched_(sched), config_(config), rng_(std::move(rng)), pool_(sched.transit_pool()) {}
+    : LinkBase(sched.transit_pool()), sched_(sched), config_(config), rng_(std::move(rng)) {}
 
 void FairLink::bind_obs() {
   obs_.bound = true;
@@ -25,10 +25,12 @@ std::uint32_t FairLink::flow_slot(std::uint64_t flow_id) {
   return it->second;
 }
 
-void FairLink::send(Packet packet, DeliveryFn sink) {
+void FairLink::send_node(std::uint32_t node_idx) {
   ++stats_.packets_sent;
-  const core::Bytes size(packet.size_bytes);
-  const std::uint32_t slot = flow_slot(packet.flow_id);
+  TransitNode& node = pool_.at(node_idx);
+  const core::Bytes size(node.packet.size_bytes);
+  const std::uint64_t flow_id = node.packet.flow_id;
+  const std::uint32_t slot = flow_slot(flow_id);
   FlowQueue& flow = flows_[slot];
   if (flow.queued + size > config_.per_flow_queue) {
     ++stats_.queue_drops;
@@ -37,10 +39,11 @@ void FairLink::send(Packet packet, DeliveryFn sink) {
       obs_.queue_drops->inc();
       if (auto* tr = sched_.tracer(obs::Category::kLink)) {
         tr->record(sched_.now(), obs::Category::kLink, obs::EventKind::kInstant,
-                   "fairlink.drop", packet.flow_id,
+                   "fairlink.drop", flow_id,
                    static_cast<double>(flow.queued.count()));
       }
     }
+    pool_.release(node_idx);
     return;
   }
   if (flow.head == kTransitNil) {
@@ -48,11 +51,6 @@ void FairLink::send(Packet packet, DeliveryFn sink) {
     flow.deficit = 0;
   }
   flow.queued += size;
-  const std::uint64_t flow_id = packet.flow_id;
-  const std::uint32_t node_idx = pool_.alloc();
-  TransitNode& node = pool_.at(node_idx);
-  node.packet = std::move(packet);
-  node.sink = std::move(sink);
   if (flow.tail == kTransitNil) {
     flow.head = node_idx;
   } else {
@@ -125,10 +123,15 @@ void FairLink::complete_serialize(std::uint32_t slot) {
     pool_.release(node_idx);
   } else {
     flow.delivered_bytes += size;
-    sched_.schedule_in(config_.propagation_delay,
-                       [this, node_idx] { deliver(node_idx); });
+    if (config_.propagation_delay > 0) {
+      sched_.schedule_in(config_.propagation_delay,
+                         [this, node_idx] { deliver(node_idx); });
+    }
   }
   serve_next();
+  // Zero propagation (a fleet server's egress): deliver inline, after the
+  // next packet has started, instead of via a same-instant event.
+  if (!corrupted && config_.propagation_delay == 0) deliver(node_idx);
 }
 
 void FairLink::deliver(std::uint32_t node_idx) {
@@ -144,11 +147,7 @@ void FairLink::deliver(std::uint32_t node_idx) {
                  static_cast<double>(node.packet.size_bytes));
     }
   }
-  // Detach before invoking: the sink may re-enter send() and grow the pool.
-  DeliveryFn sink = std::move(node.sink);
-  Packet pkt = std::move(node.packet);
-  pool_.release(node_idx);
-  sink(pkt);
+  hand_on(node_idx);
 }
 
 void FairLink::set_rate(core::Bandwidth rate) { config_.rate = rate; }

@@ -40,8 +40,9 @@ class FairLink final : public LinkBase {
  public:
   FairLink(Scheduler& sched, FairLinkConfig config, core::Rng rng);
 
-  /// Enqueues into the packet's flow queue (keyed by Packet::flow_id).
-  void send(Packet packet, DeliveryFn sink) override;
+  /// Enqueues a node into its packet's flow queue (keyed by
+  /// Packet::flow_id), or drops (and releases) it when that queue is full.
+  void send_node(std::uint32_t idx) override;
 
   void set_rate(core::Bandwidth rate) override;
 
@@ -84,7 +85,6 @@ class FairLink final : public LinkBase {
   std::vector<FlowQueue> flows_;  // dense, indexed by slot, never shrinks
   std::unordered_map<std::uint64_t, std::uint32_t> flow_index_;  // id -> slot
   std::deque<std::uint32_t> round_robin_;  // flow slots with queued packets
-  TransitPool& pool_;  // the scheduler's shared per-shard pool
   bool serving_ = false;
   LinkStats stats_;
   ObsHandles obs_;

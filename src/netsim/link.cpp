@@ -5,7 +5,7 @@
 namespace swiftest::netsim {
 
 Link::Link(Scheduler& sched, LinkConfig config, core::Rng rng)
-    : sched_(sched), config_(config), rng_(std::move(rng)), pool_(sched.transit_pool()) {}
+    : LinkBase(sched.transit_pool()), sched_(sched), config_(config), rng_(std::move(rng)) {}
 
 void Link::bind_obs() {
   obs_.bound = true;
@@ -17,9 +17,10 @@ void Link::bind_obs() {
   obs_.queued_bytes = &m.gauge("link.queued_bytes");
 }
 
-void Link::send(Packet packet, DeliveryFn sink) {
+void Link::send_node(std::uint32_t node_idx) {
   ++stats_.packets_sent;
-  const core::Bytes size(packet.size_bytes);
+  TransitNode& node = pool_.at(node_idx);
+  const core::Bytes size(node.packet.size_bytes);
   if (queued_ + size > config_.queue_capacity) {
     ++stats_.queue_drops;
     if (sched_.obs() != nullptr) {
@@ -27,17 +28,14 @@ void Link::send(Packet packet, DeliveryFn sink) {
       obs_.queue_drops->inc();
       if (auto* tr = sched_.tracer(obs::Category::kLink)) {
         tr->record(sched_.now(), obs::Category::kLink, obs::EventKind::kInstant,
-                   "link.drop", packet.flow_id,
+                   "link.drop", node.packet.flow_id,
                    static_cast<double>(queued_.count()));
       }
     }
+    pool_.release(node_idx);
     return;
   }
   queued_ += size;
-  const std::uint32_t node_idx = pool_.alloc();
-  TransitNode& node = pool_.at(node_idx);
-  node.packet = std::move(packet);
-  node.sink = std::move(sink);
   if (queue_tail_ == kTransitNil) {
     queue_head_ = node_idx;
   } else {
@@ -87,11 +85,14 @@ void Link::complete_serialize() {
       obs_.random_drops->inc();
     }
     pool_.release(node_idx);
-  } else {
+  } else if (config_.propagation_delay > 0) {
     sched_.schedule_in(config_.propagation_delay,
                        [this, node_idx] { deliver(node_idx); });
   }
   serve_next();
+  // Zero propagation (a Path's private server egress): deliver inline,
+  // after the next packet has started, instead of via a same-instant event.
+  if (!corrupted && config_.propagation_delay == 0) deliver(node_idx);
 }
 
 void Link::deliver(std::uint32_t node_idx) {
@@ -107,11 +108,7 @@ void Link::deliver(std::uint32_t node_idx) {
                  static_cast<double>(node.packet.size_bytes));
     }
   }
-  // Detach before invoking: the sink may re-enter send() and grow the pool.
-  DeliveryFn sink = std::move(node.sink);
-  Packet pkt = std::move(node.packet);
-  pool_.release(node_idx);
-  sink(pkt);
+  hand_on(node_idx);
 }
 
 void Link::set_rate(core::Bandwidth rate) { config_.rate = rate; }

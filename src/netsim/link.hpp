@@ -32,9 +32,9 @@ class Link final : public LinkBase {
  public:
   Link(Scheduler& sched, LinkConfig config, core::Rng rng);
 
-  /// Enqueues a packet; it will be delivered to `sink` after queueing,
-  /// serialization, and propagation, unless dropped.
-  void send(Packet packet, DeliveryFn sink) override;
+  /// Enqueues a node at the queue tail, or drops (and releases) it when the
+  /// DropTail buffer is full.
+  void send_node(std::uint32_t idx) override;
 
   [[nodiscard]] const LinkStats& stats() const noexcept override { return stats_; }
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
@@ -67,9 +67,7 @@ class Link final : public LinkBase {
   core::Rng rng_;
   core::Bytes queued_{0};
   // FIFO of pooled nodes chained through TransitNode::next — no per-packet
-  // heap allocation in steady state. The pool is the scheduler's (shared by
-  // all links/paths on this shard and guaranteed to outlive them).
-  TransitPool& pool_;
+  // heap allocation in steady state.
   std::uint32_t queue_head_ = kTransitNil;
   std::uint32_t queue_tail_ = kTransitNil;
   bool serving_ = false;

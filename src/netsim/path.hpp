@@ -41,6 +41,8 @@ class Path {
   void attach_server_egress(LinkBase& egress);
 
   /// Server -> client: (optional egress link,) backbone delay, access link.
+  /// One transit node carries the packet the whole way; a link that drops
+  /// it releases the node and `client_sink` with it.
   void send_downstream(Packet packet, DeliveryFn client_sink);
 
   /// Client -> server: pure delay, lossless.
@@ -60,41 +62,12 @@ class Path {
     return owned_egress_ ? owned_egress_.get() : shared_egress_;
   }
 
-  // A packet in flight is one pooled transit node carrying the client sink
-  // (and, on the backbone leg, the packet itself); every closure involved
-  // captures only {this, node index}. The hop functors below are refcounted
-  // owners of the node, so a link that drops the packet — destroying the
-  // delivery functor it was handed without invoking it — releases the node
-  // and its captured sink with it. Hops release through the scheduler-owned
-  // pool, never through the Path: a link being torn down may destroy hops
-  // after the Path itself is already gone.
-  struct Hop {
-    Path* path = nullptr;       // only dereferenced on invocation
-    TransitPool* pool = nullptr;  // outlives every link and path
-    std::uint32_t node = 0;
-    Hop(Path* p, std::uint32_t n) noexcept : path(p), pool(&p->pool_), node(n) {}
-    Hop(const Hop& o) noexcept : path(o.path), pool(o.pool), node(o.node) {
-      if (pool != nullptr) pool->add_ref(node);
-    }
-    Hop(Hop&& o) noexcept : path(o.path), pool(o.pool), node(o.node) { o.pool = nullptr; }
-    Hop& operator=(const Hop&) = delete;
-    Hop& operator=(Hop&&) = delete;
-    ~Hop() {
-      if (pool != nullptr) pool->release(node);
-    }
-  };
-  struct EgressHop : Hop {
-    using Hop::Hop;
-    void operator()(const Packet& pkt) const { path->enter_backbone(node, pkt); }
-  };
-  struct AccessHop : Hop {
-    using Hop::Hop;
-    void operator()(const Packet& pkt) const { path->finish_downstream(node, pkt); }
-  };
-
-  void enter_backbone(std::uint32_t node, const Packet& pkt);
-  void start_backbone(std::uint32_t node, Packet pkt);
-  void finish_downstream(std::uint32_t node, const Packet& pkt);
+  // A downstream packet is one pooled transit node for its whole trip. The
+  // egress link hands it back here (LinkBase::hand_on); the backbone timer
+  // then queues the same node on the access link, which ends the trip in
+  // the client sink. Events capture only {this, node index}.
+  friend class LinkBase;
+  void start_backbone(std::uint32_t node);
 
   Scheduler& sched_;
   LinkBase& link_;

@@ -70,7 +70,7 @@ EventHandle Scheduler::schedule_in(core::SimDuration delay, Task fn) {
 void Scheduler::run_until(core::SimTime deadline) {
   EventKey key;
   while (calendar_.peek(key) && key.when <= deadline) {
-    calendar_.pop();
+    calendar_.pop_peeked();
     EventSlot& slot = slots_[key.slot];
     // The clock advances even for cancelled events (legacy behavior).
     now_ = key.when;

@@ -145,9 +145,9 @@ class Scheduler {
   [[nodiscard]] PayloadArena& payload_arena() noexcept { return payloads_; }
 
   /// Pool of in-flight packet nodes shared by every link and path driven by
-  /// this scheduler. Owned here — not by the links — because delivery
-  /// functors release nodes from their destructors during component
-  /// teardown, and only the scheduler reliably outlives all components.
+  /// this scheduler. Owned here — not by the links — because a node moves
+  /// between links and paths during its trip, and only the scheduler
+  /// reliably outlives all of them.
   [[nodiscard]] TransitPool& transit_pool() noexcept { return transits_; }
 
   /// Allocation accounting for the zero-allocation steady-state gate:

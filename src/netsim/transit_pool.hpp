@@ -1,34 +1,41 @@
 // Pooled in-flight packet nodes.
 //
-// Links and Paths used to carry each in-flight packet inside a closure
-// (capturing a Packet plus its DeliveryFn by value — ~150 bytes, a heap
-// allocation per hop per packet). TransitPool keeps those {Packet, sink}
-// pairs in a free-listed slab addressed by 32-bit index, so the closures a
-// hop schedules capture only {this, index}. Nodes are refcounted because a
-// Path hands a node through a link it does not control: the link invoking —
-// or dropping — the delivery functor releases the ref via the functor's
-// destructor, which makes packet drops leak-free by construction.
+// A packet in flight is one TransitNode in a free-listed slab addressed by
+// 32-bit index, so the events a hop schedules capture only {this, index}.
+// A downstream packet keeps the node Path::send_downstream allocated for
+// its whole trip (see path.hpp), and the packet is never copied between
+// hops. A node has exactly one owner at a time — the link queueing it, the
+// event carrying it, or its Path between the two — and whoever drops it
+// releases it, so drops cannot leak and no refcount is needed.
 //
-// `next` doubles as the free-list link and an intrusive queue link (FairLink
-// chains a flow's queued packets through it); a node is never on both.
+// `next` doubles as the free-list link and an intrusive queue link (links
+// chain queued packets through it); a node is never on both.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <utility>
 
-#include "netsim/link_base.hpp"
+#include "core/small_fn.hpp"
 #include "netsim/packet.hpp"
 
 namespace swiftest::netsim {
+
+class Path;
+
+/// Delivery callback. 48 inline bytes: every hot-path client sink fits
+/// without a heap allocation; oversized captures fall back to the heap and
+/// are counted (see core::small_fn_heap_allocations).
+using DeliveryFn = core::SmallFn<void(const Packet&), 48>;
 
 inline constexpr std::uint32_t kTransitNil = 0xffffffffu;
 
 struct TransitNode {
   Packet packet;
-  LinkBase::DeliveryFn sink;
-  std::uint32_t refs = 0;
+  DeliveryFn sink;
+  // Set while the node crosses its Path's egress link, which hands it back
+  // to the Path; null on a last leg, which ends in `sink`.
+  Path* path = nullptr;
   std::uint32_t next = kTransitNil;
 };
 
@@ -38,7 +45,7 @@ class TransitPool {
   TransitPool(const TransitPool&) = delete;
   TransitPool& operator=(const TransitPool&) = delete;
 
-  /// Allocates a node with one reference and vacant packet/sink slots.
+  /// Allocates a node with vacant packet/sink slots and no Path.
   std::uint32_t alloc() {
     std::uint32_t idx;
     if (free_head_ != kTransitNil) {
@@ -48,9 +55,7 @@ class TransitPool {
       idx = static_cast<std::uint32_t>(nodes_.size());
       nodes_.emplace_back();
     }
-    TransitNode& n = nodes_[idx];
-    n.refs = 1;
-    n.next = kTransitNil;
+    nodes_[idx].next = kTransitNil;
     ++live_;
     if (live_ > peak_live_) peak_live_ = live_;
     return idx;
@@ -58,20 +63,26 @@ class TransitPool {
 
   [[nodiscard]] TransitNode& at(std::uint32_t idx) noexcept { return nodes_[idx]; }
 
-  void add_ref(std::uint32_t idx) noexcept { ++nodes_[idx].refs; }
-
   void release(std::uint32_t idx) noexcept {
     TransitNode& n = nodes_[idx];
-    assert(n.refs > 0);
-    if (--n.refs == 0) {
-      // Drop payload/sink refcounts now; a node parked on the free list must
-      // not pin arena payloads or captured state until its slot is reused.
-      n.packet = Packet{};
-      n.sink.reset();
-      n.next = free_head_;
-      free_head_ = idx;
-      --live_;
-    }
+    // Drop payload/sink refcounts now; a node parked on the free list must
+    // not pin arena payloads or captured state until its slot is reused.
+    n.packet = Packet{};
+    n.sink.reset();
+    n.path = nullptr;
+    n.next = free_head_;
+    free_head_ = idx;
+    --live_;
+  }
+
+  /// Ends a node's trip: releases it, then hands its packet to its sink.
+  /// Both are detached first — the sink may re-enter and reuse the slot.
+  void deliver(std::uint32_t idx) {
+    TransitNode& n = nodes_[idx];
+    DeliveryFn sink = std::move(n.sink);
+    Packet pkt = std::move(n.packet);
+    release(idx);
+    sink(pkt);
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return nodes_.size(); }

@@ -268,8 +268,8 @@ TEST(FleetSampling, PacketOneInEightSampledRunRecordsAtMostAQuarterOfTheTrace) {
   EXPECT_EQ(sampled.span_count, 158u);
   EXPECT_EQ(full.span_suppressed, 0u);
   EXPECT_EQ(sampled.span_suppressed, 288u);
-  EXPECT_EQ(full.trace_recorded, 15'698'533u);
-  EXPECT_EQ(sampled.trace_recorded, 1'207'841u);
+  EXPECT_EQ(full.trace_recorded, 14'122'759u);
+  EXPECT_EQ(sampled.trace_recorded, 1'091'413u);
 }
 
 TEST(FleetSampling, PacketTraceHoldsOnlySampledTests) {

@@ -50,8 +50,10 @@ TEST(CalendarEventQueue, MatchesReferenceHeapUnderSchedulerContract) {
     EXPECT_EQ(head.slot, want.slot) << "peek after " << pops << " pops";
     return true;
   };
-  const auto pop = [&] {
-    const EventKey got = calendar.pop();
+  // Pops the key a successful peek just returned, as Scheduler::run_until()
+  // does; the next peek checks what pop_peeked() left on top.
+  const auto pop = [&](const EventKey& got) {
+    calendar.pop_peeked();
     const EventKey want = reference.top();
     reference.pop();
     EXPECT_EQ(got.when, want.when) << "pop " << pops;
@@ -64,7 +66,7 @@ TEST(CalendarEventQueue, MatchesReferenceHeapUnderSchedulerContract) {
   // deadline. The failing exit peek may sweep a future bucket or rebase.
   const auto run_until = [&](core::SimTime deadline) {
     EventKey head;
-    while (peek(head) && head.when <= deadline) pop();
+    while (peek(head) && head.when <= deadline) pop(head);
     now = std::max(now, deadline);
   };
 
@@ -98,7 +100,7 @@ TEST(CalendarEventQueue, MatchesReferenceHeapUnderSchedulerContract) {
         peek(head);
         break;
       case 1:
-        if (peek(head)) pop();
+        if (peek(head)) pop(head);
         break;
       case 2:  // long park: often drains the ring and rebases on exit
         run_until(now + rng.uniform_int(milliseconds(200), milliseconds(600)));

@@ -118,6 +118,60 @@ TEST(FairLink, DeliveryAfterPropagation) {
   EXPECT_EQ(delivered_at, milliseconds(11));  // 1 ms serialization + 10 ms prop
 }
 
+// A zero-delay FairLink delivers inline as serialization completes: one
+// event per packet, each delivery at its completion instant, in the DRR
+// order a delayed link keeps (shifted by its delay, at two events per
+// packet).
+TEST(FairLink, ZeroDelayDeliversInlineAtCompletion) {
+  struct Delivery {
+    std::uint64_t flow;
+    std::int64_t seq;
+    core::SimTime when;
+  };
+  struct Run {
+    std::vector<Delivery> deliveries;
+    std::uint64_t events = 0;
+  };
+  const auto run = [](core::SimDuration delay) {
+    Scheduler sched;
+    FairLink link(sched, FairLinkConfig{Bandwidth::mbps(8), delay}, core::Rng(1));
+    Run out;
+    // Flow 1 sends 1000 B packets, flow 2 400 B ones: DRR interleaves them
+    // unevenly, so the order pins the deficit bookkeeping too.
+    for (int i = 0; i < 6; ++i) {
+      for (std::uint64_t flow = 1; flow <= 2; ++flow) {
+        Packet pkt = make_packet(flow, flow == 1 ? 1000 : 400);
+        pkt.seq = i;
+        link.send(pkt, [&](const Packet& p) {
+          out.deliveries.push_back({p.flow_id, p.seq, sched.now()});
+        });
+      }
+    }
+    sched.run();
+    out.events = sched.events_executed();
+    return out;
+  };
+  const Run inline_run = run(0);
+  const Run delayed = run(milliseconds(3));
+  EXPECT_EQ(inline_run.events, 12u);
+  EXPECT_EQ(delayed.events, 24u);
+  ASSERT_EQ(inline_run.deliveries.size(), 12u);
+  ASSERT_EQ(delayed.deliveries.size(), 12u);
+  // Quantum 1500 B. Flow 1's first packet starts alone; its carried-over
+  // deficit then covers two more before flow 2 gets three a round.
+  const std::uint64_t kDrrOrder[] = {1, 1, 1, 2, 2, 2, 1, 2, 2, 2, 1, 1};
+  core::SimTime completes = 0;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const Delivery& d = inline_run.deliveries[i];
+    EXPECT_EQ(d.flow, kDrrOrder[i]) << i;
+    completes += core::microseconds(d.flow == 1 ? 1000 : 400);  // 1 byte/us
+    EXPECT_EQ(d.when, completes) << i;
+    EXPECT_EQ(delayed.deliveries[i].flow, d.flow) << i;
+    EXPECT_EQ(delayed.deliveries[i].seq, d.seq) << i;
+    EXPECT_EQ(delayed.deliveries[i].when, completes + milliseconds(3)) << i;
+  }
+}
+
 TEST(FairLink, RandomLossCounted) {
   Scheduler sched;
   FairLinkConfig cfg{Bandwidth::gbps(1), 0};

@@ -51,6 +51,46 @@ TEST(Link, BackToBackPacketsQueueBehindEachOther) {
   EXPECT_EQ(deliveries[2], milliseconds(3));
 }
 
+// A zero-delay link delivers inline as serialization completes: one event
+// per packet, each delivery at its completion instant, in the order a
+// delayed link keeps (shifted by its delay, at two events per packet).
+TEST(Link, ZeroDelayDeliversInlineAtCompletion) {
+  struct Run {
+    std::vector<std::pair<std::int64_t, SimTime>> deliveries;  // (seq, when)
+    std::uint64_t events = 0;
+  };
+  const auto run = [](core::SimDuration delay) {
+    Scheduler sched;
+    LinkConfig cfg;
+    cfg.rate = Bandwidth::mbps(8);
+    cfg.propagation_delay = delay;
+    Link link(sched, cfg, core::Rng(1));
+    Run out;
+    for (int i = 0; i < 5; ++i) {
+      Packet pkt = make_packet(500 * (1 + i % 2));  // 0.5 or 1 ms each
+      pkt.seq = i;
+      link.send(pkt, [&](const Packet& p) { out.deliveries.emplace_back(p.seq, sched.now()); });
+    }
+    sched.run();
+    out.events = sched.events_executed();
+    return out;
+  };
+  const Run inline_run = run(0);
+  const Run delayed = run(milliseconds(3));
+  EXPECT_EQ(inline_run.events, 5u);
+  EXPECT_EQ(delayed.events, 10u);
+  ASSERT_EQ(inline_run.deliveries.size(), 5u);
+  ASSERT_EQ(delayed.deliveries.size(), 5u);
+  SimTime completes = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    completes += core::microseconds(500 * (1 + static_cast<std::int64_t>(i) % 2));
+    EXPECT_EQ(inline_run.deliveries[i].first, static_cast<std::int64_t>(i));
+    EXPECT_EQ(inline_run.deliveries[i].second, completes);
+    EXPECT_EQ(delayed.deliveries[i].first, inline_run.deliveries[i].first);
+    EXPECT_EQ(delayed.deliveries[i].second, completes + milliseconds(3));
+  }
+}
+
 TEST(Link, QueueOverflowDropsTail) {
   Scheduler sched;
   LinkConfig cfg;

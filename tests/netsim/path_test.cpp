@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "netsim/fair_link.hpp"
 #include "netsim/scenario.hpp"
 #include "netsim/udp.hpp"
 #include "swiftest/client.hpp"
@@ -90,6 +92,104 @@ TEST(Path, ServerEgressCannotBeSetAfterTraffic) {
   EXPECT_THROW(path.set_server_egress(Bandwidth::mbps(100), core::Rng(3)),
                std::logic_error);
   EXPECT_THROW(path.attach_server_egress(shared), std::logic_error);
+}
+
+// A client sink that records its own destruction: `owner` moves with the
+// callable, so each sink sent counts exactly one owning destruction however
+// often the pool relocates it. Copies would be extra owners; none is made.
+struct CountedSink {
+  std::vector<int>* destroyed = nullptr;
+  int* copies = nullptr;
+  int* delivered = nullptr;
+  std::size_t id = 0;
+  bool owner = true;
+
+  CountedSink(std::vector<int>* d, int* c, int* n, std::size_t i)
+      : destroyed(d), copies(c), delivered(n), id(i) {}
+  CountedSink(const CountedSink& o)
+      : destroyed(o.destroyed), copies(o.copies), delivered(o.delivered), id(o.id) {
+    ++*copies;
+  }
+  CountedSink(CountedSink&& o) noexcept
+      : destroyed(o.destroyed), copies(o.copies), delivered(o.delivered), id(o.id) {
+    o.owner = false;
+  }
+  CountedSink& operator=(const CountedSink&) = delete;
+  CountedSink& operator=(CountedSink&&) = delete;
+  ~CountedSink() {
+    if (owner) ++(*destroyed)[id];
+  }
+  void operator()(const Packet&) const { ++*delivered; }
+};
+
+struct OwnershipCase {
+  const char* name;
+  FairLinkConfig egress;
+  LinkConfig access;
+};
+
+// A fleet-shaped path — shared zero-delay FairLink egress, backbone delay,
+// DropTail access Link — loses packets at each of its four drop sites.
+// Whatever drops a packet must release its one transit node and destroy
+// the client sink with it; nothing may leak or be released twice.
+TEST(Path, EveryDropReleasesItsNodeAndSinkExactlyOnce) {
+  const auto egress_cfg = [](core::Bytes per_flow, double loss) {
+    FairLinkConfig cfg{Bandwidth::mbps(100), 0};
+    cfg.per_flow_queue = per_flow;
+    cfg.random_loss = loss;
+    return cfg;
+  };
+  const auto access_cfg = [](core::Bytes queue, double loss) {
+    LinkConfig cfg{Bandwidth::mbps(50), milliseconds(5)};
+    cfg.queue_capacity = queue;
+    cfg.random_loss = loss;
+    return cfg;
+  };
+  const OwnershipCase cases[] = {
+      {"egress per-flow overflow", egress_cfg(core::Bytes(20'000), 0.0),
+       access_cfg(core::megabytes(8), 0.0)},
+      {"access DropTail overflow", egress_cfg(core::megabytes(8), 0.0),
+       access_cfg(core::Bytes(20'000), 0.0)},
+      {"egress random loss", egress_cfg(core::megabytes(8), 0.25),
+       access_cfg(core::megabytes(8), 0.0)},
+      {"access random loss", egress_cfg(core::megabytes(8), 0.0),
+       access_cfg(core::megabytes(8), 0.25)},
+  };
+  constexpr std::size_t kSent = 400;
+  for (const OwnershipCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Scheduler sched;
+    FairLink egress(sched, c.egress, core::Rng(11));
+    Link access(sched, c.access, core::Rng(12));
+    Path path(sched, access, milliseconds(7));
+    path.attach_server_egress(egress);
+
+    std::vector<int> destroyed(kSent, 0);
+    int copies = 0;
+    int delivered = 0;
+    for (std::size_t i = 0; i < kSent; ++i) {
+      Packet pkt;
+      pkt.flow_id = 1 + i % 2;
+      pkt.seq = static_cast<std::int64_t>(i);
+      pkt.size_bytes = 1000;
+      path.send_downstream(pkt, CountedSink(&destroyed, &copies, &delivered, i));
+    }
+    sched.run();
+
+    const LinkStats& e = egress.stats();
+    const LinkStats& a = access.stats();
+    const std::uint64_t dropped =
+        e.queue_drops + e.random_drops + a.queue_drops + a.random_drops;
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(delivered, 0);
+    EXPECT_EQ(static_cast<std::uint64_t>(delivered) + dropped, kSent);
+    EXPECT_EQ(a.packets_delivered, static_cast<std::uint64_t>(delivered));
+    EXPECT_EQ(sched.transit_pool().live(), 0u);
+    EXPECT_EQ(copies, 0);
+    for (std::size_t i = 0; i < kSent; ++i) {
+      EXPECT_EQ(destroyed[i], 1) << "sink " << i;
+    }
+  }
 }
 
 TEST(Scenario, ServerUplinkConfigCapsSingleServerTests) {

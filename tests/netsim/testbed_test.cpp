@@ -108,6 +108,55 @@ TEST(Testbed, AddClientMidSimulation) {
   EXPECT_GT(bytes, 0);
 }
 
+// The per-packet event budget, pinned without perfbench: one fleet-shaped
+// wire test — a client slot on 8 x 100 Mbps shared egress, a ServerFleet,
+// a WireClient forced onto one server, as the packet backend runs each
+// arrival. Every count is a pure function of the seed, so a change that
+// adds events (or transit nodes) per datagram fails here exactly.
+TEST(Testbed, FleetShapedWireTestEventBudget) {
+  TestbedConfig cfg;
+  cfg.fleet.server_count = 8;
+  cfg.fleet.server_uplink = Bandwidth::mbps(100);
+  ClientAccessConfig slot;
+  slot.access_rate = Bandwidth::mbps(1000);
+  cfg.clients = {slot};
+  Testbed testbed(cfg, 2024);
+  swift::ServerConfig server_cfg;
+  server_cfg.uplink = Bandwidth::mbps(100);
+  swift::ServerFleet fleet(testbed, server_cfg);
+  ClientContext& ctx = testbed.client(0);
+  ctx.access_link().set_rate(Bandwidth::mbps(240));  // needs three servers
+
+  const swift::ModelRegistry registry;
+  swift::SwiftestConfig wc_cfg;
+  wc_cfg.tech = dataset::AccessTech::k5G;
+  wc_cfg.server_uplink_mbps = 100.0;
+  swift::WireClient wire(wc_cfg, registry, server_cfg);
+  wire.attach_fleet(fleet);
+  wire.set_forced_server(3);
+  double estimate = -1.0;
+  wire.start(ctx, [&estimate](const bts::BtsResult& r) { estimate = r.bandwidth_mbps; });
+  Scheduler& sched = testbed.scheduler();
+  sched.run_until(seconds(40));
+
+  EXPECT_NEAR(estimate, 240.0, 24.0);
+  std::uint64_t egress_delivered = 0;
+  for (std::size_t s = 0; s < testbed.server_count(); ++s) {
+    egress_delivered += testbed.server_egress(s)->stats().packets_delivered;
+  }
+  const std::uint64_t datagrams = ctx.access_link().stats().packets_delivered;
+  // 87,004 events for 17,279 datagrams: each pays its egress serialization,
+  // backbone timer, access serialization and access delivery (an egress
+  // delivery at zero delay is inline, not an event) plus the client's
+  // pacing and the protocol's control traffic. One transit node per
+  // datagram in flight.
+  EXPECT_EQ(datagrams, 17'279u);
+  EXPECT_EQ(egress_delivered, 17'440u);
+  EXPECT_EQ(sched.events_executed(), 87'004u);
+  EXPECT_EQ(sched.transit_pool().capacity(), 4'920u);
+  EXPECT_EQ(sched.transit_pool().live(), 0u);
+}
+
 TEST(Scenario, FacadeIsDeterministicPerSeed) {
   // Two facade scenarios with one seed must produce bit-identical topology
   // and ping draws (the whole legacy RNG draw order is preserved).

@@ -476,6 +476,43 @@ TEST(Cli, FleetValidatesExecutionFlags) {
             0);
 }
 
+// Every numeric flag goes through one strict parse: the whole token, a
+// finite value, the flag's range, else exit 2 naming the flag. Garbage used
+// to exit 1 from a std::stod/std::stol exception, and `plan` printed a plan
+// for "nan tests/day" or "-5 tests/day".
+TEST(Cli, NumericFlagsAreStrict) {
+  const std::string csv = testing::TempDir() + "/cli_strict.csv";
+  const std::vector<std::string> fleet = {"fleet", "--days", "1", "--servers", "2",
+                                          "--tests-per-day", "10"};
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"plan"}, "--tests-per-day"},
+      {fleet, "--seed"},
+      {fleet, "--obs-budget-mb"},
+      {{"campaign", "--out", csv}, "--tests"},
+      {{"campaign", "--tests", "10", "--out", csv}, "--year"},
+      {{"campaign", "--tests", "10", "--out", csv}, "--seed"},
+      {{"test"}, "--rate"},
+      {{"test", "--rate", "50"}, "--seed"},
+      {{"obs", "diff", "a.jsonl", "b.jsonl"}, "--tolerance"},
+  };
+  std::string output;
+  for (const auto& [prefix, flag] : cases) {
+    for (const std::string bad : {"abc", "nan", "-5", "5x", "1e30", ""}) {
+      std::vector<std::string> args = prefix;
+      args.insert(args.end(), {flag, bad});
+      EXPECT_EQ(run(args, output), 2) << prefix[0] << " " << flag << " '" << bad << "'";
+      EXPECT_NE(output.find(flag + " must be "), std::string::npos) << output;
+      EXPECT_NE(output.find("(got '" + bad + "')"), std::string::npos) << output;
+    }
+  }
+  // In-range values still parse, up to a full 64-bit seed.
+  EXPECT_EQ(run({"campaign", "--tests", "10", "--year", "2020", "--seed",
+                 "18446744073709551615", "--out", csv},
+                output),
+            0)
+      << output;
+}
+
 // The committed goldens under tests/golden pin the partition-free runtime's
 // artifacts: every {--chunk, --jobs} shape must reproduce them byte for
 // byte, because the execution plan is not allowed to leak into any output.

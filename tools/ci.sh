@@ -64,18 +64,29 @@ PYEOF
 }
 
 # Unknown options are usage errors: a retired per-artifact flag such as
-# --health-out must exit 2 instead of being silently ignored.
+# --health-out must exit 2 instead of being silently ignored. So are
+# malformed numeric values: NaN, garbage and out-of-range numbers exit 2
+# naming the flag, never 0 (a plan for "nan tests/day") or 1 (an uncaught
+# std::stod/std::stol exception).
 run_flag_probe() {
   local build_dir="$1"
-  echo "=== retired-flag probe (${build_dir}) ==="
-  local rc=0
-  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --days 1 \
-    --health-out x > /dev/null || rc=$?
-  if [ "${rc}" -ne 2 ]; then
-    echo "fleet --health-out exited ${rc}, expected 2 (unknown option)" >&2
-    return 1
-  fi
-  echo "retired flag rejected with exit 2"
+  local cli="${REPO_ROOT}/${build_dir}/tools/swiftest-cli"
+  echo "=== bad-flag probe (${build_dir}) ==="
+  local probe rc
+  for probe in "fleet --days 1 --health-out x" \
+               "plan --tests-per-day nan" \
+               "fleet --days 1 --seed abc" \
+               "campaign --tests abc --out /dev/null" \
+               "test --rate abc"; do
+    rc=0
+    # shellcheck disable=SC2086  # the probe is a word list by design
+    "${cli}" ${probe} > /dev/null || rc=$?
+    if [ "${rc}" -ne 2 ]; then
+      echo "swiftest-cli ${probe} exited ${rc}, expected 2 (usage error)" >&2
+      return 1
+    fi
+  done
+  echo "retired flag and malformed numbers rejected with exit 2"
 }
 
 # One fleet-day per suite gated on the default SLO spec: any objective

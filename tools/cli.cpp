@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -91,7 +93,7 @@ std::string usage() {
       "usage: swiftest-cli <command> [options]\n"
       "\n"
       "commands:\n"
-      "  campaign --tests N [--year Y] [--seed S] --out FILE\n"
+      "  campaign --tests N [--year 2020|2021] [--seed S] --out FILE\n"
       "  report   --in FILE\n"
       "  test     --rate MBPS [--tech 4g|5g|wifi4|wifi5|wifi6] [--wire] [--seed S]\n"
       "           [--models FILE]\n"
@@ -177,6 +179,25 @@ const std::map<std::string_view, std::vector<std::string_view>> kCommandKeys = {
     {"obs", {"json", "md", "expect-identical", "tolerance", "no-artifacts"}},
 };
 
+// Upper bounds of the numeric flags: far past any real run, low enough that
+// a typo cannot ask for an unbounded allocation or thread count.
+constexpr std::uint64_t kSeedMax = std::numeric_limits<std::uint64_t>::max();
+constexpr int kMaxCount = 1'000'000;
+constexpr std::size_t kMaxJobs = 1024;
+constexpr double kMaxTestsPerDay = 1e9;
+
+/// A range bound as a person writes it: 1e9, not 1e+09.
+std::string bound_text(double bound) {
+  std::ostringstream text;
+  text << bound;
+  std::string s = text.str();
+  if (const auto e = s.find("e+"); e != std::string::npos) {
+    s.erase(e + 1, 1);
+    while (s.size() > e + 2 && s[e + 1] == '0') s.erase(e + 1, 1);
+  }
+  return s;
+}
+
 /// Minimal --key value parser; flags without values map to "true".
 class Options {
  public:
@@ -213,13 +234,34 @@ class Options {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
+  /// The value of numeric flag --key, or `fallback` when it is absent. The
+  /// parse is strict: the whole token must convert (std::from_chars, so no
+  /// sign on an unsigned type), and the value must be finite and in
+  /// [lo, hi]. Anything else prints why, naming the flag, and returns
+  /// nullopt — every caller then exits 2. `note` is appended to the message.
+  template <typename T>
+  [[nodiscard]] std::optional<T> number(const std::string& key, T fallback, T lo, T hi,
+                                        std::ostream& out,
+                                        std::string_view note = {}) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stol(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    // NaN fails both bounds and infinities fail one, so finiteness follows.
+    if (ec == std::errc() && end == text.data() + text.size() && value >= lo &&
+        value <= hi) {
+      return value;
+    }
+    out << "--" << key << " must be ";
+    if constexpr (std::is_integral_v<T>) {
+      out << "an integer >= " << lo;
+      if (hi != std::numeric_limits<T>::max()) out << " and <= " << hi;
+    } else {
+      out << "a number in [" << bound_text(lo) << ", " << bound_text(hi) << "]";
+    }
+    out << " (got '" << text << "')" << note << "\n";
+    return std::nullopt;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.find(key) != values_.end();
@@ -568,11 +610,13 @@ int cmd_campaign(const Options& options, std::ostream& out) {
     out << "campaign requires --tests and --out\n";
     return 2;
   }
-  const auto tests = static_cast<std::size_t>(options.get_int("tests", 0));
-  const int year = static_cast<int>(options.get_int("year", 2021));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  // The generator models the 2020 and 2021 datasets only.
+  const auto tests = options.number<std::size_t>("tests", 0, 0, 100'000'000, out);
+  const auto year = options.number<int>("year", 2021, 2020, 2021, out);
+  const auto seed = options.number<std::uint64_t>("seed", 1, 0, kSeedMax, out);
+  if (!tests || !year || !seed) return 2;
   const std::string path = options.get("out", "");
-  const auto records = dataset::generate_campaign(tests, year, seed);
+  const auto records = dataset::generate_campaign(*tests, *year, *seed);
   dataset::write_csv_file(path, records);
   out << "wrote " << records.size() << " records to " << path << "\n";
   return 0;
@@ -594,7 +638,9 @@ int cmd_test(const Options& options, std::ostream& out) {
     out << "test requires --rate\n";
     return 2;
   }
-  const double rate = options.get_double("rate", 100.0);
+  const auto rate = options.number<double>("rate", 100.0, 0.1, 10'000.0, out);
+  const auto seed = options.number<std::uint64_t>("seed", 42, 0, kSeedMax, out);
+  if (!rate || !seed) return 2;
   const auto tech = parse_tech(options.get("tech", "5g"));
   if (!tech) {
     out << "unknown --tech\n";
@@ -608,7 +654,7 @@ int cmd_test(const Options& options, std::ostream& out) {
   const obs::health::ReportMeta run_config = {
       {"tech", options.get("tech", "5g")},
       {"rate_mbps", options.get("rate", "")},
-      {"seed", std::to_string(options.get_int("seed", 42))},
+      {"seed", std::to_string(*seed)},
   };
   obs::manifest::RunManifest& mf = outputs.manifest();
   mf.config = run_config;
@@ -618,9 +664,8 @@ int cmd_test(const Options& options, std::ostream& out) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
   }
   netsim::ScenarioConfig net;
-  net.access_rate = core::Bandwidth::mbps(rate);
-  netsim::Scenario scenario(net,
-                            static_cast<std::uint64_t>(options.get_int("seed", 42)));
+  net.access_rate = core::Bandwidth::mbps(*rate);
+  netsim::Scenario scenario(net, *seed);
   scenario.scheduler().set_obs(hub.get());
   swift::ModelRegistry registry;
   if (options.has("models")) {
@@ -640,7 +685,7 @@ int cmd_test(const Options& options, std::ostream& out) {
       result = client.run(scenario);
     }
   }
-  out << "estimate: " << result.bandwidth_mbps << " Mbps (truth " << rate << ")\n"
+  out << "estimate: " << result.bandwidth_mbps << " Mbps (truth " << *rate << ")\n"
       << "probe time: " << core::to_seconds(result.probe_duration) << " s; data: "
       << core::to_string(result.data_used) << "; servers: " << result.connections_used
       << "\n";
@@ -659,7 +704,7 @@ int cmd_test(const Options& options, std::ostream& out) {
     obs::health::TestSample sample;
     sample.duration_s = core::to_seconds(result.total_duration());
     sample.data_mb = result.data_used.megabytes();
-    sample.deviation = bts::deviation(result.bandwidth_mbps, rate);
+    sample.deviation = bts::deviation(result.bandwidth_mbps, *rate);
     const std::string dims[] = {dataset::dimension_key(*tech)};
     sample.dimensions = dims;
     health.note_arrival(0.0);
@@ -702,12 +747,14 @@ int cmd_fit(const Options& options, std::ostream& out) {
 }
 
 int cmd_plan(const Options& options, std::ostream& out) {
-  const double tests_per_day = options.get_double("tests-per-day", 10'000.0);
+  const auto tests_per_day =
+      options.number<double>("tests-per-day", 10'000.0, 0.0, kMaxTestsPerDay, out);
+  if (!tests_per_day) return 2;
   const auto records = dataset::generate_campaign(60'000, 2021, 7);
   deploy::WorkloadParams params;
-  params.tests_per_day = tests_per_day;
+  params.tests_per_day = *tests_per_day;
   const auto workload = deploy::estimate_workload(records, params);
-  out << "demand: " << workload.demand_mbps << " Mbps (" << tests_per_day
+  out << "demand: " << workload.demand_mbps << " Mbps (" << *tests_per_day
       << " tests/day)\n";
   const auto catalog = deploy::synthetic_catalog();
   if (options.has("regional")) {
@@ -770,58 +817,28 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   cfg.obs = hub.get();
   cfg.health = health.get();
   cfg.hostprof = hostprof.get();
-  cfg.seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
-  // Strict manual parses: std::stol would throw (or silently truncate) on
-  // garbage, and these flags size the run or gate a thread pool — fail
-  // loudly instead.
-  const auto parse_count = [&](const char* flag, long fallback,
-                               long minimum) -> std::optional<long> {
-    if (!options.has(flag)) return fallback;
-    const std::string text = options.get(flag, "");
-    long value = 0;
-    bool ok = !text.empty();
-    for (const char c : text) {
-      if (c < '0' || c > '9' || value > 1'000'000) {
-        ok = false;
-        break;
-      }
-      value = value * 10 + (c - '0');
-    }
-    if (!ok || value < minimum) {
-      out << "--" << flag << " must be an integer >= " << minimum
-          << " (got '" << text << "')"
-          << (minimum == 0 ? "; 0 means the hardware concurrency" : "")
-          << "\n";
-      return std::nullopt;
-    }
-    return value;
-  };
-  const auto servers = parse_count("servers", 20, 1);
-  if (!servers) return 2;
-  const auto days = parse_count("days", 3, 1);
-  if (!days) return 2;
-  // --jobs 0 = hardware concurrency (resolved inside simulate_fleet).
-  const auto jobs = parse_count("jobs", 1, 0);
-  if (!jobs) return 2;
-  const auto chunk = parse_count("chunk", 0, 1);
-  if (!chunk) return 2;
-  // --tests-per-day is each server-day's Poisson mean: a NaN or huge mean
-  // would hang the draw and a negative one silently runs nothing.
-  if (options.has("tests-per-day")) {
-    const std::string text = options.get("tests-per-day", "");
-    double value = 0.0;
-    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() || !(value >= 0.0) ||
-        value > 1e9) {
-      out << "--tests-per-day must be a number in [0, 1e9] (got '" << text << "')\n";
-      return 2;
-    }
-    cfg.tests_per_day = value;
+  // These flags size the run or gate a thread pool: --tests-per-day is each
+  // server-day's Poisson mean (a NaN or huge mean would hang the draw) and
+  // --jobs 0 means the hardware concurrency (resolved in simulate_fleet).
+  const auto seed = options.number<std::uint64_t>("seed", 99, 0, kSeedMax, out);
+  const auto servers = options.number<std::size_t>("servers", 20, 1, kMaxCount, out);
+  const auto days = options.number<int>("days", 3, 1, kMaxCount, out);
+  const auto jobs = options.number<std::size_t>("jobs", 1, 0, kMaxJobs, out,
+                                                "; 0 means the hardware concurrency");
+  const auto chunk = options.number<std::size_t>("chunk", 0, 1, kMaxCount, out);
+  const auto tests_per_day =
+      options.number<double>("tests-per-day", cfg.tests_per_day, 0.0, kMaxTestsPerDay, out);
+  const auto budget_mb = options.number<std::uint64_t>("obs-budget-mb", 0, 0, kMaxCount, out);
+  if (!seed || !servers || !days || !jobs || !chunk || !tests_per_day || !budget_mb) {
+    return 2;
   }
-  cfg.server_count = static_cast<std::size_t>(*servers);
-  cfg.days = static_cast<int>(*days);
-  cfg.jobs = static_cast<std::size_t>(*jobs);
-  cfg.chunk = static_cast<std::size_t>(*chunk);
+  cfg.seed = *seed;
+  cfg.server_count = *servers;
+  cfg.days = *days;
+  cfg.jobs = *jobs;
+  cfg.chunk = *chunk;
+  cfg.tests_per_day = *tests_per_day;
+  cfg.obs_budget_mb = *budget_mb;
   const std::string backend = options.get("backend", "analytic");
   if (backend == "packet") {
     cfg.backend = deploy::FleetBackend::kPacket;
@@ -838,12 +855,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     cfg.sample = *policy;
   }
-  const long budget_mb = options.get_int("obs-budget-mb", 0);
-  if (budget_mb < 0) {
-    out << "--obs-budget-mb must be >= 0\n";
-    return 2;
-  }
-  cfg.obs_budget_mb = static_cast<std::uint64_t>(budget_mb);
   if (outputs.wants("spill")) cfg.obs_spill_dir = outputs.dir();
 
   // The deterministic configuration, shared by the manifest's config lines
@@ -1038,6 +1049,9 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
   const auto options = Options::parse(args.subspan(3), "obs", out);
   if (!options) return 2;
   if (!apply_log_level(*options, out)) return 2;
+  const auto tolerance = options->number<double>(
+      "tolerance", obs::diff::DiffOptions{}.rel_tolerance, 0.0, 1e6, out);
+  if (!tolerance) return 2;
 
   std::string error;
   const auto manifest_a = obs::manifest::load_manifest_file(path_a, &error);
@@ -1053,8 +1067,7 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
 
   obs::diff::DiffOptions diff_options;
   diff_options.expect_identical = options->has("expect-identical");
-  diff_options.rel_tolerance =
-      options->get_double("tolerance", diff_options.rel_tolerance);
+  diff_options.rel_tolerance = *tolerance;
   diff_options.load_artifacts = !options->has("no-artifacts");
   const obs::diff::DiffReport report =
       obs::diff::diff_runs(*manifest_a, *manifest_b, diff_options, path_a, path_b);
