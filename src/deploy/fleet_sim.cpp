@@ -16,7 +16,7 @@
 #include "exec/exec.hpp"
 #include "obs/health/sample_log.hpp"
 #include "obs/log.hpp"
-#include "obs/spill.hpp"
+#include "deploy/trace_stream.hpp"
 #include "deploy/placement.hpp"
 #include "netsim/testbed.hpp"
 #include "swiftest/client.hpp"
@@ -255,65 +255,6 @@ void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                                static_cast<double>(total_seconds);
 }
 
-/// Rotating spill sinks for one hub (obs/spill.hpp). The writers must
-/// outlive the hub's recording; the run's SpillLedger then takes their
-/// segment paths in (chunk, segment) order.
-struct ChunkSpill {
-  std::unique_ptr<obs::SpillWriter> trace;
-  std::unique_ptr<obs::SpillWriter> spans;
-
-  void attach(obs::Hub& hub, const std::string& dir, std::size_t chunk) {
-    if (dir.empty()) return;
-    trace = std::make_unique<obs::SpillWriter>(dir, "trace", chunk);
-    spans = std::make_unique<obs::SpillWriter>(dir, "spans", chunk);
-    hub.tracer.set_spill(
-        [w = trace.get()](const obs::TraceEvent* events, std::size_t n) {
-          w->write_trace_segment(events, n);
-        });
-    hub.spans.set_spill(
-        [w = spans.get()](const obs::span::SpanRecord* records, std::size_t n) {
-          w->write_span_segment(records, n);
-        });
-  }
-};
-
-/// Every spill segment of the run, in (chunk, segment) order, so the
-/// concatenation is independent of --jobs; the writers' accounting sums into
-/// the result's spill fields as they are taken.
-struct SpillLedger {
-  std::vector<std::string> trace_paths;
-  std::vector<std::string> span_paths;
-
-  void take(const ChunkSpill& spill, FleetSimResult& result) {
-    for (const auto& [writer, paths, segments, bytes] :
-         {std::tuple{spill.trace.get(), &trace_paths, &result.spill_trace_segments,
-                     &result.spill_trace_bytes},
-          std::tuple{spill.spans.get(), &span_paths, &result.spill_span_segments,
-                     &result.spill_span_bytes}}) {
-      if (writer == nullptr) continue;
-      paths->insert(paths->end(), writer->segment_paths().begin(),
-                    writer->segment_paths().end());
-      *segments += writer->segments();
-      *bytes += writer->bytes_written();
-      result.spill_ok = result.spill_ok && writer->ok();
-    }
-  }
-
-  /// Concatenates each stream's segments into <dir>/<stream>.spill.jsonl;
-  /// no-op for a stream that never spilled.
-  void concat(const std::string& dir) const {
-    for (const auto& [paths, name] : {std::pair{&trace_paths, "/trace.spill.jsonl"},
-                                      std::pair{&span_paths, "/spans.spill.jsonl"}}) {
-      if (paths->empty()) continue;
-      std::string error;
-      if (!obs::concat_segments(*paths, dir + name, &error)) {
-        obs::logf(obs::LogLevel::kWarn, "fleet_sim: spill concat failed: %s",
-                  error.c_str());
-      }
-    }
-  }
-};
-
 /// The footprint model SampleSchedule::plan degrades against: store
 /// capacities and per-test record sizes, never RSS, so the degradation
 /// schedule is host-independent (and, being precomputed over the global
@@ -354,7 +295,9 @@ struct ChunkBase {
   obs::health::LogFold::Committed committed;  // `log`, once committed
   /// Chunk-local observability accumulator; null when the run exports none.
   std::unique_ptr<obs::Hub> hub;
-  ChunkSpill spill;
+  /// The chunk's spans and the sorted runs its full ring and span buffer
+  /// wrote before the commit.
+  ChunkRecords records;
   // Metrics snapshots in draw order (one per packet test, one per analytic
   // chunk). Metrics must merge as a flat left fold over these — not over
   // chunk hubs — because gauge adds and histogram `sum` accumulation are
@@ -365,8 +308,8 @@ struct ChunkBase {
 };
 
 /// What one run holds across its chunk stream: the draw, the sampling
-/// schedule it extends, the health fold its chunks commit into, the
-/// observability merge target's spill state, and the result.
+/// schedule it extends, the health fold and the canonical trace stream its
+/// chunks commit into, and the result.
 class FleetRun {
  public:
   FleetRun(std::span<const dataset::TestRecord> population,
@@ -376,7 +319,6 @@ class FleetRun {
         host_tl(main_timeline(config)),
         chunk_size(config.chunk == 0 ? kDefaultChunkSize : config.chunk),
         jobs(exec::resolve_jobs(config.jobs)),
-        obs_merge(obs_merge),
         draw_(population, registry, config),
         dims_(config.server_count) {
     if (config.sample.enabled() || config.obs_budget_mb > 0) {
@@ -388,12 +330,7 @@ class FleetRun {
                         sample_cost_model(config));
     }
     if (config.health != nullptr) fold.emplace(*config.health, jobs, dims_.keys());
-    if (obs_merge) {
-      // The merge target can itself rotate. Its segments follow every
-      // chunk's, under the index one past the last chunk — known once the
-      // draw ends, so they are renumbered then.
-      merge_spill_.attach(*config.obs, config.obs_spill_dir, kUnnumbered);
-    }
+    if (obs_merge) trace.emplace(*config.obs);
   }
 
   // The fold and every chunk log hold views of dims_, and the stream's
@@ -405,15 +342,17 @@ class FleetRun {
   obs::hostprof::Timeline* const host_tl;
   const std::size_t chunk_size;
   const std::size_t jobs;
-  /// Chunks carry hubs whose contents merge into config.obs.
-  const bool obs_merge;
   std::optional<obs::health::LogFold> fold;
+  /// With `obs_merge`, chunks carry hubs whose metrics fold into config.obs
+  /// and whose trace events and spans stream into it (or its sinks) here.
+  std::optional<CanonicalStream> trace;
   FleetSimResult result;
 
   /// Runs the stream: each chunk is drawn into a ring slot on the calling
   /// thread, run by `run_chunk` on a worker, committed in chunk order — the
-  /// test count, `commit_chunk` (the backend's share), the hub merge into
-  /// config.obs, the health log commit — and then folded by every health
+  /// test count, `commit_chunk` (the backend's share), the metrics fold into
+  /// config.obs and the trace stream's commit, the health log commit — and
+  /// then folded by every health
   /// lane, all while later chunks are drawn and run (exec::run_stream). A
   /// chunk's state is freed when its slot is redrawn, so memory is O(jobs x
   /// chunk). `make_hub` returns each chunk's hub (null for none).
@@ -422,13 +361,8 @@ class FleetRun {
               const std::function<void(Chunk&)>& run_chunk,
               const std::function<void(Chunk&)>& commit_chunk);
 
-  /// Closes the stream's observability: `fleet_series` emits whatever series
-  /// only the merged result can produce, then the stores canonicalize —
-  /// chunk concatenation order (and chunk-local span ids) depend on the
-  /// partition, the content order does not, so after this the artifacts
-  /// render byte-identically for every chunk size (DESIGN.md §12, §15) — and
-  /// the spill segments concatenate.
-  void finish_obs(const std::function<void()>& fleet_series);
+  /// Emits what the trace stream still holds (timed as merge.tracer).
+  void finish_obs();
 
   /// Commits the run's last health log, `tail`, folds it on every lane and
   /// drains the lanes.
@@ -475,7 +409,6 @@ class FleetRun {
   }
 
  private:
-  static constexpr std::size_t kUnnumbered = std::numeric_limits<std::size_t>::max();
   static constexpr std::size_t kSortRun = std::size_t{1} << 16;
 
   void merge_obs(ChunkBase& chunk);
@@ -483,8 +416,6 @@ class FleetRun {
   WorkloadDraw draw_;
   DimensionTable dims_;
   std::optional<obs::SampleSchedule> schedule_;
-  ChunkSpill merge_spill_;
-  SpillLedger spills_;
   std::size_t chunks_ = 0;
   std::vector<std::size_t> sorted_runs_ = {0};  // sorted busy-window run bounds
 };
@@ -524,7 +455,10 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
     out.want_health = fold.has_value();
     if (out.want_health) out.log = obs::health::SampleLog(dims_.keys());
     out.hub = make_hub();
-    if (out.hub != nullptr) out.spill.attach(*out.hub, config.obs_spill_dir, c);
+    if (out.hub != nullptr) {
+      out.records = ChunkRecords(c);
+      out.records.arm(*out.hub, *config.obs);
+    }
     if (config.resource != nullptr) config.resource->note_shard_drawn();
     return true;
   };
@@ -539,12 +473,6 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
     t.tests = out.tests;
     t.health_dropped = out.log.dropped();
     t.sample_degradations = out.sample_degradations;
-    if (out.hub != nullptr) {
-      t.trace_dropped = out.hub->tracer.dropped();
-      t.trace_spilled = out.hub->tracer.spilled();
-      t.span_dropped = out.hub->spans.dropped();
-      t.span_spilled = out.hub->spans.spilled();
-    }
     if (config.resource != nullptr) {
       config.resource->record_shard(t);
       config.resource->note_shard_done();
@@ -556,7 +484,7 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
     result.tests_simulated += chunk.tests;
     commit_chunk(chunk);
     const obs::hostprof::HostScope scope(host_tl, "merge");
-    if (obs_merge) merge_obs(chunk);
+    if (trace) merge_obs(chunk);
     if (fold) fold->commit(chunk.log, chunk.committed);
   };
   stages.lanes = fold ? fold->lanes() : 0;
@@ -571,42 +499,31 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
 }
 
 /// Folds one chunk's observability into config.obs, one host-time phase per
-/// component, in chunk order — so every store sees the sequence a fold over
-/// all chunks after the run would feed it.
+/// component, in chunk order: metrics fold over the per-test snapshots, and
+/// the trace stream takes the chunk's events and spans and emits those that
+/// start before its last arrival — no later chunk can sort before them.
 void FleetRun::merge_obs(ChunkBase& chunk) {
-  obs::Hub& target = *config.obs;
+  const core::SimTime final_before = chunk.arrivals.back().second * core::seconds(1);
   if (chunk.hub != nullptr) {
     const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-    target.tracer.merge_from(chunk.hub->tracer);
+    trace->commit_events(chunk.hub->tracer, chunk.records, final_before);
   }
   {
     const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-    for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) target.metrics.merge_from(snap);
+    for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
+      config.obs->metrics.merge_from(snap);
+    }
   }
   if (chunk.hub != nullptr) {
     const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-    target.spans.merge_from(chunk.hub->spans);
+    trace->commit_spans(chunk.records, final_before);
   }
-  spills_.take(chunk.spill, result);
 }
 
-void FleetRun::finish_obs(const std::function<void()>& fleet_series) {
-  if (!obs_merge) return;
-  if (fleet_series) fleet_series();
-  {
-    const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
-    config.obs->tracer.sort_canonical();
-    config.obs->spans.sort_canonical();
-  }
-  const obs::hostprof::HostScope scope(host_tl, "spill.io");
-  // The writers die with the run: nothing may rotate into them afterwards.
-  config.obs->tracer.set_spill({});
-  config.obs->spans.set_spill({});
-  for (obs::SpillWriter* writer : {merge_spill_.trace.get(), merge_spill_.spans.get()}) {
-    if (writer != nullptr) writer->renumber(chunks_);
-  }
-  spills_.take(merge_spill_, result);
-  spills_.concat(config.obs_spill_dir);
+void FleetRun::finish_obs() {
+  if (!trace) return;
+  const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
+  trace->finish();
 }
 
 void FleetRun::finish_health(obs::health::SampleLog& tail) {
@@ -660,6 +577,7 @@ void run_analytic_chunk(const FleetSimConfig& config, AnalyticChunk& out) {
       out.hub->spans.attr_f64(span, "truth_mbps", a.truth_mbps);
       out.hub->spans.attr_f64(span, "rate_mbps", a.rate_mbps);
       out.hub->spans.end(span, te);
+      out.records.take_spans(out.hub->spans);
     }
     if (out.want_health) {
       out.log.note_arrival(static_cast<double>(a.second));
@@ -800,7 +718,7 @@ FleetSimResult run_analytic(std::span<const dataset::TestRecord> population,
   AnalyticLoad load(config, run.result.busy_window_utilization);
   run.stream<AnalyticChunk>(
       [&]() -> std::unique_ptr<obs::Hub> {
-        if (!run.obs_merge) return nullptr;
+        if (!run.trace) return nullptr;
         // A bounded trace ring, so a run of many small chunks cannot
         // multiply the parent's ring size by the chunk count. Analytic
         // chunks emit at most two events per test, so 4 * chunk_size +
@@ -827,7 +745,7 @@ FleetSimResult run_analytic(std::span<const dataset::TestRecord> population,
     const obs::hostprof::HostScope scope(run.host_tl, "replay.numeric");
     load.finish(run.fold ? &tail : nullptr);
   }
-  run.finish_obs({});
+  run.finish_obs();
   run.finish_health(tail);
   run.sort_busy_windows();
   finish_result(run.result, load.overload_seconds(),
@@ -880,7 +798,8 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   // Trace events skip the per-test hub: a sampled test records straight into
   // the chunk ring (tests in a chunk run one after another, so the ring sees
   // the same events in the same order a per-test fold would give it, and its
-  // spill sink sees every overflow), and an unsampled test traces nothing.
+  // overflow runs catch a test that fills it), and an unsampled test traces
+  // nothing.
   std::unique_ptr<obs::Hub> test_hub;
   if (out.hub != nullptr) {
     test_hub = obs::Hub::mirror_of(*out.hub);
@@ -1007,9 +926,9 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   }
 
   if (test_hub != nullptr) {
-    // Fold this test's spans into the chunk accumulator now and bank the
-    // metrics snapshot for the commit-time draw-order fold.
-    out.hub->spans.merge_from(test_hub->spans);
+    // Hand this test's spans to the chunk now and bank the metrics snapshot
+    // for the commit-time draw-order fold.
+    out.records.take_spans(test_hub->spans);
     out.metric_snaps.push_back(test_hub->metrics.snapshot());
   }
 
@@ -1056,11 +975,32 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
   std::vector<std::uint64_t> accepted(config.server_count, 0);
   std::vector<std::int64_t> probe_bytes(config.server_count, 0);
 
+  const auto util_of = [&](std::int64_t w, std::size_t s) {
+    const std::int64_t bytes =
+        delivered[static_cast<std::size_t>(w) * config.server_count + s];
+    return 100.0 * static_cast<double>(bytes) * 8.0 / 1e6 / window_capacity_mbit;
+  };
+  // One fleet.egress_util counter per (window, server) on the global grid,
+  // stamped at the window's end. Window w's bytes are final once every test
+  // arriving before (w+1)*W has committed, so its counters join the trace
+  // stream at the first commit whose last arrival reaches that second.
+  std::int64_t next_window = 0;
+  const auto add_egress_series = [&](std::int64_t windows_final) {
+    if (config.obs == nullptr || !config.obs->tracer.wants(obs::Category::kFleet)) return;
+    const obs::hostprof::HostScope scope(run.host_tl, "merge.windows");
+    for (; next_window < std::min(windows_final, period.windows); ++next_window) {
+      const core::SimTime ts =
+          (next_window + 1) * config.window_seconds * core::seconds(1);
+      for (std::size_t s = 0; s < config.server_count; ++s) {
+        run.trace->add({ts, obs::Category::kFleet, obs::EventKind::kCounter,
+                        "fleet.egress_util", s, util_of(next_window, s)});
+      }
+    }
+  };
+
   // The chunk hub is an accumulator: sampled tests trace straight into its
-  // ring, and spans fold in from per-test hubs after each test while
-  // metrics stay banked per test (run_packet_test). Its span store never
-  // records live, so no sink or sampled mode setup is needed — merge_from
-  // never re-emits through sinks.
+  // ring, spans go to the chunk's records from per-test hubs after each
+  // test, and metrics stay banked per test (run_packet_test).
   run.stream<PacketChunk>(
       [&] { return config.obs != nullptr ? obs::Hub::mirror_of(*config.obs) : nullptr; },
       [&](PacketChunk& out) { run_packet_chunk(registry, config, sampled_mode, out); },
@@ -1073,43 +1013,16 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
           accepted[s] += chunk.server_accepted[s];
           probe_bytes[s] += chunk.server_probe_bytes[s];
         }
+        const std::int64_t W = config.window_seconds;
+        add_egress_series(W > 0 ? chunk.arrivals.back().second / W : 0);
       });
 
   const obs::hostprof::HostScope merge_scope(run.host_tl, "merge");
-  const auto util_of = [&](std::int64_t w, std::size_t s) {
-    const std::int64_t bytes =
-        delivered[static_cast<std::size_t>(w) * config.server_count + s];
-    return 100.0 * static_cast<double>(bytes) * 8.0 / 1e6 / window_capacity_mbit;
-  };
+  add_egress_series(period.windows);
+  run.finish_obs();
 
-  // Fleet-level series are a function of the whole byte matrix, so they are
-  // emitted once the last chunk committed — once, partition-free — rather
-  // than inside any chunk: one egress_util sample per (window, server) on
-  // the global grid, and the busy-window histogram.
-  run.finish_obs([&] {
-    const obs::hostprof::HostScope scope(run.host_tl, "merge.windows");
-    const bool wants_fleet = config.obs->tracer.wants(obs::Category::kFleet);
-    for (std::int64_t w = 0; w < period.windows; ++w) {
-      const core::SimTime ts = (w + 1) * config.window_seconds * core::seconds(1);
-      for (std::size_t s = 0; s < config.server_count; ++s) {
-        const double util = util_of(w, s);
-        if (util > 0.0) {
-          config.obs->metrics
-              .histogram("fleet.window_utilization",
-                         {5.0, 15.0, 30.0, 45.0, 60.0, 80.0, 95.0})
-              .observe(util);
-        }
-        if (wants_fleet) {
-          config.obs->tracer.record(ts, obs::Category::kFleet,
-                                    obs::EventKind::kCounter, "fleet.egress_util", s,
-                                    util);
-        }
-      }
-    }
-  });
-
-  // Busy windows, overload, and per-server egress health from the whole
-  // matrix, window-major — the historical emission order.
+  // Busy windows, overload, per-server egress health and the busy-window
+  // histogram from the whole matrix, window-major — the historical order.
   FleetSimResult& result = run.result;
   obs::health::SampleLog egress = egress_log();
   std::uint64_t overloaded_windows = 0;
@@ -1122,6 +1035,12 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
         result.busy_window_utilization.push_back(util);
         if (config.health != nullptr) {
           egress.record_egress_utilization(static_cast<std::uint32_t>(s), util);
+        }
+        if (config.obs != nullptr) {
+          config.obs->metrics
+              .histogram("fleet.window_utilization",
+                         {5.0, 15.0, 30.0, 45.0, 60.0, 80.0, 95.0})
+              .observe(util);
         }
       }
     }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dataset/record.hpp"
@@ -66,7 +65,9 @@ struct FleetSimConfig {
   std::size_t jobs = 1;
   /// Optional observability hub, attached to the packet backend's scheduler
   /// for the run: per-test lifecycle traces, per-server egress-utilization
-  /// samples, and fleet.* counters land here. Null disables instrumentation.
+  /// samples, and fleet.* counters land here. Trace events and spans reach
+  /// it as one canonical stream at each chunk's commit (trace_stream.hpp):
+  /// whole into its sinks when set, else into its ring and store.
   obs::Hub* obs = nullptr;
   /// Optional health monitor: both backends stream the §5 operational
   /// signals into it — per-test duration, data usage, and deviation (keyed
@@ -82,7 +83,8 @@ struct FleetSimConfig {
   /// replay.numeric (analytic) and merge (merge.tracer / merge.metrics /
   /// merge.spans when chunks carry hubs), and pool.join per wait; then one
   /// merge over the tail: replay.numeric (analytic), merge.windows (packet),
-  /// merge.canonicalize, spill.io and samplelog.replay. Workers record
+  /// merge.tracer / merge.spans (the trace stream's last emission) and
+  /// samplelog.replay. Workers record
   /// chunk.run and lane.fold plus busy/idle accounting, and the run shape
   /// (chunks, jobs) is stamped once the draw has ended. Host time only: a
   /// non-null profiler never changes a single byte of the deterministic
@@ -94,9 +96,9 @@ struct FleetSimConfig {
   /// `obs` attached each test's trace events and spans are retained iff the
   /// schedule samples its test_id — the global workload draw index — so the
   /// sampled artifact is a pure function of (seed, workload, budget) and
-  /// byte-identical for every `jobs`, `chunk` combination (the merge
-  /// canonicalizes event and span order). 1/1 with no budget keeps the
-  /// retain-everything behavior.
+  /// byte-identical for every `jobs`, `chunk` combination (the trace stream
+  /// emits events and spans in canonical order). 1/1 with no budget keeps
+  /// the retain-everything behavior.
   obs::SamplingPolicy sample;
   /// Global observability memory budget in MB; 0 = unlimited. The one place
   /// a fleet budget is set. The schedule walks the workload in draw order
@@ -106,14 +108,9 @@ struct FleetSimConfig {
   /// The plan depends only on (workload size, N, seed, budget, cost model):
   /// never on the partition, the thread schedule, or RSS.
   std::uint64_t obs_budget_mb = 0;
-  /// Directory for rotating spill segments (must exist; empty disables
-  /// spilling). Full trace rings and span stores flush whole segments here
-  /// instead of dropping; the merge concatenates them in (chunk, segment)
-  /// order into <dir>/trace.spill.jsonl and <dir>/spans.spill.jsonl.
-  std::string obs_spill_dir;
-  /// Optional resource self-telemetry: per-chunk occupancy/drop/spill
-  /// counters, the running chunk count while the draw goes, and host
-  /// wall/RSS measurements land here (obs/resource.hpp).
+  /// Optional resource self-telemetry: per-chunk occupancy/drop counters,
+  /// the running chunk count while the draw goes, and host wall/RSS
+  /// measurements land here (obs/resource.hpp).
   obs::ResourceMonitor* resource = nullptr;
 };
 
@@ -129,16 +126,6 @@ struct FleetSimResult {
   /// Fraction of seconds where requested load exceeded fleet capacity.
   double overload_seconds_share = 0.0;
   std::uint64_t tests_simulated = 0;
-  /// Spill accounting summed over every chunk's writers plus the merge
-  /// target (all zero when `--obs spill` is off). Deterministic — segment
-  /// rotation depends on store capacity and event volume, never on --jobs —
-  /// so these feed the run manifest's spill summaries.
-  std::uint64_t spill_trace_segments = 0;
-  std::uint64_t spill_trace_bytes = 0;
-  std::uint64_t spill_span_segments = 0;
-  std::uint64_t spill_span_bytes = 0;
-  /// False if any spill segment or concat failed to land intact.
-  bool spill_ok = true;
   /// Most chunks alive at once — drawn, not yet folded by every health
   /// lane: min(chunks, exec::stream_ring(jobs)), whatever the period, so the
   /// run's memory is O(jobs x chunk) plus the busy-window vector above.

@@ -35,8 +35,8 @@ bool is_info_artifact(std::string_view name) {
 /// quantiles, fractions) gets the relative tolerance.
 bool is_exact_key(std::string_view key) {
   static constexpr std::string_view kExact[] = {
-      "events", "dropped", "spilled", "spans",  "open", "segments",
-      "tests",  "count",   "bytes",   "rows",   "ok",   "violations"};
+      "events", "dropped", "spans", "open", "tests",
+      "count",  "bytes",   "rows",  "ok",   "violations"};
   for (const std::string_view exact : kExact) {
     if (key == exact) return true;
   }

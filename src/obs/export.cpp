@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
+#include <bit>
+#include <iterator>
 #include <ostream>
 
 #include "obs/json.hpp"
@@ -13,68 +14,70 @@ namespace {
 void append_ts_us(std::string& out, core::SimTime ns) {
   append_i64(out, ns / 1000);
   const auto frac = static_cast<int>(ns % 1000);
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), ".%03d", frac);
-  out.append(buf);
+  const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                          static_cast<char>('0' + frac / 10 % 10),
+                          static_cast<char>('0' + frac % 10)};
+  out.append(digits, sizeof(digits));
 }
 
 }  // namespace
 
-void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
-  std::string line;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  for (const TraceEvent& ev : tracer.events()) {
-    line.clear();
-    if (!first) line += ",\n";
-    first = false;
-    line += "{\"name\":\"";
-    line += ev.name;
-    line += "\",\"cat\":\"";
-    line += to_string(ev.category);
-    line += "\",\"ph\":\"";
-    line += ev.kind == EventKind::kCounter ? 'C' : 'i';
-    line += "\",\"ts\":";
-    append_ts_us(line, ev.ts);
-    line += ",\"pid\":1,\"tid\":";
-    append_u64(line, ev.id);
-    if (ev.kind == EventKind::kCounter) {
-      line += ",\"args\":{\"value\":";
-      append_double(line, ev.value);
-      line += "}}";
-    } else {
-      line += ",\"s\":\"t\",\"args\":{\"value\":";
-      append_double(line, ev.value);
-      line += "}}";
-    }
-    out << line;
-  }
-  out << "\n]}\n";
+TraceWriter::TraceWriter(std::ostream* jsonl, std::ostream* chrome)
+    : jsonl_(jsonl), chrome_(chrome) {
+  if (chrome_ != nullptr) *chrome_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
 }
 
-void append_trace_jsonl_line(std::string& out, const TraceEvent& ev) {
-  out += "{\"ts\":";
-  append_i64(out, ev.ts);
-  out += ",\"cat\":\"";
-  out += to_string(ev.category);
-  out += "\",\"k\":\"";
-  out += ev.kind == EventKind::kCounter ? 'C' : 'i';
-  out += "\",\"name\":\"";
-  out += ev.name;
-  out += "\",\"id\":";
-  append_u64(out, ev.id);
-  out += ",\"v\":";
-  append_double(out, ev.value);
-  out += "}\n";
+void TraceWriter::write(const TraceEvent& ev) {
+  const char kind = ev.kind == EventKind::kCounter ? 'C' : 'i';
+  if (jsonl_ != nullptr) {
+    line_ = "{\"ts\":";
+    append_i64(line_, ev.ts);
+    line_ += ",\"cat\":\"";
+    line_ += to_string(ev.category);
+    line_ += "\",\"k\":\"";
+    line_ += kind;
+    line_ += "\",\"name\":\"";
+    line_ += ev.name;
+    line_ += "\",\"id\":";
+    append_u64(line_, ev.id);
+    line_ += ",\"v\":";
+    append_double(line_, ev.value);
+    line_ += "}\n";
+    jsonl_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
+  if (chrome_ != nullptr) {
+    line_.assign(events_ > 0 ? ",\n{\"name\":\"" : "{\"name\":\"");
+    line_ += ev.name;
+    line_ += "\",\"cat\":\"";
+    line_ += to_string(ev.category);
+    line_ += "\",\"ph\":\"";
+    line_ += kind;
+    line_ += "\",\"ts\":";
+    append_ts_us(line_, ev.ts);
+    line_ += ",\"pid\":1,\"tid\":";
+    append_u64(line_, ev.id);
+    line_ += kind == 'C' ? ",\"args\":{\"value\":" : ",\"s\":\"t\",\"args\":{\"value\":";
+    append_double(line_, ev.value);
+    line_ += "}}";
+    chrome_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
+  ++events_;
+  ++per_category_[std::countr_zero(static_cast<std::uint32_t>(ev.category))];
+}
+
+void TraceWriter::finish() {
+  if (chrome_ != nullptr) *chrome_ << "\n]}\n";
+}
+
+void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
+  TraceWriter writer(nullptr, &out);
+  for (const TraceEvent& ev : tracer.events()) writer.write(ev);
+  writer.finish();
 }
 
 void write_trace_jsonl(const Tracer& tracer, std::ostream& out) {
-  std::string line;
-  for (const TraceEvent& ev : tracer.events()) {
-    line.clear();
-    append_trace_jsonl_line(line, ev);
-    out << line;
-  }
+  TraceWriter writer(&out, nullptr);
+  for (const TraceEvent& ev : tracer.events()) writer.write(ev);
 }
 
 void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out) {
@@ -129,15 +132,17 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out) {
 }
 
 std::vector<std::pair<std::string, double>> summarize_for_manifest(
-    const Tracer& tracer) {
+    const TraceWriter& writer, std::uint64_t dropped) {
   std::vector<std::pair<std::string, double>> out;
+  out.emplace_back("events", static_cast<double>(writer.events()));
+  out.emplace_back("dropped", static_cast<double>(dropped));
   std::map<std::string, std::uint64_t> per_category;
-  for (const TraceEvent& ev : tracer.events()) {
-    ++per_category[to_string(ev.category)];
+  for (std::uint32_t bit = 0; bit < std::size(writer.per_category_); ++bit) {
+    if (writer.per_category_[bit] > 0) {
+      per_category[to_string(static_cast<Category>(1u << bit))] =
+          writer.per_category_[bit];
+    }
   }
-  out.emplace_back("events", static_cast<double>(tracer.size()));
-  out.emplace_back("dropped", static_cast<double>(tracer.dropped()));
-  out.emplace_back("spilled", static_cast<double>(tracer.spilled()));
   for (const auto& [cat, count] : per_category) {
     out.emplace_back("cat." + cat, static_cast<double>(count));
   }

@@ -20,18 +20,37 @@
 
 namespace swiftest::obs {
 
-/// Chrome trace_event JSON ({"traceEvents": [...]}), loadable in
-/// chrome://tracing and Perfetto. Instant events render as markers
-/// (ph "i"); counter events render as value tracks (ph "C").
+/// The one trace renderer: writes events one at a time as compact JSONL and/or
+/// a Chrome trace_event document (loadable in chrome://tracing and Perfetto;
+/// instants as ph "i" markers, counters as ph "C" tracks) — either stream
+/// may be null — and counts them per category.
+class TraceWriter {
+ public:
+  /// Opens the Chrome document, if any.
+  TraceWriter(std::ostream* jsonl, std::ostream* chrome);
+
+  void write(const TraceEvent& event);
+  /// Closes the Chrome document.
+  void finish();
+
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+
+ private:
+  friend std::vector<std::pair<std::string, double>> summarize_for_manifest(
+      const TraceWriter& writer, std::uint64_t dropped);
+
+  std::ostream* jsonl_;
+  std::ostream* chrome_;
+  std::string line_;
+  std::uint64_t events_ = 0;
+  std::uint64_t per_category_[5] = {};  // by Category bit
+};
+
+/// Chrome trace_event JSON of the retained events, oldest first.
 void write_chrome_trace(const Tracer& tracer, std::ostream& out);
 
-/// Compact JSONL: one JSON object per event per line, oldest first.
+/// Compact JSONL: one JSON object per retained event per line, oldest first.
 void write_trace_jsonl(const Tracer& tracer, std::ostream& out);
-
-/// Appends one event's JSONL line (newline included) — the exact line format
-/// write_trace_jsonl emits, shared with the spill writer so spilled segments
-/// concatenate seamlessly with the exported remainder.
-void append_trace_jsonl_line(std::string& out, const TraceEvent& event);
 
 /// Metrics snapshot as one JSON document:
 /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
@@ -44,10 +63,11 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 // without re-reading every artifact, plus a loader for the artifact the
 // layer writes so the differ can go deeper when the file is on disk.
 
-/// Trace summary: retained/dropped/spilled totals plus per-category retained
-/// counts ("cat.protocol", ...). Deterministic order.
+/// Trace summary: the events a writer rendered, `dropped` (lost before
+/// they reached it), and per-category counts ("cat.protocol", ...).
+/// Deterministic order.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
-    const Tracer& tracer);
+    const TraceWriter& writer, std::uint64_t dropped);
 
 /// Metrics summary: counters as "counter.<name>", gauges as "gauge.<name>",
 /// histograms as "hist.<name>.count" / "hist.<name>.sum". Name-ordered.

@@ -72,7 +72,7 @@ struct ChunkRow {
 ///   pool_wall_ns     wall time of the calling thread's "exec.run" phase —
 ///                    the parallel region.
 ///   serial_ns        wall_ns - pool_wall_ns: everything only the calling
-///                    thread does (workload gen, merge, canonicalize,
+///                    thread does (workload gen, merge, trace stream,
 ///                    sample-log replay, export).
 ///   busy_ns          Σ worker busy time (the parallelizable work).
 ///   serial_fraction  serial_ns / (serial_ns + busy_ns) — the Amdahl "s"

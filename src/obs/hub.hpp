@@ -16,6 +16,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 
@@ -26,9 +27,8 @@
 namespace swiftest::obs {
 
 struct Hub {
-  Hub() { spans.set_sinks(&tracer, &metrics); }
-  explicit Hub(std::size_t trace_capacity, std::size_t span_capacity =
-                                               span::SpanStore::kDefaultCapacity)
+  explicit Hub(std::size_t trace_capacity = Tracer::kDefaultCapacity,
+               std::size_t span_capacity = span::SpanStore::kDefaultCapacity)
       : tracer(trace_capacity), spans(span_capacity) {
     spans.set_sinks(&tracer, &metrics);
   }
@@ -51,6 +51,12 @@ struct Hub {
   Tracer tracer;
   MetricsRegistry metrics;
   span::SpanStore spans;
+
+  /// Where a fleet's canonical trace stream (deploy/trace_stream.hpp) sends
+  /// its events and spans, e.g. straight into artifacts; when empty, they
+  /// land in `tracer` and `spans`.
+  std::function<void(const TraceEvent&)> event_sink;
+  std::function<void(const span::SpanRecord&)> span_sink;
 };
 
 }  // namespace swiftest::obs

@@ -71,8 +71,7 @@ std::optional<std::string> RunManifest::config_value(std::string_view key) const
   return std::nullopt;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ULL;
@@ -80,13 +79,34 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return hash;
 }
 
-std::string content_hash(std::string_view bytes) {
+namespace {
+
+std::string hash_text(std::uint64_t hash) {
   static constexpr char kHex[] = "0123456789abcdef";
-  const std::uint64_t hash = fnv1a64(bytes);
   std::string out = "fnv1a64:";
   for (int shift = 60; shift >= 0; shift -= 4) {
     out += kHex[(hash >> shift) & 0xf];
   }
+  return out;
+}
+
+}  // namespace
+
+std::string content_hash(std::string_view bytes) { return hash_text(fnv1a64(bytes)); }
+
+void ArtifactDigest::update(std::string_view block) {
+  bytes += block.size();
+  rows += static_cast<std::uint64_t>(std::count(block.begin(), block.end(), '\n'));
+  hash = fnv1a64(block, hash);
+}
+
+ArtifactRecord ArtifactDigest::record(std::string name, std::string path) const {
+  ArtifactRecord out;
+  out.name = std::move(name);
+  out.path = std::move(path);
+  out.bytes = bytes;
+  out.rows = rows;
+  out.hash = hash_text(hash);
   return out;
 }
 
@@ -95,16 +115,9 @@ std::optional<ArtifactRecord> artifact_from_file(const std::string& name,
                                                  std::string* error) {
   const auto text = read_file(path, error);
   if (!text) return std::nullopt;
-  const std::string& content = *text;
-
-  ArtifactRecord record;
-  record.name = name;
-  record.path = path;
-  record.bytes = content.size();
-  record.rows = static_cast<std::uint64_t>(
-      std::count(content.begin(), content.end(), '\n'));
-  record.hash = content_hash(content);
-  return record;
+  ArtifactDigest digest;
+  digest.update(*text);
+  return digest.record(name, path);
 }
 
 void write_manifest_jsonl(const RunManifest& manifest, std::ostream& out) {

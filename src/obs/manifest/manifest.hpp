@@ -79,7 +79,7 @@ struct RunManifest {
   std::vector<std::pair<std::string, std::string>> config;
   std::vector<ArtifactRecord> artifacts;
   /// Layer name -> summarize_for_manifest() values ("trace", "metrics",
-  /// "spans", "health", "hostprof", "spill.trace", "spill.spans").
+  /// "spans", "health", "hostprof").
   std::map<std::string, ValueList> summaries;
   /// Headline result values ("tests_simulated", "util_median_pct", ...) in
   /// insertion order.
@@ -93,13 +93,28 @@ struct RunManifest {
   [[nodiscard]] std::optional<std::string> config_value(std::string_view key) const;
 };
 
-/// FNV-1a 64-bit over a byte string — the manifest's content hash. Not
-/// cryptographic; collision-resistant enough to certify "same artifact" in
-/// CI, with zero dependencies and deterministic output everywhere.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ULL;
+
+/// FNV-1a 64-bit over a byte string — the manifest's content hash — carried
+/// on from `hash`, so content hashes block by block. Not cryptographic;
+/// collision-resistant enough to certify "same artifact" in CI, with zero
+/// dependencies and deterministic output everywhere.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
+                                    std::uint64_t hash = kFnv1a64Basis);
 
 /// "fnv1a64:<16 lowercase hex digits>" of `bytes`.
 [[nodiscard]] std::string content_hash(std::string_view bytes);
+
+/// An artifact's bytes, newline rows and content hash, fed block by block —
+/// by artifact_from_file, or by a writer as the blocks go out.
+struct ArtifactDigest {
+  std::uint64_t bytes = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t hash = kFnv1a64Basis;
+
+  void update(std::string_view block);
+  [[nodiscard]] ArtifactRecord record(std::string name, std::string path) const;
+};
 
 /// Builds an ArtifactRecord by reading `path` (hash, bytes, newline rows).
 /// Returns nullopt (with a reason in `error`) when the file cannot be read.

@@ -125,10 +125,6 @@ ShardTelemetry ResourceMonitor::totals_locked() const {
     total.calendar_sweeps += t.calendar_sweeps;
     total.calendar_rebases += t.calendar_rebases;
     total.calendar_far_pushes += t.calendar_far_pushes;
-    total.trace_dropped += t.trace_dropped;
-    total.trace_spilled += t.trace_spilled;
-    total.span_dropped += t.span_dropped;
-    total.span_spilled += t.span_spilled;
     total.health_dropped += t.health_dropped;
     total.sample_degradations += t.sample_degradations;
   }
@@ -153,9 +149,9 @@ void ResourceMonitor::export_metrics(MetricsRegistry& metrics) const {
   put("obs.resource.calendar_sweeps", total.calendar_sweeps);
   put("obs.resource.calendar_rebases", total.calendar_rebases);
   put("obs.resource.calendar_far_pushes", total.calendar_far_pushes);
-  // Trace/span drop and spill counts are NOT exported here: the post-merge
-  // hub carries them (merge_from sums shard counts) and the CLI surfaces
-  // those directly — exporting both would double-count.
+  // Trace/span drop counts are NOT exported here: the run's hub carries
+  // them (the trace stream sums chunk counts) and the CLI surfaces those
+  // directly — exporting both would double-count.
   put("obs.health_dropped", total.health_dropped);
   put("obs.sample_degradations", total.sample_degradations);
 }
@@ -178,7 +174,7 @@ void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
   meta.emplace_back("obs.transit_peak_live",
                     std::to_string(total.transit_peak_live));
   meta.emplace_back("obs.calendar_sweeps", std::to_string(total.calendar_sweeps));
-  // Trace/span drop/spill counts are surfaced from the merged hub (the CLI
+  // Trace/span drop counts are surfaced from the run's hub (the CLI
   // adds only-nonzero meta entries); duplicating them here would produce
   // conflicting keys in the same report.
   meta.emplace_back("obs.health_dropped", std::to_string(total.health_dropped));

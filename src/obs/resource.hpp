@@ -6,7 +6,7 @@
 // It collects two strictly separated kinds of signal:
 //
 //  * Deterministic counters — per-shard slab/transit-pool occupancy,
-//    calendar-queue sweep stats, trace/span drop + spill counts, sampling
+//    calendar-queue sweep stats, health drops, sampling
 //    degradations. These are a pure function of (workload, shards) and may
 //    land in the metrics registry and health report.
 //  * Host measurements — RSS / peak RSS (/proc/self/statm + VmHWM), per-shard
@@ -58,11 +58,6 @@ struct ShardTelemetry {
   std::uint64_t calendar_sweeps = 0;
   std::uint64_t calendar_rebases = 0;
   std::uint64_t calendar_far_pushes = 0;
-  // Per-store loss/spill accounting.
-  std::uint64_t trace_dropped = 0;
-  std::uint64_t trace_spilled = 0;
-  std::uint64_t span_dropped = 0;
-  std::uint64_t span_spilled = 0;
   std::uint64_t health_dropped = 0;
   std::uint64_t sample_degradations = 0;
 };
@@ -118,7 +113,7 @@ class ResourceMonitor {
   /// whichever is larger).
   [[nodiscard]] double peak_rss_mb();
 
-  /// Exports the deterministic counters (occupancy, drops, spills,
+  /// Exports the deterministic counters (occupancy, drops,
   /// degradations — summed over shards) into `metrics`. Only-nonzero
   /// counters are written so runs that never drop stay artifact-compatible.
   void export_metrics(MetricsRegistry& metrics) const;

@@ -30,6 +30,8 @@ std::vector<SpanData> to_span_data(const SpanStore& store) {
   return out;
 }
 
+namespace {
+
 void append_span_json(std::string& out, const SpanRecord& record) {
   out += "{\"id\":";
   append_u64(out, record.id);
@@ -65,33 +67,34 @@ void append_span_json(std::string& out, const SpanRecord& record) {
   out += "}";
 }
 
+}  // namespace
+
+SpanWriter::SpanWriter(std::ostream* out) : out_(out) {
+  if (out_ != nullptr) *out_ << "{\"spans\":[\n";
+}
+
+void SpanWriter::write(const SpanRecord& record) {
+  line_.assign(spans_++ > 0 ? ",\n" : "");
+  if (!record.closed) ++open_;
+  if (out_ == nullptr) return;
+  append_span_json(line_, record);
+  *out_ << line_;
+}
+
+void SpanWriter::finish(std::uint64_t dropped) {
+  dropped_ = dropped;
+  line_ = "\n],\"open\":";
+  append_u64(line_, open_);
+  line_ += ",\"dropped\":";
+  append_u64(line_, dropped_);
+  line_ += "}\n";
+  if (out_ != nullptr) *out_ << line_;
+}
+
 void write_spans_json(const SpanStore& store, std::ostream& out) {
-  std::string line = "{\"spans\":[\n";
-  out << line;
-  bool first = true;
-  for (const SpanRecord& record : store.spans()) {
-    line.clear();
-    if (!first) line += ",\n";
-    first = false;
-    append_span_json(line, record);
-    out << line;
-  }
-  line = "\n],\"open\":";
-  std::string tail;
-  append_u64(tail, store.open_count());
-  line += tail;
-  line += ",\"dropped\":";
-  tail.clear();
-  append_u64(tail, store.dropped());
-  line += tail;
-  if (store.spilled() > 0) {
-    line += ",\"spilled\":";
-    tail.clear();
-    append_u64(tail, store.spilled());
-    line += tail;
-  }
-  line += "}\n";
-  out << line;
+  SpanWriter writer(&out);
+  for (const SpanRecord& record : store.spans()) writer.write(record);
+  writer.finish(store.dropped());
 }
 
 std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
@@ -145,12 +148,11 @@ std::optional<std::vector<SpanData>> parse_spans_json(std::string_view text,
 }
 
 std::vector<std::pair<std::string, double>> summarize_for_manifest(
-    const SpanStore& store) {
+    const SpanWriter& writer) {
   return {
-      {"spans", static_cast<double>(store.size())},
-      {"open", static_cast<double>(store.open_count())},
-      {"dropped", static_cast<double>(store.dropped())},
-      {"spilled", static_cast<double>(store.spilled())},
+      {"spans", static_cast<double>(writer.spans())},
+      {"open", static_cast<double>(writer.open())},
+      {"dropped", static_cast<double>(writer.dropped())},
   };
 }
 

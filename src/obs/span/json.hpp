@@ -46,15 +46,32 @@ struct SpanData {
 /// Copies a live store's spans into the analyzer's owning form.
 [[nodiscard]] std::vector<SpanData> to_span_data(const SpanStore& store);
 
-/// Writes the span document for a store (deterministic bytes). Stores that
-/// spilled additionally carry a "spilled" count after "dropped"; stores that
-/// never spilled render exactly as before.
-void write_spans_json(const SpanStore& store, std::ostream& out);
+/// The one span renderer: writes a span document one record at a time — the
+/// header when built, each record as the next "spans" entry, the footer on
+/// finish().
+class SpanWriter {
+ public:
+  /// `out` may be null: the writer then only counts.
+  explicit SpanWriter(std::ostream* out);
 
-/// Appends one span's JSON object (no surrounding newline/comma) — the exact
-/// entry format of the "spans" array, shared with the spill writer so
-/// spilled JSONL segments use the same schema line by line.
-void append_span_json(std::string& out, const SpanRecord& record);
+  void write(const SpanRecord& record);
+  /// Closes the document: the spans still open and the `dropped` count.
+  void finish(std::uint64_t dropped);
+
+  [[nodiscard]] std::uint64_t spans() const noexcept { return spans_; }
+  [[nodiscard]] std::uint64_t open() const noexcept { return open_; }
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+
+ private:
+  std::ostream* out_;
+  std::string line_;
+  std::uint64_t spans_ = 0;
+  std::uint64_t open_ = 0;
+  std::uint64_t dropped_ = 0;
+};
+
+/// Writes the span document for a store (deterministic bytes).
+void write_spans_json(const SpanStore& store, std::ostream& out);
 
 /// Parses a span document. Returns nullopt (with a reason in `error`, when
 /// provided) on malformed JSON or a document without a "spans" array.
@@ -65,8 +82,8 @@ void append_span_json(std::string& out, const SpanRecord& record);
 [[nodiscard]] std::optional<std::vector<SpanData>> load_spans_file(
     const std::string& path, std::string* error = nullptr);
 
-/// Manifest summary of a span store: retained/open/dropped/spilled counts.
+/// Manifest summary of a finished span document: spans/open/dropped counts.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
-    const SpanStore& store);
+    const SpanWriter& writer);
 
 }  // namespace swiftest::obs::span

@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -90,14 +89,6 @@ class SpanStore {
     metrics_ = metrics;
   }
 
-  /// Rotation sink: when set, a store that reaches capacity spills its
-  /// longest fully-closed prefix (in id order) through this callback and
-  /// frees that room, instead of refusing the begin. Spilled spans count in
-  /// spilled(), keep their global ids in the spill file, and become
-  /// invisible to find() — every later operation on a spilled id is a no-op.
-  using SpillFn = std::function<void(const SpanRecord*, std::size_t)>;
-  void set_spill(SpillFn fn) { spill_ = std::move(fn); }
-
   /// Sampled mode (fleet sampling): a begin that would start a NEW trace
   /// tree for an unknown trace_id — nonzero trace_id, no parent, no anchor
   /// registered — is silently refused (counted in suppressed()). Unsampled
@@ -108,8 +99,7 @@ class SpanStore {
   [[nodiscard]] bool sampled_mode() const noexcept { return sampled_mode_; }
 
   /// Opens a span. Returns kNoSpan (and counts the drop) once the store is
-  /// at capacity and no spill sink can make room. `trace_id` 0 inherits the
-  /// parent's trace id.
+  /// at capacity. `trace_id` 0 inherits the parent's trace id.
   SpanId begin(core::SimTime ts, Category category, const char* name,
                SpanId parent = kNoSpan, std::uint64_t trace_id = 0);
 
@@ -131,31 +121,22 @@ class SpanStore {
   /// root, and the analyzer reports it as a separate tree.
   [[nodiscard]] SpanId anchor(std::uint64_t trace_id) const;
 
-  /// Appends every retained span of `src` with fresh sequential ids (parent
-  /// links remapped; a parent that `src` spilled remaps to kNoSpan); anchors
-  /// remap the same way (first registration still wins) and drop/spill
-  /// counts add. No sink mirroring — the source store already
-  /// mirrored into its own sinks, which merge separately.
-  /// Merging a full source into an empty store reproduces it record for
-  /// record; an explicit merge may grow the store past its begin() capacity.
-  void merge_from(const SpanStore& src);
+  /// Appends a record its caller numbered (id size() + 1, parent resolved);
+  /// it may grow the store past capacity and mirrors nothing.
+  void append(const SpanRecord& record);
 
-  /// Reorders the retained spans into their content order — (start,
-  /// trace_id, name by string value, end, ...) — and re-ids them 1..n with
-  /// parents remapped and anchors rebuilt. The sampled-artifact determinism
-  /// hinge: a sharded merge appends shards in shard order, which depends on
-  /// the partition; after this sort the same retained set renders
-  /// byte-identically for every shard count (DESIGN.md §12).
-  void sort_canonical();
+  /// Counts begins refused by other stores whose spans reached this one.
+  void add_refused(std::uint64_t dropped, std::uint64_t suppressed) noexcept {
+    dropped_ += dropped;
+    suppressed_ += suppressed;
+  }
 
-  /// Retained spans, id-ascending and contiguous (spilled spans are absent).
+  /// Retained spans, id-ascending and contiguous.
   [[nodiscard]] const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Begins refused because the store was full.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Spans rotated out through the spill sink.
-  [[nodiscard]] std::uint64_t spilled() const noexcept { return spilled_; }
   /// Begins refused by sampled mode (intentional, not data loss).
   [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_; }
   /// Spans begun but not yet ended.
@@ -165,7 +146,6 @@ class SpanStore {
     spans_.clear();
     anchors_.clear();
     dropped_ = 0;
-    spilled_ = 0;
     suppressed_ = 0;
     open_ = 0;
     next_id_ = 1;
@@ -173,20 +153,15 @@ class SpanStore {
 
  private:
   [[nodiscard]] SpanRecord* find(SpanId id) noexcept;
-  /// Frees room at capacity by spilling the closed prefix. May free nothing
-  /// (no spill sink, or the oldest span is still open).
-  void make_room();
 
   std::size_t capacity_;
   std::vector<SpanRecord> spans_;
   std::map<std::uint64_t, SpanId> anchors_;
   std::uint64_t dropped_ = 0;
-  std::uint64_t spilled_ = 0;
   std::uint64_t suppressed_ = 0;
   std::size_t open_ = 0;
   SpanId next_id_ = 1;
   bool sampled_mode_ = false;
-  SpillFn spill_;
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   /// Per-name histogram handles, keyed on the literal's address (bind once).

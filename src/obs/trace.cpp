@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace swiftest::obs {
 
@@ -66,47 +65,13 @@ std::vector<TraceEvent> Tracer::events() const {
   return out;
 }
 
-void Tracer::flush_spill() {
-  spill_scratch_.clear();
-  spill_scratch_.reserve(size_);
-  // The ring is full here, so the oldest event sits at head_.
-  for (std::size_t i = 0; i < size_; ++i) {
-    spill_scratch_.push_back(ring_[(head_ + i) % ring_.size()]);
+std::span<TraceEvent> Tracer::retained() {
+  if (size_ == ring_.size() && head_ != 0) {
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
   }
-  spill_(spill_scratch_.data(), spill_scratch_.size());
-  spilled_ += size_;
-  head_ = 0;
-  size_ = 0;
-}
-
-void Tracer::merge_from(const Tracer& src) {
-  if (src.size() > 0 && ring_.empty()) ensure_ring();
-  for (const TraceEvent& e : src.events()) {
-    record(e.ts, e.category, e.kind, e.name, e.id, e.value);
-  }
-  dropped_ += src.dropped();
-  spilled_ += src.spilled();
-}
-
-void Tracer::sort_canonical() {
-  std::vector<TraceEvent> sorted = events();
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.ts != b.ts) return a.ts < b.ts;
-                     // Names are literals but MUST compare by content: the
-                     // same literal has different addresses across shards.
-                     if (const int c = std::strcmp(a.name, b.name); c != 0) {
-                       return c < 0;
-                     }
-                     if (a.id != b.id) return a.id < b.id;
-                     if (a.kind != b.kind) return a.kind < b.kind;
-                     if (a.category != b.category) return a.category < b.category;
-                     return a.value < b.value;
-                   });
-  head_ = 0;
-  size_ = sorted.size();
-  for (std::size_t i = 0; i < sorted.size(); ++i) ring_[i] = sorted[i];
-  head_ = size_ == ring_.size() ? 0 : size_;
+  return {ring_.data(), size_};
 }
 
 }  // namespace swiftest::obs

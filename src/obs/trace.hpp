@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,12 +90,11 @@ class Tracer {
   void set_category_mask(std::uint32_t mask) noexcept { mask_ = mask; }
   [[nodiscard]] std::uint32_t category_mask() const noexcept { return mask_; }
 
-  /// Rotation sink: when set, a full ring flushes its whole contents
-  /// (oldest first) through this callback and starts over, instead of
-  /// overwriting the oldest event. Flushed events count in spilled(), not
-  /// dropped(). Wired to a SpillWriter segment per flush (obs/spill.hpp).
-  using SpillFn = std::function<void(const TraceEvent*, std::size_t)>;
-  void set_spill(SpillFn fn) { spill_ = std::move(fn); }
+  /// Overflow hook: when set, a full ring hands its events (record order,
+  /// in place, so the hook may sort them) to this callback and starts over
+  /// instead of overwriting the oldest — nothing is dropped.
+  using OverflowFn = std::function<void(std::span<TraceEvent>)>;
+  void set_overflow(OverflowFn fn) { overflow_ = std::move(fn); }
 
   /// Records one event (unconditionally — callers gate on wants()). Not
   /// noexcept: the first record() allocates the ring and may throw bad_alloc.
@@ -102,8 +102,10 @@ class Tracer {
               std::uint64_t id, double value) {
     if (ring_.empty()) {
       ensure_ring();
-    } else if (size_ == ring_.size() && spill_) {
-      flush_spill();
+    } else if (size_ == ring_.size() && overflow_) {
+      // With a hook the ring never wraps, so it holds [0, size) in order.
+      overflow_(std::span<TraceEvent>(ring_));
+      size_ = 0;
     }
     TraceEvent& slot = ring_[head_];
     slot.ts = ts;
@@ -123,29 +125,16 @@ class Tracer {
   /// Events currently retained.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Events overwritten because the ring wrapped (with no spill sink).
+  /// Events overwritten because the ring wrapped, plus any add_dropped().
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Events flushed to the spill sink instead of being overwritten.
-  [[nodiscard]] std::uint64_t spilled() const noexcept { return spilled_; }
+  /// Counts events lost before they reached this tracer.
+  void add_dropped(std::uint64_t count) noexcept { dropped_ += count; }
 
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
-
-  /// Appends every retained event of `src` (oldest first) and carries its
-  /// drop and spill counts over. Used once per fleet chunk, folding chunk
-  /// tracers into the run's tracer in chunk order (tests trace straight into
-  /// their chunk's tracer, so there is no per-test fold): merging one full
-  /// source into an empty same-capacity ring reproduces it byte for byte,
-  /// retention and drop count included.
-  void merge_from(const Tracer& src);
-
-  /// Reorders the retained events into their content order — (ts, name, id,
-  /// kind, category, value), names by string value — discarding the record
-  /// order. A chunked merge concatenates chunks in chunk order, which
-  /// depends on the partition; after this sort the retained set renders
-  /// identically for every chunk size that retains the same events (the
-  /// sampled-artifact determinism contract, DESIGN.md §12).
-  void sort_canonical();
+  /// The same, in place: a wrapped ring is rotated so they can be reordered
+  /// where they lie.
+  [[nodiscard]] std::span<TraceEvent> retained();
 
   /// In-memory footprint of the ring (for budget accounting): zero until
   /// the lazy ring is allocated.
@@ -157,7 +146,6 @@ class Tracer {
     head_ = 0;
     size_ = 0;
     dropped_ = 0;
-    spilled_ = 0;
   }
 
   static constexpr std::size_t kDefaultCapacity = 1u << 18;
@@ -165,8 +153,6 @@ class Tracer {
  private:
   /// Cold path: allocates the ring (capacity_ × 40 bytes) on first use.
   void ensure_ring();
-  /// Cold path: rotates the full ring out through the spill sink.
-  void flush_spill();
 
   // The ring (capacity_ × 40 bytes, ~10 MB at the default) is allocated on
   // the first record(), not at construction: a Hub whose tracer never
@@ -177,11 +163,8 @@ class Tracer {
   std::size_t head_ = 0;  // next write position
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t spilled_ = 0;
   std::uint32_t mask_ = kAllCategories;
-  SpillFn spill_;
-  /// Scratch for flush_spill's oldest-first rotation; reused across flushes.
-  std::vector<TraceEvent> spill_scratch_;
+  OverflowFn overflow_;
 };
 
 }  // namespace swiftest::obs

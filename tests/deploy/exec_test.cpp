@@ -434,8 +434,8 @@ TEST(ChunkedFleet, PacketArtifactsIndependentOfPartitionAndJobs) {
     EXPECT_EQ(run.busy_windows, reference.busy_windows)
         << "chunk=" << chunk << " jobs=" << jobs;
     // Byte-identical JSON, not merely equivalent: outputs commit in chunk
-    // order and the stores canonicalize, so neither the partition nor thread
-    // scheduling can leak into any artifact.
+    // order and the trace stream emits in content order, so neither the
+    // partition nor thread scheduling can leak into any artifact.
     EXPECT_EQ(run.health, reference.health) << "chunk=" << chunk << " jobs=" << jobs;
     EXPECT_EQ(run.metrics, reference.metrics) << "chunk=" << chunk << " jobs=" << jobs;
     EXPECT_EQ(run.spans, reference.spans) << "chunk=" << chunk << " jobs=" << jobs;

@@ -8,8 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,6 +16,7 @@
 
 #include "dataset/generator.hpp"
 #include "deploy/fleet_sim.hpp"
+#include "deploy/trace_stream.hpp"
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hub.hpp"
@@ -323,44 +323,147 @@ TEST(FleetSampling, PacketTraceHoldsOnlySampledTests) {
   EXPECT_EQ(outside, 0u) << "first: " << first_outside;
 }
 
-TEST(FleetSpill, SingleTestOverflowingTheChunkRingSpillsInsteadOfDropping) {
-  const auto run = [](const std::string& spill_dir, obs::Hub& hub) {
-    const swift::ModelRegistry registry;
-    FleetSimConfig cfg;
-    cfg.server_count = 5;
-    cfg.days = 1;
-    cfg.tests_per_day = 20.0;
-    cfg.seed = 11;
-    cfg.backend = FleetBackend::kPacket;
-    cfg.obs_spill_dir = spill_dir;
-    hub.tracer.set_category_mask(static_cast<std::uint32_t>(obs::Category::kProtocol));
-    cfg.obs = &hub;
-    return simulate_fleet(population(), registry, cfg).tests_simulated;
-  };
-  // The chunk ring is shaped like the run's: smaller than what a test
-  // records on average, so single tests overflow it on their own.
-  constexpr std::size_t kRing = 16;
-  obs::Hub reference(kRing);
-  const std::uint64_t tests = run("", reference);
-  const std::uint64_t recorded = reference.tracer.size() + reference.tracer.dropped();
-  ASSERT_GT(tests, 0u);
-  ASSERT_GT(recorded / tests, kRing);
+// The canonical trace stream with sinks attached: every recorded event and
+// span reaches the sinks once, in canonical order, whatever the partition —
+// chunk rings and span stores that fill write sorted runs instead of
+// dropping.
+struct Streamed {
+  std::string trace;  // the events as trace.jsonl renders them
+  std::string spans;  // the span document
+  std::vector<obs::span::SpanRecord> records;
+  std::uint64_t events = 0;
+  std::uint64_t trace_dropped = 0;
+  bool ordered = true;
+};
 
-  const std::string dir = testing::TempDir() + "/fleet_spill_single_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  obs::Hub spilled(kRing);
-  EXPECT_EQ(run(dir, spilled), tests);
-  // Tests record straight into the spilling chunk ring, so nothing is lost
-  // in a private ring before the chunk sees it.
-  EXPECT_EQ(spilled.tracer.dropped(), 0u);
-  EXPECT_EQ(spilled.tracer.size() + spilled.tracer.spilled(), recorded);
-  std::ifstream spill_file(dir + "/trace.spill.jsonl");
-  ASSERT_TRUE(spill_file);
-  std::stringstream spill_text;
-  spill_text << spill_file.rdbuf();
-  EXPECT_EQ(count_lines(spill_text.str()), spilled.tracer.spilled());
-  std::filesystem::remove_all(dir);
+FleetSimConfig small_day(FleetBackend backend) {
+  FleetSimConfig cfg;
+  cfg.server_count = 5;
+  cfg.days = 1;
+  cfg.tests_per_day = backend == FleetBackend::kPacket ? 20.0 : 400.0;
+  cfg.seed = 11;
+  cfg.backend = backend;
+  return cfg;
+}
+
+/// Runs `cfg` into `hub`, streamed through its sinks when `sinks` is set.
+Streamed run_streamed(FleetSimConfig cfg, obs::Hub& hub, bool sinks) {
+  const swift::ModelRegistry registry;
+  std::ostringstream trace;
+  std::optional<obs::TraceWriter> writer;
+  Streamed out;
+  obs::TraceEvent last;
+  if (sinks) {
+    writer.emplace(&trace, nullptr);
+    hub.event_sink = [&](const obs::TraceEvent& e) {
+      if (out.events++ > 0 && canonical_less(e, last)) out.ordered = false;
+      last = e;
+      writer->write(e);
+    };
+    hub.span_sink = [&](const obs::span::SpanRecord& r) { out.records.push_back(r); };
+  }
+  cfg.obs = &hub;
+  (void)simulate_fleet(population(), registry, cfg);
+  if (sinks) {
+    writer->finish();
+    out.trace = trace.str();
+  } else {
+    obs::write_trace_jsonl(hub.tracer, trace);
+    out.trace = trace.str();
+    out.records = hub.spans.spans();
+  }
+  hub.event_sink = nullptr;
+  hub.span_sink = nullptr;
+  std::ostringstream spans;
+  obs::span::SpanWriter doc(&spans);
+  for (const obs::span::SpanRecord& r : out.records) doc.write(r);
+  doc.finish(hub.spans.dropped());
+  out.spans = spans.str();
+  out.trace_dropped = hub.tracer.dropped();
+  return out;
+}
+
+constexpr auto kProtocolOnly = static_cast<std::uint32_t>(obs::Category::kProtocol);
+
+TEST(FleetStream, SingleTestOverflowingTheChunkRingStreamsEveryEventInOrder) {
+  // The reference ring holds the whole run; a 16-event chunk ring is smaller
+  // than what one test records.
+  obs::Hub whole;
+  whole.tracer.set_category_mask(kProtocolOnly);
+  const Streamed reference = run_streamed(small_day(FleetBackend::kPacket), whole, false);
+  ASSERT_EQ(reference.trace_dropped, 0u);
+  const std::size_t recorded = count_lines(reference.trace);
+  ASSERT_GT(recorded, 16u * 20u);
+
+  for (const std::size_t chunk : {1u, 37u, 256u}) {
+    for (const std::size_t jobs : {1u, 4u}) {
+      obs::Hub hub(16);
+      hub.tracer.set_category_mask(kProtocolOnly);
+      FleetSimConfig cfg = small_day(FleetBackend::kPacket);
+      cfg.chunk = chunk;
+      cfg.jobs = jobs;
+      const Streamed streamed = run_streamed(cfg, hub, true);
+      EXPECT_EQ(streamed.events, recorded) << "chunk=" << chunk << " jobs=" << jobs;
+      EXPECT_TRUE(streamed.ordered) << "chunk=" << chunk << " jobs=" << jobs;
+      EXPECT_EQ(streamed.trace_dropped, 0u) << "chunk=" << chunk << " jobs=" << jobs;
+      EXPECT_EQ(streamed.trace, reference.trace) << "chunk=" << chunk << " jobs=" << jobs;
+    }
+  }
+}
+
+/// Ids are exactly 1..n in emission order, and every parent names one.
+void expect_consistent_ids(const std::vector<obs::span::SpanRecord>& spans) {
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].id, i + 1);
+    EXPECT_LE(spans[i].parent, spans.size()) << "span " << spans[i].id;
+    EXPECT_NE(spans[i].parent, spans[i].id);
+  }
+}
+
+TEST(FleetStream, SpansOverflowingChunkStoresComeOutWithOneIdSpace) {
+  // Analytic spans at 1/2 sampling fill a 16-span chunk store many times
+  // over; packet spans (parented trees) fill a 32-span one.
+  FleetSimConfig analytic = small_day(FleetBackend::kAnalytic);
+  analytic.sample.set_denominator(2);
+  FleetSimConfig packet = small_day(FleetBackend::kPacket);
+  for (const auto& [base, capacity] :
+       {std::pair{analytic, std::size_t{16}}, {packet, std::size_t{32}}}) {
+    obs::Hub whole;
+    whole.tracer.set_category_mask(0);
+    const Streamed reference = run_streamed(base, whole, false);
+    ASSERT_GT(reference.records.size(), 4 * capacity);
+    EXPECT_EQ(whole.spans.dropped(), 0u);
+    expect_consistent_ids(reference.records);
+    if (base.backend == FleetBackend::kPacket) {
+      EXPECT_TRUE(std::any_of(reference.records.begin(), reference.records.end(),
+                              [](const auto& r) { return r.parent != 0; }));
+    }
+    for (const std::size_t chunk : {1u, 37u, 256u}) {
+      for (const std::size_t jobs : {1u, 4u}) {
+        obs::Hub hub(obs::Tracer::kDefaultCapacity, capacity);
+        hub.tracer.set_category_mask(0);
+        FleetSimConfig cfg = base;
+        cfg.chunk = chunk;
+        cfg.jobs = jobs;
+        const Streamed streamed = run_streamed(cfg, hub, true);
+        expect_consistent_ids(streamed.records);
+        EXPECT_EQ(hub.spans.dropped(), 0u);
+        EXPECT_EQ(streamed.spans, reference.spans)
+            << "capacity=" << capacity << " chunk=" << chunk << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(FleetStream, WithoutSinksASmallRingStillCountsWhatItDrops) {
+  obs::Hub whole;
+  whole.tracer.set_category_mask(kProtocolOnly);
+  const Streamed reference = run_streamed(small_day(FleetBackend::kPacket), whole, false);
+  obs::Hub small(16);
+  small.tracer.set_category_mask(kProtocolOnly);
+  (void)run_streamed(small_day(FleetBackend::kPacket), small, false);
+  EXPECT_EQ(small.tracer.size(), 16u);
+  EXPECT_EQ(small.tracer.size() + small.tracer.dropped(), whole.tracer.size());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/span/json.hpp"
 
 namespace swiftest::obs {
 namespace {
@@ -108,6 +109,55 @@ TEST(JsonUtil, EscapesControlCharacters) {
   std::string out;
   append_json_string(out, "a\"b\\c\nd\te");
   EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\"");
+}
+
+// A streamed artifact is written progressively, so a killed run leaves a
+// prefix of it on disk: every proper prefix must be refused with a reason,
+// never parsed into a partial result or a crash.
+TEST(StreamedArtifacts, EveryPrefixFailsCleanly) {
+  std::ostringstream doc;
+  span::SpanWriter writer(&doc);
+  span::SpanRecord record;
+  record.id = 1;
+  record.trace_id = 18'446'744'073'709'551'557ull;
+  record.name = "fleet.test";
+  record.category = Category::kFleet;
+  record.start = 314'000'000'000;
+  record.end = 314'832'444'416;
+  record.closed = true;
+  record.attr_count = 2;
+  record.attrs[0] = {"truth_mbps", span::SpanAttr::Type::kF64, 16.647273704929656, 0};
+  record.attrs[1] = {"server", span::SpanAttr::Type::kU64, 0.0, 3};
+  writer.write(record);
+  record.id = 2;
+  record.parent = 1;
+  record.closed = false;
+  record.attr_count = 0;
+  writer.write(record);
+  writer.finish(0);
+  const std::string spans = doc.str();
+  ASSERT_TRUE(span::parse_spans_json(spans));
+  // The document ends "}\n": every prefix short of its closing brace is cut.
+  for (std::size_t n = 0; n + 1 < spans.size(); ++n) {
+    std::string error;
+    EXPECT_FALSE(span::parse_spans_json(std::string_view(spans).substr(0, n), &error))
+        << "prefix of " << n << " bytes";
+    EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+  }
+
+  std::ostringstream jsonl;
+  TraceWriter trace(&jsonl, nullptr);
+  trace.write({314'000'000'000, Category::kLink, EventKind::kCounter, "link.queue_bytes",
+               18'446'744'073'709'551'557ull, 0.1});
+  trace.finish();
+  const std::string line = jsonl.str().substr(0, jsonl.str().size() - 1);
+  ASSERT_TRUE(parse_json(line));
+  for (std::size_t n = 0; n < line.size(); ++n) {
+    std::string error;
+    EXPECT_FALSE(parse_json(std::string_view(line).substr(0, n), &error))
+        << "prefix of " << n << " bytes";
+    EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+  }
 }
 
 }  // namespace

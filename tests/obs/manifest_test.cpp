@@ -10,7 +10,8 @@
 
 #include "obs/diff/diff.hpp"
 #include "obs/manifest/manifest.hpp"
-#include "obs/spill.hpp"
+#include "obs/export.hpp"
+#include "obs/span/json.hpp"
 
 namespace swiftest::obs {
 namespace {
@@ -254,25 +255,33 @@ TEST(ManifestDiff, RendersJsonAndMarkdown) {
   EXPECT_NE(md.str().find("util_median_pct"), std::string::npos);
 }
 
-// --- spill manifest summary ------------------------------------------------
+// --- trace and span manifest summaries ----------------------------------
 
-TEST(Manifest, SpillWriterSummary) {
-  const std::string dir = ::testing::TempDir();
-  SpillWriter writer(dir, "trace", /*shard=*/0);
-  TraceEvent events[2] = {};
-  writer.write_trace_segment(events, 2);
-  writer.write_trace_segment(events, 1);
-  const auto summary = summarize_for_manifest(writer);
-  double segments = -1.0, ok = -1.0, bytes = -1.0;
-  for (const auto& [key, value] : summary) {
-    if (key == "segments") segments = value;
-    if (key == "ok") ok = value;
-    if (key == "bytes") bytes = value;
-  }
-  EXPECT_EQ(segments, 2.0);
-  EXPECT_EQ(bytes, static_cast<double>(writer.bytes_written()));
-  EXPECT_GT(writer.bytes_written(), 0u);
-  EXPECT_EQ(ok, 1.0);
+TEST(Manifest, WriterSummariesCountWhatTheWritersRendered) {
+  std::ostringstream jsonl;
+  TraceWriter trace(&jsonl, nullptr);
+  trace.write({1, Category::kLink, EventKind::kInstant, "link.drop", 0, 0.0});
+  trace.write({2, Category::kProtocol, EventKind::kInstant, "probe.start", 0, 0.0});
+  trace.write({3, Category::kLink, EventKind::kCounter, "link.queue", 0, 1.0});
+  trace.finish();
+  const std::vector<std::pair<std::string, double>> expected_trace = {
+      {"events", 3.0}, {"dropped", 7.0}, {"cat.link", 2.0}, {"cat.protocol", 1.0}};
+  EXPECT_EQ(summarize_for_manifest(trace, 7), expected_trace);
+
+  // A writer without a stream still counts, so a run summarizes its spans
+  // whether or not spans.json was requested.
+  span::SpanWriter spans(nullptr);
+  span::SpanRecord open;
+  open.id = 1;
+  span::SpanRecord closed = open;
+  closed.id = 2;
+  closed.closed = true;
+  spans.write(open);
+  spans.write(closed);
+  spans.finish(4);
+  const std::vector<std::pair<std::string, double>> expected_spans = {
+      {"spans", 2.0}, {"open", 1.0}, {"dropped", 4.0}};
+  EXPECT_EQ(span::summarize_for_manifest(spans), expected_spans);
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ ShardTelemetry make_shard(std::size_t shard) {
   t.transit_nodes = 64;
   t.transit_peak_live = 48;
   t.calendar_sweeps = 7;
-  t.trace_dropped = 3;
   t.health_dropped = 2;
   t.sample_degradations = 1;
   return t;

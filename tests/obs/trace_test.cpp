@@ -141,5 +141,25 @@ TEST(TraceExport, JsonlOneLinePerEvent) {
   EXPECT_NE(text.find("\"cat\":\"fleet\""), std::string::npos);
 }
 
+TEST(Tracer, FullRingHandsItsEventsToTheOverflowHook) {
+  Tracer tracer(4);
+  std::vector<std::vector<std::uint64_t>> batches;
+  tracer.set_overflow([&](std::span<TraceEvent> events) {
+    batches.emplace_back();
+    for (const TraceEvent& e : events) batches.back().push_back(e.id);
+  });
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    tracer.record(0, Category::kProtocol, EventKind::kInstant, "e", i, 0.0);
+  }
+  // Two full rings went out in record order; the ring starts over each time
+  // instead of wrapping, so nothing is dropped.
+  const std::vector<std::vector<std::uint64_t>> expected = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  EXPECT_EQ(batches, expected);
+  EXPECT_EQ(tracer.size(), 2u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(tracer.events().size(), 2u);
+  EXPECT_EQ(tracer.events()[0].id, 8u);
+}
+
 }  // namespace
 }  // namespace swiftest::obs

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -185,52 +186,72 @@ TEST(Cli, MetricsOnlyFleetRunRecordsNoTraceEvents) {
   EXPECT_EQ(slurp(dir + "/metrics.json").find("obs.trace_dropped"), std::string::npos);
 }
 
-// A wrapped trace ring is reported in the artifacts on every run, not only
-// on runs that opted into bounded observability: this packet fleet-day
-// records ~16.7M trace events into a 2^18-event ring.
-TEST(Cli, FleetReportsDroppedTraceEventsInMetricsAndHealth) {
-  const std::string dir = obs_dir("cli_trace_dropped");
+// A fleet streams its trace into trace.jsonl as chunks commit, so a trace
+// far larger than any ring lands whole: link events from 20 packet tests
+// overflow a 2^18-event chunk ring several times over, and nothing drops.
+// The obs dir holds the requested artifacts and the manifest, nothing else.
+TEST(Cli, FleetStreamsEveryTraceEventWithoutDropping) {
+  const std::string dir = obs_dir("cli_trace_streamed");
+  std::filesystem::remove_all(dir);
   std::string output;
   testing::internal::CaptureStderr();
-  const int rc = run({"fleet", "--backend", "packet", "--servers", "5", "--days",
-                      "1", "--tests-per-day", "200", "--seed", "3", "--obs-dir",
-                      dir, "--obs", "trace_jsonl,metrics,health"},
+  const int rc = run({"fleet", "--backend", "packet", "--servers", "2", "--days", "1",
+                      "--tests-per-day", "20", "--seed", "3", "--trace-categories",
+                      "link", "--obs-dir", dir, "--obs", "trace_jsonl,metrics,health"},
                      output);
   const std::string errors = testing::internal::GetCapturedStderr();
   ASSERT_EQ(rc, 0) << output;
-  EXPECT_NE(errors.find("trace ring dropped"), std::string::npos) << errors;
+  EXPECT_EQ(errors.find("dropped"), std::string::npos) << errors;
+  const std::string echo = "trace_jsonl: " + dir + "/trace.jsonl (";
+  const auto at = output.find(echo);
+  ASSERT_NE(at, std::string::npos) << output;
+  const std::size_t from = at + echo.size();
+  const std::string count = output.substr(from, output.find(' ', from) - from);
+  EXPECT_GT(std::stoull(count), 262144u);
+  const std::string trace = slurp(dir + "/trace.jsonl");
+  EXPECT_EQ(std::to_string(std::count(trace.begin(), trace.end(), '\n')), count);
+  EXPECT_EQ(output.find(count + " events, "), std::string::npos) << output;
+  EXPECT_EQ(slurp(dir + "/metrics.json").find("obs.trace_dropped"), std::string::npos);
+  EXPECT_EQ(slurp(dir + "/health.json").find("obs.trace_dropped"), std::string::npos);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"health.json", "manifest.jsonl", "metrics.json",
+                                             "trace.jsonl"}));
+  std::filesystem::remove_all(dir);
+}
+
+// A single test's trace ring still wraps, and says so in the metrics and on
+// stderr — naming only flags `test` accepts: this 900 Mbps wire test records
+// far more than the ring's 2^18 events.
+TEST(Cli, TestReportsDroppedTraceEventsNamingOnlyFlagsItAccepts) {
+  const std::string dir = obs_dir("cli_test_dropped");
+  std::string output;
+  testing::internal::CaptureStderr();
+  const int rc = run({"test", "--wire", "--rate", "900", "--tech", "5g", "--obs-dir", dir,
+                      "--obs", "trace_jsonl,metrics"},
+                     output);
+  const std::string errors = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0) << output;
+  ASSERT_NE(errors.find("trace ring dropped"), std::string::npos) << errors;
   EXPECT_NE(output.find("trace_jsonl: " + dir + "/trace.jsonl (262144 events, "),
             std::string::npos)
       << output;
   EXPECT_NE(slurp(dir + "/metrics.json").find("\"obs.trace_dropped\": "),
             std::string::npos);
-  EXPECT_NE(slurp(dir + "/health.json").find("\"obs.trace_dropped\": \""),
-            std::string::npos);
-  std::filesystem::remove_all(dir);
-}
-
-// `--obs spill` rotates full rings into the obs dir itself, and the joined
-// spill stream is listed in the manifest next to the other artifacts. Link
-// events from 12 packet tests overflow one 2^18-event chunk ring.
-TEST(Cli, FleetSpillsIntoTheObsDir) {
-  const std::string dir = obs_dir("cli_spill");
-  std::string output;
-  testing::internal::CaptureStderr();
-  const int rc = run({"fleet", "--backend", "packet", "--servers", "2", "--days", "1",
-                      "--tests-per-day", "20", "--seed", "3", "--trace-categories",
-                      "link", "--obs-dir", dir, "--obs", "trace_jsonl,spill"},
-                     output);
-  const std::string errors = testing::internal::GetCapturedStderr();
-  ASSERT_EQ(rc, 0) << output;
-  EXPECT_EQ(errors.find("dropped"), std::string::npos) << errors;
-  EXPECT_FALSE(slurp(dir + "/trace.spill.jsonl").empty());
-  const std::string manifest = slurp(dir + "/manifest.jsonl");
-  EXPECT_NE(manifest.find("\"key\":\"obs.spill\",\"value\":\"on\""),
-            std::string::npos);
-  EXPECT_NE(manifest.find("\"name\":\"spill.trace\",\"path\":\"" + dir +
-                          "/trace.spill.jsonl\""),
-            std::string::npos)
-      << manifest;
+  std::size_t flags = 0;
+  for (std::size_t at = errors.find("--"); at != std::string::npos;
+       at = errors.find("--", at + 2)) {
+    const std::size_t end = errors.find_first_of(" ,)\n", at);
+    const std::string flag = errors.substr(at, end - at);
+    ++flags;
+    std::string probe;
+    run({"test", "--rate", "50", flag, "all"}, probe);
+    EXPECT_EQ(probe.find("unknown option"), std::string::npos) << flag << ": " << probe;
+  }
+  EXPECT_GT(flags, 0u) << "the warning names a lever: " << errors;
   std::filesystem::remove_all(dir);
 }
 
@@ -555,11 +576,14 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
 TEST(Cli, ProfOutDoesNotPerturbDeterministicArtifacts) {
   const std::string kArtifacts = "health,metrics,spans,trace_chrome";
   std::string output;
+  // The fleet streams its whole trace, so it is narrowed to the protocol
+  // and fleet categories to keep trace.json small.
   auto fleet_args = [&](const std::string& tag, const std::string& obs) {
     return std::vector<std::string>{
         "fleet",     "--backend", "packet", "--days",   "1",
         "--tests-per-day", "200", "--servers", "4",     "--seed",
         "9",         "--chunk",   "64",     "--jobs",   "2",
+        "--trace-categories", "protocol,fleet",
         "--obs-dir", obs_dir("cli_prof_" + tag), "--obs", obs};
   };
   ASSERT_EQ(run(fleet_args("off", kArtifacts), output), 0);
@@ -704,14 +728,17 @@ TEST(Cli, ObsFlagsNeedEachOtherAndAProducibleName) {
   std::string output;
   EXPECT_EQ(run({"fleet", "--days", "1", "--obs", "health"}, output), 2);
   EXPECT_NE(output.find("--obs-dir and --obs go together"), std::string::npos);
-  EXPECT_NE(output.find("prof_trace, spill"), std::string::npos) << output;
+  EXPECT_NE(output.find("prof, prof_trace)"), std::string::npos) << output;
   EXPECT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir}, output), 2);
   EXPECT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir, "--obs", "health,helth"},
                 output),
             2);
   EXPECT_NE(output.find("unknown --obs name 'helth' for fleet"), std::string::npos);
-  // A single test has no host-time profile artifacts and nothing to spill.
-  for (const char* name : {"prof", "prof_trace", "spill"}) {
+  // The retired spill name is gone for fleets too.
+  EXPECT_EQ(run({"fleet", "--days", "1", "--obs-dir", dir, "--obs", "spill"}, output), 2);
+  EXPECT_NE(output.find("unknown --obs name 'spill' for fleet"), std::string::npos);
+  // A single test has no host-time profile artifacts.
+  for (const char* name : {"prof", "prof_trace"}) {
     EXPECT_EQ(run({"test", "--rate", "50", "--obs-dir", dir, "--obs", name}, output),
               2)
         << name;

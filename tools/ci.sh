@@ -181,6 +181,62 @@ run_executor_gate() {
     done
   done
   echo "executor gate passed: artifacts byte-identical across the chunk x jobs matrix"
+  run_packet_trace_leg "${build_dir}"
+}
+
+# The executor gate's packet leg: a 1/8-sampled packet fleet-day records
+# millions of trace events (9.9M on the 1k-test day) that the fleet streams
+# whole, in canonical order, into trace.jsonl as chunks commit. Its trace
+# and spans must be byte-identical across the chunk x jobs matrix, hold
+# every recorded event (the manifest's trace summary, nothing dropped), and
+# leave nothing in the obs dir but the requested artifacts and the
+# manifest. Sanitizer builds run a 300-test day.
+run_packet_trace_leg() {
+  local build_dir="$1"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/packet-trace"
+  local tests_per_day=1000
+  case "${build_dir}" in *asan*|*tsan*) tests_per_day=300 ;; esac
+  echo "=== packet trace partition gate (${build_dir}, ${tests_per_day} tests) ==="
+  rm -rf "${out_dir}"
+  mkdir -p "${out_dir}"
+  local chunk jobs tag
+  for chunk in 1 37 256; do
+    for jobs in 1 4; do
+      tag="c${chunk}j${jobs}"
+      "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+        --servers 8 --days 1 --tests-per-day "${tests_per_day}" --seed 1 \
+        --obs-sample 1/8 --chunk "${chunk}" --jobs "${jobs}" \
+        --obs-dir "${out_dir}/${tag}" --obs trace_jsonl,spans,health > /dev/null
+      python3 - "${out_dir}/${tag}" <<'PYEOF'
+import json, os, sys
+run = sys.argv[1]
+files = sorted(os.listdir(run))
+expected = ["health.json", "manifest.jsonl", "spans.json", "trace.jsonl"]
+assert files == expected, f"{run} holds {files}, expected {expected}"
+meta = json.load(open(os.path.join(run, "health.json")))["meta"]
+assert "obs.trace_dropped" not in meta, f"{run}: trace dropped {meta['obs.trace_dropped']}"
+summary = None
+for line in open(os.path.join(run, "manifest.jsonl")):
+    record = json.loads(line)
+    if record.get("type") == "summary" and record.get("layer") == "trace":
+        summary = record["values"]
+lines = sum(1 for _ in open(os.path.join(run, "trace.jsonl"), "rb"))
+assert summary is not None and summary["dropped"] == 0, f"{run}: trace summary {summary}"
+assert lines == summary["events"] > 0, f"{run}: {lines} lines, {summary['events']} events"
+print(f"{run}: {lines} trace events, none dropped")
+PYEOF
+      if [[ "${tag}" != "c1j1" ]]; then
+        local artifact
+        for artifact in trace.jsonl spans.json; do
+          cmp "${out_dir}/c1j1/${artifact}" "${out_dir}/${tag}/${artifact}" \
+            || { echo "packet ${artifact} differs: c1j1 vs ${tag}" >&2; return 1; }
+        done
+        rm -rf "${out_dir:?}/${tag}"
+      fi
+    done
+  done
+  rm -rf "${out_dir}"
+  echo "packet trace gate passed: complete, canonical, byte-identical across the matrix"
 }
 
 # Bounded-observability gate (DESIGN.md §12): a 50k-test fleet-day under
@@ -205,7 +261,7 @@ run_obs_budget_gate() {
         --days 1 --tests-per-day 50000 --seed 21 \
         --chunk "${chunk}" --jobs "${jobs}" \
         --obs-sample 1/16 --obs-budget-mb 256 --progress \
-        --obs-dir "${out_dir}/${tag}" --obs spill,trace_jsonl,spans,health \
+        --obs-dir "${out_dir}/${tag}" --obs trace_jsonl,spans,health \
         > /dev/null 2> "${out_dir}/progress-${tag}.log"
     done
   done

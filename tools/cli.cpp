@@ -4,6 +4,8 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -11,11 +13,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -74,7 +78,6 @@ constexpr ObsArtifact kObsArtifacts[] = {
     {"report_md", "report.md", false, "the health report as markdown"},
     {"prof", "prof.jsonl", true, "host-time profile (`profile report`)"},
     {"prof_trace", "prof_trace.json", true, "host-time Chrome trace per worker"},
-    {"spill", "*.spill.jsonl", true, "full trace/span rings rotate here"},
 };
 
 /// The --obs names `command` can produce, comma-separated.
@@ -146,8 +149,11 @@ std::string usage() {
       "                          the modeled footprint would exceed it\n"
       "  --progress              live test/chunk/RSS progress line on stderr\n"
       "                          (host telemetry; never part of artifacts)\n"
-      "  Dropped trace events and spans are always counted in the metrics\n"
-      "  (obs.trace_dropped, obs.span_dropped) and the health meta.\n"
+      "  A fleet streams its trace and spans into their files in canonical\n"
+      "  order as chunks commit: every recorded event and span, none dropped.\n"
+      "  A single test's trace ring keeps its last 262144 events; drops are\n"
+      "  counted in the metrics (obs.trace_dropped, obs.span_dropped) and the\n"
+      "  health meta.\n"
       "\n"
       "logging (all commands):\n"
       "  --log-level L           debug|info|warn|error (default warn)\n"
@@ -368,20 +374,30 @@ class RunOutputs {
   }
 
   [[nodiscard]] bool wants(std::string_view name) const { return files_.contains(name); }
-  [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] obs::manifest::RunManifest& manifest() { return manifest_; }
+
+  /// Where artifact `name` lands in DIR; empty when it was not requested.
+  [[nodiscard]] std::string path(std::string_view name) const {
+    const auto it = files_.find(name);
+    return it == files_.end() ? ""
+                              : (std::filesystem::path(dir_) / it->second).string();
+  }
 
   /// Renders artifact `name` into DIR when it was requested, registers it
   /// in the manifest and echoes `name: path<note>`. False when the file
   /// cannot be opened.
   bool write(std::string_view name, std::ostream& out, const Render& render,
              const std::string& note = "") {
-    const auto it = files_.find(name);
-    if (it == files_.end()) return true;
-    const std::string path = (std::filesystem::path(dir_) / it->second).string();
-    if (!write_file(path, name, out, render, note)) return false;
-    add(name, path);
+    const std::string file = path(name);
+    if (file.empty()) return true;
+    if (!write_file(file, name, out, render, note)) return false;
+    add(name, file);
     return true;
+  }
+
+  /// Registers a file whose digest the run took as it wrote it.
+  void add(obs::manifest::ArtifactRecord record) {
+    manifest_.artifacts.push_back(std::move(record));
   }
 
   /// Registers a file the run wrote (content hash, bytes, rows) in the
@@ -451,50 +467,207 @@ const char* slo_status_name(obs::health::SloStatus status) {
 }
 
 /// " (N <unit>[, M dropped])": the count suffix of a trace or spans echo.
-std::string count_note(std::size_t kept, const char* unit, std::uint64_t dropped) {
+std::string count_note(std::uint64_t kept, const char* unit, std::uint64_t dropped) {
   std::string note = " (" + std::to_string(kept) + " " + unit;
   if (dropped > 0) note += ", " + std::to_string(dropped) + " dropped";
   return note + ")";
 }
 
-/// Writes whichever trace/metrics/spans artifacts were requested. Returns 1
-/// if a file cannot be opened. Data loss is surfaced before the artifacts
-/// render: a stderr warning plus only-nonzero obs.trace_dropped /
+/// An artifact file written and digested on its own thread: a writer hands
+/// it bytes through the std::streambuf interface and goes on producing
+/// while full blocks are hashed for the manifest and written out in order.
+/// At most kQueued blocks wait, so memory stays bounded.
+class BackgroundFile : public std::streambuf {
+ public:
+  ~BackgroundFile() override { close(); }
+
+  bool open(const std::string& path) {
+    file_.open(path, std::ios::binary | std::ios::trunc);
+    if (!file_) return false;
+    thread_ = std::thread([this] { run(); });
+    return true;
+  }
+  [[nodiscard]] bool is_open() const { return thread_.joinable(); }
+  [[nodiscard]] std::ostream* stream() { return is_open() ? &stream_ : nullptr; }
+
+  /// Writes what is left and closes the file; false if any write failed.
+  bool close() {
+    if (!is_open()) return ok_;
+    hand_off();
+    {
+      const std::lock_guard lock(mutex_);
+      closing_ = true;
+    }
+    changed_.notify_all();
+    thread_.join();
+    file_.close();
+    return ok_ = ok_ && static_cast<bool>(file_);
+  }
+
+  [[nodiscard]] const obs::manifest::ArtifactDigest& digest() const { return digest_; }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    block_.append(data, static_cast<std::size_t>(count));
+    if (block_.size() >= kBlockBytes) hand_off();
+    return count;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      block_ += traits_type::to_char_type(c);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+  static constexpr std::size_t kQueued = 8;
+
+  void hand_off() {
+    if (block_.empty()) return;
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [this] { return queue_.size() < kQueued; });
+    queue_.push_back(std::move(block_));
+    block_.clear();
+    lock.unlock();
+    changed_.notify_all();
+  }
+
+  void run() {
+    for (;;) {
+      std::unique_lock lock(mutex_);
+      changed_.wait(lock, [this] { return !queue_.empty() || closing_; });
+      if (queue_.empty()) return;
+      std::string block = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      changed_.notify_all();
+      digest_.update(block);
+      file_.write(block.data(), static_cast<std::streamsize>(block.size()));
+      if (!file_) ok_ = false;
+    }
+  }
+
+  std::ofstream file_;
+  std::ostream stream_{this};
+  std::string block_;
+  std::thread thread_;
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  std::deque<std::string> queue_;
+  bool closing_ = false;
+  bool ok_ = true;  // written by the thread, read after the join
+  obs::manifest::ArtifactDigest digest_;
+};
+
+/// The run's trace and span artifacts, open from before the run: a fleet
+/// streams its canonical events and spans straight into them (Hub sinks),
+/// and a single test replays its ring and store into them after the run.
+/// Unrequested files are not written, but every event and span is counted
+/// for the manifest, and closed spans are kept as health stage samples.
+class TraceArtifacts {
+ public:
+  /// Opens the requested files; false after a "cannot write" message.
+  bool open(const RunOutputs& outputs, std::ostream& out) {
+    for (const auto& [name, file] : {std::pair{"trace_jsonl", &jsonl_},
+                                     {"trace_chrome", &chrome_}, {"spans", &spans_}}) {
+      const std::string path = outputs.path(name);
+      if (!path.empty() && !file->open(path)) {
+        out << "cannot write " << path << "\n";
+        return false;
+      }
+    }
+    trace_.emplace(jsonl_.stream(), chrome_.stream());
+    span_doc_.emplace(spans_.stream());
+    return true;
+  }
+
+  void attach(obs::Hub& hub) {
+    hub.event_sink = [this](const obs::TraceEvent& e) { trace_->write(e); };
+    hub.span_sink = [this](const obs::span::SpanRecord& r) { span(r); };
+  }
+
+  void replay(const obs::Hub& hub) {
+    for (const obs::TraceEvent& e : hub.tracer.events()) trace_->write(e);
+    for (const obs::span::SpanRecord& r : hub.spans.spans()) span(r);
+  }
+
+  /// Closes the documents, registers each written one in the manifest with
+  /// its `name: path (count)` echo, and fills the trace and span summaries.
+  /// False after a "cannot write" message.
+  bool close(RunOutputs& outputs, const obs::Hub& hub, std::ostream& out) {
+    trace_->finish();
+    span_doc_->finish(hub.spans.dropped());
+    const std::string trace_note =
+        count_note(trace_->events(), "events", hub.tracer.dropped());
+    for (const auto& [name, file, note] :
+         {std::tuple{"trace_chrome", &chrome_, trace_note},
+          {"trace_jsonl", &jsonl_, trace_note},
+          {"spans", &spans_, count_note(span_doc_->spans(), "spans", hub.spans.dropped())}}) {
+      if (!file->is_open()) continue;
+      const std::string path = outputs.path(name);
+      if (!file->close()) {
+        out << "cannot write " << path << "\n";
+        return false;
+      }
+      out << name << ": " << path << note << "\n";
+      outputs.add(file->digest().record(name, path));
+    }
+    auto& summaries = outputs.manifest().summaries;
+    summaries["trace"] = obs::summarize_for_manifest(*trace_, hub.tracer.dropped());
+    summaries["spans"] = obs::span::summarize_for_manifest(*span_doc_);
+    return true;
+  }
+  /// Feeds every closed span's duration into the health monitor as the
+  /// "stage_s" metric under dimension "stage:<name>", so an SLO spec can
+  /// bound per-stage latency (e.g. p95 swiftest.convergence time).
+  void record_stage_health(obs::health::HealthMonitor* health) const {
+    if (health == nullptr) return;
+    for (const auto& [name, seconds] : stages_) {
+      const std::string dims[] = {std::string("stage:") + name};
+      health->record("stage_s", seconds, dims);
+    }
+  }
+
+ private:
+  void span(const obs::span::SpanRecord& r) {
+    span_doc_->write(r);
+    if (r.closed) stages_.emplace_back(r.name, core::to_seconds(r.duration()));
+  }
+
+  BackgroundFile jsonl_;
+  BackgroundFile chrome_;
+  BackgroundFile spans_;
+  std::optional<obs::TraceWriter> trace_;
+  std::optional<obs::span::SpanWriter> span_doc_;
+  std::vector<std::pair<const char*, double>> stages_;
+};
+
+/// Closes the trace/metrics/spans artifacts of a run with a hub. Returns 1
+/// if a file cannot be written. Data loss is surfaced before the artifacts
+/// close: a stderr warning naming `lever`, a flag of the running command
+/// that lowers the volume, plus only-nonzero obs.trace_dropped /
 /// obs.span_dropped counters in the metrics snapshot, so a wrapped ring
 /// can't masquerade as a complete trace.
-int flush_obs(RunOutputs& outputs, std::ostream& out, obs::Hub* hub) {
+int flush_obs(RunOutputs& outputs, std::ostream& out, obs::Hub* hub,
+              TraceArtifacts& artifacts, std::string_view lever) {
   if (hub == nullptr) return 0;
   if (hub->tracer.dropped() > 0) {
     std::cerr << "warning: trace ring dropped " << hub->tracer.dropped()
-              << " events (use --obs-sample or --obs spill)\n";
+              << " events (use " << lever << ")\n";
     hub->metrics.counter("obs.trace_dropped").inc(hub->tracer.dropped());
   }
   if (hub->spans.dropped() > 0) {
-    std::cerr << "warning: span store dropped " << hub->spans.dropped()
-              << " spans (use --obs-sample or --obs spill)\n";
+    std::cerr << "warning: span store dropped " << hub->spans.dropped() << " spans\n";
     hub->metrics.counter("obs.span_dropped").inc(hub->spans.dropped());
   }
-  const std::string trace_note =
-      count_note(hub->tracer.size(), "events", hub->tracer.dropped());
-  const bool ok =
-      outputs.write("trace_chrome", out,
-                    [&](std::ostream& f) { obs::write_chrome_trace(hub->tracer, f); },
-                    trace_note) &&
-      outputs.write("trace_jsonl", out,
-                    [&](std::ostream& f) { obs::write_trace_jsonl(hub->tracer, f); },
-                    trace_note) &&
-      outputs.write("metrics", out,
-                    [&](std::ostream& f) {
-                      obs::write_metrics_json(hub->metrics.snapshot(), f);
-                    }) &&
-      outputs.write("spans", out,
-                    [&](std::ostream& f) { obs::span::write_spans_json(hub->spans, f); },
-                    count_note(hub->spans.size(), "spans", hub->spans.dropped()));
-  if (!ok) return 1;
-  auto& summaries = outputs.manifest().summaries;
-  summaries["trace"] = obs::summarize_for_manifest(hub->tracer);
-  summaries["metrics"] = obs::summarize_for_manifest(hub->metrics.snapshot());
-  summaries["spans"] = obs::span::summarize_for_manifest(hub->spans);
+  if (!artifacts.close(outputs, *hub, out)) return 1;
+  const obs::MetricsSnapshot snapshot = hub->metrics.snapshot();
+  if (!outputs.write("metrics", out,
+                     [&](std::ostream& f) { obs::write_metrics_json(snapshot, f); })) {
+    return 1;
+  }
+  outputs.manifest().summaries["metrics"] = obs::summarize_for_manifest(snapshot);
   return 0;
 }
 
@@ -558,18 +731,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    start)
       .count();
-}
-
-/// Feeds every closed span's duration into the health monitor as the
-/// "stage_s" metric under dimension "stage:<name>", so an SLO spec can bound
-/// per-stage latency (e.g. p95 swiftest.convergence time).
-void record_stage_health(const obs::Hub* hub, obs::health::HealthMonitor* health) {
-  if (hub == nullptr || health == nullptr) return;
-  for (const auto& s : hub->spans.spans()) {
-    if (!s.closed) continue;
-    const std::string dims[] = {std::string("stage:") + s.name};
-    health->record("stage_s", core::to_seconds(s.duration()), dims);
-  }
 }
 
 int cmd_trace(std::span<const std::string> args, std::ostream& out) {
@@ -650,6 +811,8 @@ int cmd_test(const Options& options, std::ostream& out) {
   if (const int rc = outputs.init(options, "test", out); rc != 0) return rc;
   std::unique_ptr<obs::Hub> hub;
   if (!setup_obs(options, outputs, out, hub)) return 2;
+  TraceArtifacts traces;
+  if (hub != nullptr && !traces.open(outputs, out)) return 1;
   // Shared by the manifest's config lines and the health meta.
   const obs::health::ReportMeta run_config = {
       {"tech", options.get("tech", "5g")},
@@ -695,7 +858,8 @@ int cmd_test(const Options& options, std::ostream& out) {
       {"data_mb", result.data_used.megabytes()},
       {"servers_used", static_cast<double>(result.connections_used)},
   };
-  const int obs_rc = flush_obs(outputs, out, hub.get());
+  if (hub != nullptr) traces.replay(*hub);
+  const int obs_rc = flush_obs(outputs, out, hub.get(), traces, "--trace-categories");
   if (obs_rc != 0) return obs_rc;
 
   int health_rc = 0;
@@ -709,7 +873,7 @@ int cmd_test(const Options& options, std::ostream& out) {
     sample.dimensions = dims;
     health.note_arrival(0.0);
     health.record_test(sample);
-    record_stage_health(hub.get(), &health);
+    traces.record_stage_health(&health);
     obs::health::ReportMeta meta = {{"command", "test"}};
     meta.insert(meta.end(), run_config.begin(), run_config.end());
     health_rc = flush_health(options, outputs, out, &health, meta);
@@ -855,7 +1019,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     cfg.sample = *policy;
   }
-  if (outputs.wants("spill")) cfg.obs_spill_dir = outputs.dir();
 
   // The deterministic configuration, shared by the manifest's config lines
   // and the health meta. --chunk and --jobs (and every other host-side
@@ -879,7 +1042,12 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   // `obs diff --expect-identical` holds across any {chunk, jobs} matrix.
   mf.config.emplace_back("executor", "chunk-stream/partition-invariant");
   mf.config.insert(mf.config.end(), obs_config.begin(), obs_config.end());
-  if (!cfg.obs_spill_dir.empty()) mf.config.emplace_back("obs.spill", "on");
+
+  TraceArtifacts traces;
+  if (hub != nullptr) {
+    if (!traces.open(outputs, out)) return 1;
+    traces.attach(*hub);
+  }
 
   // Resource self-telemetry is always collected (a few relaxed atomics per
   // test); --progress controls whether it is *surfaced* — the live stderr
@@ -915,18 +1083,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
       {"share_leq_45", result.share_leq_45},
       {"overload_seconds_share", result.overload_seconds_share},
   };
-  for (const auto& [stream, segments, bytes] :
-       {std::tuple<std::string, std::uint64_t, std::uint64_t>{
-            "trace", result.spill_trace_segments, result.spill_trace_bytes},
-        {"spans", result.spill_span_segments, result.spill_span_bytes}}) {
-    if (segments == 0) continue;
-    mf.summaries["spill." + stream] = {
-        {"segments", static_cast<double>(segments)},
-        {"bytes", static_cast<double>(bytes)},
-        {"ok", result.spill_ok ? 1.0 : 0.0},
-    };
-    outputs.add("spill." + stream, cfg.obs_spill_dir + "/" + stream + ".spill.jsonl");
-  }
   int rc = 0;
   {
     const obs::hostprof::HostScope scope(host_tl, "export");
@@ -949,9 +1105,9 @@ int cmd_fleet(const Options& options, std::ostream& out) {
         << result.summary.max << "%\n"
         << "share of busy windows <= 45%: " << 100.0 * result.share_leq_45
         << "%\n";
-    rc = flush_obs(outputs, out, hub.get());
+    rc = flush_obs(outputs, out, hub.get(), traces, "--obs-sample");
     if (rc == 0) {
-      record_stage_health(hub.get(), health.get());
+      traces.record_stage_health(health.get());
       obs::health::ReportMeta meta = {{"command", "fleet"}};
       meta.insert(meta.end(), run_config.begin(), run_config.end());
       meta.insert(meta.end(), obs_config.begin(), obs_config.end());
@@ -960,9 +1116,7 @@ int cmd_fleet(const Options& options, std::ostream& out) {
         for (const auto& [key, count] : {
                  std::pair<const char*, std::uint64_t>{"obs.trace_dropped",
                                                        hub->tracer.dropped()},
-                 {"obs.trace_spilled", hub->tracer.spilled()},
-                 {"obs.span_dropped", hub->spans.dropped()},
-                 {"obs.span_spilled", hub->spans.spilled()}}) {
+                 {"obs.span_dropped", hub->spans.dropped()}}) {
           if (count > 0) meta.emplace_back(key, std::to_string(count));
         }
       }
