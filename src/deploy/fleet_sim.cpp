@@ -50,10 +50,6 @@ struct Arrival {
   std::int64_t second = 0;  // arrival time, seconds since simulation start
   dataset::AccessTech tech = dataset::AccessTech::kWiFi5;
   dataset::Isp isp = dataset::Isp::kIsp1;
-  /// The sampling schedule's verdict, stamped at draw time: whether the test
-  /// retains observability, and whether it was drawn at a denominator > 1.
-  bool sampled = true;
-  bool thinned = false;
   double truth_mbps = 0.0;
   double rate_mbps = 0.0;       // the settled probing rate (analytic load)
   std::size_t n_servers = 1;    // servers the analytic model spreads it over
@@ -255,30 +251,6 @@ void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                                static_cast<double>(total_seconds);
 }
 
-/// The footprint model SampleSchedule::plan degrades against: store
-/// capacities and per-test record sizes, never RSS, so the degradation
-/// schedule is host-independent (and, being precomputed over the global
-/// draw order, partition-independent).
-obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
-  obs::SampleSchedule::CostModel model;
-  if (config.obs != nullptr) {
-    model.base_bytes = static_cast<std::uint64_t>(config.obs->tracer.capacity()) *
-                       sizeof(obs::TraceEvent);
-    if (config.backend == FleetBackend::kPacket) {
-      // A packet test leaves O(hundreds) of protocol events and O(dozens)
-      // of spans; the constants only shape the degradation cadence.
-      model.sampled_test_bytes = 256 * sizeof(obs::TraceEvent) +
-                                 24 * sizeof(obs::span::SpanRecord);
-    } else {
-      // Analytic: two fleet.test trace events plus one span per sampled test.
-      model.sampled_test_bytes =
-          2 * sizeof(obs::TraceEvent) + sizeof(obs::span::SpanRecord);
-    }
-  }
-  if (config.health != nullptr) model.per_test_bytes = 160;
-  return model;
-}
-
 // ---------------------------------------------------------------------------
 // The chunk stream both backends run through
 // ---------------------------------------------------------------------------
@@ -288,7 +260,6 @@ obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
 /// sampled observability and self-telemetry.
 struct ChunkBase {
   std::vector<Arrival> arrivals;
-  std::uint64_t sample_degradations = 0;  // schedule steps inside the chunk
   std::uint64_t tests = 0;
   bool want_health = false;
   obs::health::SampleLog log;
@@ -307,9 +278,8 @@ struct ChunkBase {
   obs::ShardTelemetry telemetry;
 };
 
-/// What one run holds across its chunk stream: the draw, the sampling
-/// schedule it extends, the health fold and the canonical trace stream its
-/// chunks commit into, and the result.
+/// What one run holds across its chunk stream: the draw, the health fold and
+/// the canonical trace stream its chunks commit into, and the result.
 class FleetRun {
  public:
   FleetRun(std::span<const dataset::TestRecord> population,
@@ -321,14 +291,6 @@ class FleetRun {
         jobs(exec::resolve_jobs(config.jobs)),
         draw_(population, registry, config),
         dims_(config.server_count) {
-    if (config.sample.enabled() || config.obs_budget_mb > 0) {
-      // Salted with the run seed; the budget is global (the schedule walks
-      // the global draw order, so no per-partition split exists to leak the
-      // partition into the sampled set).
-      schedule_.emplace(config.sample.denominator(), config.seed,
-                        config.obs_budget_mb * 1024ull * 1024ull,
-                        sample_cost_model(config));
-    }
     if (config.health != nullptr) fold.emplace(*config.health, jobs, dims_.keys());
     if (obs_merge) trace.emplace(*config.obs);
   }
@@ -415,7 +377,6 @@ class FleetRun {
 
   WorkloadDraw draw_;
   DimensionTable dims_;
-  std::optional<obs::SampleSchedule> schedule_;
   std::size_t chunks_ = 0;
   std::vector<std::size_t> sorted_runs_ = {0};  // sorted busy-window run bounds
 };
@@ -439,19 +400,6 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
       return false;
     }
     ++chunks_;
-    if (schedule_) {
-      // The schedule is a causal walk over the draw order: extending it to
-      // this chunk's end plans exactly what a whole-workload plan would, and
-      // the verdicts travel with the arrivals, so workers never read it.
-      const std::uint64_t lo = out.arrivals.front().test_id;
-      const std::uint64_t hi = lo + out.arrivals.size();
-      schedule_->extend(hi);
-      for (Arrival& a : out.arrivals) {
-        a.sampled = schedule_->sampled(a.test_id);
-        a.thinned = schedule_->denominator_at(a.test_id) > 1;
-      }
-      out.sample_degradations = schedule_->degradations_in(lo, hi);
-    }
     out.want_health = fold.has_value();
     if (out.want_health) out.log = obs::health::SampleLog(dims_.keys());
     out.hub = make_hub();
@@ -472,7 +420,6 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     t.tests = out.tests;
     t.health_dropped = out.log.dropped();
-    t.sample_degradations = out.sample_degradations;
     if (config.resource != nullptr) {
       config.resource->record_shard(t);
       config.resource->note_shard_done();
@@ -547,8 +494,8 @@ obs::health::SampleLog egress_log() {
 
 /// One analytic chunk: health samples and sampled observability for its
 /// slice of draws, plus the busy windows that closed when it committed. The
-/// hub is null unless sampling or a budget is active — legacy analytic runs
-/// emit nothing.
+/// hub is null unless sampling is enabled — legacy analytic runs emit
+/// nothing.
 struct AnalyticChunk : ChunkBase {
   obs::health::SampleLog egress = egress_log();
   obs::health::LogFold::Committed egress_committed;
@@ -558,7 +505,7 @@ void run_analytic_chunk(const FleetSimConfig& config, AnalyticChunk& out) {
   for (const Arrival& a : out.arrivals) {
     ++out.tests;
     if (config.resource != nullptr) config.resource->add_tests(1);
-    if (out.hub != nullptr && a.sampled) {
+    if (out.hub != nullptr && config.sample.sampled(a.test_id, config.seed)) {
       const core::SimTime ts = a.second * core::seconds(1);
       const core::SimTime te = ts + a.duration_s * core::seconds(1);
       out.hub->metrics.counter("fleet.tests_sampled").inc();
@@ -710,11 +657,11 @@ class AnalyticLoad {
 FleetSimResult run_analytic(std::span<const dataset::TestRecord> population,
                             const swift::ModelRegistry& registry,
                             const FleetSimConfig& config) {
-  // The analytic backend emits observability only under sampling (or a
-  // budget): its legacy contract is "no obs emission", and the sampled
-  // fleet.test events/spans are the artifact the byte-identity gate pins.
-  const bool sampled = config.sample.enabled() || config.obs_budget_mb > 0;
-  FleetRun run(population, registry, config, config.obs != nullptr && sampled);
+  // The analytic backend emits observability only under sampling: its
+  // legacy contract is "no obs emission", and the sampled fleet.test
+  // events/spans are the artifact the byte-identity gate pins.
+  FleetRun run(population, registry, config,
+               config.obs != nullptr && config.sample.enabled());
   AnalyticLoad load(config, run.result.busy_window_utilization);
   run.stream<AnalyticChunk>(
       [&]() -> std::unique_ptr<obs::Hub> {
@@ -777,12 +724,13 @@ struct PacketChunk : ChunkBase {
 };
 
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
-                     const FleetSimConfig& config, bool sampled_mode,
-                     std::int64_t windows_total, PacketChunk& out) {
+                     const FleetSimConfig& config, std::int64_t windows_total,
+                     PacketChunk& out) {
   // Whole-test sampling: keyed on the global draw index, so the decision is
   // identical for every chunk size and jobs value.
-  const bool sampled_test = a.sampled;
-  const bool count_sampled = a.sampled && a.thinned;
+  const bool sampled_mode = config.sample.enabled();
+  const bool sampled_test = config.sample.sampled(a.test_id, config.seed);
+  const bool count_sampled = sampled_test && sampled_mode;
   netsim::TestbedConfig tb_cfg;
   tb_cfg.fleet.server_count = config.server_count;
   tb_cfg.fleet.server_uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -949,13 +897,13 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
 }
 
 void run_packet_chunk(const swift::ModelRegistry& registry, const FleetSimConfig& config,
-                      bool sampled_mode, PacketChunk& out) {
+                      PacketChunk& out) {
   const std::int64_t windows_total = sim_period(config).windows;
   out.server_accepted.assign(config.server_count, 0);
   out.server_probe_bytes.assign(config.server_count, 0);
   out.metric_snaps.reserve(out.arrivals.size());
   for (const Arrival& a : out.arrivals) {
-    run_packet_test(a, registry, config, sampled_mode, windows_total, out);
+    run_packet_test(a, registry, config, windows_total, out);
   }
 }
 
@@ -963,7 +911,6 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
                           const swift::ModelRegistry& registry,
                           const FleetSimConfig& config) {
   FleetRun run(population, registry, config, config.obs != nullptr);
-  const bool sampled_mode = config.sample.enabled() || config.obs_budget_mb > 0;
   const Period period = sim_period(config);
   const double window_capacity_mbit =
       config.server_uplink_mbps * static_cast<double>(config.window_seconds);
@@ -1003,7 +950,7 @@ FleetSimResult run_packet(std::span<const dataset::TestRecord> population,
   // test, and metrics stay banked per test (run_packet_test).
   run.stream<PacketChunk>(
       [&] { return config.obs != nullptr ? obs::Hub::mirror_of(*config.obs) : nullptr; },
-      [&](PacketChunk& out) { run_packet_chunk(registry, config, sampled_mode, out); },
+      [&](PacketChunk& out) { run_packet_chunk(registry, config, out); },
       [&](PacketChunk& chunk) {
         for (const PacketChunk::WindowDelta& d : chunk.deltas) {
           delivered[static_cast<std::size_t>(d.window) * config.server_count +

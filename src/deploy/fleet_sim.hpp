@@ -91,23 +91,13 @@ struct FleetSimConfig {
   /// artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
   /// Deterministic whole-test observability sampling (DESIGN.md §12): the
-  /// base keep-1-in-N rate. When it is enabled (N > 1) or a budget is set,
-  /// the run plans one obs::SampleSchedule, salted with `seed`, and with
-  /// `obs` attached each test's trace events and spans are retained iff the
-  /// schedule samples its test_id — the global workload draw index — so the
-  /// sampled artifact is a pure function of (seed, workload, budget) and
-  /// byte-identical for every `jobs`, `chunk` combination (the trace stream
-  /// emits events and spans in canonical order). 1/1 with no budget keeps
-  /// the retain-everything behavior.
+  /// keep-1-in-N rate. With `obs` attached, each test's trace events and
+  /// spans are retained iff the policy samples its test_id — the global
+  /// workload draw index — salted with `seed`, so the sampled artifact is a
+  /// pure function of (seed, workload, N) and byte-identical for every
+  /// `jobs`, `chunk` combination (the trace stream emits events and spans in
+  /// canonical order). 1/1 keeps the retain-everything behavior.
   obs::SamplingPolicy sample;
-  /// Global observability memory budget in MB; 0 = unlimited. The one place
-  /// a fleet budget is set. The schedule walks the workload in draw order
-  /// and doubles the sampling denominator at the checkpoints where the
-  /// modeled obs footprint would exceed the budget — recorded in
-  /// obs.sample_degradations — instead of the run growing without bound.
-  /// The plan depends only on (workload size, N, seed, budget, cost model):
-  /// never on the partition, the thread schedule, or RSS.
-  std::uint64_t obs_budget_mb = 0;
   /// Optional resource self-telemetry: per-chunk occupancy/drop counters,
   /// the running chunk count while the draw goes, and host wall/RSS
   /// measurements land here (obs/resource.hpp).

@@ -126,7 +126,6 @@ ShardTelemetry ResourceMonitor::totals_locked() const {
     total.calendar_rebases += t.calendar_rebases;
     total.calendar_far_pushes += t.calendar_far_pushes;
     total.health_dropped += t.health_dropped;
-    total.sample_degradations += t.sample_degradations;
   }
   return total;
 }
@@ -153,7 +152,6 @@ void ResourceMonitor::export_metrics(MetricsRegistry& metrics) const {
   // them (the trace stream sums chunk counts) and the CLI surfaces those
   // directly — exporting both would double-count.
   put("obs.health_dropped", total.health_dropped);
-  put("obs.sample_degradations", total.sample_degradations);
 }
 
 void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
@@ -178,8 +176,6 @@ void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
   // adds only-nonzero meta entries); duplicating them here would produce
   // conflicting keys in the same report.
   meta.emplace_back("obs.health_dropped", std::to_string(total.health_dropped));
-  meta.emplace_back("obs.sample_degradations",
-                    std::to_string(total.sample_degradations));
 }
 
 }  // namespace swiftest::obs

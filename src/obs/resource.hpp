@@ -6,9 +6,9 @@
 // It collects two strictly separated kinds of signal:
 //
 //  * Deterministic counters — per-shard slab/transit-pool occupancy,
-//    calendar-queue sweep stats, health drops, sampling
-//    degradations. These are a pure function of (workload, shards) and may
-//    land in the metrics registry and health report.
+//    calendar-queue sweep stats and health drops. These are a pure function
+//    of (workload, shards) and may land in the metrics registry and health
+//    report.
 //  * Host measurements — RSS / peak RSS (/proc/self/statm + VmHWM), per-shard
 //    and total wall time. Like the host-time profiler (obs/hostprof/), these
 //    NEVER enter deterministic artifacts; they surface only in the health
@@ -59,7 +59,6 @@ struct ShardTelemetry {
   std::uint64_t calendar_rebases = 0;
   std::uint64_t calendar_far_pushes = 0;
   std::uint64_t health_dropped = 0;
-  std::uint64_t sample_degradations = 0;
 };
 
 class ResourceMonitor {

@@ -136,7 +136,7 @@ class Tracer {
   /// where they lie.
   [[nodiscard]] std::span<TraceEvent> retained();
 
-  /// In-memory footprint of the ring (for budget accounting): zero until
+  /// In-memory footprint of the ring: zero until
   /// the lazy ring is allocated.
   [[nodiscard]] std::uint64_t approx_bytes() const noexcept {
     return ring_.capacity() * sizeof(TraceEvent);

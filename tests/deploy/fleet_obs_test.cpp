@@ -1,9 +1,7 @@
 // Bounded observability at fleet scale (DESIGN.md §12): deterministic
 // whole-test sampling keyed on the global workload draw index makes the
 // sampled trace/span/metrics artifacts a pure function of (seed, workload) —
-// byte-identical across chunk sizes and job counts for both backends — and
-// the memory budget plans a deterministic degradation schedule (recorded)
-// instead of letting the run grow without bound.
+// byte-identical across chunk sizes and job counts for both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +18,6 @@
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hub.hpp"
-#include "obs/resource.hpp"
 #include "obs/span/json.hpp"
 #include "swiftest/model_registry.hpp"
 
@@ -39,15 +36,13 @@ struct ObsArtifacts {
   std::string health;
   std::uint64_t tests = 0;
   std::uint64_t sampled = 0;
-  std::uint64_t degradations = 0;
   std::uint64_t span_suppressed = 0;
   std::uint64_t trace_recorded = 0;  // retained + dropped events
   std::uint64_t span_count = 0;
 };
 
 ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs,
-                       std::uint64_t sample_denominator,
-                       std::uint64_t budget_mb = 0) {
+                       std::uint64_t sample_denominator) {
   const swift::ModelRegistry registry;
   FleetSimConfig cfg;
   cfg.server_count = 5;
@@ -58,14 +53,11 @@ ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs
   cfg.chunk = chunk;
   cfg.jobs = jobs;
   cfg.sample.set_denominator(sample_denominator);
-  cfg.obs_budget_mb = budget_mb;
 
   obs::Hub hub;
   obs::health::HealthMonitor health;
-  obs::ResourceMonitor monitor;
   cfg.obs = &hub;
   cfg.health = &health;
-  cfg.resource = &monitor;
 
   const FleetSimResult result = simulate_fleet(population(), registry, cfg);
 
@@ -86,9 +78,6 @@ ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs
   const auto& counters = hub.metrics.snapshot().counters;
   if (const auto it = counters.find("fleet.tests_sampled"); it != counters.end()) {
     out.sampled = it->second;
-  }
-  for (const obs::ShardTelemetry& t : monitor.shard_telemetry()) {
-    out.degradations += t.sample_degradations;
   }
   out.span_suppressed = hub.spans.suppressed();
   out.trace_recorded = hub.tracer.size() + hub.tracer.dropped();
@@ -154,69 +143,12 @@ TEST(FleetSampling, AnalyticSampledSubsetChangesWithSeedNotPartition) {
 }
 
 TEST(FleetSampling, DisabledSamplingLeavesAnalyticRunUninstrumented) {
-  // Keep-everything (1/1) with no budget preserves the legacy contract: the
+  // Keep-everything (1/1) preserves the legacy contract: the
   // analytic backend emits no per-test traces or spans at all, so existing
   // artifacts cannot shift.
   const ObsArtifacts run = run_fleet(FleetBackend::kAnalytic, 64, 2, 1);
   EXPECT_EQ(run.sampled, 0u);
   EXPECT_TRUE(run.trace.empty());
-}
-
-TEST(FleetSampling, BudgetDegradesSamplingInsteadOfGrowing) {
-  const swift::ModelRegistry registry;
-  FleetSimConfig cfg;
-  cfg.server_count = 5;
-  cfg.days = 1;
-  cfg.tests_per_day = 6000.0;  // past the 4096-arrival budget checkpoint
-  cfg.seed = 11;
-  cfg.sample.set_denominator(2);
-  cfg.obs_budget_mb = 1;  // far below the trace ring's ~10 MB
-  obs::Hub hub;
-  obs::ResourceMonitor monitor;
-  cfg.obs = &hub;
-  cfg.resource = &monitor;
-
-  const FleetSimResult result = simulate_fleet(population(), registry, cfg);
-  ASSERT_GT(result.tests_simulated, 4096u);
-  std::uint64_t degradations = 0;
-  for (const obs::ShardTelemetry& t : monitor.shard_telemetry()) {
-    degradations += t.sample_degradations;
-  }
-  // Over budget at the checkpoint: the denominator doubled (recorded),
-  // rather than the run refusing or growing without bound.
-  EXPECT_GE(degradations, 1u);
-
-  // Degradation only thins the FUTURE sample; the run completes and the
-  // artifact stays a valid 2-events-per-sampled-test stream.
-  const auto& counters = hub.metrics.snapshot().counters;
-  const auto it = counters.find("fleet.tests_sampled");
-  ASSERT_NE(it, counters.end());
-  std::ostringstream trace_out;
-  obs::write_trace_jsonl(hub.tracer, trace_out);
-  EXPECT_EQ(count_lines(trace_out.str()), 2 * it->second);
-
-  // The schedule is extended as the draw goes, yet it degrades at the same
-  // tests for chunk 1, an odd chunk, and one chunk on more workers than
-  // chunks.
-  for (const auto& [chunk, jobs] : {std::pair<std::size_t, std::size_t>{1, 2},
-                                   {37, 4}, {8192, 8}}) {
-    obs::Hub other_hub;
-    obs::ResourceMonitor other_monitor;
-    FleetSimConfig other = cfg;
-    other.chunk = chunk;
-    other.jobs = jobs;
-    other.obs = &other_hub;
-    other.resource = &other_monitor;
-    (void)simulate_fleet(population(), registry, other);
-    std::uint64_t other_degradations = 0;
-    for (const obs::ShardTelemetry& t : other_monitor.shard_telemetry()) {
-      other_degradations += t.sample_degradations;
-    }
-    EXPECT_EQ(other_degradations, degradations) << "chunk=" << chunk << " jobs=" << jobs;
-    std::ostringstream other_trace;
-    obs::write_trace_jsonl(other_hub.tracer, other_trace);
-    EXPECT_EQ(other_trace.str(), trace_out.str()) << "chunk=" << chunk << " jobs=" << jobs;
-  }
 }
 
 TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {

@@ -67,7 +67,6 @@ ShardTelemetry make_shard(std::size_t shard) {
   t.transit_peak_live = 48;
   t.calendar_sweeps = 7;
   t.health_dropped = 2;
-  t.sample_degradations = 1;
   return t;
 }
 
@@ -98,7 +97,6 @@ TEST(ResourceMonitor, ShardTelemetryAggregates) {
   EXPECT_EQ(find("obs.transit_peak_live"), "96");
   EXPECT_EQ(find("obs.calendar_sweeps"), "14");
   EXPECT_EQ(find("obs.health_dropped"), "4");
-  EXPECT_EQ(find("obs.sample_degradations"), "2");
   EXPECT_NE(find("obs.peak_rss_mb"), "<missing>");
 }
 

@@ -508,7 +508,6 @@ TEST(Cli, NumericFlagsAreStrict) {
   const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
       {{"plan"}, "--tests-per-day"},
       {fleet, "--seed"},
-      {fleet, "--obs-budget-mb"},
       {{"campaign", "--out", csv}, "--tests"},
       {{"campaign", "--tests", "10", "--out", csv}, "--year"},
       {{"campaign", "--tests", "10", "--out", csv}, "--seed"},
@@ -708,8 +707,8 @@ TEST(Cli, RejectsUnknownAndRemovedFlags) {
       << output;
   EXPECT_NE(output.find("--obs-dir"), std::string::npos) << output;
   for (const char* removed : {"--health-out", "--manifest-out", "--no-manifest",
-                              "--obs-spill-dir", "--attribution-md"}) {
-    EXPECT_EQ(run({"fleet", "--days", "1", removed, "x"}, output), 2) << removed;
+                              "--obs-spill-dir", "--attribution-md", "--obs-budget-mb"}) {
+    EXPECT_EQ(run({"fleet", "--days", "1", removed, "1"}, output), 2) << removed;
     EXPECT_NE(output.find(std::string("unknown option ") + removed),
               std::string::npos)
         << output;

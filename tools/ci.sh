@@ -28,7 +28,7 @@ run_suite() {
   run_health_gate "${build_dir}"
   run_span_gate "${build_dir}"
   run_executor_gate "${build_dir}"
-  run_obs_budget_gate "${build_dir}"
+  run_bounded_obs_gate "${build_dir}"
   run_rss_slope_gate "${build_dir}"
   run_profile_gate "${build_dir}"
   run_diff_gate "${build_dir}"
@@ -240,17 +240,16 @@ PYEOF
 }
 
 # Bounded-observability gate (DESIGN.md §12): a 50k-test fleet-day under
-# --obs-sample 1/16 with a 256 MB budget must emit byte-identical sampled
-# trace and span artifacts for every --chunk/--jobs combination, and the
-# run's own resource telemetry (obs.peak_rss_mb, from ResourceMonitor) must
-# stay under the budget. The RSS assertion is skipped in sanitizer builds —
-# shadow memory inflates RSS by design — but byte-identity is always gated.
-# The 256 MB budget is never reached on this workload, so two more runs at
-# --obs-budget-mb 1 must actually degrade (obs.sample_degradations > 0) and
-# still emit byte-identical artifacts across (chunk, jobs).
-run_obs_budget_gate() {
+# --obs-sample 1/16 must emit byte-identical sampled trace and span
+# artifacts for every --chunk/--jobs combination, and the run's own resource
+# telemetry (obs.peak_rss_mb, from ResourceMonitor) must stay at or under
+# 64 MB: the trace and spans stream to their files, so nothing the run keeps
+# grows with the tests it samples. The RSS assertion is skipped in sanitizer
+# builds — shadow memory inflates RSS by design — but byte-identity is
+# always gated.
+run_bounded_obs_gate() {
   local build_dir="$1"
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/obs-budget"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/bounded-obs"
   echo "=== bounded-observability gate (${build_dir}) ==="
   mkdir -p "${out_dir}"
   local chunk jobs tag
@@ -260,7 +259,7 @@ run_obs_budget_gate() {
       "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
         --days 1 --tests-per-day 50000 --seed 21 \
         --chunk "${chunk}" --jobs "${jobs}" \
-        --obs-sample 1/16 --obs-budget-mb 256 --progress \
+        --obs-sample 1/16 --progress \
         --obs-dir "${out_dir}/${tag}" --obs trace_jsonl,spans,health \
         > /dev/null 2> "${out_dir}/progress-${tag}.log"
     done
@@ -278,34 +277,11 @@ import json, sys
 report = json.load(open(sys.argv[1]))
 meta = report["meta"]
 assert meta.get("obs.sample", "").startswith("1/"), "obs.sample missing from meta"
-assert meta.get("obs.budget_mb") == "256", "obs.budget_mb missing from meta"
 peak = float(meta["obs.peak_rss_mb"])
 assert peak > 0.0, "obs.peak_rss_mb not recorded"
-if sys.argv[2] == "1" and peak >= 256.0:
-    sys.exit(f"fleet-day peak RSS {peak:.1f} MB breaches the 256 MB budget")
+if sys.argv[2] == "1" and peak > 64.0:
+    sys.exit(f"sampled fleet-day peak RSS {peak:.1f} MB > 64 MB")
 print(f"bounded-obs gate passed: artifacts byte-identical, peak RSS {peak:.1f} MB")
-PYEOF
-  for tag in c256j1 c1024j4; do
-    chunk="${tag#c}"; chunk="${chunk%j*}"; jobs="${tag#*j}"
-    "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
-      --days 1 --tests-per-day 50000 --seed 21 \
-      --chunk "${chunk}" --jobs "${jobs}" \
-      --obs-sample 1/16 --obs-budget-mb 1 --progress \
-      --obs-dir "${out_dir}/tight-${tag}" --obs trace_jsonl,spans,health \
-      > /dev/null 2> "${out_dir}/progress-tight-${tag}.log"
-  done
-  local artifact
-  for artifact in trace.jsonl spans.json; do
-    cmp "${out_dir}/tight-c256j1/${artifact}" "${out_dir}/tight-c1024j4/${artifact}" \
-      || { echo "degraded ${artifact} differs: c256j1 vs c1024j4" >&2; return 1; }
-  done
-  python3 - "${out_dir}/tight-c1024j4/health.json" <<'PYEOF'
-import json, sys
-meta = json.load(open(sys.argv[1]))["meta"]
-assert meta.get("obs.budget_mb") == "1", "obs.budget_mb missing from meta"
-degradations = int(meta.get("obs.sample_degradations", "0"))
-assert degradations > 0, "a 1 MB budget must degrade the sampling denominator"
-print(f"tight-budget gate passed: {degradations} degradations, artifacts byte-identical")
 PYEOF
 }
 
@@ -314,8 +290,12 @@ PYEOF
 # grow with the simulated period beyond its O(busy windows) result vector.
 # A 7-day and a 28-day run at 1e5 tests/day read obs.peak_rss_mb from their
 # health.json meta; the growth must stay at or under 3 MB per simulated day
-# (the whole-period pipeline it replaced grew about 17 MB per day). Skipped
-# in sanitizer builds, where shadow memory inflates RSS by design.
+# (the whole-period pipeline it replaced grew about 17 MB per day). A spans
+# leg repeats both runs with --obs-sample 1/2 --obs spans,health: the spans
+# stream to their file and fold into the stage_s health cells as they close,
+# so its slope may exceed the health-only slope by at most 0.25 MB per day
+# (a buffer of every closed span's stage sample added about 0.7). Skipped in
+# sanitizer builds, where shadow memory inflates RSS by design.
 run_rss_slope_gate() {
   local build_dir="$1"
   case "${build_dir}" in *asan*|*tsan*) return 0 ;; esac
@@ -326,17 +306,32 @@ run_rss_slope_gate() {
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend analytic \
       --days "${days}" --tests-per-day 100000 --progress \
       --obs-dir "${out_dir}/d${days}" --obs health > /dev/null 2> /dev/null
+    "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend analytic \
+      --days "${days}" --tests-per-day 100000 --progress \
+      --obs-sample 1/2 --obs-dir "${out_dir}/spans-d${days}" --obs spans,health \
+      > /dev/null 2> /dev/null
+    rm -f "${out_dir}/spans-d${days}/spans.json"
   done
-  python3 - "${out_dir}/d7/health.json" "${out_dir}/d28/health.json" <<'PYEOF'
+  python3 - "${out_dir}" <<'PYEOF'
 import json, sys
-rss7, rss28 = (float(json.load(open(path))["meta"]["obs.peak_rss_mb"])
-               for path in sys.argv[1:])
-slope = (rss28 - rss7) / 21.0
-if slope > 3.0:
-    sys.exit(f"peak RSS grows {slope:.2f} MB per simulated day "
+
+def slope(prefix):
+    rss7, rss28 = (float(json.load(open(f"{sys.argv[1]}/{prefix}d{days}/health.json"))
+                         ["meta"]["obs.peak_rss_mb"]) for days in (7, 28))
+    return (rss28 - rss7) / 21.0, rss7, rss28
+
+health, rss7, rss28 = slope("")
+if health > 3.0:
+    sys.exit(f"peak RSS grows {health:.2f} MB per simulated day "
              f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB) > 3 MB/day")
-print(f"memory-slope gate passed: {slope:.2f} MB per simulated day "
-      f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB)")
+spans, span7, span28 = slope("spans-")
+if spans - health > 0.25:
+    sys.exit(f"with spans, peak RSS grows {spans:.2f} MB per simulated day "
+             f"(7 d: {span7:.1f} MB, 28 d: {span28:.1f} MB), "
+             f"{spans - health:.2f} more than health alone ({health:.2f}) > 0.25")
+print(f"memory-slope gate passed: {health:.2f} MB per simulated day "
+      f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB); with spans {spans:.2f} "
+      f"(7 d: {span7:.1f} MB, 28 d: {span28:.1f} MB)")
 PYEOF
 }
 

@@ -144,13 +144,11 @@ std::string usage() {
       "  --obs-sample 1/N        retain 1-in-N tests' trace events and spans,\n"
       "                          keyed on the test identity: byte-identical\n"
       "                          for every --chunk/--jobs (both backends)\n"
-      "  --obs-budget-mb N       observability memory budget: the sampling rate\n"
-      "                          halves (recorded) at planned checkpoints where\n"
-      "                          the modeled footprint would exceed it\n"
       "  --progress              live test/chunk/RSS progress line on stderr\n"
       "                          (host telemetry; never part of artifacts)\n"
       "  A fleet streams its trace and spans into their files in canonical\n"
-      "  order as chunks commit: every recorded event and span, none dropped.\n"
+      "  order as chunks commit: every recorded event and span, none dropped\n"
+      "  and none kept past its chunk's commit.\n"
       "  A single test's trace ring keeps its last 262144 events; drops are\n"
       "  counted in the metrics (obs.trace_dropped, obs.span_dropped) and the\n"
       "  health meta.\n"
@@ -178,8 +176,7 @@ const std::map<std::string_view, std::vector<std::string_view>> kCommandKeys = {
     {"plan", {"tests-per-day", "regional"}},
     {"fleet",
      {"servers", "days", "tests-per-day", "seed", "backend", "chunk", "jobs",
-      "obs-sample", "obs-budget-mb", "progress", "trace-categories", "slo",
-      "profile", "obs-dir", "obs"}},
+      "obs-sample", "progress", "trace-categories", "slo", "profile", "obs-dir", "obs"}},
     {"trace", {"json", "md"}},
     {"profile", {"md"}},
     {"obs", {"json", "md", "expect-identical", "tolerance", "no-artifacts"}},
@@ -564,11 +561,15 @@ class BackgroundFile : public std::streambuf {
 /// streams its canonical events and spans straight into them (Hub sinks),
 /// and a single test replays its ring and store into them after the run.
 /// Unrequested files are not written, but every event and span is counted
-/// for the manifest, and closed spans are kept as health stage samples.
+/// for the manifest, and with stage health each closed span is folded as a
+/// health stage sample.
 class TraceArtifacts {
  public:
-  /// Opens the requested files; false after a "cannot write" message.
-  bool open(const RunOutputs& outputs, std::ostream& out) {
+  /// Opens the requested files; false after a "cannot write" message. With
+  /// `stage_health`, closed spans fold into the per-stage cells that
+  /// record_stage_health copies out.
+  bool open(const RunOutputs& outputs, std::ostream& out, bool stage_health) {
+    stage_health_ = stage_health;
     for (const auto& [name, file] : {std::pair{"trace_jsonl", &jsonl_},
                                      {"trace_chrome", &chrome_}, {"spans", &spans_}}) {
       const std::string path = outputs.path(name);
@@ -618,21 +619,30 @@ class TraceArtifacts {
     summaries["spans"] = obs::span::summarize_for_manifest(*span_doc_);
     return true;
   }
-  /// Feeds every closed span's duration into the health monitor as the
-  /// "stage_s" metric under dimension "stage:<name>", so an SLO spec can
-  /// bound per-stage latency (e.g. p95 swiftest.convergence time).
+  /// Copies the "stage_s" cells — every closed span's duration, in emission
+  /// order, under "all" and dimension "stage:<name>" — into the health
+  /// monitor, so an SLO spec can bound per-stage latency (e.g. p95
+  /// swiftest.convergence time). Called after the run: a fleet's health
+  /// lanes fold into `health` while its spans stream.
   void record_stage_health(obs::health::HealthMonitor* health) const {
-    if (health == nullptr) return;
-    for (const auto& [name, seconds] : stages_) {
-      const std::string dims[] = {std::string("stage:") + name};
-      health->record("stage_s", seconds, dims);
+    if (health == nullptr || stages_.empty()) return;
+    health->cell("stage_s", "all") = stage_all_;
+    for (const auto& [name, stage] : stages_) {
+      health->cell("stage_s", "stage:" + name) = stage;
     }
   }
 
  private:
   void span(const obs::span::SpanRecord& r) {
     span_doc_->write(r);
-    if (r.closed) stages_.emplace_back(r.name, core::to_seconds(r.duration()));
+    if (!stage_health_ || !r.closed) return;
+    const double seconds = core::to_seconds(r.duration());
+    stage_all_.observe(seconds);
+    auto it = stages_.find(std::string_view(r.name));
+    if (it == stages_.end()) {
+      it = stages_.emplace(r.name, obs::health::StreamingAggregate{}).first;
+    }
+    it->second.observe(seconds);
   }
 
   BackgroundFile jsonl_;
@@ -640,7 +650,9 @@ class TraceArtifacts {
   BackgroundFile spans_;
   std::optional<obs::TraceWriter> trace_;
   std::optional<obs::span::SpanWriter> span_doc_;
-  std::vector<std::pair<const char*, double>> stages_;
+  bool stage_health_ = false;
+  obs::health::StreamingAggregate stage_all_;
+  std::map<std::string, obs::health::StreamingAggregate, std::less<>> stages_;
 };
 
 /// Closes the trace/metrics/spans artifacts of a run with a hub. Returns 1
@@ -812,7 +824,9 @@ int cmd_test(const Options& options, std::ostream& out) {
   std::unique_ptr<obs::Hub> hub;
   if (!setup_obs(options, outputs, out, hub)) return 2;
   TraceArtifacts traces;
-  if (hub != nullptr && !traces.open(outputs, out)) return 1;
+  if (hub != nullptr && !traces.open(outputs, out, wants_health(options, outputs))) {
+    return 1;
+  }
   // Shared by the manifest's config lines and the health meta.
   const obs::health::ReportMeta run_config = {
       {"tech", options.get("tech", "5g")},
@@ -992,17 +1006,13 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   const auto chunk = options.number<std::size_t>("chunk", 0, 1, kMaxCount, out);
   const auto tests_per_day =
       options.number<double>("tests-per-day", cfg.tests_per_day, 0.0, kMaxTestsPerDay, out);
-  const auto budget_mb = options.number<std::uint64_t>("obs-budget-mb", 0, 0, kMaxCount, out);
-  if (!seed || !servers || !days || !jobs || !chunk || !tests_per_day || !budget_mb) {
-    return 2;
-  }
+  if (!seed || !servers || !days || !jobs || !chunk || !tests_per_day) return 2;
   cfg.seed = *seed;
   cfg.server_count = *servers;
   cfg.days = *days;
   cfg.jobs = *jobs;
   cfg.chunk = *chunk;
   cfg.tests_per_day = *tests_per_day;
-  cfg.obs_budget_mb = *budget_mb;
   const std::string backend = options.get("backend", "analytic");
   if (backend == "packet") {
     cfg.backend = deploy::FleetBackend::kPacket;
@@ -1033,9 +1043,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   };
   obs::health::ReportMeta obs_config;
   if (cfg.sample.enabled()) obs_config.emplace_back("obs.sample", cfg.sample.describe());
-  if (cfg.obs_budget_mb > 0) {
-    obs_config.emplace_back("obs.budget_mb", std::to_string(cfg.obs_budget_mb));
-  }
   obs::manifest::RunManifest& mf = outputs.manifest();
   mf.config = run_config;
   // The partition-invariance contract itself — constant across runs, so
@@ -1045,7 +1052,7 @@ int cmd_fleet(const Options& options, std::ostream& out) {
 
   TraceArtifacts traces;
   if (hub != nullptr) {
-    if (!traces.open(outputs, out)) return 1;
+    if (!traces.open(outputs, out, health != nullptr)) return 1;
     traces.attach(*hub);
   }
 
