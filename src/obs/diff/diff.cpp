@@ -9,9 +9,6 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/export.hpp"
-#include "obs/health/report.hpp"
-#include "obs/hostprof/report.hpp"
 #include "obs/json.hpp"
 #include "obs/span/critical_path.hpp"
 #include "obs/span/json.hpp"
@@ -22,7 +19,7 @@ namespace {
 /// Sections that never gate: they attribute a difference, they are not one.
 bool is_info_section(std::string_view section) {
   return section == "config" || section == "run" || section == "host" ||
-         section == "hostprof" || section == "summary.hostprof";
+         section == "summary.hostprof";
 }
 
 /// Host-time artifacts: content is wall-clock-dependent by design, so their
@@ -40,7 +37,9 @@ bool is_exact_key(std::string_view key) {
   for (const std::string_view exact : kExact) {
     if (key == exact) return true;
   }
-  if (key.rfind("cat.", 0) == 0 || key.rfind("counter.", 0) == 0) return true;
+  for (const std::string_view prefix : {"cat.", "counter.", "event."}) {
+    if (key.rfind(prefix, 0) == 0) return true;
+  }
   if (key.size() >= 6 && key.substr(key.size() - 6) == ".count") return true;
   return false;
 }
@@ -87,10 +86,7 @@ class Differ {
     diff_config();
     diff_artifacts();
     diff_summaries();
-    diff_health_cells();
-    diff_trace_deep();
     diff_stage_attribution();
-    diff_hostprof_deep();
     diff_slos();
     diff_bench();
     diff_host();
@@ -286,97 +282,6 @@ class Differ {
     }
   }
 
-  void diff_health_cells() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("health");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("health");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<health::HealthArtifact> health_a =
-        health::load_health_file(artifact_a->path);
-    const std::optional<health::HealthArtifact> health_b =
-        health::load_health_file(artifact_b->path);
-    if (!health_a.has_value() || !health_b.has_value()) {
-      note_entry("health", "artifacts",
-                 "health artifacts unavailable — falling back to the "
-                 "summary.health section");
-      return;
-    }
-    std::set<std::pair<std::string, std::string>> cells;
-    for (const auto& [metric, dims] : health_a->metrics) {
-      for (const auto& [dim, stats] : dims) cells.insert({metric, dim});
-    }
-    for (const auto& [metric, dims] : health_b->metrics) {
-      for (const auto& [dim, stats] : dims) cells.insert({metric, dim});
-    }
-    static const health::AggregateStats kZero;
-    for (const auto& [metric, dim] : cells) {
-      const auto stats_of = [&](const health::HealthArtifact& artifact)
-          -> const health::AggregateStats& {
-        const auto metric_it = artifact.metrics.find(metric);
-        if (metric_it == artifact.metrics.end()) return kZero;
-        const auto dim_it = metric_it->second.find(dim);
-        return dim_it == metric_it->second.end() ? kZero : dim_it->second;
-      };
-      const health::AggregateStats& cell_a = stats_of(*health_a);
-      const health::AggregateStats& cell_b = stats_of(*health_b);
-      const std::string prefix = metric + "[" + dim + "]";
-      compare_numeric("health", prefix + ".count",
-                      static_cast<double>(cell_a.count),
-                      static_cast<double>(cell_b.count), /*exact=*/true);
-      compare_numeric("health", prefix + ".mean", cell_a.mean, cell_b.mean,
-                      /*exact=*/false);
-      compare_numeric("health", prefix + ".p50", cell_a.p50, cell_b.p50,
-                      /*exact=*/false);
-      compare_numeric("health", prefix + ".p95", cell_a.p95, cell_b.p95,
-                      /*exact=*/false);
-      compare_numeric("health", prefix + ".p99", cell_a.p99, cell_b.p99,
-                      /*exact=*/false);
-    }
-  }
-
-  void diff_trace_deep() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("trace_jsonl");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("trace_jsonl");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<TraceArtifactSummary> trace_a =
-        load_trace_jsonl_file(artifact_a->path);
-    const std::optional<TraceArtifactSummary> trace_b =
-        load_trace_jsonl_file(artifact_b->path);
-    if (!trace_a.has_value() || !trace_b.has_value()) {
-      note_entry("trace", "artifacts",
-                 "trace artifacts unavailable — falling back to the "
-                 "summary.trace section");
-      return;
-    }
-    compare_numeric("trace", "events", static_cast<double>(trace_a->events),
-                    static_cast<double>(trace_b->events), /*exact=*/true);
-    std::set<std::string> categories;
-    for (const auto& [name, count] : trace_a->per_category)
-      categories.insert(name);
-    for (const auto& [name, count] : trace_b->per_category)
-      categories.insert(name);
-    const auto count_in = [](const std::map<std::string, std::uint64_t>& map,
-                             const std::string& key) {
-      const auto it = map.find(key);
-      return it == map.end() ? 0.0 : static_cast<double>(it->second);
-    };
-    for (const std::string& category : categories) {
-      compare_numeric("trace", "cat." + category,
-                      count_in(trace_a->per_category, category),
-                      count_in(trace_b->per_category, category),
-                      /*exact=*/true);
-    }
-    std::set<std::string> names;
-    for (const auto& [name, count] : trace_a->per_name) names.insert(name);
-    for (const auto& [name, count] : trace_b->per_name) names.insert(name);
-    for (const std::string& name : names) {
-      compare_numeric("trace", "event." + name,
-                      count_in(trace_a->per_name, name),
-                      count_in(trace_b->per_name, name), /*exact=*/true);
-    }
-  }
-
   void diff_stage_attribution() {
     if (!options_.load_artifacts) return;
     const manifest::ArtifactRecord* artifact_a = a_.find_artifact("spans");
@@ -431,31 +336,6 @@ class Differ {
     if (!report_.stages.empty() && report_.stages.front().delta_s != 0.0) {
       report_.top_stage = report_.stages.front().name;
     }
-  }
-
-  void diff_hostprof_deep() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("prof");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("prof");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<hostprof::ProfData> prof_a =
-        hostprof::load_prof_file(artifact_a->path);
-    const std::optional<hostprof::ProfData> prof_b =
-        hostprof::load_prof_file(artifact_b->path);
-    if (!prof_a.has_value() || !prof_b.has_value()) return;
-    const hostprof::ProfReport report_a = hostprof::analyze_prof(*prof_a);
-    const hostprof::ProfReport report_b = hostprof::analyze_prof(*prof_b);
-    compare_numeric("hostprof", "wall_ms",
-                    static_cast<double>(report_a.wall_ns) / 1e6,
-                    static_cast<double>(report_b.wall_ns) / 1e6,
-                    /*exact=*/false);
-    compare_numeric("hostprof", "serial_fraction", report_a.serial_fraction,
-                    report_b.serial_fraction, /*exact=*/false);
-    compare_numeric("hostprof", "parallel_efficiency",
-                    report_a.parallel_efficiency, report_b.parallel_efficiency,
-                    /*exact=*/false);
-    compare_numeric("hostprof", "shard_imbalance", report_a.shard_imbalance,
-                    report_b.shard_imbalance, /*exact=*/false);
   }
 
   void diff_slos() {

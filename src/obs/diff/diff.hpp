@@ -1,24 +1,24 @@
 // Semantic cross-run diffing: two RunManifests in, one explained verdict out.
 //
 // `swiftest-cli obs diff A B` loads two manifests (obs/manifest/manifest.hpp)
-// plus the artifacts they point at and produces a DiffReport that replaces
-// "the bytes differ" with *what* differs and by how much:
+// and produces a DiffReport that replaces "the bytes differ" with *what*
+// differs and by how much. Each writer records its artifact's content in
+// the manifest summary when it writes it, so the summaries are the one
+// record compared:
 //
 //   * config drift — which resolved settings differ (attribution context,
 //     never a regression by itself);
 //   * artifact identity — content hash / rows / bytes per logical artifact
 //     name, path-independent;
-//   * metrics deltas — every counter, gauge, and histogram aggregate under
-//     per-metric tolerance rules (counts are exact, statistics tolerant);
-//   * health quantile drift — count/mean/p50/p95/p99 per (metric, dimension
-//     cell), from the health artifacts when loadable;
-//   * span stage-delta attribution — both runs' span artifacts through the
-//     critical-path analyzer (obs/span/critical_path.hpp); per-stage
-//     critical-time deltas that sum to the observed total-time delta, naming
-//     the stage that moved;
-//   * trace deltas — per-category and per-event-name counts;
-//   * host-profile deltas — wall, serial fraction, parallel efficiency:
-//     always informational (host time never gates).
+//   * layer summaries — trace counts per category and per event name,
+//     metrics counters/gauges/histogram aggregates, span counts,
+//     count/mean/p50/p95/p99 per health (metric, dimension) cell, and the
+//     host profile (always informational: host time never gates) — under
+//     per-key tolerance rules (counts are exact, statistics tolerant);
+//   * span stage-delta attribution — the one section that reads artifacts:
+//     both runs' span files through the critical-path analyzer
+//     (obs/span/critical_path.hpp); per-stage critical-time deltas that sum
+//     to the observed total-time delta, naming the stage that moved.
 //
 // Every compared entry is classified by the taxonomy in DESIGN.md §14:
 //   kIdentical        exactly equal;
@@ -50,7 +50,7 @@ enum class DiffStatus { kIdentical, kWithinTolerance, kRegressed, kInfo };
 /// One compared fact. Numeric entries carry a/b/delta/rel; text entries
 /// (config values, hashes, SLO statuses) carry a_text/b_text.
 struct DiffEntry {
-  std::string section;  // "config", "artifact", "metrics", "health", ...
+  std::string section;  // "config", "artifact", "summary.health", ...
   std::string key;
   bool numeric = true;
   double a = 0.0;
@@ -89,9 +89,10 @@ struct DiffOptions {
   /// Relative tolerance for statistical values (means, quantiles, bench).
   /// Counts are always exact.
   double rel_tolerance = 0.05;
-  /// Read the artifacts the manifests point at (health, spans, traces,
-  /// prof) for deep sections. When false — or when a file is missing — the
-  /// diff degrades to manifest summaries and says so in a note.
+  /// Read both runs' span artifacts for the stage-delta attribution. When
+  /// false — or when a file is missing — the report has no attribution
+  /// (with a note for a missing file); every other section compares the
+  /// manifests alone.
   bool load_artifacts = true;
 };
 
@@ -121,8 +122,8 @@ struct DiffReport {
   bool identical = false;       // no gated non-identical entries at all
 };
 
-/// Compares two runs. `path_a`/`path_b` label the report; artifacts are
-/// resolved from the paths recorded inside each manifest.
+/// Compares two runs. `path_a`/`path_b` label the report; span artifacts
+/// are resolved from the paths recorded inside each manifest.
 [[nodiscard]] DiffReport diff_runs(const manifest::RunManifest& a,
                                    const manifest::RunManifest& b,
                                    const DiffOptions& options,

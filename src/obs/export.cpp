@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <iterator>
+#include <map>
 #include <ostream>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -63,6 +65,13 @@ void TraceWriter::write(const TraceEvent& ev) {
   }
   ++events_;
   ++per_category_[std::countr_zero(static_cast<std::uint32_t>(ev.category))];
+  for (auto& [name, count] : per_name_) {
+    if (name == ev.name) {
+      ++count;
+      return;
+    }
+  }
+  per_name_.emplace_back(ev.name, 1);
 }
 
 void TraceWriter::finish() {
@@ -146,6 +155,11 @@ std::vector<std::pair<std::string, double>> summarize_for_manifest(
   for (const auto& [cat, count] : per_category) {
     out.emplace_back("cat." + cat, static_cast<double>(count));
   }
+  std::map<std::string_view, std::uint64_t> per_name;
+  for (const auto& [name, count] : writer.per_name_) per_name[name] += count;
+  for (const auto& [name, count] : per_name) {
+    out.emplace_back("event." + std::string(name), static_cast<double>(count));
+  }
   return out;
 }
 
@@ -163,41 +177,6 @@ std::vector<std::pair<std::string, double>> summarize_for_manifest(
     out.emplace_back("hist." + name + ".sum", h.sum);
   }
   return out;
-}
-
-std::optional<TraceArtifactSummary> parse_trace_jsonl(std::string_view text,
-                                                      std::string* error) {
-  TraceArtifactSummary summary;
-  std::size_t lineno = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    ++lineno;
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    std::string line_error;
-    const auto doc = parse_json(line, &line_error);
-    if (!doc || !doc->is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " +
-                 (doc ? "not an event object" : line_error);
-      }
-      return std::nullopt;
-    }
-    ++summary.events;
-    ++summary.per_category[doc->get_string("cat", "?")];
-    ++summary.per_name[doc->get_string("name", "?")];
-  }
-  return summary;
-}
-
-std::optional<TraceArtifactSummary> load_trace_jsonl_file(const std::string& path,
-                                                          std::string* error) {
-  const auto text = read_file(path, error);
-  if (!text) return std::nullopt;
-  return parse_trace_jsonl(*text, error);
 }
 
 }  // namespace swiftest::obs

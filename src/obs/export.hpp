@@ -8,10 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +20,7 @@ namespace swiftest::obs {
 /// The one trace renderer: writes events one at a time as compact JSONL and/or
 /// a Chrome trace_event document (loadable in chrome://tracing and Perfetto;
 /// instants as ph "i" markers, counters as ph "C" tracks) — either stream
-/// may be null — and counts them per category.
+/// may be null — and counts them per category and per event name.
 class TraceWriter {
  public:
   /// Opens the Chrome document, if any.
@@ -44,6 +41,10 @@ class TraceWriter {
   std::string line_;
   std::uint64_t events_ = 0;
   std::uint64_t per_category_[5] = {};  // by Category bit
+  /// Events per name literal, in first-seen order. Counting by address
+  /// keeps the per-event cost a pointer compare; the summary merges the
+  /// addresses that hold equal text.
+  std::vector<std::pair<const char*, std::uint64_t>> per_name_;
 };
 
 /// Chrome trace_event JSON of the retained events, oldest first.
@@ -59,13 +60,13 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 // ------------------------------------------------------ manifest interface
 //
 // Every obs layer exposes summarize_for_manifest(): a flat, name-ordered
-// (key, value) list the RunManifest embeds so `obs diff` can compare runs
-// without re-reading every artifact, plus a loader for the artifact the
-// layer writes so the differ can go deeper when the file is on disk.
+// (key, value) list the RunManifest embeds. It is the one record of what
+// the layer's artifact holds: `obs diff` compares these lists, and only
+// its stage attribution reads an artifact back (the span tree).
 
 /// Trace summary: the events a writer rendered, `dropped` (lost before
-/// they reached it), and per-category counts ("cat.protocol", ...).
-/// Deterministic order.
+/// they reached it), per-category counts ("cat.protocol", ...) and
+/// per-event-name counts ("event.link.drop", ...). Deterministic order.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
     const TraceWriter& writer, std::uint64_t dropped);
 
@@ -73,22 +74,5 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 /// histograms as "hist.<name>.count" / "hist.<name>.sum". Name-ordered.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
     const MetricsSnapshot& snapshot);
-
-/// What the trace-jsonl diff loader extracts from a trace.jsonl artifact:
-/// event totals plus per-category and per-event-name counts.
-struct TraceArtifactSummary {
-  std::uint64_t events = 0;
-  std::map<std::string, std::uint64_t> per_category;
-  std::map<std::string, std::uint64_t> per_name;
-};
-
-/// Parses a trace.jsonl artifact into count form. Returns nullopt (with a
-/// line-numbered reason in `error`) on a malformed line.
-[[nodiscard]] std::optional<TraceArtifactSummary> parse_trace_jsonl(
-    std::string_view text, std::string* error = nullptr);
-
-/// File convenience wrapper over parse_trace_jsonl.
-[[nodiscard]] std::optional<TraceArtifactSummary> load_trace_jsonl_file(
-    const std::string& path, std::string* error = nullptr);
 
 }  // namespace swiftest::obs

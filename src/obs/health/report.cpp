@@ -188,61 +188,19 @@ void write_health_markdown(const HealthSnapshot& snapshot, const ReportMeta& met
   out << body;
 }
 
-std::optional<HealthArtifact> parse_health_json(std::string_view text,
-                                                std::string* error) {
-  const auto doc = parse_json(text, error);
-  if (!doc) return std::nullopt;
-  const JsonValue* metrics = doc->is_object() ? doc->get("metrics") : nullptr;
-  if (metrics == nullptr || !metrics->is_object()) {
-    if (error != nullptr) {
-      *error = "health document must be an object with a \"metrics\" object";
-    }
-    return std::nullopt;
-  }
-  HealthArtifact artifact;
-  if (const JsonValue* meta = doc->get("meta"); meta != nullptr && meta->is_object()) {
-    for (const auto& [key, value] : meta->members()) {
-      artifact.meta.emplace_back(key, value.as_string());
-    }
-  }
-  if (const JsonValue* tests = doc->get("tests")) artifact.tests = tests->as_u64(0);
-  for (const auto& [metric, cells] : metrics->members()) {
-    if (!cells.is_object()) continue;
-    auto& dims = artifact.metrics[metric];
-    for (const auto& [dim, stats] : cells.members()) {
-      if (!stats.is_object()) continue;
-      AggregateStats s;
-      s.count = stats.get("count") != nullptr ? stats.get("count")->as_u64(0) : 0;
-      s.sum = stats.get_number("sum", 0.0);
-      s.mean = stats.get_number("mean", 0.0);
-      s.min = stats.get_number("min", 0.0);
-      s.max = stats.get_number("max", 0.0);
-      s.p50 = stats.get_number("p50", 0.0);
-      s.p95 = stats.get_number("p95", 0.0);
-      s.p99 = stats.get_number("p99", 0.0);
-      dims[dim] = s;
-    }
-  }
-  return artifact;
-}
-
-std::optional<HealthArtifact> load_health_file(const std::string& path,
-                                               std::string* error) {
-  const auto text = read_file(path, error);
-  if (!text) return std::nullopt;
-  return parse_health_json(*text, error);
-}
-
 std::vector<std::pair<std::string, double>> summarize_for_manifest(
     const HealthSnapshot& snapshot) {
   std::vector<std::pair<std::string, double>> out;
   out.emplace_back("tests", static_cast<double>(snapshot.tests));
   for (const auto& [metric, cells] : snapshot.metrics) {
-    const auto it = cells.find("all");
-    if (it == cells.end()) continue;
-    out.emplace_back(metric + ".count", static_cast<double>(it->second.count));
-    out.emplace_back(metric + ".mean", it->second.mean);
-    out.emplace_back(metric + ".p99", it->second.p99);
+    for (const auto& [dim, stats] : cells) {
+      const std::string prefix = metric + "[" + dim + "]";
+      out.emplace_back(prefix + ".count", static_cast<double>(stats.count));
+      out.emplace_back(prefix + ".mean", stats.mean);
+      out.emplace_back(prefix + ".p50", stats.p50);
+      out.emplace_back(prefix + ".p95", stats.p95);
+      out.emplace_back(prefix + ".p99", stats.p99);
+    }
   }
   return out;
 }

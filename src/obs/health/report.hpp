@@ -10,10 +10,7 @@
 #pragma once
 
 #include <iosfwd>
-#include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,26 +37,9 @@ void write_health_markdown(const HealthSnapshot& snapshot, const ReportMeta& met
 
 [[nodiscard]] const char* to_string(SloStatus status) noexcept;
 
-/// A health JSON artifact read back from disk: what `obs diff` works on when
-/// comparing per-dimension quantile drift between two runs.
-struct HealthArtifact {
-  ReportMeta meta;  // key-ordered as parsed
-  std::uint64_t tests = 0;
-  /// metric -> dimension -> stats, same shape as HealthSnapshot::metrics.
-  std::map<std::string, std::map<std::string, AggregateStats>> metrics;
-};
-
-/// Parses a health.json document. Returns nullopt (with a reason in
-/// `error`) on malformed JSON or a document without a "metrics" object.
-[[nodiscard]] std::optional<HealthArtifact> parse_health_json(
-    std::string_view text, std::string* error = nullptr);
-
-/// Loads and parses a health artifact from disk.
-[[nodiscard]] std::optional<HealthArtifact> load_health_file(
-    const std::string& path, std::string* error = nullptr);
-
-/// Manifest summary: tests plus the "all"-cell count/mean/p99 of every
-/// metric ("duration_s.count", "duration_s.p99", ...). Name-ordered.
+/// Manifest summary: `tests` plus count/mean/p50/p95/p99 of every
+/// (metric, dimension) cell ("duration_s[all].count",
+/// "duration_s[tech:5g].p95", ...). Metric-, then dimension-ordered.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summarize_for_manifest(
     const HealthSnapshot& snapshot);
 

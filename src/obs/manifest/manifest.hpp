@@ -5,10 +5,10 @@
 // content hash + row count for every artifact the run wrote, each obs
 // layer's summarize_for_manifest() values, the run's headline bench values,
 // and its SLO verdicts. Manifests are the inputs of `swiftest-cli obs diff`
-// (obs/diff/diff.hpp): two manifests — plus the artifacts they point at —
-// are enough to explain *what changed and why* between two runs, the
-// cross-run discipline the measurement platform's month-over-month analyses
-// (paper §3, §6) are built on.
+// (obs/diff/diff.hpp): two manifests — plus the span files they point at,
+// for the stage attribution — are enough to explain *what changed and why*
+// between two runs, the cross-run discipline the measurement platform's
+// month-over-month analyses (paper §3, §6) are built on.
 //
 // Serialized form is JSONL, one self-describing record per line, so CI can
 // validate the schema line by line (the same pattern as PROF JSONL):

@@ -1,5 +1,6 @@
 #include "obs/resource.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -36,9 +37,9 @@ std::string format_mb(double mb) {
   return buf;
 }
 
-std::string format_seconds(double s) {
+std::string format_seconds(double s, int decimals = 3) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", s);
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, s);
   return buf;
 }
 
@@ -160,12 +161,18 @@ void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
   const ShardTelemetry total = totals_locked();
   meta.emplace_back("obs.peak_rss_mb", format_mb(peak_rss_mb_));
   meta.emplace_back("obs.wall_s", format_seconds(total_wall_seconds_));
-  std::string per_shard;
-  for (const ShardTelemetry& t : shards_) {
-    if (!per_shard.empty()) per_shard += ",";
-    per_shard += format_seconds(t.wall_seconds);
-  }
-  meta.emplace_back("obs.shard_wall_s", per_shard);
+  // Chunk walls as a fixed-size summary: a long run has thousands of chunks.
+  // Microsecond resolution, since an analytic chunk takes well under 1 ms.
+  std::vector<double> walls;
+  walls.reserve(shards_.size());
+  for (const ShardTelemetry& t : shards_) walls.push_back(t.wall_seconds);
+  std::sort(walls.begin(), walls.end());
+  // Nearest rank: the smallest wall that 95% of the chunks do not exceed.
+  const double p95 = walls.empty() ? 0.0 : walls[(walls.size() * 95 + 99) / 100 - 1];
+  meta.emplace_back("obs.chunks", std::to_string(walls.size()));
+  meta.emplace_back("obs.chunk_wall_max_s",
+                    format_seconds(walls.empty() ? 0.0 : walls.back(), 6));
+  meta.emplace_back("obs.chunk_wall_p95_s", format_seconds(p95, 6));
   meta.emplace_back("obs.events_executed", std::to_string(total.events_executed));
   meta.emplace_back("obs.slab_slots", std::to_string(total.slab_slots));
   meta.emplace_back("obs.transit_nodes", std::to_string(total.transit_nodes));

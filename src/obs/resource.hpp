@@ -118,9 +118,10 @@ class ResourceMonitor {
   void export_metrics(MetricsRegistry& metrics) const;
 
   /// Appends the full self-telemetry — deterministic counters AND host
-  /// measurements (peak RSS, per-shard wall times) — as health-report meta
-  /// entries. Opt-in: callers only attach this when the user asked for
-  /// resource telemetry, since wall/RSS values differ between hosts.
+  /// measurements (peak RSS, total wall, and the chunk walls' count, max
+  /// and nearest-rank p95) — as health-report meta entries. Opt-in:
+  /// callers only attach this when the user asked for resource telemetry,
+  /// since wall/RSS values differ between hosts.
   void append_report_meta(health::ReportMeta& meta);
 
  private:

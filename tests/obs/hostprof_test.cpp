@@ -246,6 +246,39 @@ TEST(ProfReportMarkdown, RendersHeadlineNumbersAndTables) {
   EXPECT_NE(md.find("## Slowest chunks"), std::string::npos);
 }
 
+// `profile report` reads a PROF JSONL file it did not write, and a killed
+// run leaves a prefix of one on disk. Every byte prefix must either parse
+// as the whole records it holds (it ends on a line boundary past the meta
+// line) or be refused with a reason: never a crash or a partial record.
+TEST(ProfJsonl, EveryPrefixParsesWholeRecordsOrFailsCleanly) {
+  std::ostringstream out;
+  write_prof_jsonl(synthetic_profile(), out);
+  const std::string doc = out.str();
+  const std::size_t meta_end = doc.find('\n');
+  ASSERT_NE(meta_end, std::string::npos);
+  for (std::size_t n = 0; n <= doc.size(); ++n) {
+    const std::string prefix = doc.substr(0, n);
+    const bool whole_lines =
+        n >= meta_end && (n == doc.size() || doc[n] == '\n' || doc[n - 1] == '\n');
+    std::istringstream in(prefix);
+    std::string error;
+    const auto data = read_prof_jsonl(in, &error);
+    ASSERT_EQ(data.has_value(), whole_lines) << "prefix of " << n << " bytes: " << error;
+    if (!data) {
+      EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+      continue;
+    }
+    std::size_t intervals = 0;
+    for (const TimelineData& tl : data->timelines) intervals += tl.intervals.size();
+    std::size_t interval_lines = 0;
+    for (std::size_t at = prefix.find("\"interval\""); at != std::string::npos;
+         at = prefix.find("\"interval\"", at + 1)) {
+      ++interval_lines;
+    }
+    EXPECT_EQ(intervals, interval_lines) << "prefix of " << n << " bytes";
+  }
+}
+
 TEST(ProfJsonl, ReaderRejectsVersionOneShardFields) {
   // Version-1 files named the task count "shards"; the reader now requires
   // the chunk-plane field and names it in the error.

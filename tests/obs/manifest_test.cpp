@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/diff/diff.hpp"
-#include "obs/manifest/manifest.hpp"
 #include "obs/export.hpp"
+#include "obs/health/report.hpp"
+#include "obs/hostprof/report.hpp"
+#include "obs/manifest/manifest.hpp"
 #include "obs/span/json.hpp"
 
 namespace swiftest::obs {
@@ -137,6 +143,35 @@ TEST(Manifest, ParseRejectsMalformedInput) {
                    .has_value());
 }
 
+// `obs diff` reads manifests it did not write, and a killed run leaves a
+// prefix of one on disk. Every byte prefix must either parse as the whole
+// records it holds (it ends on a line boundary past the header) or be
+// refused with a reason: never a crash or a partial record.
+TEST(Manifest, EveryPrefixParsesWholeRecordsOrFailsCleanly) {
+  std::ostringstream out;
+  manifest::write_manifest_jsonl(sample_manifest(), out);
+  const std::string doc = out.str();
+  const std::size_t header_end = doc.find('\n');
+  ASSERT_NE(header_end, std::string::npos);
+  for (std::size_t n = 0; n <= doc.size(); ++n) {
+    const std::string_view prefix = std::string_view(doc).substr(0, n);
+    const bool whole_lines =
+        n >= header_end && (n == doc.size() || doc[n] == '\n' || doc[n - 1] == '\n');
+    std::string error;
+    const auto parsed = manifest::parse_manifest_jsonl(prefix, &error);
+    ASSERT_EQ(parsed.has_value(), whole_lines) << "prefix of " << n << " bytes: " << error;
+    if (!parsed) {
+      EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+      continue;
+    }
+    // What parsed renders back as exactly the lines the prefix holds.
+    std::ostringstream rendered;
+    manifest::write_manifest_jsonl(*parsed, rendered);
+    const std::size_t lines_end = doc[n - 1] == '\n' ? n : n + 1;
+    EXPECT_EQ(rendered.str(), doc.substr(0, lines_end)) << "prefix of " << n << " bytes";
+  }
+}
+
 // --- diff verdicts ---------------------------------------------------------
 
 diff::DiffOptions no_artifact_options() {
@@ -255,6 +290,90 @@ TEST(ManifestDiff, RendersJsonAndMarkdown) {
   EXPECT_NE(md.str().find("util_median_pct"), std::string::npos);
 }
 
+// --- one record per artifact -------------------------------------------
+
+// One run as the CLI records it: each writer renders its artifact to a file
+// and summarizes what it wrote into the manifest.
+manifest::RunManifest written_run(const std::string& tag, int escalations,
+                                  double p95_5g) {
+  manifest::RunManifest m;
+  m.command = "fleet";
+  m.build = "deadbeef";
+  const auto add_artifact = [&m, &tag](const std::string& name, const std::string& text) {
+    const std::string path = ::testing::TempDir() + "/once_" + tag + "_" + name;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    manifest::ArtifactDigest digest;
+    digest.update(text);
+    m.artifacts.push_back(digest.record(name, path));
+  };
+
+  std::ostringstream jsonl;
+  TraceWriter trace(&jsonl, nullptr);
+  trace.write({1, Category::kProtocol, EventKind::kInstant, "probe.start", 7, 0.0});
+  for (int i = 0; i < escalations; ++i) {
+    trace.write({2 + i, Category::kProtocol, EventKind::kInstant, "probe.escalate", 7, 0.0});
+  }
+  trace.finish();
+  add_artifact("trace_jsonl", jsonl.str());
+  m.summaries["trace"] = summarize_for_manifest(trace, 0);
+
+  health::HealthSnapshot snapshot;
+  snapshot.tests = 10;
+  health::AggregateStats cell{10, 20.0, 2.0, 1.0, 4.0, 2.0, 3.0, 4.0};
+  snapshot.metrics["duration_s"]["all"] = cell;
+  cell.p95 = p95_5g;
+  snapshot.metrics["duration_s"]["tech:5g"] = cell;
+  std::ostringstream health_json;
+  health::write_health_json(snapshot, {}, nullptr, health_json);
+  add_artifact("health", health_json.str());
+  m.summaries["health"] = health::summarize_for_manifest(snapshot);
+
+  hostprof::ProfData prof;
+  prof.wall_ns = 1'000'000;
+  prof.timelines.resize(1);
+  std::ostringstream prof_jsonl;
+  hostprof::write_prof_jsonl(prof, prof_jsonl);
+  add_artifact("prof", prof_jsonl.str());
+  m.summaries["hostprof"] = hostprof::summarize_for_manifest(prof);
+  return m;
+}
+
+// Runs that differ in one event name's count (and so in the total and its
+// category) and in one non-"all" health cell's p95: the diff reports each
+// of those facts once, from the summaries, and reads none of the trace,
+// health or prof files: its report is the same once they are deleted.
+TEST(ManifestDiff, EachArtifactFactIsComparedOnceFromItsSummary) {
+  const manifest::RunManifest a = written_run("a", 1, 3.0);
+  const manifest::RunManifest b = written_run("b", 2, 3.5);
+  const diff::DiffReport report = diff::diff_runs(a, b, diff::DiffOptions{});
+  std::vector<std::string> gated;
+  for (const diff::DiffEntry& entry : report.entries) {
+    if (entry.status == diff::DiffStatus::kInfo) continue;
+    EXPECT_EQ(entry.status, diff::DiffStatus::kRegressed) << entry.key;
+    gated.push_back(entry.section + " " + entry.key);
+  }
+  std::sort(gated.begin(), gated.end());
+  const std::vector<std::string> expected = {
+      "summary.health duration_s[tech:5g].p95", "summary.trace cat.protocol",
+      "summary.trace event.probe.escalate", "summary.trace events"};
+  EXPECT_EQ(gated, expected);
+  EXPECT_EQ(report.regressions, expected.size());
+  for (const char* section : {"trace", "health", "hostprof"}) {
+    EXPECT_EQ(report.sections.count(section), 0u) << section;
+  }
+
+  std::ostringstream with_files;
+  diff::write_diff_json(report, with_files);
+  for (const manifest::RunManifest* run : {&a, &b}) {
+    for (const manifest::ArtifactRecord& artifact : run->artifacts) {
+      ASSERT_EQ(std::remove(artifact.path.c_str()), 0) << artifact.path;
+    }
+  }
+  std::ostringstream without_files;
+  diff::write_diff_json(diff::diff_runs(a, b, diff::DiffOptions{}), without_files);
+  EXPECT_EQ(with_files.str(), without_files.str());
+}
+
 // --- trace and span manifest summaries ----------------------------------
 
 TEST(Manifest, WriterSummariesCountWhatTheWritersRendered) {
@@ -263,9 +382,14 @@ TEST(Manifest, WriterSummariesCountWhatTheWritersRendered) {
   trace.write({1, Category::kLink, EventKind::kInstant, "link.drop", 0, 0.0});
   trace.write({2, Category::kProtocol, EventKind::kInstant, "probe.start", 0, 0.0});
   trace.write({3, Category::kLink, EventKind::kCounter, "link.queue", 0, 1.0});
+  // A name counts by its text: a second copy at another address merges.
+  static const char kDropCopy[] = "link.drop";
+  trace.write({4, Category::kLink, EventKind::kInstant, kDropCopy, 0, 0.0});
   trace.finish();
   const std::vector<std::pair<std::string, double>> expected_trace = {
-      {"events", 3.0}, {"dropped", 7.0}, {"cat.link", 2.0}, {"cat.protocol", 1.0}};
+      {"events", 4.0},          {"dropped", 7.0},          {"cat.link", 3.0},
+      {"cat.protocol", 1.0},    {"event.link.drop", 2.0},  {"event.link.queue", 1.0},
+      {"event.probe.start", 1.0}};
   EXPECT_EQ(summarize_for_manifest(trace, 7), expected_trace);
 
   // A writer without a stream still counts, so a run summarizes its spans

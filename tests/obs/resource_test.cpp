@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,13 +92,36 @@ TEST(ResourceMonitor, ShardTelemetryAggregates) {
     return "<missing>";
   };
   EXPECT_EQ(find("obs.wall_s"), "1.250");
-  EXPECT_EQ(find("obs.shard_wall_s"), "0.500,0.500");
+  EXPECT_EQ(find("obs.chunks"), "2");
+  EXPECT_EQ(find("obs.chunk_wall_max_s"), "0.500000");
+  EXPECT_EQ(find("obs.chunk_wall_p95_s"), "0.500000");
+  EXPECT_EQ(find("obs.shard_wall_s"), "<missing>");
   EXPECT_EQ(find("obs.events_executed"), "2000");
   EXPECT_EQ(find("obs.slab_slots"), "64");
   EXPECT_EQ(find("obs.transit_peak_live"), "96");
   EXPECT_EQ(find("obs.calendar_sweeps"), "14");
   EXPECT_EQ(find("obs.health_dropped"), "4");
   EXPECT_NE(find("obs.peak_rss_mb"), "<missing>");
+}
+
+// The chunk walls reach the meta as three values however many chunks ran:
+// count, max and the nearest-rank p95 (the 19th of 20 here).
+TEST(ResourceMonitor, ChunkWallsSummarizeToCountMaxAndP95) {
+  ResourceMonitor monitor;
+  monitor.begin_run();
+  for (int i = 20; i >= 1; --i) {
+    ShardTelemetry t = make_shard(static_cast<std::size_t>(i));
+    t.wall_seconds = 0.01 * i;
+    monitor.record_shard(t);
+  }
+  monitor.finish_run(1.0);
+  health::ReportMeta meta;
+  monitor.append_report_meta(meta);
+  std::map<std::string, std::string> values(meta.begin(), meta.end());
+  EXPECT_EQ(values["obs.chunks"], "20");
+  EXPECT_EQ(values["obs.chunk_wall_max_s"], "0.200000");
+  EXPECT_EQ(values["obs.chunk_wall_p95_s"], "0.190000");
+  EXPECT_EQ(monitor.shard_telemetry().size(), 20u);
 }
 
 TEST(ResourceMonitor, ExportMetricsWritesOnlyNonzeroCounters) {

@@ -190,12 +190,16 @@ run_executor_gate() {
 # and spans must be byte-identical across the chunk x jobs matrix, hold
 # every recorded event (the manifest's trace summary, nothing dropped), and
 # leave nothing in the obs dir but the requested artifacts and the
-# manifest. Sanitizer builds run a 300-test day.
+# manifest. Each run's manifest must also diff identical to c1j1's, and
+# the diff must stay small (<= 64 MB peak RSS outside sanitizer builds):
+# it compares the manifest summaries and reads only the spans, never the
+# ~1 GB trace. Sanitizer builds run a 300-test day.
 run_packet_trace_leg() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/packet-trace"
   local tests_per_day=1000
-  case "${build_dir}" in *asan*|*tsan*) tests_per_day=300 ;; esac
+  local diff_rss_cap_mb=64
+  case "${build_dir}" in *asan*|*tsan*) tests_per_day=300; diff_rss_cap_mb=0 ;; esac
   echo "=== packet trace partition gate (${build_dir}, ${tests_per_day} tests) ==="
   rm -rf "${out_dir}"
   mkdir -p "${out_dir}"
@@ -231,6 +235,21 @@ PYEOF
           cmp "${out_dir}/c1j1/${artifact}" "${out_dir}/${tag}/${artifact}" \
             || { echo "packet ${artifact} differs: c1j1 vs ${tag}" >&2; return 1; }
         done
+        python3 - "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" \
+          "${out_dir}/c1j1/manifest.jsonl" "${out_dir}/${tag}/manifest.jsonl" \
+          "${diff_rss_cap_mb}" <<'PYEOF'
+import resource, subprocess, sys
+cli, a, b, cap_mb = sys.argv[1], sys.argv[2], sys.argv[3], float(sys.argv[4])
+run = subprocess.run([cli, "obs", "diff", a, b, "--expect-identical"],
+                     stdout=subprocess.PIPE, text=True)
+if run.returncode != 0:
+    sys.exit(f"obs diff --expect-identical exited {run.returncode}: {a} vs {b}\n"
+             f"{run.stdout}")
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if cap_mb > 0 and peak_mb > cap_mb:
+    sys.exit(f"obs diff {a} vs {b}: peak RSS {peak_mb:.1f} MB > {cap_mb:.0f} MB")
+print(f"{b}: diff identical to c1j1, peak RSS {peak_mb:.1f} MB")
+PYEOF
         rm -rf "${out_dir:?}/${tag}"
       fi
     done

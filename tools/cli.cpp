@@ -117,8 +117,10 @@ std::string usage() {
       "           of a prof.jsonl host-time profile\n"
       "  obs      diff MANIFEST_A MANIFEST_B [--json OUT] [--md OUT]\n"
       "           [--expect-identical] [--tolerance R] [--no-artifacts]\n"
-      "           semantic cross-run diff of two run manifests (and the\n"
-      "           artifacts they point at); exits 4 on a gated regression\n"
+      "           semantic cross-run diff of two run manifests: their layer\n"
+      "           summaries, plus a stage attribution read from both runs'\n"
+      "           spans (--no-artifacts skips that read); exits 4 on a\n"
+      "           gated regression\n"
       "\n"
       "exit codes:\n"
       "  0 success   1 file/runtime error   2 usage error (unknown flags too)\n"
@@ -1202,7 +1204,7 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
       args[2].rfind("--", 0) == 0) {
     out << "usage: swiftest-cli obs diff MANIFEST_A MANIFEST_B [--json OUT]\n"
            "       [--md OUT] [--expect-identical] [--tolerance R]\n"
-           "       [--no-artifacts]\n";
+           "       [--no-artifacts]   (skip the spans read: no stage attribution)\n";
     return 2;
   }
   const std::string path_a = args[1];
