@@ -421,9 +421,9 @@ void FleetRun::stream(const std::function<std::unique_ptr<obs::Hub>()>& make_hub
     t.tests = out.tests;
     t.health_dropped = out.log.dropped();
     if (config.resource != nullptr) {
+      config.resource->add_tests(out.tests);
       config.resource->record_shard(t);
       config.resource->note_shard_done();
-      config.resource->sample_usage();
     }
   };
   stages.commit = [&](std::size_t c) {
@@ -504,7 +504,6 @@ struct AnalyticChunk : ChunkBase {
 void run_analytic_chunk(const FleetSimConfig& config, AnalyticChunk& out) {
   for (const Arrival& a : out.arrivals) {
     ++out.tests;
-    if (config.resource != nullptr) config.resource->add_tests(1);
     if (out.hub != nullptr && config.sample.sampled(a.test_id, config.seed)) {
       const core::SimTime ts = a.second * core::seconds(1);
       const core::SimTime te = ts + a.duration_s * core::seconds(1);
@@ -814,7 +813,6 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
 
   sched.schedule_at(start, [&] {
     if (health != nullptr) health->note_arrival(static_cast<double>(a.second));
-    if (config.resource != nullptr) config.resource->add_tests(1);
     // Servers are born at test start, not at t = 0: their idle-GC timers
     // only tick while the test lives, which keeps this private scheduler's
     // event count proportional to the test, not to the simulated week.

@@ -1,5 +1,7 @@
 #include "obs/health/slo.hpp"
 
+#include <cmath>
+
 #include "obs/json.hpp"
 
 namespace swiftest::obs::health {
@@ -50,8 +52,20 @@ std::optional<std::vector<SloSpec>> parse_slo_specs(std::string_view json_text,
         v != nullptr && v->type() == JsonValue::Type::kNumber) {
       spec.min_value = v->as_number();
     }
-    spec.min_samples =
-        static_cast<std::uint64_t>(entry.get_number("min_samples", 1.0));
+    if (const JsonValue* v = entry.get("min_samples"); v != nullptr) {
+      // Only a whole number a double holds exactly converts: casting a
+      // negative or out-of-range double to an integer is undefined.
+      constexpr double kTwoPow53 = 9007199254740992.0;
+      const double n = v->type() == JsonValue::Type::kNumber ? v->as_number() : -1.0;
+      if (!(n >= 0.0 && n <= kTwoPow53 && n == std::floor(n))) {
+        if (error != nullptr) {
+          *error = "slo #" + std::to_string(i) +
+                   " \"min_samples\" must be a whole number in [0, 2^53]";
+        }
+        return std::nullopt;
+      }
+      spec.min_samples = static_cast<std::uint64_t>(n);
+    }
     if (spec.name.empty() || spec.metric.empty() ||
         (!spec.max_value && !spec.min_value)) {
       if (error != nullptr) {

@@ -110,16 +110,6 @@ ArtifactRecord ArtifactDigest::record(std::string name, std::string path) const 
   return out;
 }
 
-std::optional<ArtifactRecord> artifact_from_file(const std::string& name,
-                                                 const std::string& path,
-                                                 std::string* error) {
-  const auto text = read_file(path, error);
-  if (!text) return std::nullopt;
-  ArtifactDigest digest;
-  digest.update(*text);
-  return digest.record(name, path);
-}
-
 void write_manifest_jsonl(const RunManifest& manifest, std::ostream& out) {
   std::string line;
   line.reserve(256);

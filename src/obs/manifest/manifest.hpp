@@ -105,8 +105,9 @@ inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ULL;
 /// "fnv1a64:<16 lowercase hex digits>" of `bytes`.
 [[nodiscard]] std::string content_hash(std::string_view bytes);
 
-/// An artifact's bytes, newline rows and content hash, fed block by block —
-/// by artifact_from_file, or by a writer as the blocks go out.
+/// An artifact's bytes, newline rows and content hash, fed block by block
+/// by its writer as the blocks go out, so no artifact is read back to be
+/// recorded.
 struct ArtifactDigest {
   std::uint64_t bytes = 0;
   std::uint64_t rows = 0;
@@ -115,11 +116,6 @@ struct ArtifactDigest {
   void update(std::string_view block);
   [[nodiscard]] ArtifactRecord record(std::string name, std::string path) const;
 };
-
-/// Builds an ArtifactRecord by reading `path` (hash, bytes, newline rows).
-/// Returns nullopt (with a reason in `error`) when the file cannot be read.
-[[nodiscard]] std::optional<ArtifactRecord> artifact_from_file(
-    const std::string& name, const std::string& path, std::string* error = nullptr);
 
 /// Writes the manifest as JSONL (deterministic rendering, obs/json
 /// numbers; lines in the fixed order manifest/config/artifact/summary/

@@ -66,19 +66,11 @@ void ResourceMonitor::begin_run() {
   shards_drawn_.store(0, std::memory_order_relaxed);
   draw_ended_.store(false, std::memory_order_relaxed);
   total_wall_seconds_ = 0.0;
-  peak_rss_mb_ = 0.0;
   shards_.clear();
 }
 
-ResourceUsage ResourceMonitor::sample_usage() {
+std::string ResourceMonitor::progress_line() const {
   const ResourceUsage usage = read_resource_usage();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (usage.peak_rss_mb > peak_rss_mb_) peak_rss_mb_ = usage.peak_rss_mb;
-  return usage;
-}
-
-std::string ResourceMonitor::progress_line() {
-  const ResourceUsage usage = sample_usage();
   const bool drawing = !draw_ended_.load(std::memory_order_relaxed);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
@@ -96,7 +88,6 @@ void ResourceMonitor::record_shard(const ShardTelemetry& telemetry) {
 }
 
 void ResourceMonitor::finish_run(double wall_seconds) {
-  sample_usage();
   const std::lock_guard<std::mutex> lock(mutex_);
   total_wall_seconds_ = wall_seconds;
 }
@@ -106,11 +97,7 @@ std::vector<ShardTelemetry> ResourceMonitor::shard_telemetry() const {
   return shards_;
 }
 
-double ResourceMonitor::peak_rss_mb() {
-  sample_usage();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return peak_rss_mb_;
-}
+double ResourceMonitor::peak_rss_mb() { return read_resource_usage().peak_rss_mb; }
 
 ShardTelemetry ResourceMonitor::totals_locked() const {
   ShardTelemetry total;
@@ -155,11 +142,11 @@ void ResourceMonitor::export_metrics(MetricsRegistry& metrics) const {
   put("obs.health_dropped", total.health_dropped);
 }
 
-void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
-  sample_usage();
+void ResourceMonitor::append_report_meta(health::ReportMeta& meta) const {
+  const double peak_rss = peak_rss_mb();
   const std::lock_guard<std::mutex> lock(mutex_);
   const ShardTelemetry total = totals_locked();
-  meta.emplace_back("obs.peak_rss_mb", format_mb(peak_rss_mb_));
+  meta.emplace_back("obs.peak_rss_mb", format_mb(peak_rss));
   meta.emplace_back("obs.wall_s", format_seconds(total_wall_seconds_));
   // Chunk walls as a fixed-size summary: a long run has thousands of chunks.
   // Microsecond resolution, since an analytic chunk takes well under 1 ms.

@@ -13,10 +13,17 @@
 //    and total wall time. Like the host-time profiler (obs/hostprof/), these
 //    NEVER enter deterministic artifacts; they surface only in the health
 //    report's meta block (opt-in) and the live `--progress` stderr line.
+//    Memory is read only when one of those reports it: VmHWM is already the
+//    process's high-water mark, so nothing samples it while the run goes.
+//    A chunk's wall time covers only its run stage (the worker's part): the
+//    draw and the commit run serially on the calling thread and show up only
+//    in the host-time profile's `workload.gen` and `merge` phases — on the
+//    analytic backend, where the run stage is a few microseconds, that is
+//    most of the run.
 //
-// The progress side (tests done, shards done, RSS sample) is thread-safe so
-// a CLI progress thread can poll it while shard workers run; the telemetry
-// side is recorded per shard under a mutex as each shard finishes.
+// The progress side (tests done, shards done) is thread-safe so a CLI
+// progress thread can poll it while shard workers run; the telemetry side
+// is recorded per shard under a mutex as each shard finishes.
 #pragma once
 
 #include <atomic>
@@ -45,7 +52,8 @@ struct ResourceUsage {
 /// other fields are deterministic for a fixed (workload, shards).
 struct ShardTelemetry {
   std::size_t shard = 0;
-  double wall_seconds = 0.0;  // host time; never in deterministic artifacts
+  double wall_seconds = 0.0;  // host time of the run stage only; never in
+                              // deterministic artifacts
   std::uint64_t tests = 0;
   std::uint64_t events_executed = 0;
   // Scheduler / pool occupancy (zero for the analytic backend).
@@ -91,13 +99,10 @@ class ResourceMonitor {
     return shards_drawn_.load(std::memory_order_relaxed);
   }
 
-  /// Samples RSS now and folds it into the tracked peak. Thread-safe.
-  ResourceUsage sample_usage();
-
   /// One-line run status for the --progress stderr line, e.g.
   /// "fleet: 10234 tests | shards 3/4 | rss 182.4 MB (peak 201.7)". While
   /// the draw runs the count is the shards drawn so far, marked "3/4+".
-  [[nodiscard]] std::string progress_line();
+  [[nodiscard]] std::string progress_line() const;
 
   // -- telemetry side ------------------------------------------------------
 
@@ -108,9 +113,9 @@ class ResourceMonitor {
 
   [[nodiscard]] std::vector<ShardTelemetry> shard_telemetry() const;
 
-  /// Highest RSS ever observed by sample_usage() (or the kernel's VmHWM,
-  /// whichever is larger).
-  [[nodiscard]] double peak_rss_mb();
+  /// The process's peak RSS so far (the kernel's VmHWM, or the current RSS
+  /// if that reads higher).
+  [[nodiscard]] static double peak_rss_mb();
 
   /// Exports the deterministic counters (occupancy, drops,
   /// degradations — summed over shards) into `metrics`. Only-nonzero
@@ -119,10 +124,11 @@ class ResourceMonitor {
 
   /// Appends the full self-telemetry — deterministic counters AND host
   /// measurements (peak RSS, total wall, and the chunk walls' count, max
-  /// and nearest-rank p95) — as health-report meta entries. Opt-in:
-  /// callers only attach this when the user asked for resource telemetry,
-  /// since wall/RSS values differ between hosts.
-  void append_report_meta(health::ReportMeta& meta);
+  /// and nearest-rank p95; a chunk wall is its run stage only) — as
+  /// health-report meta entries. Opt-in: callers only attach this when the
+  /// user asked for resource telemetry, since wall/RSS values differ
+  /// between hosts.
+  void append_report_meta(health::ReportMeta& meta) const;
 
  private:
   [[nodiscard]] ShardTelemetry totals_locked() const;
@@ -132,7 +138,6 @@ class ResourceMonitor {
   std::atomic<std::uint64_t> shards_drawn_{0};
   std::atomic<bool> draw_ended_{false};
   double total_wall_seconds_ = 0.0;
-  double peak_rss_mb_ = 0.0;
   std::vector<ShardTelemetry> shards_;
   mutable std::mutex mutex_;
 };

@@ -38,30 +38,29 @@ TEST(Manifest, ContentHashFormat) {
   EXPECT_EQ(hash.find_first_not_of("0123456789abcdef", 8), std::string::npos);
 }
 
-// --- artifact_from_file ----------------------------------------------------
+// --- artifact digests -------------------------------------------------------
 
-TEST(Manifest, ArtifactFromFileCountsRowsAndHashesContent) {
-  const std::string path = ::testing::TempDir() + "/manifest_artifact.jsonl";
+// A writer feeds its digest block by block as the bytes go out; however the
+// content is split, the record carries its byte count, newline rows and the
+// content hash of the whole.
+TEST(Manifest, ArtifactDigestCountsRowsAndHashesContent) {
   const std::string content = "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n";
-  {
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    file << content;
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{8},
+                                  content.size()}) {
+    manifest::ArtifactDigest digest;
+    digest.update(std::string_view(content).substr(0, split));
+    digest.update(std::string_view(content).substr(split));
+    const manifest::ArtifactRecord record = digest.record("health", "dir/health.json");
+    EXPECT_EQ(record.name, "health");
+    EXPECT_EQ(record.path, "dir/health.json");
+    EXPECT_EQ(record.bytes, content.size()) << split;
+    EXPECT_EQ(record.rows, 3u) << split;
+    EXPECT_EQ(record.hash, manifest::content_hash(content)) << split;
   }
-  const auto record = manifest::artifact_from_file("health", path);
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->name, "health");
-  EXPECT_EQ(record->path, path);
-  EXPECT_EQ(record->bytes, content.size());
-  EXPECT_EQ(record->rows, 3u);
-  EXPECT_EQ(record->hash, manifest::content_hash(content));
-}
-
-TEST(Manifest, ArtifactFromMissingFileReportsError) {
-  std::string error;
-  const auto record = manifest::artifact_from_file(
-      "health", ::testing::TempDir() + "/does_not_exist.json", &error);
-  EXPECT_FALSE(record.has_value());
-  EXPECT_FALSE(error.empty());
+  const manifest::ArtifactRecord empty = manifest::ArtifactDigest{}.record("e", "e");
+  EXPECT_EQ(empty.bytes, 0u);
+  EXPECT_EQ(empty.rows, 0u);
+  EXPECT_EQ(empty.hash, manifest::content_hash(""));
 }
 
 // --- serialization round-trip ----------------------------------------------

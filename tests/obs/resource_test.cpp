@@ -155,7 +155,7 @@ TEST(ResourceMonitor, ExportMetricsWritesOnlyNonzeroCounters) {
 TEST(ResourceMonitor, PeakRssTracksSamples) {
   ResourceMonitor monitor;
   monitor.begin_run();
-  const ResourceUsage usage = monitor.sample_usage();
+  const ResourceUsage usage = read_resource_usage();
   EXPECT_GE(monitor.peak_rss_mb(), usage.rss_mb);
 }
 

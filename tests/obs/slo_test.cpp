@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -89,6 +91,38 @@ TEST(SloSpecs, RejectsIncompleteSpecs) {
   EXPECT_FALSE(parse_slo_specs("{\"objectives\": []}").has_value());
   // Malformed JSON.
   EXPECT_FALSE(parse_slo_specs("{]", &error).has_value());
+  // min_samples must be a whole number a double holds exactly: a negative,
+  // fractional or huge value is rejected with a reason, never cast.
+  for (const char* bad : {"-1", "1e30", "2.5", "9007199254740994", "\"5\"", "null"}) {
+    error.clear();
+    EXPECT_FALSE(parse_slo_specs(std::string(R"({"slos": [{"name": "x", "metric": "m",
+                                              "max": 1, "min_samples": )") +
+                                     bad + "}]}",
+                                 &error)
+                     .has_value())
+        << bad;
+    EXPECT_NE(error.find("min_samples"), std::string::npos) << bad << ": " << error;
+  }
+  const auto edge = parse_slo_specs(
+      R"({"slos": [{"name": "x", "metric": "m", "max": 1, "min_samples": 9007199254740992}]})");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ((*edge)[0].min_samples, 9007199254740992u);
+}
+
+// Every byte prefix of the shipped spec either parses or fails with a
+// reason: a truncated spec file can never crash or read out of bounds (the
+// ASan/UBSan suite runs this too).
+TEST(SloSpecs, EveryPrefixParsesOrFailsCleanly) {
+  std::string error;
+  const auto text = read_file(SWIFTEST_SLO_DEFAULT_PATH, &error);
+  ASSERT_TRUE(text.has_value()) << error;
+  ASSERT_TRUE(parse_slo_specs(*text).has_value());
+  for (std::size_t n = 0; n < text->size(); ++n) {
+    error.clear();
+    if (!parse_slo_specs(std::string_view(*text).substr(0, n), &error).has_value()) {
+      EXPECT_FALSE(error.empty()) << "prefix of " << n << " bytes";
+    }
+  }
 }
 
 TEST(SloSpecs, LoadsFromFileAndReportsMissingFile) {

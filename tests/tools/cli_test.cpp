@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "obs/log.hpp"
+#include "obs/manifest/manifest.hpp"
 #include "obs/trace.hpp"
 
 namespace swiftest::cli {
@@ -223,15 +225,15 @@ TEST(Cli, FleetStreamsEveryTraceEventWithoutDropping) {
   std::filesystem::remove_all(dir);
 }
 
-// A single test's trace ring still wraps, and says so in the metrics and on
-// stderr — naming only flags `test` accepts: this 900 Mbps wire test records
-// far more than the ring's 2^18 events.
+// A single test's trace ring still wraps, and says so in the metrics, the
+// health meta and on stderr — naming only flags `test` accepts: this 900 Mbps
+// wire test records far more than the ring's 2^18 events.
 TEST(Cli, TestReportsDroppedTraceEventsNamingOnlyFlagsItAccepts) {
   const std::string dir = obs_dir("cli_test_dropped");
   std::string output;
   testing::internal::CaptureStderr();
   const int rc = run({"test", "--wire", "--rate", "900", "--tech", "5g", "--obs-dir", dir,
-                      "--obs", "trace_jsonl,metrics"},
+                      "--obs", "trace_jsonl,metrics,health"},
                      output);
   const std::string errors = testing::internal::GetCapturedStderr();
   ASSERT_EQ(rc, 0) << output;
@@ -240,6 +242,8 @@ TEST(Cli, TestReportsDroppedTraceEventsNamingOnlyFlagsItAccepts) {
             std::string::npos)
       << output;
   EXPECT_NE(slurp(dir + "/metrics.json").find("\"obs.trace_dropped\": "),
+            std::string::npos);
+  EXPECT_NE(slurp(dir + "/health.json").find("\"obs.trace_dropped\": \""),
             std::string::npos);
   std::size_t flags = 0;
   for (std::size_t at = errors.find("--"); at != std::string::npos;
@@ -693,6 +697,60 @@ TEST(Cli, FleetManifestAlwaysLandsInObsDir) {
   EXPECT_NE(text.find("\"name\":\"health\",\"path\":\"" + dir + "/health.json\""),
             std::string::npos);
   EXPECT_NE(text.find("\"hash\":\"fnv1a64:"), std::string::npos);
+}
+
+// The manifest records each artifact as its writer digested it while the
+// bytes went out; those records must equal a digest of the file on disk.
+TEST(Cli, ManifestArtifactsMatchTheFilesOnDisk) {
+  const std::string dir = obs_dir("cli_digest");
+  const std::vector<std::vector<std::string>> runs = {
+      {"test", "--rate", "50", "--wire", "--profile", "--obs",
+       "trace_chrome,trace_jsonl,metrics,spans,health,report_md"},
+      {"fleet", "--backend", "packet", "--servers", "2", "--days", "1", "--tests-per-day",
+       "20", "--jobs", "2", "--trace-categories", "protocol,fleet", "--obs",
+       "trace_chrome,trace_jsonl,metrics,spans,health,report_md,prof,prof_trace"},
+  };
+  for (std::vector<std::string> args : runs) {
+    std::filesystem::remove_all(dir);
+    args.insert(args.end(), {"--obs-dir", dir});
+    std::string output;
+    ASSERT_EQ(run(args, output), 0) << output;
+    std::string error;
+    const auto manifest = obs::manifest::load_manifest_file(dir + "/manifest.jsonl", &error);
+    ASSERT_TRUE(manifest.has_value()) << error;
+    EXPECT_EQ(manifest->artifacts.size(), args[0] == "test" ? 6u : 8u) << args[0];
+    for (const obs::manifest::ArtifactRecord& artifact : manifest->artifacts) {
+      std::ifstream file(artifact.path, std::ios::binary);
+      ASSERT_TRUE(file) << artifact.path;
+      const std::string bytes{std::istreambuf_iterator<char>(file), {}};
+      obs::manifest::ArtifactDigest digest;
+      digest.update(bytes);
+      const obs::manifest::ArtifactRecord disk = digest.record(artifact.name, artifact.path);
+      EXPECT_GT(disk.bytes, 0u) << artifact.name;
+      EXPECT_EQ(artifact.bytes, disk.bytes) << artifact.name;
+      EXPECT_EQ(artifact.rows, disk.rows) << artifact.name;
+      EXPECT_EQ(artifact.hash, disk.hash) << artifact.name;
+    }
+    // --profile records the host-time summary for both commands.
+    EXPECT_NE(manifest->find_summary("hostprof"), nullptr) << args[0];
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An artifact that cannot be opened for writing fails the run with exit 1,
+// naming the path: here each one's path is taken by a directory.
+TEST(Cli, UnwritableArtifactPathFailsTheRun) {
+  const std::string dir = obs_dir("cli_unwritable");
+  for (const auto& [name, file] : {std::pair{"health", "health.json"},
+                                   {"trace_jsonl", "trace.jsonl"}}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/" + file);
+    std::string output;
+    EXPECT_EQ(run({"test", "--rate", "50", "--obs-dir", dir, "--obs", name}, output), 1)
+        << name;
+    EXPECT_NE(output.find("cannot write " + dir + "/" + file), std::string::npos) << output;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Every command rejects option keys it does not accept, so a typo or a

@@ -463,6 +463,19 @@ with open(sys.argv[1]) as stream:
         if kind == "artifact" and not rec["hash"].startswith("fnv1a64:"):
             sys.exit(f"line {lineno}: artifact hash {rec['hash']!r} "
                      f"lacks fnv1a64: prefix")
+        if kind == "artifact":
+            # The writer digested the artifact as it went out; the file on
+            # disk must carry the same bytes, newline rows and FNV-1a 64.
+            data = open(rec["path"], "rb").read()
+            digest = 0xcbf29ce484222325
+            for byte in data:
+                digest = ((digest ^ byte) * 0x100000001b3) & 0xffffffffffffffff
+            disk = {"bytes": len(data), "rows": data.count(b"\n"),
+                    "hash": f"fnv1a64:{digest:016x}"}
+            for key, value in disk.items():
+                if rec[key] != value:
+                    sys.exit(f"line {lineno}: artifact {rec['name']} {key} "
+                             f"{rec[key]!r} != {value!r} on disk")
         if kind == "summary" and not isinstance(rec["values"], dict):
             sys.exit(f"line {lineno}: summary values is not an object")
         counts[kind] += 1

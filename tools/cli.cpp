@@ -331,128 +331,6 @@ int write_json_md(const Options& options, const std::string& label, std::ostream
   return ok ? 0 : 1;
 }
 
-/// A run's --obs-dir/--obs selection and the manifest that records it.
-/// Every artifact lands in DIR under its kObsArtifacts file name, is hashed
-/// into the manifest, and is echoed as `name: path`. The manifest is always
-/// filled in and written as DIR/manifest.jsonl whenever DIR is given.
-class RunOutputs {
- public:
-  /// Validates --obs-dir/--obs against what `command` ("test" or "fleet")
-  /// can produce and creates DIR. Returns 0, 2 on a usage error, or 1 when
-  /// DIR cannot be created.
-  int init(const Options& options, const std::string& command, std::ostream& out) {
-    manifest_.command = command;
-    manifest_.build = SWIFTEST_GIT_SHA;
-    const bool fleet = command == "fleet";
-    if (options.has("obs-dir") != options.has("obs")) {
-      out << "--obs-dir and --obs go together (--obs names: " << obs_names(fleet)
-          << ")\n";
-      return 2;
-    }
-    if (!options.has("obs")) return 0;
-    std::istringstream list(options.get("obs", ""));
-    for (std::string name; std::getline(list, name, ',');) {
-      const auto* it = std::find_if(
-          std::begin(kObsArtifacts), std::end(kObsArtifacts),
-          [&](const ObsArtifact& a) { return a.name == name && (fleet || !a.fleet_only); });
-      if (it == std::end(kObsArtifacts)) {
-        out << "unknown --obs name '" << name << "' for " << command
-            << " (valid: " << obs_names(fleet) << ")\n";
-        return 2;
-      }
-      files_.emplace(name, it->file);
-    }
-    dir_ = options.get("obs-dir", "");
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-      out << "cannot create " << dir_ << ": " << ec.message() << "\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  [[nodiscard]] bool wants(std::string_view name) const { return files_.contains(name); }
-  [[nodiscard]] obs::manifest::RunManifest& manifest() { return manifest_; }
-
-  /// Where artifact `name` lands in DIR; empty when it was not requested.
-  [[nodiscard]] std::string path(std::string_view name) const {
-    const auto it = files_.find(name);
-    return it == files_.end() ? ""
-                              : (std::filesystem::path(dir_) / it->second).string();
-  }
-
-  /// Renders artifact `name` into DIR when it was requested, registers it
-  /// in the manifest and echoes `name: path<note>`. False when the file
-  /// cannot be opened.
-  bool write(std::string_view name, std::ostream& out, const Render& render,
-             const std::string& note = "") {
-    const std::string file = path(name);
-    if (file.empty()) return true;
-    if (!write_file(file, name, out, render, note)) return false;
-    add(name, file);
-    return true;
-  }
-
-  /// Registers a file whose digest the run took as it wrote it.
-  void add(obs::manifest::ArtifactRecord record) {
-    manifest_.artifacts.push_back(std::move(record));
-  }
-
-  /// Registers a file the run wrote (content hash, bytes, rows) in the
-  /// manifest. A manifest-side read failure warns on stderr instead of
-  /// failing the run: the artifact itself landed fine.
-  void add(std::string_view name, const std::string& path) {
-    std::string error;
-    auto record = obs::manifest::artifact_from_file(std::string(name), path, &error);
-    if (!record) {
-      std::cerr << "warning: manifest: " << error << "\n";
-      return;
-    }
-    manifest_.artifacts.push_back(std::move(*record));
-  }
-
-  /// Writes DIR/manifest.jsonl (if DIR was given); returns 0 or 1.
-  int write_manifest(std::ostream& out) {
-    if (dir_.empty()) return 0;
-    const bool ok = write_file(
-        (std::filesystem::path(dir_) / "manifest.jsonl").string(), "manifest", out,
-        [&](std::ostream& f) { obs::manifest::write_manifest_jsonl(manifest_, f); });
-    return ok ? 0 : 1;
-  }
-
- private:
-  std::string dir_;
-  std::map<std::string, std::string_view, std::less<>> files_;  // --obs name -> file
-  obs::manifest::RunManifest manifest_;
-};
-
-/// Builds an obs::Hub when a trace, metrics or spans artifact is requested;
-/// null hub (and success) otherwise. The tracer records only when a trace
-/// artifact is requested — a metrics- or spans-only run pays nothing for
-/// trace events — and --trace-categories narrows it further. Returns false
-/// on a bad --trace-categories list — validated unconditionally, so a
-/// typo'd category fails the run loudly even when no trace is requested.
-bool setup_obs(const Options& options, const RunOutputs& outputs, std::ostream& out,
-               std::unique_ptr<obs::Hub>& hub) {
-  std::optional<std::uint32_t> mask;
-  if (options.has("trace-categories")) {
-    std::string bad_token;
-    mask = obs::parse_category_mask(options.get("trace-categories", ""), &bad_token);
-    if (!mask) {
-      out << "unknown trace category '" << bad_token
-          << "' in --trace-categories '" << options.get("trace-categories", "")
-          << "' (valid: " << obs::kCategoryListCsv << ")\n";
-      return false;
-    }
-  }
-  const bool wants_trace = outputs.wants("trace_chrome") || outputs.wants("trace_jsonl");
-  if (!wants_trace && !outputs.wants("metrics") && !outputs.wants("spans")) return true;
-  hub = std::make_unique<obs::Hub>();
-  hub->tracer.set_category_mask(wants_trace ? mask.value_or(obs::kAllCategories) : 0);
-  return true;
-}
-
 const char* slo_status_name(obs::health::SloStatus status) {
   switch (status) {
     case obs::health::SloStatus::kPass:
@@ -559,85 +437,288 @@ class BackgroundFile : public std::streambuf {
   obs::manifest::ArtifactDigest digest_;
 };
 
-/// The run's trace and span artifacts, open from before the run: a fleet
-/// streams its canonical events and spans straight into them (Hub sinks),
-/// and a single test replays its ring and store into them after the run.
-/// Unrequested files are not written, but every event and span is counted
-/// for the manifest, and with stage health each closed span is folded as a
-/// health stage sample.
-class TraceArtifacts {
+/// One `test` or `fleet` run from its --obs/--slo/--profile flags to its
+/// manifest. init() builds the parts those flags ask for — the hub, the
+/// health monitor, the host profiler — and opens the trace and span files;
+/// the command runs its simulation against them and fills in its config
+/// lines and bench values; finish() writes the rest. Every artifact lands
+/// in DIR under its kObsArtifacts file name through a BackgroundFile, so
+/// the manifest records the digest taken as the bytes went out, and is
+/// echoed as `name: path`. DIR/manifest.jsonl is written whenever DIR is
+/// given.
+class RunOutputs {
  public:
-  /// Opens the requested files; false after a "cannot write" message. With
-  /// `stage_health`, closed spans fold into the per-stage cells that
-  /// record_stage_health copies out.
-  bool open(const RunOutputs& outputs, std::ostream& out, bool stage_health) {
-    stage_health_ = stage_health;
+  /// Validates --obs-dir/--obs against what `command` ("test" or "fleet")
+  /// can produce, creates DIR and builds the run's parts. Returns 0, 2 on a
+  /// usage error, or 1 when DIR or a trace file cannot be created.
+  int init(const Options& options, const std::string& command, std::ostream& out) {
+    wall_start_ = std::chrono::steady_clock::now();
+    manifest_.command = command;
+    manifest_.build = SWIFTEST_GIT_SHA;
+    fleet_ = command == "fleet";
+    if (options.has("obs-dir") != options.has("obs")) {
+      out << "--obs-dir and --obs go together (--obs names: " << obs_names(fleet_)
+          << ")\n";
+      return 2;
+    }
+    if (options.has("obs")) {
+      std::istringstream list(options.get("obs", ""));
+      for (std::string name; std::getline(list, name, ',');) {
+        const auto* it = std::find_if(
+            std::begin(kObsArtifacts), std::end(kObsArtifacts),
+            [&](const ObsArtifact& a) { return a.name == name && (fleet_ || !a.fleet_only); });
+        if (it == std::end(kObsArtifacts)) {
+          out << "unknown --obs name '" << name << "' for " << command
+              << " (valid: " << obs_names(fleet_) << ")\n";
+          return 2;
+        }
+        files_.emplace(name, it->file);
+      }
+      dir_ = options.get("obs-dir", "");
+      std::error_code ec;
+      std::filesystem::create_directories(dir_, ec);
+      if (ec) {
+        out << "cannot create " << dir_ << ": " << ec.message() << "\n";
+        return 1;
+      }
+    }
+    // --trace-categories is validated even when no trace is requested, so a
+    // typo'd category fails the run loudly.
+    std::optional<std::uint32_t> mask;
+    if (options.has("trace-categories")) {
+      std::string bad_token;
+      mask = obs::parse_category_mask(options.get("trace-categories", ""), &bad_token);
+      if (!mask) {
+        out << "unknown trace category '" << bad_token << "' in --trace-categories '"
+            << options.get("trace-categories", "") << "' (valid: " << obs::kCategoryListCsv
+            << ")\n";
+        return 2;
+      }
+    }
+    profile_ = options.has("profile");
+    if (wants("prof") || wants("prof_trace") || profile_) {
+      hostprof_ = std::make_unique<obs::hostprof::HostProfiler>();
+    }
+    if (options.has("slo")) slo_path_ = options.get("slo", "");
+    if (wants("health") || wants("report_md") || slo_path_) {
+      health_ = std::make_unique<obs::health::HealthMonitor>();
+    }
+    // A hub only when a trace, metrics or spans artifact is requested; its
+    // tracer records only for a trace artifact, so a metrics- or spans-only
+    // run pays nothing for trace events.
+    const bool wants_trace = wants("trace_chrome") || wants("trace_jsonl");
+    if (!wants_trace && !wants("metrics") && !wants("spans")) return 0;
+    hub_ = std::make_unique<obs::Hub>();
+    hub_->tracer.set_category_mask(wants_trace ? mask.value_or(obs::kAllCategories) : 0);
     for (const auto& [name, file] : {std::pair{"trace_jsonl", &jsonl_},
                                      {"trace_chrome", &chrome_}, {"spans", &spans_}}) {
-      const std::string path = outputs.path(name);
-      if (!path.empty() && !file->open(path)) {
-        out << "cannot write " << path << "\n";
-        return false;
+      if (wants(name) && !file->open(path(name))) {
+        out << "cannot write " << path(name) << "\n";
+        return 1;
       }
     }
     trace_.emplace(jsonl_.stream(), chrome_.stream());
     span_doc_.emplace(spans_.stream());
-    return true;
+    // A fleet streams its canonical events and spans straight into the
+    // files; a single test's ring and store are replayed by finish().
+    hub_->event_sink = [this](const obs::TraceEvent& e) { trace_->write(e); };
+    hub_->span_sink = [this](const obs::span::SpanRecord& r) { span(r); };
+    return 0;
   }
 
-  void attach(obs::Hub& hub) {
-    hub.event_sink = [this](const obs::TraceEvent& e) { trace_->write(e); };
-    hub.span_sink = [this](const obs::span::SpanRecord& r) { span(r); };
+  [[nodiscard]] obs::Hub* hub() const { return hub_.get(); }
+  [[nodiscard]] obs::health::HealthMonitor* health() const { return health_.get(); }
+  [[nodiscard]] obs::hostprof::HostProfiler* hostprof() const { return hostprof_.get(); }
+  /// The calling thread's host-time timeline; null when not profiling.
+  [[nodiscard]] obs::hostprof::Timeline* timeline() const {
+    return hostprof_ != nullptr ? &hostprof_->main() : nullptr;
   }
+  [[nodiscard]] obs::manifest::RunManifest& manifest() { return manifest_; }
 
-  void replay(const obs::Hub& hub) {
-    for (const obs::TraceEvent& e : hub.tracer.events()) trace_->write(e);
-    for (const obs::span::SpanRecord& r : hub.spans.spans()) span(r);
-  }
-
-  /// Closes the documents, registers each written one in the manifest with
-  /// its `name: path (count)` echo, and fills the trace and span summaries.
-  /// False after a "cannot write" message.
-  bool close(RunOutputs& outputs, const obs::Hub& hub, std::ostream& out) {
-    trace_->finish();
-    span_doc_->finish(hub.spans.dropped());
-    const std::string trace_note =
-        count_note(trace_->events(), "events", hub.tracer.dropped());
-    for (const auto& [name, file, note] :
-         {std::tuple{"trace_chrome", &chrome_, trace_note},
-          {"trace_jsonl", &jsonl_, trace_note},
-          {"spans", &spans_, count_note(span_doc_->spans(), "spans", hub.spans.dropped())}}) {
-      if (!file->is_open()) continue;
-      const std::string path = outputs.path(name);
-      if (!file->close()) {
-        out << "cannot write " << path << "\n";
-        return false;
+  /// Writes every requested artifact after the simulation, in a fixed
+  /// order: trace, spans, metrics, health, report_md, SLO verdicts, host
+  /// profile, manifest. `meta` (command and config) heads the health meta;
+  /// `resource`, when given, adds the run's resource metrics and meta.
+  /// Returns 0, 1 when a file cannot be written, 2 on a malformed --slo
+  /// spec, or 3 when an objective is violated — a run with a spec error or
+  /// a violation still gets its profile and manifest, since the diff side
+  /// wants the violating run's record most of all.
+  int finish(std::ostream& out, obs::health::ReportMeta meta,
+             const obs::ResourceMonitor* resource) {
+    int rc = 0;
+    {
+      const obs::hostprof::HostScope scope(timeline(), "export");
+      if (hub_ != nullptr) {
+        if (resource != nullptr) resource->export_metrics(hub_->metrics);
+        if (!close_obs(out, meta)) return 1;
       }
-      out << name << ": " << path << note << "\n";
-      outputs.add(file->digest().record(name, path));
+      if (resource != nullptr) resource->append_report_meta(meta);
+      if (health_ != nullptr) rc = close_health(out, meta);
+      if (rc == 1) return 1;
     }
-    auto& summaries = outputs.manifest().summaries;
-    summaries["trace"] = obs::summarize_for_manifest(*trace_, hub.tracer.dropped());
-    summaries["spans"] = obs::span::summarize_for_manifest(*span_doc_);
-    return true;
-  }
-  /// Copies the "stage_s" cells — every closed span's duration, in emission
-  /// order, under "all" and dimension "stage:<name>" — into the health
-  /// monitor, so an SLO spec can bound per-stage latency (e.g. p95
-  /// swiftest.convergence time). Called after the run: a fleet's health
-  /// lanes fold into `health` while its spans stream.
-  void record_stage_health(obs::health::HealthMonitor* health) const {
-    if (health == nullptr || stages_.empty()) return;
-    health->cell("stage_s", "all") = stage_all_;
-    for (const auto& [name, stage] : stages_) {
-      health->cell("stage_s", "stage:" + name) = stage;
+    // The host profile renders after finish() stamps the wall: it describes
+    // the run, is never diffed, and writing it cannot perturb anything
+    // deterministic.
+    double wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - wall_start_)
+                         .count();
+    if (hostprof_ != nullptr) {
+      hostprof_->finish();
+      const obs::hostprof::ProfData data = hostprof_->snapshot();
+      wall_ms = static_cast<double>(data.wall_ns) / 1e6;
+      if (!write("prof", out,
+                 [&](std::ostream& f) { obs::hostprof::write_prof_jsonl(data, f); }) ||
+          !write("prof_trace", out, [&](std::ostream& f) {
+            obs::hostprof::write_prof_chrome_trace(data, f);
+          })) {
+        return 1;
+      }
+      if (profile_) {
+        obs::hostprof::write_prof_report_markdown(obs::hostprof::analyze_prof(data), out);
+      }
+      manifest_.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
     }
+    manifest_.host.emplace_back("wall_ms", wall_ms);
+    if (!dir_.empty() &&
+        !write_file((std::filesystem::path(dir_) / "manifest.jsonl").string(), "manifest",
+                    out, [&](std::ostream& f) {
+                      obs::manifest::write_manifest_jsonl(manifest_, f);
+                    })) {
+      return rc != 0 ? rc : 1;
+    }
+    return rc;
   }
 
  private:
+  [[nodiscard]] bool wants(std::string_view name) const { return files_.contains(name); }
+
+  /// Where artifact `name` lands in DIR.
+  [[nodiscard]] std::string path(std::string_view name) const {
+    return (std::filesystem::path(dir_) / files_.find(name)->second).string();
+  }
+
+  /// Closes `file`, echoes `name: path<note>` and records the digest taken
+  /// as it was written. False after a "cannot write" message.
+  bool close(std::string_view name, BackgroundFile& file, std::ostream& out,
+             const std::string& note = "") {
+    if (!file.close()) {
+      out << "cannot write " << path(name) << "\n";
+      return false;
+    }
+    out << name << ": " << path(name) << note << "\n";
+    manifest_.artifacts.push_back(file.digest().record(std::string(name), path(name)));
+    return true;
+  }
+
+  /// Renders artifact `name` when it was requested; see close().
+  bool write(std::string_view name, std::ostream& out, const Render& render) {
+    if (!wants(name)) return true;
+    BackgroundFile file;
+    if (!file.open(path(name))) {
+      out << "cannot write " << path(name) << "\n";
+      return false;
+    }
+    render(*file.stream());
+    return close(name, file, out);
+  }
+
+  /// Replays what the hub's own ring and store hold (a fleet streamed its
+  /// records already, so they are empty), surfaces data loss, and closes the
+  /// trace, spans and metrics artifacts. Loss shows before the artifacts
+  /// close: a stderr warning naming a flag of the running command that
+  /// lowers the volume, plus only-nonzero obs.trace_dropped /
+  /// obs.span_dropped counters in the metrics and keys in the health meta,
+  /// so a wrapped ring can't masquerade as a complete trace.
+  bool close_obs(std::ostream& out, obs::health::ReportMeta& meta) {
+    for (const obs::TraceEvent& e : hub_->tracer.events()) trace_->write(e);
+    for (const obs::span::SpanRecord& r : hub_->spans.spans()) span(r);
+    const std::uint64_t trace_dropped = hub_->tracer.dropped();
+    const std::uint64_t span_dropped = hub_->spans.dropped();
+    if (trace_dropped > 0) {
+      std::cerr << "warning: trace ring dropped " << trace_dropped << " events (use "
+                << (fleet_ ? "--obs-sample" : "--trace-categories") << ")\n";
+      hub_->metrics.counter("obs.trace_dropped").inc(trace_dropped);
+    }
+    if (span_dropped > 0) {
+      std::cerr << "warning: span store dropped " << span_dropped << " spans\n";
+      hub_->metrics.counter("obs.span_dropped").inc(span_dropped);
+    }
+    for (const auto& [key, count] : {std::pair{"obs.trace_dropped", trace_dropped},
+                                     {"obs.span_dropped", span_dropped}}) {
+      if (count > 0) meta.emplace_back(key, std::to_string(count));
+    }
+    trace_->finish();
+    span_doc_->finish(span_dropped);
+    const std::string trace_note = count_note(trace_->events(), "events", trace_dropped);
+    for (const auto& [name, file, note] :
+         {std::tuple{"trace_chrome", &chrome_, trace_note},
+          {"trace_jsonl", &jsonl_, trace_note},
+          {"spans", &spans_, count_note(span_doc_->spans(), "spans", span_dropped)}}) {
+      if (file->is_open() && !close(name, *file, out, note)) return false;
+    }
+    manifest_.summaries["trace"] = obs::summarize_for_manifest(*trace_, trace_dropped);
+    manifest_.summaries["spans"] = obs::span::summarize_for_manifest(*span_doc_);
+    const obs::MetricsSnapshot snapshot = hub_->metrics.snapshot();
+    if (!write("metrics", out,
+               [&](std::ostream& f) { obs::write_metrics_json(snapshot, f); })) {
+      return false;
+    }
+    manifest_.summaries["metrics"] = obs::summarize_for_manifest(snapshot);
+    return true;
+  }
+
+  /// Folds the stage health, writes the health artifacts and evaluates the
+  /// --slo spec. Returns 0, 1 on an unwritable file, 2 on a malformed spec,
+  /// or 3 when at least one objective is violated.
+  int close_health(std::ostream& out, const obs::health::ReportMeta& meta) {
+    if (!stages_.empty()) {
+      health_->cell("stage_s", "all") = stage_all_;
+      for (const auto& [name, stage] : stages_) {
+        health_->cell("stage_s", "stage:" + name) = stage;
+      }
+    }
+    const obs::health::HealthSnapshot snapshot = health_->snapshot();
+    manifest_.summaries["health"] = obs::health::summarize_for_manifest(snapshot);
+    std::optional<obs::health::SloEvaluation> evaluation;
+    if (slo_path_) {
+      std::string error;
+      const auto specs = obs::health::load_slo_file(*slo_path_, &error);
+      if (!specs) {
+        out << "bad --slo spec: " << error << "\n";
+        return 2;
+      }
+      evaluation = obs::health::evaluate_slos(*specs, snapshot);
+    }
+    const obs::health::SloEvaluation* eval = evaluation ? &*evaluation : nullptr;
+    if (!write("health", out,
+               [&](std::ostream& f) {
+                 obs::health::write_health_json(snapshot, meta, eval, f);
+               }) ||
+        !write("report_md", out, [&](std::ostream& f) {
+          obs::health::write_health_markdown(snapshot, meta, eval, f);
+        })) {
+      return 1;
+    }
+    if (!evaluation) return 0;
+    for (const auto& r : evaluation->results) {
+      manifest_.slos.push_back(
+          {r.spec.name, r.dimension, r.spec.stat, r.observed, slo_status_name(r.status)});
+      if (r.status != obs::health::SloStatus::kViolated) continue;
+      out << "SLO VIOLATION: " << r.spec.name << " [" << r.dimension << "] " << r.spec.stat
+          << " = " << r.observed << " (samples " << r.samples << ")\n";
+    }
+    out << "slo: " << evaluation->results.size() - evaluation->violations() << "/"
+        << evaluation->results.size() << " objectives passed\n";
+    return evaluation->ok() ? 0 : 3;
+  }
+
+  /// Writes one span and, with a health monitor, folds a closed span's
+  /// duration into the "stage_s" cells — under "all" and dimension
+  /// "stage:<name>" — so an SLO spec can bound per-stage latency (e.g. p95
+  /// swiftest.convergence time).
   void span(const obs::span::SpanRecord& r) {
     span_doc_->write(r);
-    if (!stage_health_ || !r.closed) return;
+    if (health_ == nullptr || !r.closed) return;
     const double seconds = core::to_seconds(r.duration());
     stage_all_.observe(seconds);
     auto it = stages_.find(std::string_view(r.name));
@@ -647,105 +728,24 @@ class TraceArtifacts {
     it->second.observe(seconds);
   }
 
+  std::chrono::steady_clock::time_point wall_start_;
+  bool fleet_ = false;
+  bool profile_ = false;
+  std::optional<std::string> slo_path_;
+  std::string dir_;
+  std::map<std::string, std::string_view, std::less<>> files_;  // --obs name -> file
+  obs::manifest::RunManifest manifest_;
+  std::unique_ptr<obs::hostprof::HostProfiler> hostprof_;
+  std::unique_ptr<obs::health::HealthMonitor> health_;
+  std::unique_ptr<obs::Hub> hub_;
   BackgroundFile jsonl_;
   BackgroundFile chrome_;
   BackgroundFile spans_;
   std::optional<obs::TraceWriter> trace_;
   std::optional<obs::span::SpanWriter> span_doc_;
-  bool stage_health_ = false;
   obs::health::StreamingAggregate stage_all_;
   std::map<std::string, obs::health::StreamingAggregate, std::less<>> stages_;
 };
-
-/// Closes the trace/metrics/spans artifacts of a run with a hub. Returns 1
-/// if a file cannot be written. Data loss is surfaced before the artifacts
-/// close: a stderr warning naming `lever`, a flag of the running command
-/// that lowers the volume, plus only-nonzero obs.trace_dropped /
-/// obs.span_dropped counters in the metrics snapshot, so a wrapped ring
-/// can't masquerade as a complete trace.
-int flush_obs(RunOutputs& outputs, std::ostream& out, obs::Hub* hub,
-              TraceArtifacts& artifacts, std::string_view lever) {
-  if (hub == nullptr) return 0;
-  if (hub->tracer.dropped() > 0) {
-    std::cerr << "warning: trace ring dropped " << hub->tracer.dropped()
-              << " events (use " << lever << ")\n";
-    hub->metrics.counter("obs.trace_dropped").inc(hub->tracer.dropped());
-  }
-  if (hub->spans.dropped() > 0) {
-    std::cerr << "warning: span store dropped " << hub->spans.dropped() << " spans\n";
-    hub->metrics.counter("obs.span_dropped").inc(hub->spans.dropped());
-  }
-  if (!artifacts.close(outputs, *hub, out)) return 1;
-  const obs::MetricsSnapshot snapshot = hub->metrics.snapshot();
-  if (!outputs.write("metrics", out,
-                     [&](std::ostream& f) { obs::write_metrics_json(snapshot, f); })) {
-    return 1;
-  }
-  outputs.manifest().summaries["metrics"] = obs::summarize_for_manifest(snapshot);
-  return 0;
-}
-
-/// True when any health/SLO output was requested (a HealthMonitor is only
-/// built — and the run only pays for aggregation — in that case).
-bool wants_health(const Options& options, const RunOutputs& outputs) {
-  return outputs.wants("health") || outputs.wants("report_md") || options.has("slo");
-}
-
-/// Writes the requested health artifacts and evaluates the SLO spec, if any.
-/// Returns 0 on success, 1 on an unwritable file, 2 on a malformed spec, and
-/// 3 when at least one objective is violated — the CI gate's exit code.
-int flush_health(const Options& options, RunOutputs& outputs, std::ostream& out,
-                 const obs::health::HealthMonitor* health,
-                 const obs::health::ReportMeta& meta) {
-  if (health == nullptr) return 0;
-  const obs::health::HealthSnapshot snapshot = health->snapshot();
-  obs::manifest::RunManifest& mf = outputs.manifest();
-  mf.summaries["health"] = obs::health::summarize_for_manifest(snapshot);
-
-  std::optional<obs::health::SloEvaluation> evaluation;
-  if (options.has("slo")) {
-    std::string error;
-    const auto specs = obs::health::load_slo_file(options.get("slo", ""), &error);
-    if (!specs) {
-      out << "bad --slo spec: " << error << "\n";
-      return 2;
-    }
-    evaluation = obs::health::evaluate_slos(*specs, snapshot);
-  }
-  const obs::health::SloEvaluation* eval_ptr =
-      evaluation ? &*evaluation : nullptr;
-
-  const bool ok =
-      outputs.write("health", out,
-                    [&](std::ostream& f) {
-                      obs::health::write_health_json(snapshot, meta, eval_ptr, f);
-                    }) &&
-      outputs.write("report_md", out, [&](std::ostream& f) {
-        obs::health::write_health_markdown(snapshot, meta, eval_ptr, f);
-      });
-  if (!ok) return 1;
-  if (evaluation) {
-    for (const auto& r : evaluation->results) {
-      mf.slos.push_back(
-          {r.spec.name, r.dimension, r.spec.stat, r.observed, slo_status_name(r.status)});
-      if (r.status != obs::health::SloStatus::kViolated) continue;
-      out << "SLO VIOLATION: " << r.spec.name << " [" << r.dimension << "] "
-          << r.spec.stat << " = " << r.observed << " (samples " << r.samples
-          << ")\n";
-    }
-    out << "slo: " << evaluation->results.size() - evaluation->violations()
-        << "/" << evaluation->results.size() << " objectives passed\n";
-    if (!evaluation->ok()) return 3;
-  }
-  return 0;
-}
-
-/// Host wall-clock milliseconds since `start` (manifest host lines only).
-double elapsed_ms(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   start)
-      .count();
-}
 
 int cmd_trace(std::span<const std::string> args, std::ostream& out) {
   if (args.size() < 2 || args[0] != "analyze" || args[1].rfind("--", 0) == 0) {
@@ -808,7 +808,6 @@ int cmd_report(const Options& options, std::ostream& out) {
 }
 
 int cmd_test(const Options& options, std::ostream& out) {
-  const auto wall_start = std::chrono::steady_clock::now();
   if (!options.has("rate")) {
     out << "test requires --rate\n";
     return 2;
@@ -821,31 +820,21 @@ int cmd_test(const Options& options, std::ostream& out) {
     out << "unknown --tech\n";
     return 2;
   }
-  RunOutputs outputs;
-  if (const int rc = outputs.init(options, "test", out); rc != 0) return rc;
-  std::unique_ptr<obs::Hub> hub;
-  if (!setup_obs(options, outputs, out, hub)) return 2;
-  TraceArtifacts traces;
-  if (hub != nullptr && !traces.open(outputs, out, wants_health(options, outputs))) {
-    return 1;
-  }
+  RunOutputs run;
+  if (const int rc = run.init(options, "test", out); rc != 0) return rc;
   // Shared by the manifest's config lines and the health meta.
   const obs::health::ReportMeta run_config = {
       {"tech", options.get("tech", "5g")},
       {"rate_mbps", options.get("rate", "")},
       {"seed", std::to_string(*seed)},
   };
-  obs::manifest::RunManifest& mf = outputs.manifest();
+  obs::manifest::RunManifest& mf = run.manifest();
   mf.config = run_config;
   mf.config.emplace_back("wire", options.has("wire") ? "true" : "false");
-  std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
-  if (options.has("profile")) {
-    hostprof = std::make_unique<obs::hostprof::HostProfiler>();
-  }
   netsim::ScenarioConfig net;
   net.access_rate = core::Bandwidth::mbps(*rate);
   netsim::Scenario scenario(net, *seed);
-  scenario.scheduler().set_obs(hub.get());
+  scenario.scheduler().set_obs(run.hub());
   swift::ModelRegistry registry;
   if (options.has("models")) {
     swift::load_models_file(options.get("models", ""), registry);
@@ -854,8 +843,7 @@ int cmd_test(const Options& options, std::ostream& out) {
   cfg.tech = *tech;
   bts::BtsResult result;
   {
-    const obs::hostprof::HostScope scope(
-        hostprof != nullptr ? &hostprof->main() : nullptr, "cli.test_run");
+    const obs::hostprof::HostScope scope(run.timeline(), "cli.test_run");
     if (options.has("wire")) {
       swift::WireClient client(cfg, registry);
       result = client.run(scenario);
@@ -874,34 +862,19 @@ int cmd_test(const Options& options, std::ostream& out) {
       {"data_mb", result.data_used.megabytes()},
       {"servers_used", static_cast<double>(result.connections_used)},
   };
-  if (hub != nullptr) traces.replay(*hub);
-  const int obs_rc = flush_obs(outputs, out, hub.get(), traces, "--trace-categories");
-  if (obs_rc != 0) return obs_rc;
-
-  int health_rc = 0;
-  if (wants_health(options, outputs)) {
-    obs::health::HealthMonitor health;
+  if (obs::health::HealthMonitor* health = run.health()) {
     obs::health::TestSample sample;
     sample.duration_s = core::to_seconds(result.total_duration());
     sample.data_mb = result.data_used.megabytes();
     sample.deviation = bts::deviation(result.bandwidth_mbps, *rate);
     const std::string dims[] = {dataset::dimension_key(*tech)};
     sample.dimensions = dims;
-    health.note_arrival(0.0);
-    health.record_test(sample);
-    traces.record_stage_health(&health);
-    obs::health::ReportMeta meta = {{"command", "test"}};
-    meta.insert(meta.end(), run_config.begin(), run_config.end());
-    health_rc = flush_health(options, outputs, out, &health, meta);
+    health->note_arrival(0.0);
+    health->record_test(sample);
   }
-  if (hostprof != nullptr) {
-    hostprof->finish();
-    obs::hostprof::write_prof_report_markdown(
-        obs::hostprof::analyze_prof(hostprof->snapshot()), out);
-  }
-  mf.host = {{"wall_ms", elapsed_ms(wall_start)}};
-  const int manifest_rc = outputs.write_manifest(out);
-  return health_rc != 0 ? health_rc : manifest_rc;
+  obs::health::ReportMeta meta = {{"command", "test"}};
+  meta.insert(meta.end(), run_config.begin(), run_config.end());
+  return run.finish(out, std::move(meta), nullptr);
 }
 
 int cmd_fit(const Options& options, std::ostream& out) {
@@ -964,42 +937,10 @@ int cmd_plan(const Options& options, std::ostream& out) {
 }
 
 int cmd_fleet(const Options& options, std::ostream& out) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  RunOutputs outputs;
-  if (const int rc = outputs.init(options, "fleet", out); rc != 0) return rc;
-  // The host-time profiler spans the whole command — population draw through
-  // artifact export — so the attribution covers (nearly) all of wall-clock.
-  std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
-  if (outputs.wants("prof") || outputs.wants("prof_trace") || options.has("profile")) {
-    hostprof = std::make_unique<obs::hostprof::HostProfiler>();
-  }
-  obs::hostprof::Timeline* host_tl =
-      hostprof != nullptr ? &hostprof->main() : nullptr;
-
-  std::vector<dataset::TestRecord> population;
-  {
-    const obs::hostprof::HostScope scope(host_tl, "workload.population");
-    population = dataset::generate_campaign(40'000, 2021, 9);
-  }
-  // Everything between the population draw and the replay — model registry,
-  // hub/health construction, option validation — is serial setup; covering
-  // it keeps the calling-thread phase coverage honest.
-  std::optional<obs::hostprof::HostScope> setup_scope;
-  setup_scope.emplace(host_tl, "run.setup");
-  static const swift::ModelRegistry registry;
-  std::unique_ptr<obs::Hub> hub;
-  if (!setup_obs(options, outputs, out, hub)) return 2;
-  std::unique_ptr<obs::health::HealthMonitor> health;
-  if (wants_health(options, outputs)) {
-    health = std::make_unique<obs::health::HealthMonitor>();
-  }
-  deploy::FleetSimConfig cfg;
-  cfg.obs = hub.get();
-  cfg.health = health.get();
-  cfg.hostprof = hostprof.get();
   // These flags size the run or gate a thread pool: --tests-per-day is each
   // server-day's Poisson mean (a NaN or huge mean would hang the draw) and
   // --jobs 0 means the hardware concurrency (resolved in simulate_fleet).
+  deploy::FleetSimConfig cfg;
   const auto seed = options.number<std::uint64_t>("seed", 99, 0, kSeedMax, out);
   const auto servers = options.number<std::size_t>("servers", 20, 1, kMaxCount, out);
   const auto days = options.number<int>("days", 3, 1, kMaxCount, out);
@@ -1031,6 +972,24 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     cfg.sample = *policy;
   }
+  // The host-time profiler spans the whole run — population draw through
+  // artifact export — so the attribution covers (nearly) all of wall-clock.
+  RunOutputs run;
+  if (const int rc = run.init(options, "fleet", out); rc != 0) return rc;
+  obs::hostprof::Timeline* host_tl = run.timeline();
+  std::vector<dataset::TestRecord> population;
+  {
+    const obs::hostprof::HostScope scope(host_tl, "workload.population");
+    population = dataset::generate_campaign(40'000, 2021, 9);
+  }
+  // Everything between the population draw and the replay is serial setup;
+  // covering it keeps the calling-thread phase coverage honest.
+  std::optional<obs::hostprof::HostScope> setup_scope;
+  setup_scope.emplace(host_tl, "run.setup");
+  static const swift::ModelRegistry registry;
+  cfg.obs = run.hub();
+  cfg.health = run.health();
+  cfg.hostprof = run.hostprof();
 
   // The deterministic configuration, shared by the manifest's config lines
   // and the health meta. --chunk and --jobs (and every other host-side
@@ -1045,21 +1004,15 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   };
   obs::health::ReportMeta obs_config;
   if (cfg.sample.enabled()) obs_config.emplace_back("obs.sample", cfg.sample.describe());
-  obs::manifest::RunManifest& mf = outputs.manifest();
+  obs::manifest::RunManifest& mf = run.manifest();
   mf.config = run_config;
   // The partition-invariance contract itself — constant across runs, so
   // `obs diff --expect-identical` holds across any {chunk, jobs} matrix.
   mf.config.emplace_back("executor", "chunk-stream/partition-invariant");
   mf.config.insert(mf.config.end(), obs_config.begin(), obs_config.end());
 
-  TraceArtifacts traces;
-  if (hub != nullptr) {
-    if (!traces.open(outputs, out, health != nullptr)) return 1;
-    traces.attach(*hub);
-  }
-
   // Resource self-telemetry is always collected (a few relaxed atomics per
-  // test); --progress controls whether it is *surfaced* — the live stderr
+  // chunk); --progress controls whether it is *surfaced* — the live stderr
   // line while running, and resource meta/metrics afterwards. Host wall/RSS
   // values never enter artifacts unless the user opts in this way.
   obs::ResourceMonitor monitor;
@@ -1075,14 +1028,20 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     });
   }
   setup_scope.reset();
-  // One depth-0 umbrella over the whole simulation: the nested phases
-  // (workload.gen, exec.run, merge, ...) open at depth 1, and the sim's
-  // internal setup/teardown — chunk-state construction and destruction —
-  // stays attributed instead of leaking into a coverage gap.
-  std::optional<obs::hostprof::HostScope> sim_scope;
-  sim_scope.emplace(host_tl, "fleet.sim");
-  const auto result = deploy::simulate_fleet(population, registry, cfg);
-  sim_scope.reset();
+  deploy::FleetSimResult result;
+  {
+    // One depth-0 umbrella over the whole simulation: the nested phases
+    // (workload.gen, exec.run, merge, ...) open at depth 1, and the sim's
+    // internal setup/teardown — chunk-state construction and destruction —
+    // stays attributed instead of leaking into a coverage gap.
+    const obs::hostprof::HostScope scope(host_tl, "fleet.sim");
+    result = deploy::simulate_fleet(population, registry, cfg);
+    if (progress_thread.joinable()) {
+      progress_stop.store(true, std::memory_order_relaxed);
+      progress_thread.join();
+      std::cerr << "\r" << monitor.progress_line() << "\n";
+    }
+  }
   mf.bench = {
       {"tests_simulated", static_cast<double>(result.tests_simulated)},
       {"util_median_pct", result.summary.median},
@@ -1092,81 +1051,24 @@ int cmd_fleet(const Options& options, std::ostream& out) {
       {"share_leq_45", result.share_leq_45},
       {"overload_seconds_share", result.overload_seconds_share},
   };
-  int rc = 0;
-  {
-    const obs::hostprof::HostScope scope(host_tl, "export");
-    if (progress_thread.joinable()) {
-      progress_stop.store(true, std::memory_order_relaxed);
-      progress_thread.join();
-      std::cerr << "\r" << monitor.progress_line() << "\n";
-    }
-    if (options.has("progress") && hub != nullptr) {
-      monitor.export_metrics(hub->metrics);
-    }
-    out << "fleet " << cfg.server_count << " x 100 Mbps over " << cfg.days
-        << " day(s), " << result.tests_simulated << " tests (" << backend
-        // Neither the chunk size nor the job count shapes the result, so
-        // neither appears here: stdout stays byte-identical across the whole
-        // {chunk, jobs} matrix.
-        << " backend)\n"
-        << "utilization: median " << result.summary.median << "%, mean "
-        << result.summary.mean << "%, p99 " << result.p99 << "%, max "
-        << result.summary.max << "%\n"
-        << "share of busy windows <= 45%: " << 100.0 * result.share_leq_45
-        << "%\n";
-    rc = flush_obs(outputs, out, hub.get(), traces, "--obs-sample");
-    if (rc == 0) {
-      traces.record_stage_health(health.get());
-      obs::health::ReportMeta meta = {{"command", "fleet"}};
-      meta.insert(meta.end(), run_config.begin(), run_config.end());
-      meta.insert(meta.end(), obs_config.begin(), obs_config.end());
-      // Data-loss accounting rides in the meta whenever loss happened.
-      if (hub != nullptr) {
-        for (const auto& [key, count] : {
-                 std::pair<const char*, std::uint64_t>{"obs.trace_dropped",
-                                                       hub->tracer.dropped()},
-                 {"obs.span_dropped", hub->spans.dropped()}}) {
-          if (count > 0) meta.emplace_back(key, std::to_string(count));
-        }
-      }
-      if (options.has("progress")) monitor.append_report_meta(meta);
-      rc = flush_health(options, outputs, out, health.get(), meta);
-    }
-  }
-
-  // Host-time profile artifacts render last, after finish() stamps the wall:
-  // they describe the run, they are never diffed, and writing them cannot
-  // perturb anything deterministic.
-  double wall_ms = 0.0;
-  if (hostprof != nullptr) {
-    hostprof->finish();
-    const obs::hostprof::ProfData data = hostprof->snapshot();
-    wall_ms = static_cast<double>(data.wall_ns) / 1e6;
-    const bool ok =
-        outputs.write("prof", out,
-                      [&](std::ostream& f) { obs::hostprof::write_prof_jsonl(data, f); }) &&
-        outputs.write("prof_trace", out, [&](std::ostream& f) {
-          obs::hostprof::write_prof_chrome_trace(data, f);
-        });
-    if (!ok) return 1;
-    if (options.has("profile")) {
-      obs::hostprof::write_prof_report_markdown(obs::hostprof::analyze_prof(data),
-                                                out);
-    }
-    mf.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
-  } else {
-    wall_ms = elapsed_ms(wall_start);
-  }
-  // The manifest renders last so it can hash every artifact the run wrote.
-  // An SLO violation (rc 3) still gets a manifest — the diff side wants the
-  // violating run's record most of all.
+  out << "fleet " << cfg.server_count << " x 100 Mbps over " << cfg.days
+      << " day(s), " << result.tests_simulated << " tests (" << backend
+      // Neither the chunk size nor the job count shapes the result, so
+      // neither appears here: stdout stays byte-identical across the whole
+      // {chunk, jobs} matrix.
+      << " backend)\n"
+      << "utilization: median " << result.summary.median << "%, mean "
+      << result.summary.mean << "%, p99 " << result.p99 << "%, max "
+      << result.summary.max << "%\n"
+      << "share of busy windows <= 45%: " << 100.0 * result.share_leq_45 << "%\n";
   mf.host = {
       {"jobs", static_cast<double>(cfg.jobs)},
       {"chunk", static_cast<double>(cfg.chunk)},
-      {"wall_ms", wall_ms},
   };
-  const int manifest_rc = outputs.write_manifest(out);
-  return rc != 0 ? rc : manifest_rc;
+  obs::health::ReportMeta meta = {{"command", "fleet"}};
+  meta.insert(meta.end(), run_config.begin(), run_config.end());
+  meta.insert(meta.end(), obs_config.begin(), obs_config.end());
+  return run.finish(out, std::move(meta), options.has("progress") ? &monitor : nullptr);
 }
 
 int cmd_profile(std::span<const std::string> args, std::ostream& out) {
