@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               " %zu busy windows (%d s)\n",
               cfg.server_count, cfg.server_uplink_mbps, cfg.tests_per_day, cfg.days,
               static_cast<unsigned long long>(result.tests_simulated),
-              result.busy_window_utilization.size(), cfg.window_seconds);
+              result.busy_window_utilization.size(), deploy::kUtilizationWindowSeconds);
   std::printf("  median=%.1f%% mean=%.1f%% P99=%.1f%% P99.9=%.1f%% max=%.1f%%\n",
               result.summary.median, result.summary.mean, result.p99, result.p999,
               result.summary.max);

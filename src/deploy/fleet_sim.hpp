@@ -23,6 +23,10 @@
 
 namespace swiftest::deploy {
 
+/// The utilization aggregation window: FleetSimResult::busy_window_utilization
+/// holds one value per busy (server, window) on this grid.
+inline constexpr int kUtilizationWindowSeconds = 10;
+
 /// How the fleet load is evaluated once the workload is drawn.
 enum class FleetBackend {
   /// Closed-form accounting: each test contributes rate/n_servers to its
@@ -42,8 +46,6 @@ struct FleetSimConfig {
   double server_uplink_mbps = 100.0;
   double tests_per_day = 10'000.0;
   int days = 7;
-  /// Utilization aggregation window.
-  int window_seconds = 10;
   std::uint64_t seed = 99;
   FleetBackend backend = FleetBackend::kAnalytic;
   /// Tests per execution chunk (0 = the default, 256). The workload is
@@ -79,12 +81,12 @@ struct FleetSimConfig {
   obs::health::HealthMonitor* health = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
   /// run records per-thread phase timelines — on the calling thread one
-  /// exec.run over the chunk stream holding, per chunk, workload.gen, then
-  /// replay.numeric (analytic) and merge (merge.tracer / merge.metrics /
-  /// merge.spans when chunks carry hubs), and pool.join per wait; then one
-  /// merge over the tail: replay.numeric (analytic), merge.windows (packet),
-  /// merge.tracer / merge.spans (the trace stream's last emission) and
-  /// samplelog.replay. Workers record
+  /// exec.run over the chunk stream holding, per chunk, workload.gen, the
+  /// windows the commit closes (replay.numeric, or merge.windows for packet)
+  /// and merge (merge.tracer / merge.metrics / merge.spans when chunks carry
+  /// hubs), and pool.join per wait; then one merge over the tail: the last
+  /// windows, merge.tracer / merge.spans (the trace stream's last emission)
+  /// and samplelog.replay. Workers record
   /// chunk.run and lane.fold plus busy/idle accounting, and the run shape
   /// (chunks, jobs) is stamped once the draw has ended. Host time only: a
   /// non-null profiler never changes a single byte of the deterministic

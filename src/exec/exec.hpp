@@ -1,6 +1,6 @@
 // The test-keyed execution plane: the library's one thread pool.
 // run_stream runs an open-ended, in-order stream of items through a bounded
-// ring — fleet-day chunks (deploy/fleet_sim.cpp) are drawn, run, committed
+// ring — fleet-day chunks (deploy/fleet_run.hpp) are drawn, run, committed
 // in order and folded by health lanes while later chunks are still being
 // drawn. run_tasks is run_stream over a known task count with nothing to
 // commit or fold — the (sample set, k) model fits of stats::fit_gmm_bic use

@@ -91,7 +91,10 @@ class Differ {
     diff_bench();
     diff_host();
 
-    report_.identical = !semantic_difference_;
+    // Informational entries (host time, config drift) never gate.
+    report_.identical =
+        std::none_of(report_.entries.begin(), report_.entries.end(),
+                     [](const DiffEntry& e) { return e.status != DiffStatus::kInfo; });
     return std::move(report_);
   }
 
@@ -122,7 +125,6 @@ class Differ {
       return;
     }
     const bool info = is_info_section(section);
-    if (!info) semantic_difference_ = true;
 
     DiffEntry entry;
     entry.section = section;
@@ -156,8 +158,6 @@ class Differ {
       tally.identical += 1;
       return;
     }
-    if (!is_info_section(section)) semantic_difference_ = true;
-
     DiffEntry entry;
     entry.section = section;
     entry.key = key;
@@ -376,7 +376,6 @@ class Differ {
   const manifest::RunManifest& b_;
   const DiffOptions& options_;
   DiffReport report_;
-  bool semantic_difference_ = false;
 };
 
 void append_entry_json(std::string& out, const DiffEntry& entry) {

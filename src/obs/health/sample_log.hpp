@@ -20,7 +20,7 @@
 //     and lanes share no writes.
 //
 // A fleet commits each chunk's log as soon as the chunk ran and folds it
-// while later chunks still run (deploy/fleet_sim.cpp).
+// while later chunks still run (deploy/fleet_run.hpp).
 //
 // A test costs one 40-byte record: no strings and no per-test allocation.
 // Dimension keys are ids into the run's one table of keys, shared by every

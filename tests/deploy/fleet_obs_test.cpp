@@ -237,7 +237,7 @@ TEST(FleetSampling, PacketTraceHoldsOnlySampledTests) {
   // An unsampled test traces nothing: every protocol event falls inside some
   // sampled test's [start, start + hard stop + one window] run bound.
   const core::SimDuration bound =
-      core::seconds(30) + cfg.window_seconds * core::seconds(1);
+      core::seconds(30) + deploy::kUtilizationWindowSeconds * core::seconds(1);
   std::size_t protocol_events = 0;
   std::size_t outside = 0;
   std::string first_outside;

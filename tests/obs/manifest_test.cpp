@@ -207,6 +207,35 @@ TEST(ManifestDiff, HostAndConfigDriftStaysInformational) {
   EXPECT_TRUE(saw_config);
 }
 
+// Host-time entries are informational however the runs differ: two runs
+// that differ only in their host profiles' hashes, the hostprof summary and
+// the host lines are identical, with and without --expect-identical.
+TEST(ManifestDiff, HostTimeEntriesNeverBreakIdentity) {
+  manifest::RunManifest a = sample_manifest();
+  a.artifacts.push_back({"prof", "/tmp/a/prof.jsonl", 900, 12,
+                         manifest::content_hash("prof-a")});
+  a.artifacts.push_back({"prof_trace", "/tmp/a/prof_trace.json", 700, 1,
+                         manifest::content_hash("trace-a")});
+  a.summaries["hostprof"] = {{"wall_ms", 81.0}, {"serial_fraction", 0.09}};
+  manifest::RunManifest b = a;
+  b.artifacts[1].hash = manifest::content_hash("prof-b");
+  b.artifacts[2].hash = manifest::content_hash("trace-b");
+  b.summaries["hostprof"] = {{"wall_ms", 95.0}, {"serial_fraction", 0.11}};
+  b.host = {{"jobs", 4.0}, {"wall_ms", 1500.0}};
+  for (const bool expect_identical : {false, true}) {
+    diff::DiffOptions options = no_artifact_options();
+    options.expect_identical = expect_identical;
+    const diff::DiffReport report = diff::diff_runs(a, b, options);
+    EXPECT_TRUE(report.identical) << "expect_identical=" << expect_identical;
+    EXPECT_EQ(report.regressions, 0u);
+    // Still reported: two hashes, two hostprof values and one host line.
+    EXPECT_EQ(report.entries.size(), 5u);
+    for (const diff::DiffEntry& entry : report.entries) {
+      EXPECT_EQ(entry.status, diff::DiffStatus::kInfo) << entry.section << " " << entry.key;
+    }
+  }
+}
+
 TEST(ManifestDiff, BenchValueBeyondToleranceRegresses) {
   const manifest::RunManifest a = sample_manifest();
   manifest::RunManifest b = sample_manifest();

@@ -313,8 +313,12 @@ PYEOF
 # leg repeats both runs with --obs-sample 1/2 --obs spans,health: the spans
 # stream to their file and fold into the stage_s health cells as they close,
 # so its slope may exceed the health-only slope by at most 0.25 MB per day
-# (a buffer of every closed span's stage sample added about 0.7). Skipped in
-# sanitizer builds, where shadow memory inflates RSS by design.
+# (a buffer of every closed span's stage sample added about 0.7). A packet
+# leg runs 7 and 28 days of 20 tests/day on 20 servers at --jobs 2: each
+# utilization window closes at the commit that makes it final, so its slope
+# must stay at or under 0.25 MB per day (a period-long window x server byte
+# matrix grew it about 1.5 MB per day). Skipped in sanitizer builds, where
+# shadow memory inflates RSS by design.
 run_rss_slope_gate() {
   local build_dir="$1"
   case "${build_dir}" in *asan*|*tsan*) return 0 ;; esac
@@ -330,6 +334,9 @@ run_rss_slope_gate() {
       --obs-sample 1/2 --obs-dir "${out_dir}/spans-d${days}" --obs spans,health \
       > /dev/null 2> /dev/null
     rm -f "${out_dir}/spans-d${days}/spans.json"
+    "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+      --days "${days}" --servers 20 --tests-per-day 20 --jobs 2 --progress \
+      --obs-dir "${out_dir}/packet-d${days}" --obs health > /dev/null 2> /dev/null
   done
   python3 - "${out_dir}" <<'PYEOF'
 import json, sys
@@ -348,9 +355,14 @@ if spans - health > 0.25:
     sys.exit(f"with spans, peak RSS grows {spans:.2f} MB per simulated day "
              f"(7 d: {span7:.1f} MB, 28 d: {span28:.1f} MB), "
              f"{spans - health:.2f} more than health alone ({health:.2f}) > 0.25")
+packet, packet7, packet28 = slope("packet-")
+if packet > 0.25:
+    sys.exit(f"packet peak RSS grows {packet:.2f} MB per simulated day "
+             f"(7 d: {packet7:.1f} MB, 28 d: {packet28:.1f} MB) > 0.25 MB/day")
 print(f"memory-slope gate passed: {health:.2f} MB per simulated day "
       f"(7 d: {rss7:.1f} MB, 28 d: {rss28:.1f} MB); with spans {spans:.2f} "
-      f"(7 d: {span7:.1f} MB, 28 d: {span28:.1f} MB)")
+      f"(7 d: {span7:.1f} MB, 28 d: {span28:.1f} MB); packet {packet:.2f} "
+      f"(7 d: {packet7:.1f} MB, 28 d: {packet28:.1f} MB)")
 PYEOF
 }
 
@@ -422,7 +434,9 @@ PYEOF
 # Cross-run manifest diff gate (DESIGN.md §14): a 10k-test fleet-day at
 # --jobs 1 and --jobs 4 must produce manifests that `obs diff
 # --expect-identical` declares semantically identical (artifacts never depend
-# on worker count), every manifest line must match the record schema, and a
+# on worker count; the runs also write a host profile, whose hash differs
+# between any two runs and must stay informational), every manifest line
+# must match the record schema, and a
 # seed-perturbed run must produce a non-empty diff that names the changed
 # critical-path stage, with per-stage deltas summing to the observed
 # total-time delta within 1%.
@@ -436,7 +450,7 @@ run_diff_gate() {
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
       --days 1 --tests-per-day 10000 --seed 21 --chunk 512 --jobs "${jobs}" \
       --obs-sample 1/16 \
-      --obs-dir "${out_dir}/j${jobs}" --obs trace_jsonl,metrics,health > /dev/null
+      --obs-dir "${out_dir}/j${jobs}" --obs trace_jsonl,metrics,health,prof > /dev/null
   done
   python3 - "${out_dir}/j1/manifest.jsonl" <<'PYEOF'
 import json, sys

@@ -151,9 +151,9 @@ std::string usage() {
       "  A fleet streams its trace and spans into their files in canonical\n"
       "  order as chunks commit: every recorded event and span, none dropped\n"
       "  and none kept past its chunk's commit.\n"
-      "  A single test's trace ring keeps its last 262144 events; drops are\n"
-      "  counted in the metrics (obs.trace_dropped, obs.span_dropped) and the\n"
-      "  health meta.\n"
+      "  A single test's trace ring hands each full run of 262144 events to\n"
+      "  the files, so its trace is whole too; dropped spans are counted in\n"
+      "  the metrics (obs.span_dropped) and the health meta.\n"
       "\n"
       "logging (all commands):\n"
       "  --log-level L           debug|info|warn|error (default warn)\n"
@@ -520,8 +520,13 @@ class RunOutputs {
     trace_.emplace(jsonl_.stream(), chrome_.stream());
     span_doc_.emplace(spans_.stream());
     // A fleet streams its canonical events and spans straight into the
-    // files; a single test's ring and store are replayed by finish().
+    // files; a single test's ring and store are replayed by finish(), its
+    // ring handing each full run of events to the files in record order on
+    // the way, so no trace drops.
     hub_->event_sink = [this](const obs::TraceEvent& e) { trace_->write(e); };
+    hub_->tracer.set_overflow([this](std::span<obs::TraceEvent> events) {
+      for (const obs::TraceEvent& e : events) trace_->write(e);
+    });
     hub_->span_sink = [this](const obs::span::SpanRecord& r) { span(r); };
     return 0;
   }
@@ -623,32 +628,23 @@ class RunOutputs {
   }
 
   /// Replays what the hub's own ring and store hold (a fleet streamed its
-  /// records already, so they are empty), surfaces data loss, and closes the
-  /// trace, spans and metrics artifacts. Loss shows before the artifacts
-  /// close: a stderr warning naming a flag of the running command that
-  /// lowers the volume, plus only-nonzero obs.trace_dropped /
-  /// obs.span_dropped counters in the metrics and keys in the health meta,
-  /// so a wrapped ring can't masquerade as a complete trace.
+  /// records already, so they are empty), surfaces span loss, and closes the
+  /// trace, spans and metrics artifacts. The trace is always whole (its ring
+  /// overflows into the files); a span store that dropped shows before the
+  /// artifacts close, as a stderr warning, an obs.span_dropped counter in
+  /// the metrics and a key in the health meta.
   bool close_obs(std::ostream& out, obs::health::ReportMeta& meta) {
     for (const obs::TraceEvent& e : hub_->tracer.events()) trace_->write(e);
     for (const obs::span::SpanRecord& r : hub_->spans.spans()) span(r);
-    const std::uint64_t trace_dropped = hub_->tracer.dropped();
     const std::uint64_t span_dropped = hub_->spans.dropped();
-    if (trace_dropped > 0) {
-      std::cerr << "warning: trace ring dropped " << trace_dropped << " events (use "
-                << (fleet_ ? "--obs-sample" : "--trace-categories") << ")\n";
-      hub_->metrics.counter("obs.trace_dropped").inc(trace_dropped);
-    }
     if (span_dropped > 0) {
       std::cerr << "warning: span store dropped " << span_dropped << " spans\n";
       hub_->metrics.counter("obs.span_dropped").inc(span_dropped);
-    }
-    for (const auto& [key, count] : {std::pair{"obs.trace_dropped", trace_dropped},
-                                     {"obs.span_dropped", span_dropped}}) {
-      if (count > 0) meta.emplace_back(key, std::to_string(count));
+      meta.emplace_back("obs.span_dropped", std::to_string(span_dropped));
     }
     trace_->finish();
     span_doc_->finish(span_dropped);
+    const std::uint64_t trace_dropped = hub_->tracer.dropped();
     const std::string trace_note = count_note(trace_->events(), "events", trace_dropped);
     for (const auto& [name, file, note] :
          {std::tuple{"trace_chrome", &chrome_, trace_note},
